@@ -17,18 +17,13 @@ from colombeau.bundle_maps import (
     single_chart_hom,
 )
 from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
-from colombeau.manifold_maps import single_chart_map
+from colombeau.manifold_maps import identity_map, single_chart_map
 
 LINE = euclidean_atlas(1)
 TX = trivial_bundle(LINE, 1)
 K = CompactSet("main", [(-1.0, 1.0)])
 
-base = single_chart_map(
-    LINE, LINE, lambda e, x: x,
-    jet=lambda e, x, a: x if a[0] == 0 else (
-        np.ones_like(x) if a[0] == 1 else np.zeros_like(x)),
-    label="id",
-)
+base = identity_map(LINE)
 drifted = single_chart_map(
     LINE, LINE, lambda e, x: x + np.exp(-1.0 / e), label="id+tail"
 )

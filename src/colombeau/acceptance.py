@@ -46,6 +46,7 @@ from .manifold_maps import (
     check_equivalent,
     check_pointvalue_equality,
     compose,
+    identity_map,
     random_gpoints,
     single_chart_map,
 )
@@ -245,11 +246,7 @@ def criterion_well_definedness() -> CriterionResult:
         if check_equivalent(compose(u, outer), compose(up, outer), K1):
             ok["map"] += 1
 
-    base = single_chart_map(
-        LINE, LINE, lambda e, x: x,
-        jet=lambda e, x, a: x if a[0] == 0 else (np.ones_like(x) if a[0] == 1 else np.zeros_like(x)),
-        label="id",
-    )
+    base = identity_map(LINE)
     post_hom = single_chart_hom(
         TX, TX, base, lambda e, x: 1.5 + 0.1 * np.cos(x), label="B"
     )
@@ -322,11 +319,7 @@ def criterion_point_separation() -> CriterionResult:
 
 
 def criterion_alignment() -> CriterionResult:
-    base = single_chart_map(
-        LINE, LINE, lambda e, x: x,
-        jet=lambda e, x, a: x if a[0] == 0 else (np.ones_like(x) if a[0] == 1 else np.zeros_like(x)),
-        label="target-rep",
-    )
+    base = identity_map(LINE, label="target-rep")
     drift = single_chart_map(
         LINE, LINE, lambda e, x: x + np.exp(-1.0 / e), label="drift"
     )
@@ -369,11 +362,7 @@ def criterion_alignment() -> CriterionResult:
 
 
 def criterion_order_collapse() -> CriterionResult:
-    base = single_chart_map(
-        LINE, LINE, lambda e, x: x,
-        jet=lambda e, x, a: x if a[0] == 0 else (np.ones_like(x) if a[0] == 1 else np.zeros_like(x)),
-        label="id",
-    )
+    base = identity_map(LINE)
     small = lambda e: np.exp(-1.0 / e)
     vb_pairs = [
         (

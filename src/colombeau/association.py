@@ -34,7 +34,6 @@ from .geometry import CompactSet, DensityTest, chord_distance, default_test_bank
 from .manifold_maps import (
     ManifoldNet,
     _check_points,
-    _fd_step_for,
     _index_tuples,
     _sup_abs,
     check_cbounded,
@@ -43,6 +42,7 @@ from .manifold_maps import (
 from .nets import (
     Net,
     SmoothMapHandle,
+    fd_step,
     handle_compose,
     make_handle,
     net_from_function,
@@ -406,7 +406,7 @@ def check_k_associated(
                 pts = pts_at(eps)
                 tu, hu = u.handle(eps, src)
                 tv, hv = v.handle(eps, src)
-                step = _fd_step_for(eps)
+                step = fd_step(eps)
                 fu = handle_compose(test.handle, hu)
                 fv = handle_compose(test.handle, hv)
                 sup = 0.0
@@ -565,7 +565,7 @@ def embed_distribution(
             return rho.profile(x / e) / e
 
         def jet(e, x, alpha):
-            return rho.profile.jet(x / e, alpha, _fd_step_for(e)) / e ** (
+            return rho.profile.jet(x / e, alpha, fd_step(e)) / e ** (
                 1 + sum(alpha)
             )
 
@@ -590,7 +590,7 @@ def embed_distribution(
             k = sum(alpha)
             if k == 0:
                 return ev(e, x)
-            return rho.profile.jet(x / e, (k - 1,), _fd_step_for(e)) / e**k
+            return rho.profile.jet(x / e, (k - 1,), fd_step(e)) / e**k
 
         return net_from_function(
             ev, 1, 1, box=box, jet=jet, k_max=3,

@@ -1,15 +1,18 @@
 """Generalized bundle homomorphisms, hybrid nets, and their checkers.
 
-A homomorphism net is stored in local form: one base net between the base
-atlases plus, per vb-chart pair, a net of fiber matrices.  The projection
-identity (bundle projection after the hom equals the base map after the
+Both kinds are one :class:`FiberNet` stored in local form: one base net
+between the base manifolds plus, per chart pair, a net of fiber values.
+A homomorphism maps a vector bundle into a vector bundle and carries fiber
+matrices of shape ``(m_out, m_in)``; a hybrid net maps a manifold into a
+vector bundle and carries fiber vectors of shape ``(m_out,)``.  Generalized
+sections are hybrid nets whose base is the identity.  The projection
+identity (bundle projection after the net equals the base map after the
 projection) then holds by construction and is never tested numerically.
-Hybrid nets carry fiber vectors instead of matrices; generalized sections
-are hybrid nets whose base is the identity.
 
 Fiber norms use the operator norm induced by the max norm (largest
-absolute row sum); derivative curves of fiber entries use the entrywise
-max, an equivalent norm.
+absolute row sum), a fiber vector counting as a one-column matrix;
+derivative curves of fiber entries use the entrywise max, an equivalent
+norm.
 """
 
 from __future__ import annotations
@@ -45,25 +48,28 @@ from .geometry import (
     chord_distance,
     default_test_bank,
     partition_of_unity,
+    sample_box,
     trivial_bundle,
 )
 from .manifold_maps import (
+    _EVAL_EPS_SAMPLES,
     GeneralizedManifoldPoint,
     ManifoldNet,
+    _argmax_point,
+    _base_gap,
     _check_points,
     _combine_verdicts,
-    _fd_step_for,
     _index_tuples,
     _sup_abs,
     check_cbounded,
     check_equivalent,
     check_moderate,
     compose,
+    single_chart_map,
 )
-from .nets import Net, finite_difference_jet
+from .nets import Net, fd_step, finite_difference_jet, net_from_function
 
 _AGREEMENT_TOL = 1e-9
-_EVAL_EPS_SAMPLES = (0.5, 0.1, 0.02)
 
 
 def opnorm_max(M) -> np.ndarray:
@@ -103,8 +109,6 @@ def matrix_net(fn, dim_in, shape, jet=None, box=None, label="") -> Net:
     Stored flattened so the scalar net machinery applies; ``fiber_shape``
     on the result records how to fold values back.
     """
-    from .nets import net_from_function
-
     shape = tuple(int(s) for s in shape)
     size = int(np.prod(shape))
 
@@ -130,35 +134,54 @@ def fiber_values(net: Net, eps, x) -> np.ndarray:
     return flat.reshape(x.shape[:-1] + net.fiber_shape)
 
 
+def _as_matrix(vals, shape) -> np.ndarray:
+    """Fiber values as matrices: a fiber vector becomes one column."""
+    return vals if len(shape) == 2 else vals[..., None]
+
+
 # ---------------------------------------------------------------------------
-# homomorphism nets
+# fiber nets: homomorphisms and hybrids
 
 
 @dataclass
-class HomNet:
-    """Fiber-linear net between vector bundles in local form."""
+class FiberNet:
+    """Net into a vector bundle in local form: base net plus fiber nets.
 
-    source: VBAtlas
+    ``fiber_nets`` maps (source chart, target vb-chart) to a
+    :func:`matrix_net`.  With a :class:`VBAtlas` as ``source`` the net is a
+    bundle homomorphism and its fibers are ``(m_out, m_in)`` matrices; with
+    a manifold atlas as ``source`` it is a hybrid net and its fibers are
+    ``(m_out,)`` vectors.  Fiber nets sharing a source chart must agree
+    through the target's fiber transitions at sampled points and eps.
+    """
+
+    source: object
     target: VBAtlas
     base_net: ManifoldNet
     fiber_nets: dict
     label: str = ""
 
     def __post_init__(self):
-        m_in, m_out = self.source.fiber_dim, self.target.fiber_dim
+        m_out = self.target.fiber_dim
+        if isinstance(self.source, VBAtlas):
+            manifold, src_charts = self.source.base, self.source.vb_chart_ids
+            shape = (m_out, self.source.fiber_dim)
+        else:
+            manifold, src_charts = self.source, self.source.charts
+            shape = (m_out,)
         for (s, t), net in self.fiber_nets.items():
-            if s not in self.source.vb_chart_ids or t not in self.target.vb_chart_ids:
-                raise AtlasMismatch(f"fiber net keyed by unknown vb charts ({s},{t})")
-            if net.fiber_shape != (m_out, m_in):
+            if s not in src_charts or t not in self.target.vb_chart_ids:
+                raise AtlasMismatch(f"fiber net keyed by unknown charts ({s},{t})")
+            if net.fiber_shape != shape:
                 raise DimensionMismatch(
                     f"fiber net ({s},{t}) has shape {net.fiber_shape}, "
-                    f"bundle expects {(m_out, m_in)}"
+                    f"bundle expects {shape}"
                 )
-            if net.dim_in != self.source.base.dim:
+            if net.dim_in != manifold.dim:
                 raise DimensionMismatch("fiber net domain dim != base dim")
-        self._check_fiber_agreement()
+        self._check_fiber_agreement(shape)
 
-    def _check_fiber_agreement(self):
+    def _check_fiber_agreement(self, shape):
         by_source = {}
         for (s, t), net in sorted(self.fiber_nets.items()):
             by_source.setdefault(s, []).append((t, net))
@@ -168,8 +191,6 @@ class HomNet:
             box = self.base_net.rep_for(s)[1].box
             if box is None:
                 continue
-            from .geometry import sample_box
-
             pts = sample_box(box, 5)
             for (t1, n1), (t2, n2) in zip(entries, entries[1:]):
                 for eps in _EVAL_EPS_SAMPLES:
@@ -184,8 +205,8 @@ class HomNet:
                     if not np.any(inside):
                         continue
                     T = self.target.fiber_transition(t1, t2, y1[inside])
-                    M1 = fiber_values(n1, eps, pts[inside])
-                    M2 = fiber_values(n2, eps, pts[inside])
+                    M1 = _as_matrix(fiber_values(n1, eps, pts[inside]), shape)
+                    M2 = _as_matrix(fiber_values(n2, eps, pts[inside]), shape)
                     err = float(np.max(np.abs(T @ M1 - M2)))
                     if err > _AGREEMENT_TOL:
                         raise AtlasMismatch(
@@ -200,22 +221,25 @@ class HomNet:
         raise AtlasMismatch(f"no fiber net with source chart {src_chart!r}")
 
     def fiber_matrix(self, eps: float, x, src_chart: Optional[str] = None):
+        """(target vb-chart, fiber values at x): matrices or vectors."""
         if src_chart is None:
             src_chart = next(iter(self.fiber_nets))[0]
         t, net = self.fiber_for(src_chart)
         return t, fiber_values(net, eps, x)
 
-    def apply(self, eps: float, x, xi, src_chart: Optional[str] = None):
-        """Full bundle map: (x, xi) -> (base image, matrix times xi)."""
+    def apply(self, eps: float, x, xi=None, src_chart: Optional[str] = None):
+        """Full map at x: (target chart, base image, fiber value), the
+        fiber matrix applied to ``xi`` when one is given."""
         if src_chart is None:
             src_chart = next(iter(self.fiber_nets))[0]
         tgt, y = self.base_net.eval(eps, x, src_chart)
-        t2, M = self.fiber_matrix(eps, np.asarray(x, dtype=float), src_chart)
+        t2, F = self.fiber_matrix(eps, np.asarray(x, dtype=float), src_chart)
         if t2 != tgt:
             y = self.target.base.to_chart(y, tgt, t2)
             tgt = t2
-        eta = np.einsum("...ij,...j->...i", M, np.asarray(xi, dtype=float))
-        return tgt, y, eta
+        if xi is not None:
+            F = np.einsum("...ij,...j->...i", F, np.asarray(xi, dtype=float))
+        return tgt, y, F
 
 
 def single_chart_hom(
@@ -227,7 +251,7 @@ def single_chart_hom(
     tgt_chart="main",
     jet=None,
     label="",
-) -> HomNet:
+) -> FiberNet:
     m = matrix_net(
         matrix_fn,
         source.base.dim,
@@ -236,12 +260,10 @@ def single_chart_hom(
         box=source.base.chart(src_chart).box,
         label=label,
     )
-    return HomNet(source, target, base, {(src_chart, tgt_chart): m}, label)
+    return FiberNet(source, target, base, {(src_chart, tgt_chart): m}, label)
 
 
-def identity_hom(vb: VBAtlas, chart="main", label="id") -> HomNet:
-    from .manifold_maps import single_chart_map
-
+def identity_hom(vb: VBAtlas, chart="main", label="id") -> FiberNet:
     base = single_chart_map(
         vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart, label=label
     )
@@ -253,7 +275,7 @@ def identity_hom(vb: VBAtlas, chart="main", label="id") -> HomNet:
     return single_chart_hom(vb, vb, base, mat, chart, chart, label=label)
 
 
-def tangent_map(u: ManifoldNet, label="") -> HomNet:
+def tangent_map(u: ManifoldNet, label="") -> FiberNet:
     """The hom net of Jacobians of u's chart representations."""
     source = trivial_bundle(u.source, u.source.dim)
     target = trivial_bundle(u.target, u.target.dim)
@@ -261,13 +283,43 @@ def tangent_map(u: ManifoldNet, label="") -> HomNet:
     for (s, t), net in u.reps.items():
         def mat(e, x, _net=net):
             h = _net.at(e)
-            return h.jacobian(x, step=_fd_step_for(e))
+            return h.jacobian(x, step=fd_step(e))
 
         fiber[(s, t)] = matrix_net(
             mat, u.source.dim, (u.target.dim, u.source.dim),
             box=net.box, label=f"D({net.label or 'net'})",
         )
-    return HomNet(source, target, u, fiber, label or f"T({u.label})")
+    return FiberNet(source, target, u, fiber, label or f"T({u.label})")
+
+
+def single_chart_hybrid(
+    source,
+    target: VBAtlas,
+    base: ManifoldNet,
+    vector_fn,
+    src_chart="main",
+    tgt_chart="main",
+    jet=None,
+    label="",
+) -> FiberNet:
+    v = matrix_net(
+        vector_fn,
+        source.dim,
+        (target.fiber_dim,),
+        jet=jet,
+        box=source.chart(src_chart).box,
+        label=label,
+    )
+    return FiberNet(source, target, base, {(src_chart, tgt_chart): v}, label)
+
+
+def section_net(vb: VBAtlas, vector_fn, chart="main", jet=None, label="") -> FiberNet:
+    """Generalized section: hybrid net over the identity base."""
+    base = single_chart_map(
+        vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart,
+        label=f"id[{label}]",
+    )
+    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, chart, jet, label)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +394,7 @@ def vb_points_equivalent(
     )
 
 
-def vb_point_insert(u: HomNet, e: VBGeneralizedPoint) -> VBGeneralizedPoint:
+def vb_point_insert(u: FiberNet, e: VBGeneralizedPoint) -> VBGeneralizedPoint:
     """Apply the hom slicewise to a bundle point."""
     cb = check_cbounded(u.base_net, e.support)
     if not cb.ok:
@@ -357,7 +409,7 @@ def vb_point_insert(u: HomNet, e: VBGeneralizedPoint) -> VBGeneralizedPoint:
 
 
 # ---------------------------------------------------------------------------
-# moderateness and equivalence of homs
+# moderateness and equivalence
 
 
 @dataclass
@@ -376,17 +428,29 @@ def _fiber_step(eps, k):
     # k-th central differences of O(1) fiber entries drown in roundoff
     # once the step drops below eps_mach^(1/(k+2)); the eps-scaled step
     # stays in charge above that line
-    h = _fd_step_for(eps)
+    h = fd_step(eps)
     if k >= 2:
         h = max(h, float(np.finfo(float).eps) ** (1.0 / (k + 2)))
     return h
 
 
-def _fiber_entry_curves(u, L, k_max, grid, pts):
-    """Per order k: sup over sampled L of entrywise fiber-net jets."""
+def _fiber_moderate(u: FiberNet, L, k_max, grid, bank) -> VBModerateReport:
+    """Base moderateness plus fiber classification.
+
+    The fiber runs two routes: jets of the raw chart fibers, and the
+    order-0 norm of the fiber localized by each compactly supported test
+    hom (cutoff at the base image times the fiber).  The combined verdict
+    is the worst of base and fiber.
+    """
+    grid = grid or EpsGrid.default()
+    base_report = check_moderate(u.base_net, L, k_max=k_max, grid=grid)
+    witness = base_report.witness
+    pts = _check_points(L)
     src = L.chart_id
     _, net = u.fiber_for(src)
-    out = []
+
+    # chart route: per order k, sup over sampled L of entrywise fiber jets
+    fiber_verdicts = []
     for k in range(k_max + 1):
         curve = []
         for eps in grid:
@@ -395,35 +459,11 @@ def _fiber_entry_curves(u, L, k_max, grid, pts):
             for alpha in _index_tuples(net.dim_in, k):
                 sup = max(sup, _sup_abs(h.jet(pts, alpha, _fiber_step(eps, k))))
             curve.append(sup)
-        out.append((k, estimate_growth_order(curve, grid)))
-    return out
-
-
-def check_vb_moderate(
-    u: HomNet,
-    L: CompactSet,
-    k_max: int = 2,
-    grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
-) -> VBModerateReport:
-    """Base moderateness plus fiber-matrix classification.
-
-    The fiber runs two routes: jets of the raw chart matrices, and the
-    order-0 norm of the matrix localized by each compactly supported test
-    hom (cutoff at the base image times the matrix).  The combined verdict
-    is the worst of base and fiber.
-    """
-    grid = grid or EpsGrid.default()
-    base_report = check_moderate(u.base_net, L, k_max=k_max, grid=grid, bank=None)
-    witness = base_report.witness
-    pts = _check_points(L)
-
-    fiber_verdicts = _fiber_entry_curves(u, L, k_max, grid, pts)
+        fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
 
     if bank is None:
         bank = default_test_bank(u.target.base, witness, vb=u.target)
     bank_verdicts = []
-    src = L.chart_id
     for test in bank.vbhom_tests:
         curve = []
         for eps in grid:
@@ -431,7 +471,7 @@ def check_vb_moderate(
             if tgt != test.chart_id:
                 y = u.target.base.to_chart(y, tgt, test.chart_id)
             chi = test.cutoff(y)[..., 0]
-            _, M = u.fiber_matrix(eps, pts, src)
+            M = _as_matrix(fiber_values(net, eps, pts), net.fiber_shape)
             curve.append(_sup_abs(chi * opnorm_max(M)))
         bank_verdicts.append(estimate_growth_order(curve, grid))
 
@@ -441,6 +481,28 @@ def check_vb_moderate(
         + bank_verdicts
     )
     return VBModerateReport(verdict, base_report, fiber_verdicts, bank_verdicts, witness)
+
+
+def check_vb_moderate(
+    u: FiberNet,
+    L: CompactSet,
+    k_max: int = 2,
+    grid: Optional[EpsGrid] = None,
+    bank: Optional[TestBank] = None,
+) -> VBModerateReport:
+    """Moderateness of a bundle hom: base plus fiber matrices."""
+    return _fiber_moderate(u, L, k_max, grid, bank)
+
+
+def check_hybrid_moderate(
+    u: FiberNet,
+    L: CompactSet,
+    k_max: int = 2,
+    grid: Optional[EpsGrid] = None,
+    bank: Optional[TestBank] = None,
+) -> VBModerateReport:
+    """Moderateness of a hybrid net: base plus fiber vectors."""
+    return _fiber_moderate(u, L, k_max, grid, bank)
 
 
 @dataclass
@@ -456,27 +518,22 @@ class VBEquivalenceReport:
         return self.equivalent
 
 
-def check_vb_equivalent(
-    u: HomNet,
-    v: HomNet,
-    L: CompactSet,
-    grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
-    derivative_order: int = 0,
+def _fiber_equivalent(
+    u: FiberNet, v: FiberNet, L, grid, bank, derivative_order
 ) -> VBEquivalenceReport:
-    """Base equivalence plus order-0 fiber-matrix difference negligibility.
+    """Base equivalence plus order-0 fiber difference negligibility.
 
-    The fiber difference runs a chart route (matrix differences where both
+    The fiber difference runs a chart route (fiber differences where both
     base images sit in the shared witness) and a test-hom route (cutoff
-    times matrix differences); the routes must agree.  Fiber jets up to
+    times fiber differences); the routes must agree.  Fiber jets up to
     ``derivative_order`` extend the chart route; the verdict must not
     depend on it.
     """
     grid = grid or EpsGrid.default()
-    mu = check_vb_moderate(u, L, grid=grid)
-    mv = check_vb_moderate(v, L, grid=grid)
+    mu = _fiber_moderate(u, L, k_max=2, grid=grid, bank=None)
+    mv = _fiber_moderate(v, L, k_max=2, grid=grid, bank=None)
     if not (bool(mu) and bool(mv)):
-        raise NotModerate("vb equivalence needs both homs vb-moderate")
+        raise NotModerate("fiber equivalence needs both nets moderate")
 
     base_report = check_equivalent(u.base_net, v.base_net, L, grid=grid)
     lo = np.minimum(mu.witness.box[:, 0], mv.witness.box[:, 0])
@@ -484,10 +541,10 @@ def check_vb_equivalent(
     witness_box = np.stack([lo, hi], axis=-1)
     pts = _check_points(L)
     src = L.chart_id
-    t_u, net_u = u.fiber_for(src)
-    t_v, net_v = v.fiber_for(src)
+    _, net_u = u.fiber_for(src)
+    _, net_v = v.fiber_for(src)
 
-    # chart route: matrix differences masked to co-located base images
+    # chart route: fiber differences masked to co-located base images
     route_chart = True
     vacuous = True
     for k in range(derivative_order + 1):
@@ -518,6 +575,7 @@ def check_vb_equivalent(
 
     if bank is None:
         bank = default_test_bank(u.target.base, mu.witness, vb=u.target)
+    fiber_axes = (1,) * len(net_u.fiber_shape)
     route_bank = True
     for test in bank.vbhom_tests:
         curve = []
@@ -530,11 +588,12 @@ def check_vb_equivalent(
                 yv = u.target.base.to_chart(yv, tv, test.chart_id)
             chi_u = test.cutoff(yu)[..., 0]
             chi_v = test.cutoff(yv)[..., 0]
-            Mu = fiber_values(net_u, eps, pts)
-            Mv = fiber_values(net_v, eps, pts)
-            curve.append(
-                _sup_diff(chi_u[..., None, None] * Mu, chi_v[..., None, None] * Mv)
-            )
+            Fu = fiber_values(net_u, eps, pts)
+            Fv = fiber_values(net_v, eps, pts)
+            curve.append(_sup_diff(
+                chi_u.reshape(chi_u.shape + fiber_axes) * Fu,
+                chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
+            ))
         if not negligible_to_resolution(curve, grid):
             route_bank = False
 
@@ -547,7 +606,7 @@ def check_vb_equivalent(
         )
     if route_chart != route_bank:
         raise InconsistentRoutes(
-            f"vb fiber routes disagree: chart={route_chart}, bank={route_bank} "
+            f"fiber routes disagree: chart={route_chart}, bank={route_bank} "
             f"for ({u.label!r}, {v.label!r})"
         )
     equivalent = base_report.equivalent and route_chart
@@ -556,14 +615,36 @@ def check_vb_equivalent(
     )
 
 
+def check_vb_equivalent(
+    u: FiberNet,
+    v: FiberNet,
+    L: CompactSet,
+    grid: Optional[EpsGrid] = None,
+    bank: Optional[TestBank] = None,
+    derivative_order: int = 0,
+) -> VBEquivalenceReport:
+    """Equivalence of two bundle homs: base plus fiber matrices."""
+    return _fiber_equivalent(u, v, L, grid, bank, derivative_order)
+
+
+def check_hybrid_equivalent(
+    u: FiberNet,
+    v: FiberNet,
+    L: CompactSet,
+    grid: Optional[EpsGrid] = None,
+    bank: Optional[TestBank] = None,
+    derivative_order: int = 0,
+) -> VBEquivalenceReport:
+    """Equivalence of two hybrid nets: base plus fiber vectors."""
+    return _fiber_equivalent(u, v, L, grid, bank, derivative_order)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
 
 def _quick_moderate_guard(net: Net, box, label: str):
     """Coarse order-0 check that a freshly composed fiber net is usable."""
-    from .geometry import sample_box
-
     if box is None:
         return
     box = np.asarray(box, dtype=float)
@@ -579,302 +660,51 @@ def _quick_moderate_guard(net: Net, box, label: str):
         raise NotModerate(f"composed fiber net {label!r} fails moderateness")
 
 
-def compose_homs(u: HomNet, v: HomNet, label="") -> HomNet:
-    """The hom whose fiber matrices multiply through the middle bundle."""
-    if u.target is not v.source and u.target.fiber_dim != v.source.fiber_dim:
-        raise AtlasMismatch("hom composition needs matching middle bundle")
-    base = compose(u.base_net, v.base_net, label=label)
+def _compose_with_hom(u: FiberNet, w: FiberNet, label) -> FiberNet:
+    """u (a hom or a hybrid) followed by the hom w: u's fibers run through
+    w's matrices at u's base image."""
+    if u.target is not w.source and u.target.fiber_dim != w.source.fiber_dim:
+        raise AtlasMismatch("composition needs matching middle bundle")
+    base = compose(u.base_net, w.base_net, label=label)
     fiber = {}
     for (s, m1), net_u in u.fiber_nets.items():
-        for (m2, t), net_v in v.fiber_nets.items():
+        for (m2, t), net_w in w.fiber_nets.items():
             if m1 != m2:
                 continue
 
-            def mat(e, x, _nu=net_u, _nv=net_v, _s=s, _m=m1):
-                Mu = fiber_values(_nu, e, x)
+            def fib(e, x, _nu=net_u, _nw=net_w, _s=s, _m=m1):
+                F = _as_matrix(fiber_values(_nu, e, x), _nu.fiber_shape)
                 tgt, y = u.base_net.eval(e, x, _s)
                 if tgt != _m:
                     y = u.target.base.to_chart(y, tgt, _m)
-                Mv = fiber_values(_nv, e, y)
-                return Mv @ Mu
+                return fiber_values(_nw, e, y) @ F
 
             fiber[(s, t)] = matrix_net(
-                mat,
-                u.source.base.dim,
-                (v.target.fiber_dim, u.source.fiber_dim),
+                fib,
+                net_u.dim_in,
+                (w.target.fiber_dim,) + net_u.fiber_shape[1:],
                 box=net_u.box,
-                label=f"{net_v.label}*{net_u.label}",
+                label=f"{net_w.label}*{net_u.label}",
             )
     if not fiber:
         raise AtlasMismatch("no chart pair chains through the middle bundle")
-    out = HomNet(u.source, v.target, base, fiber, label or f"{v.label}o{u.label}")
-    for (s, t), net in out.fiber_nets.items():
+    out = FiberNet(u.source, w.target, base, fiber, label or f"{w.label}o{u.label}")
+    for net in out.fiber_nets.values():
         _quick_moderate_guard(net, net.box, net.label)
     return out
 
 
-# ---------------------------------------------------------------------------
-# hybrid nets
+def compose_homs(u: FiberNet, v: FiberNet, label="") -> FiberNet:
+    """The hom whose fiber matrices multiply through the middle bundle."""
+    return _compose_with_hom(u, v, label)
 
 
-@dataclass
-class HybridNet:
-    """Net from a manifold into a vector bundle: base map plus fiber vector."""
-
-    source: object
-    target: VBAtlas
-    base_net: ManifoldNet
-    fiber_nets: dict
-    label: str = ""
-
-    def __post_init__(self):
-        m = self.target.fiber_dim
-        for (s, t), net in self.fiber_nets.items():
-            if net.fiber_shape != (m,):
-                raise DimensionMismatch(
-                    f"hybrid fiber net ({s},{t}) has shape {net.fiber_shape}, "
-                    f"expected ({m},)"
-                )
-
-    def fiber_for(self, src_chart: str):
-        for (s, t), net in self.fiber_nets.items():
-            if s == src_chart:
-                return t, net
-        raise AtlasMismatch(f"no fiber net with source chart {src_chart!r}")
-
-    def apply(self, eps: float, x, src_chart: Optional[str] = None):
-        if src_chart is None:
-            src_chart = next(iter(self.fiber_nets))[0]
-        tgt, y = self.base_net.eval(eps, x, src_chart)
-        t2, net = self.fiber_for(src_chart)
-        vec = fiber_values(net, eps, np.asarray(x, dtype=float))
-        if t2 != tgt:
-            y = self.target.base.to_chart(y, tgt, t2)
-            tgt = t2
-        return tgt, y, vec
+def compose_hybrid_hom(v: FiberNet, w: FiberNet, label="") -> FiberNet:
+    """Hom after a hybrid: the fiber vector runs through w's matrices."""
+    return _compose_with_hom(v, w, label)
 
 
-def single_chart_hybrid(
-    source,
-    target: VBAtlas,
-    base: ManifoldNet,
-    vector_fn,
-    src_chart="main",
-    tgt_chart="main",
-    jet=None,
-    label="",
-) -> HybridNet:
-    v = matrix_net(
-        vector_fn,
-        source.dim,
-        (target.fiber_dim,),
-        jet=jet,
-        box=source.chart(src_chart).box,
-        label=label,
-    )
-    return HybridNet(source, target, base, {(src_chart, tgt_chart): v}, label)
-
-
-def section_net(vb: VBAtlas, vector_fn, chart="main", jet=None, label="") -> HybridNet:
-    """Generalized section: hybrid net over the identity base."""
-    from .manifold_maps import single_chart_map
-
-    base = single_chart_map(
-        vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart,
-        label=f"id[{label}]",
-    )
-    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, chart, jet, label)
-
-
-def check_hybrid_moderate(
-    u: HybridNet,
-    L: CompactSet,
-    k_max: int = 2,
-    grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
-) -> VBModerateReport:
-    grid = grid or EpsGrid.default()
-    base_report = check_moderate(u.base_net, L, k_max=k_max, grid=grid)
-    witness = base_report.witness
-    pts = _check_points(L)
-    fiber_verdicts = _fiber_entry_curves(u, L, k_max, grid, pts)
-    if bank is None:
-        bank = default_test_bank(u.target.base, witness, vb=u.target)
-    bank_verdicts = []
-    src = L.chart_id
-    t_u, net_u = u.fiber_for(src)
-    for test in bank.vbhom_tests:
-        curve = []
-        for eps in grid:
-            tgt, y = u.base_net.eval(eps, pts, src)
-            if tgt != test.chart_id:
-                y = u.target.base.to_chart(y, tgt, test.chart_id)
-            chi = test.cutoff(y)[..., 0]
-            vec = fiber_values(net_u, eps, pts)
-            curve.append(_sup_abs(chi[..., None] * vec))
-        bank_verdicts.append(estimate_growth_order(curve, grid))
-    verdict = _combine_verdicts(
-        [base_report.verdict] + [v for _, v in fiber_verdicts] + bank_verdicts
-    )
-    return VBModerateReport(verdict, base_report, fiber_verdicts, bank_verdicts, witness)
-
-
-def check_hybrid_equivalent(
-    u: HybridNet,
-    v: HybridNet,
-    L: CompactSet,
-    grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
-    derivative_order: int = 0,
-) -> VBEquivalenceReport:
-    """Base equivalence plus order-0 fiber-vector differences; the test-hom
-    route cross-checks the chart route."""
-    grid = grid or EpsGrid.default()
-    mu = check_hybrid_moderate(u, L, grid=grid)
-    mv = check_hybrid_moderate(v, L, grid=grid)
-    if not (bool(mu) and bool(mv)):
-        raise NotModerate("hybrid equivalence needs both nets moderate")
-
-    base_report = check_equivalent(u.base_net, v.base_net, L, grid=grid)
-    lo = np.minimum(mu.witness.box[:, 0], mv.witness.box[:, 0])
-    hi = np.maximum(mu.witness.box[:, 1], mv.witness.box[:, 1])
-    witness_box = np.stack([lo, hi], axis=-1)
-    pts = _check_points(L)
-    src = L.chart_id
-    t_u, net_u = u.fiber_for(src)
-    t_v, net_v = v.fiber_for(src)
-
-    route_chart = True
-    vacuous = True
-    for k in range(derivative_order + 1):
-        curve = []
-        for eps in grid:
-            tu, yu = u.base_net.eval(eps, pts, src)
-            tv, yv = v.base_net.eval(eps, pts, src)
-            if tv != tu:
-                yv = u.target.base.to_chart(yv, tv, tu)
-            mask = np.all(
-                (yu >= witness_box[:, 0]) & (yu <= witness_box[:, 1])
-                & (yv >= witness_box[:, 0]) & (yv <= witness_box[:, 1]),
-                axis=-1,
-            )
-            if not np.any(mask):
-                curve.append(0.0)
-                continue
-            vacuous = False
-            hu, hv = net_u.at(eps), net_v.at(eps)
-            sup = 0.0
-            for alpha in _index_tuples(net_u.dim_in, k):
-                ju = hu.jet(pts, alpha, _fiber_step(eps, k))
-                jv = hv.jet(pts, alpha, _fiber_step(eps, k))
-                sup = max(sup, _sup_diff(ju, jv, mask))
-            curve.append(sup)
-        if not negligible_to_resolution(curve, grid):
-            route_chart = False
-
-    if bank is None:
-        bank = default_test_bank(u.target.base, mu.witness, vb=u.target)
-    route_bank = True
-    for test in bank.vbhom_tests:
-        curve = []
-        for eps in grid:
-            tu, yu = u.base_net.eval(eps, pts, src)
-            tv, yv = v.base_net.eval(eps, pts, src)
-            if tu != test.chart_id:
-                yu = u.target.base.to_chart(yu, tu, test.chart_id)
-            if tv != test.chart_id:
-                yv = u.target.base.to_chart(yv, tv, test.chart_id)
-            chi_u = test.cutoff(yu)[..., 0]
-            chi_v = test.cutoff(yv)[..., 0]
-            su = fiber_values(net_u, eps, pts)
-            sv = fiber_values(net_v, eps, pts)
-            curve.append(_sup_diff(chi_u[..., None] * su, chi_v[..., None] * sv))
-        if not negligible_to_resolution(curve, grid):
-            route_bank = False
-
-    diagnostics = {"grid": grid, "derivative_order": derivative_order}
-    if vacuous:
-        return VBEquivalenceReport(
-            base_report.equivalent, base_report, True, route_bank, True, diagnostics
-        )
-    if route_chart != route_bank:
-        raise InconsistentRoutes(
-            f"hybrid fiber routes disagree: chart={route_chart}, bank={route_bank} "
-            f"for ({u.label!r}, {v.label!r})"
-        )
-    return VBEquivalenceReport(
-        base_report.equivalent and route_chart,
-        base_report,
-        route_chart,
-        route_bank,
-        False,
-        diagnostics,
-    )
-
-
-def hybrid_point_value(
-    u: HybridNet, p: GeneralizedManifoldPoint
-) -> VBGeneralizedPoint:
-    cb = check_cbounded(u.base_net, p.support)
-    if not cb.ok:
-        raise NotCBounded("hybrid point value needs a c-bounded base net")
-
-    def at(eps):
-        cid, x = p.at(eps)
-        tgt, y, vec = u.apply(eps, x[None, :], cid)
-        return tgt, y[0], vec[0]
-
-    return VBGeneralizedPoint(at, cb.witness, label=f"{u.label}({p.label})")
-
-
-def check_hybrid_pointvalues(
-    u: HybridNet,
-    v: HybridNet,
-    sample_points: Sequence[GeneralizedManifoldPoint],
-    L: Optional[CompactSet] = None,
-    grid: Optional[EpsGrid] = None,
-    include_adversarial: bool = True,
-) -> tuple[bool, dict]:
-    """Values-at-points characterization of hybrid equality."""
-    grid = grid or EpsGrid.default()
-    points = list(sample_points)
-    if include_adversarial and L is not None:
-        points.append(_adversarial_hybrid_point(u, v, L, grid))
-    failed = []
-    for p in points:
-        pu = hybrid_point_value(u, p)
-        pv = hybrid_point_value(v, p)
-        if not vb_points_equivalent(u.target, pu, pv, grid):
-            failed.append(p)
-    return not failed, {"failed_points": failed, "tested": len(points)}
-
-
-def _adversarial_hybrid_point(u, v, L, grid) -> GeneralizedManifoldPoint:
-    pts = _check_points(L)
-    src = L.chart_id
-    _, net_u = u.fiber_for(src)
-    _, net_v = v.fiber_for(src)
-    chosen = {}
-    for eps in grid:
-        _, yu = u.base_net.eval(eps, pts, src)
-        _, yv = v.base_net.eval(eps, pts, src)
-        su = fiber_values(net_u, eps, pts)
-        sv = fiber_values(net_v, eps, pts)
-        gap = np.max(np.abs(yu - yv), axis=-1) + np.max(np.abs(su - sv), axis=-1)
-        gap = np.where(np.isfinite(gap), gap, np.inf)
-        chosen[eps] = pts[int(np.argmax(gap))]
-    eps_sorted = sorted(chosen, reverse=True)
-
-    def at(eps):
-        for e in eps_sorted:
-            if eps >= e:
-                return chosen[e]
-        return chosen[eps_sorted[-1]]
-
-    return GeneralizedManifoldPoint(at, L, label="adversarial")
-
-
-def compose_hybrid(u: ManifoldNet, v: HybridNet, label="") -> HybridNet:
+def compose_hybrid(u: ManifoldNet, v: FiberNet, label="") -> FiberNet:
     """Hybrid after a manifold net: fiber part pulled back along u."""
     if u.target is not v.source and u.target.dim != v.source.dim:
         raise AtlasMismatch("hybrid composition needs matching middle manifold")
@@ -897,35 +727,65 @@ def compose_hybrid(u: ManifoldNet, v: HybridNet, label="") -> HybridNet:
             )
     if not fiber:
         raise AtlasMismatch("no chart pair chains through the middle manifold")
-    return HybridNet(u.source, v.target, base, fiber, label or f"{v.label}o{u.label}")
+    return FiberNet(u.source, v.target, base, fiber, label or f"{v.label}o{u.label}")
 
 
-def compose_hybrid_hom(v: HybridNet, w: HomNet, label="") -> HybridNet:
-    """Hom after a hybrid: the fiber vector runs through w's matrices."""
-    if v.target is not w.source and v.target.fiber_dim != w.source.fiber_dim:
-        raise AtlasMismatch("composition needs matching middle bundle")
-    base = compose(v.base_net, w.base_net, label=label)
-    fiber = {}
-    for (s, m1), net_v in v.fiber_nets.items():
-        for (m2, t), net_w in w.fiber_nets.items():
-            if m1 != m2:
-                continue
+# ---------------------------------------------------------------------------
+# hybrid point values
 
-            def vec(e, x, _nv=net_v, _nw=net_w, _s=s, _m=m1):
-                sv = fiber_values(_nv, e, x)
-                tgt, y = v.base_net.eval(e, x, _s)
-                if tgt != _m:
-                    y = v.target.base.to_chart(y, tgt, _m)
-                M = fiber_values(_nw, e, y)
-                return np.einsum("...ij,...j->...i", M, sv)
 
-            fiber[(s, t)] = matrix_net(
-                vec, v.source.dim, (w.target.fiber_dim,),
-                box=net_v.box, label=f"{net_w.label}o{net_v.label}",
-            )
-    if not fiber:
-        raise AtlasMismatch("no chart pair chains through the middle bundle")
-    return HybridNet(v.source, w.target, base, fiber, label or f"{w.label}o{v.label}")
+def hybrid_point_value(
+    u: FiberNet, p: GeneralizedManifoldPoint
+) -> VBGeneralizedPoint:
+    cb = check_cbounded(u.base_net, p.support)
+    if not cb.ok:
+        raise NotCBounded("hybrid point value needs a c-bounded base net")
+
+    def at(eps):
+        cid, x = p.at(eps)
+        tgt, y, vec = u.apply(eps, x[None, :], src_chart=cid)
+        return tgt, y[0], vec[0]
+
+    return VBGeneralizedPoint(at, cb.witness, label=f"{u.label}({p.label})")
+
+
+def check_hybrid_pointvalues(
+    u: FiberNet,
+    v: FiberNet,
+    sample_points: Sequence[GeneralizedManifoldPoint],
+    L: Optional[CompactSet] = None,
+    grid: Optional[EpsGrid] = None,
+    include_adversarial: bool = True,
+) -> tuple[bool, dict]:
+    """Values-at-points characterization of hybrid equality."""
+    grid = grid or EpsGrid.default()
+    points = list(sample_points)
+    if include_adversarial and L is not None:
+        points.append(_adversarial_hybrid_point(u, v, L, grid))
+    failed = []
+    for p in points:
+        pu = hybrid_point_value(u, p)
+        pv = hybrid_point_value(v, p)
+        if not vb_points_equivalent(u.target, pu, pv, grid):
+            failed.append(p)
+    return not failed, {"failed_points": failed, "tested": len(points)}
+
+
+def _adversarial_hybrid_point(u, v, L, grid) -> GeneralizedManifoldPoint:
+    """Point chasing the per-eps worst base-plus-fiber gap over sampled L."""
+    pts = _check_points(L)
+    src = L.chart_id
+    _, net_u = u.fiber_for(src)
+    _, net_v = v.fiber_for(src)
+    gaps = {}
+    for eps in grid:
+        su = fiber_values(net_u, eps, pts)
+        sv = fiber_values(net_v, eps, pts)
+        gap = _base_gap(u.base_net, v.base_net, pts, src, eps) + np.max(
+            np.abs(su - sv).reshape(len(pts), -1), axis=-1
+        )
+        gaps[eps] = np.where(np.isfinite(gap), gap, np.inf)
+    return _argmax_point(gaps, pts, L)
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +804,6 @@ def _alignment_radius(atlas, witness: CompactSet) -> float:
     """Default ball radius: half the minimal chart-overlap width when the
     atlas declares transitions, else half the smallest gap between the
     witness box and its chart boundary."""
-    from .geometry import sample_box
-
     widths = []
     for (a, b) in getattr(atlas, "transitions", {}):
         pts = sample_box(atlas.chart(a).box, 33 if atlas.dim == 1 else 9)
@@ -975,13 +833,13 @@ def _alignment_radius(atlas, witness: CompactSet) -> float:
 
 
 def align_representative(
-    v,
+    v: FiberNet,
     u_rep: ManifoldNet,
     L: CompactSet,
     grid: Optional[EpsGrid] = None,
     radius: Optional[float] = None,
     cores: Optional[Sequence[CompactSet]] = None,
-):
+) -> FiberNet:
     """Rebase a hom or hybrid net so its induced base map IS ``u_rep``.
 
     Each fiber value is transported from the old base image to the new one
@@ -992,7 +850,6 @@ def align_representative(
     through unchanged and the report says so.
     """
     grid = grid or EpsGrid.default()
-    is_hom = isinstance(v, HomNet)
     target = v.target
     atlas = target.base
 
@@ -1050,6 +907,7 @@ def align_representative(
         tv, y_old = v.base_net.eval(eps, x, src)
         if tv != t_in:
             y_old = atlas.to_chart(y_old, tv, t_in)
+        old = _as_matrix(old, shape)
         acc = np.zeros_like(old)
         for member in members:
             y_new_j = (
@@ -1059,14 +917,8 @@ def align_representative(
             chi = member.handle(y_new_j)[..., 0]
             into = target.fiber_transition(t_in, member.chart_id, y_old)
             back = target.fiber_transition(member.chart_id, t_in, y_new_j)
-            if is_hom:
-                moved = np.einsum(
-                    "...ij,...jk,...kl->...il", back, into, old
-                )
-                acc = acc + chi[..., None, None] * moved
-            else:
-                moved = np.einsum("...ij,...jk,...k->...i", back, into, old)
-                acc = acc + chi[..., None] * moved
+            moved = np.einsum("...ij,...jk,...kl->...il", back, into, old)
+            acc = acc + chi[..., None, None] * moved
         return acc
 
     aligned = matrix_net(
@@ -1076,18 +928,14 @@ def align_representative(
     info = AlignmentInfo(
         eps_threshold, r, region, passthrough=eps_threshold < grid.values[0]
     )
-    if is_hom:
-        out = HomNet(v.source, target, u_rep, {(src, t_in): aligned},
-                     label=f"aligned({v.label})")
-    else:
-        out = HybridNet(v.source, target, u_rep, {(src, t_in): aligned},
-                        label=f"aligned({v.label})")
+    out = FiberNet(v.source, target, u_rep, {(src, t_in): aligned},
+                   label=f"aligned({v.label})")
     out.alignment = info
     return out
 
 
-def hom_u_add(v1: HomNet, v2: HomNet, u_rep: ManifoldNet, L: CompactSet,
-              grid: Optional[EpsGrid] = None) -> HomNet:
+def hom_u_add(v1: FiberNet, v2: FiberNet, u_rep: ManifoldNet, L: CompactSet,
+              grid: Optional[EpsGrid] = None) -> FiberNet:
     """Fiberwise sum after aligning both homs to the shared base."""
     a1 = align_representative(v1, u_rep, L, grid)
     a2 = align_representative(v2, u_rep, L, grid)
@@ -1102,15 +950,15 @@ def hom_u_add(v1: HomNet, v2: HomNet, u_rep: ManifoldNet, L: CompactSet,
 
     summed = matrix_net(mat, n1.dim_in, n1.fiber_shape, box=n1.box,
                         label=f"{v1.label}+{v2.label}")
-    out = HomNet(v1.source, v1.target, u_rep, {(src, t1): summed},
-                 label=f"{v1.label}+{v2.label}")
+    out = FiberNet(v1.source, v1.target, u_rep, {(src, t1): summed},
+                   label=f"{v1.label}+{v2.label}")
     out.alignment = a1.alignment
     return out
 
 
-def hom_u_scale(c: float, v: HomNet, u_rep: Optional[ManifoldNet] = None,
+def hom_u_scale(c: float, v: FiberNet, u_rep: Optional[ManifoldNet] = None,
                 L: Optional[CompactSet] = None,
-                grid: Optional[EpsGrid] = None) -> HomNet:
+                grid: Optional[EpsGrid] = None) -> FiberNet:
     """Fiberwise scaling; aligns first when a shared base is requested."""
     if u_rep is not None:
         if L is None:
@@ -1124,7 +972,7 @@ def hom_u_scale(c: float, v: HomNet, u_rep: Optional[ManifoldNet] = None,
 
         fiber[(s, t)] = matrix_net(mat, net.dim_in, net.fiber_shape, box=net.box,
                                    label=f"{c}*{net.label}")
-    out = HomNet(v.source, v.target, v.base_net, fiber, label=f"{c}*{v.label}")
+    out = FiberNet(v.source, v.target, v.base_net, fiber, label=f"{c}*{v.label}")
     if hasattr(v, "alignment"):
         out.alignment = v.alignment
     return out
@@ -1167,8 +1015,8 @@ def _christoffel_fd(metric_fn, eps, x, h=1e-5):
 
 def metric_pairing_derivative_check(
     metric_fn,
-    xi: HybridNet,
-    eta: HybridNet,
+    xi: FiberNet,
+    eta: FiberNet,
     eps_values=(1e-2,),
     t_span=(-1.0, 1.0),
     step: float = 1e-4,

@@ -59,6 +59,7 @@ from .geometry import CompactSet, DensityTest, euclidean_atlas, make_bump, trivi
 from .manifold_maps import (
     check_equivalent,
     check_pointvalue_equality,
+    identity_map,
     random_gpoints,
     single_chart_map,
 )
@@ -187,7 +188,6 @@ class RunConfig:
     nets: dict
     sections: dict
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.m_max <= 0 or self.assoc_tol <= 0 or self.fit_tolerance <= 0:
@@ -363,7 +363,6 @@ def _build_config(cp, overrides) -> RunConfig:
         nets=nets,
         sections=sections,
         seed=int(overrides.get("seed") or 0),
-        jobs=int(overrides.get("jobs") or 1),
     )
 
 
@@ -484,20 +483,10 @@ def run_equiv(cfg: RunConfig, out_dir) -> list:
     return records
 
 
-def _identity_base(cfg: RunConfig):
-    return single_chart_map(
-        cfg.atlas, cfg.atlas, lambda e, x: x,
-        jet=lambda e, x, a: x if a[0] == 0 else (
-            np.ones_like(x) if a[0] == 1 else np.zeros_like(x)
-        ),
-        label="id",
-    )
-
-
 def run_vb_equiv(cfg: RunConfig, out_dir) -> list:
     section = cfg.sections.get("vb-equiv", {})
     vb = trivial_bundle(cfg.atlas, 1)
-    base = _identity_base(cfg)
+    base = identity_map(cfg.atlas)
     records = []
     for entry in _parse_list(section.get("pairs", "")):
         names, expect = _parse_entry(entry, _EQUIV_TAGS, "vb-equiv pair")
@@ -633,7 +622,7 @@ def run_ppwave(cfg: RunConfig, out_dir) -> list:
     profile = default_profile()
     report = kink_limit_study(
         profile, rho, init, grid, u_span=u_span, window=window,
-        assoc_tol=cfg.assoc_tol, jobs=cfg.jobs,
+        assoc_tol=cfg.assoc_tol,
     )
     with open(Path(out_dir) / "ppwave_report.txt", "w") as fh:
         fh.write("\n".join(report.lines()) + "\n")
@@ -695,7 +684,6 @@ def _parser():
     p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--eps-max", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     return p
 
@@ -707,7 +695,6 @@ def main(argv=None) -> int:
         "eps_max": args.eps_max,
         "grid_points": args.grid_points,
         "seed": args.seed,
-        "jobs": args.jobs,
     }
     try:
         cfg = load_config(args.config, overrides)

@@ -78,4 +78,4 @@ class ConfigError(ColombeauError):
 
 
 class UnknownNet(ColombeauError):
-    """A net label is not present in the registry or catalog."""
+    """A net label is not present in the config catalog."""

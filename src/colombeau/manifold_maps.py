@@ -50,7 +50,15 @@ from .geometry import (
     chord_distance,
     default_test_bank,
 )
-from .nets import Net, SmoothMapHandle, compose_nets, handle_compose
+from .nets import (
+    Net,
+    SmoothMapHandle,
+    compose_nets,
+    constant_net,
+    fd_step,
+    handle_compose,
+    identity_handle,
+)
 
 _REP_AGREEMENT_TOL = 1e-9
 _EVAL_EPS_SAMPLES = (0.5, 0.1, 0.02)
@@ -189,6 +197,14 @@ def single_chart_map(
         feature_scale=feature_scale,
     )
     return ManifoldNet(source, target, {(src_chart, tgt_chart): net}, label)
+
+
+def identity_map(atlas: Atlas, chart="main", label="id") -> ManifoldNet:
+    """The identity of ``atlas`` on one chart, with exact jets."""
+    net = constant_net(
+        identity_handle(atlas.dim), box=atlas.chart(chart).box, label=label
+    )
+    return ManifoldNet(atlas, atlas, {(chart, chart): net}, label)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +466,7 @@ def check_moderate(
                 composed = handle_compose(test.handle, h)
                 sup = 0.0
                 for alpha in _index_tuples(dim_in, k):
-                    sup = max(sup, _sup_abs(composed.jet(pts, alpha, _fd_step_for(eps))))
+                    sup = max(sup, _sup_abs(composed.jet(pts, alpha, fd_step(eps))))
                 curve.append(sup)
             per_test.append((test.label, k, estimate_growth_order(curve, grid)))
 
@@ -464,7 +480,7 @@ def check_moderate(
             _, h = u.handle(eps, K.chart_id)
             sup = 0.0
             for alpha in _index_tuples(dim_in, k):
-                sup = max(sup, _sup_abs(h.jet(pts, alpha, _fd_step_for(eps))))
+                sup = max(sup, _sup_abs(h.jet(pts, alpha, fd_step(eps))))
             curve.append(sup)
         chart_verdicts.append(estimate_growth_order(curve, grid))
     chart_combined = _combine_verdicts(chart_verdicts)
@@ -472,12 +488,6 @@ def check_moderate(
         verdict.classification == NEITHER
     )
     return ModerateReport(verdict, per_test, agrees, witness, len(bank))
-
-
-def _fd_step_for(eps):
-    from .nets import fd_step
-
-    return fd_step(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +585,8 @@ def check_equivalent(
                 sup = 0.0
                 for alpha in _index_tuples(dim_in, k):
                     diff = (
-                        cu.jet(pts, alpha, _fd_step_for(eps))
-                        - cv.jet(pts, alpha, _fd_step_for(eps))
+                        cu.jet(pts, alpha, fd_step(eps))
+                        - cv.jet(pts, alpha, fd_step(eps))
                     )
                     sup = max(sup, _sup_abs(diff))
                 curve.append(sup)
@@ -606,8 +616,8 @@ def check_equivalent(
             sup = 0.0
             for alpha in _index_tuples(dim_in, k):
                 diff = (
-                    hu.jet(pts, alpha, _fd_step_for(eps))
-                    - hv.jet(pts, alpha, _fd_step_for(eps))
+                    hu.jet(pts, alpha, fd_step(eps))
+                    - hv.jet(pts, alpha, fd_step(eps))
                 )
                 sup = max(sup, _sup_abs(diff[mask]))
             curve.append(sup)
@@ -678,18 +688,10 @@ def gpoints_equivalent(
     return negligible_to_resolution(gpoint_distance_curve(atlas, p, q, grid), grid)
 
 
-def adversarial_gpoint(
-    u: ManifoldNet, v: ManifoldNet, K: CompactSet, grid: EpsGrid
-) -> GeneralizedManifoldPoint:
-    """Piecewise-constant point tracking the per-eps argmax of the chart
-    difference over sampled K; ties break to the lowest grid index."""
-    pts = _check_points(K)
-    chosen = {}
-    for eps in grid:
-        _, yu = u.eval(eps, pts, K.chart_id)
-        t_v, yv = v.eval(eps, pts, K.chart_id)
-        diff = np.max(np.abs(yu - yv), axis=-1)
-        chosen[eps] = pts[int(np.argmax(diff))]
+def _argmax_point(gaps: dict, pts, K: CompactSet) -> GeneralizedManifoldPoint:
+    """Piecewise-constant point at the per-eps argmax of ``gaps`` (eps -> one
+    gap per sample point); ties break to the lowest sample index."""
+    chosen = {eps: pts[int(np.argmax(gap))] for eps, gap in gaps.items()}
     eps_sorted = sorted(chosen, reverse=True)  # decreasing eps
 
     def at(eps):
@@ -699,6 +701,26 @@ def adversarial_gpoint(
         return chosen[eps_sorted[-1]]
 
     return GeneralizedManifoldPoint(at, K, label="adversarial")
+
+
+def _base_gap(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
+    """Per-point max-norm difference of the images, both in u's target chart."""
+    t_u, yu = u.eval(eps, pts, src)
+    t_v, yv = v.eval(eps, pts, src)
+    if t_v != t_u:
+        yv = v.target.to_chart(yv, t_v, t_u)
+    return np.max(np.abs(yu - yv), axis=-1)
+
+
+def adversarial_gpoint(
+    u: ManifoldNet, v: ManifoldNet, K: CompactSet, grid: EpsGrid
+) -> GeneralizedManifoldPoint:
+    """Piecewise-constant point tracking the per-eps argmax of the chart
+    difference over sampled K."""
+    pts = _check_points(K)
+    return _argmax_point(
+        {eps: _base_gap(u, v, pts, K.chart_id, eps) for eps in grid}, pts, K
+    )
 
 
 def check_pointvalue_equality(

@@ -215,18 +215,6 @@ def make_handle(eval_fn, dim_in, dim_out, jet_fn=None, k_max=0, name=""):
     return SmoothMapHandle(dim_in, dim_out, eval_fn, jet_fn, k_max, name=name)
 
 
-def constant_handle(value, dim_in):
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-
-    def ev(x):
-        return np.broadcast_to(value, x.shape[:-1] + value.shape).copy()
-
-    def jf(x, alpha):
-        return np.zeros(x.shape[:-1] + value.shape)
-
-    return SmoothMapHandle(dim_in, value.shape[0], ev, jf, INF_ORDER, name="const")
-
-
 def identity_handle(dim):
     def jf(x, alpha):
         k = order(alpha)
@@ -578,30 +566,3 @@ def directional_derivative(net: Net, field: SmoothMapHandle) -> Net:
         return SmoothMapHandle(n, 1, ev, None, k, jet_impl=ji, name="lie")
 
     return Net(n, 1, at, net.box, label=f"L({net.label or 'net'})")
-
-
-# ---------------------------------------------------------------------------
-# label registry (CLI addressing)
-
-_REGISTRY: dict[str, Net] = {}
-
-
-def register_net(net: Net, label=None) -> Net:
-    key = label or net.label
-    if not key:
-        raise ValueError("net needs a label to be registered")
-    _REGISTRY[key] = net
-    return net
-
-
-def lookup_net(label: str) -> Net:
-    from .errors import UnknownNet
-
-    try:
-        return _REGISTRY[label]
-    except KeyError:
-        raise UnknownNet(f"no net registered under {label!r}") from None
-
-
-def registered_nets():
-    return dict(_REGISTRY)

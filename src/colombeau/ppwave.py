@@ -17,7 +17,6 @@ the study below measures that convergence and the velocity jump.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -436,7 +435,6 @@ def kink_limit_study(
     u_span: tuple = (-0.5, 0.5),
     window: Optional[tuple] = None,
     assoc_tol: float = ASSOC_TOL,
-    jobs: int = 1,
 ) -> KinkReport:
     """Convergence of the transverse geodesic component to a broken line.
 
@@ -451,13 +449,6 @@ def kink_limit_study(
         raise ConfigError("largest pulse does not fit inside the u-interval")
 
     gnet = GeodesicNet(profile, rho, tuple(float(s) for s in init), u_span)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(gnet.slice, eps_values))
-    else:
-        for e in eps_values:
-            gnet.slice(e)
-
     us = np.linspace(window[0], window[1], 801)
     xs = {e: gnet.slice(e).component(us, "x") for e in eps_values}
 

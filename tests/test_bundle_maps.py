@@ -28,7 +28,7 @@ from colombeau.manifold_maps import (
     single_chart_map,
 )
 from colombeau.bundle_maps import (
-    HomNet,
+    FiberNet,
     VBGeneralizedPoint,
     align_representative,
     check_hybrid_equivalent,
@@ -120,19 +120,30 @@ class TestHomConstruction:
         assert np.allclose(y, [[0.5]])
         assert np.allclose(eta, [[3.0]])
 
-    def test_fiber_shape_mismatch_rejected(self):
-        bad = matrix_net(
-            lambda e, x: np.ones(x.shape[:-1] + (2, 1)), 1, (2, 1), box=[(-10, 10)]
+    # each constructor check runs for both fiber shapes: (m_out, m_in)
+    # matrices over a bundle source, (m_out,) vectors over a manifold source
+    SOURCES = {"hom": TX, "hybrid": LINE}
+
+    @staticmethod
+    def constant_fiber(kind, value, rows=1):
+        shape = (rows, 1) if kind == "hom" else (rows,)
+        return matrix_net(
+            lambda e, x: value * np.ones(x.shape[:-1] + shape), 1, shape,
+            box=LINE.chart("main").box,
         )
-        with pytest.raises(DimensionMismatch):
-            HomNet(TX, TX, base_identity(), {("main", "main"): bad})
+
+    def test_fiber_shape_mismatch_rejected(self):
+        for kind, src in self.SOURCES.items():
+            bad = self.constant_fiber(kind, 1.0, rows=2)
+            with pytest.raises(DimensionMismatch):
+                FiberNet(src, TX, base_identity(), {("main", "main"): bad})
 
     def test_unknown_vb_chart_rejected(self):
-        m = matrix_net(
-            lambda e, x: np.ones(x.shape[:-1] + (1, 1)), 1, (1, 1), box=[(-10, 10)]
-        )
-        with pytest.raises(AtlasMismatch):
-            HomNet(TX, TX, base_identity(), {("main", "elsewhere"): m})
+        for kind, src in self.SOURCES.items():
+            m = self.constant_fiber(kind, 1.0)
+            for key in (("main", "elsewhere"), ("elsewhere", "main")):
+                with pytest.raises(AtlasMismatch):
+                    FiberNet(src, TX, base_identity(), {key: m})
 
     def test_two_chart_fibers_must_agree(self):
         base, vb = two_chart_bundle()
@@ -142,22 +153,15 @@ class TestHomConstruction:
             )
         }
         base_net = ManifoldNet(LINE, base, reps)
-        m_a = matrix_net(
-            lambda e, x: 3.0 * np.ones(x.shape[:-1] + (1, 1)), 1, (1, 1),
-            box=LINE.chart("main").box,
-        )
-        m_b_good = matrix_net(
-            lambda e, x: 6.0 * np.ones(x.shape[:-1] + (1, 1)), 1, (1, 1),
-            box=LINE.chart("main").box,
-        )
-        m_b_bad = matrix_net(
-            lambda e, x: 5.0 * np.ones(x.shape[:-1] + (1, 1)), 1, (1, 1),
-            box=LINE.chart("main").box,
-        )
-        src = trivial_bundle(LINE, 1)
-        HomNet(src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_good})
-        with pytest.raises(AtlasMismatch):
-            HomNet(src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_bad})
+        for kind, src in self.SOURCES.items():
+            m_a = self.constant_fiber(kind, 3.0)
+            m_b_good = self.constant_fiber(kind, 6.0)
+            m_b_bad = self.constant_fiber(kind, 5.0)
+            FiberNet(src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_good})
+            with pytest.raises(AtlasMismatch):
+                FiberNet(
+                    src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_bad}
+                )
 
 
 class TestVBModerate:
@@ -328,7 +332,7 @@ class TestComposition:
         into_plane = single_chart_map(
             LINE, plane, lambda e, x: np.concatenate([x, x], axis=-1)
         )
-        widen = HomNet(
+        widen = FiberNet(
             TX,
             t2,
             into_plane,
@@ -503,7 +507,7 @@ class TestAlignment:
             lambda e, x: 2.0 + x[..., :1, None], 1, (1, 1),
             box=LINE.chart("main").box, label="M",
         )
-        v = HomNet(trivial_bundle(LINE, 1), vb, vbase, {("main", "A"): fib})
+        v = FiberNet(trivial_bundle(LINE, 1), vb, vbase, {("main", "A"): fib})
         cores = [CompactSet("A", [(-1.4, 1.4)]), CompactSet("B", [(-1.9, 0.9)])]
         a = align_representative(v, u_rep, K1, cores=cores)
         assert a.base_net is u_rep

@@ -15,6 +15,7 @@ from colombeau.geometry import (
     CompactSet,
     affine_transition,
     euclidean_atlas,
+    make_bump,
 )
 from colombeau.manifold_maps import (
     GeneralizedManifoldPoint,
@@ -27,6 +28,7 @@ from colombeau.manifold_maps import (
     compose,
     constant_gpoint,
     gpoints_equivalent,
+    identity_map as chart_identity,
     point_value,
     random_gpoints,
     single_chart_map,
@@ -318,6 +320,52 @@ class TestPointValues:
         pu = point_value(u, adv)
         pv = point_value(v, adv)
         assert not gpoints_equivalent(LINE, pu, pv)
+
+    def test_adversarial_point_compares_in_one_target_chart(self):
+        # chart b = chart a + 10; in chart a, v differs from u only by a
+        # bump supported on [0.5, 0.9]
+        tgt = Atlas(
+            [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+            transitions={
+                ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+                ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+            },
+        )
+        g = make_bump(np.array([0.7]), 0.05, 0.2)
+        box = LINE.chart("main").box
+        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)})
+        v = ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
+            lambda e, x: 0.5 * np.sin(x) - g(x) + 10.0, 1, 1, box=box)})
+        grid = EpsGrid.default()
+        adv = adversarial_gpoint(u, v, K1, grid)
+        for eps in grid:
+            _, x = adv.at(eps)
+            assert 0.5 <= x[0] <= 0.9
+
+
+class TestIdentityMap:
+    def test_line_matches_the_inline_jet_bitwise(self):
+        def jet(e, x, a):
+            if a[0] == 0:
+                return x
+            return np.ones_like(x) if a[0] == 1 else np.zeros_like(x)
+
+        old = single_chart_map(LINE, LINE, lambda e, x: x, jet=jet, label="id")
+        new = chart_identity(LINE)
+        pts = np.linspace(-1.0, 1.0, 7)[:, None]
+        for eps in (0.5, 2.0**-8):
+            for k in range(3):
+                a = old.handle(eps, "main")[1].jet(pts, (k,))
+                b = new.handle(eps, "main")[1].jet(pts, (k,))
+                assert np.array_equal(a, b)
+
+    def test_plane_jets_are_exact(self):
+        _, h = chart_identity(PLANE).handle(0.1, "main")
+        pts = np.array([[0.3, -0.2], [1.5, 2.0]])
+        assert np.array_equal(h(pts), pts)
+        assert np.array_equal(h.jet(pts, (0, 1)), np.tile([0.0, 1.0], (2, 1)))
+        assert np.array_equal(h.jet(pts, (1, 1)), np.zeros((2, 2)))
 
 
 class TestComposition:

@@ -23,10 +23,8 @@ from colombeau.nets import (
     handle_product,
     identity_handle,
     linear_combination,
-    lookup_net,
     make_handle,
     net_from_function,
-    register_net,
 )
 
 
@@ -226,18 +224,6 @@ class TestCombinators:
         vec = net_from_function(lambda e, x: np.concatenate([x, x], -1), 1, 2, label="v")
         with pytest.raises(DimensionMismatch):
             directional_derivative(vec, identity_handle(1))
-
-
-class TestRegistry:
-    def test_round_trip(self):
-        u = register_net(square_net(), label="reg-demo")
-        assert lookup_net("reg-demo") is u
-
-    def test_unknown_label(self):
-        from colombeau.errors import UnknownNet
-
-        with pytest.raises(UnknownNet):
-            lookup_net("definitely-not-registered")
 
 
 def test_fd_step_floor():
