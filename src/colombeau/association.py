@@ -428,9 +428,7 @@ def check_k_associated(
             tv, yv = v.eval(eps, pts, src)
             if tv != tu:
                 yv = u.target.to_chart(yv, tv, tu)
-            curve.append(
-                max(chord_distance(u.target, tu, a, b) for a, b in zip(yu, yv))
-            )
+            curve.append(float(np.max(chord_distance(u.target, tu, yu, yv))))
         route_distance = _tends_to_zero(curve, grid, assoc_tol)[0]
         if route_distance != route_bank:
             raise InconsistentRoutes(

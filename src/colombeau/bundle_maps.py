@@ -52,6 +52,7 @@ from .geometry import (
     trivial_bundle,
 )
 from .manifold_maps import (
+    _DIFF_NOISE_C,
     _EVAL_EPS_SAMPLES,
     GeneralizedManifoldPoint,
     ManifoldNet,
@@ -65,6 +66,7 @@ from .manifold_maps import (
     check_equivalent,
     check_moderate,
     compose,
+    point_distance,
     single_chart_map,
 )
 from .nets import Net, fd_step, finite_difference_jet, net_from_function
@@ -76,9 +78,6 @@ def opnorm_max(M) -> np.ndarray:
     """Operator norm induced by the max norm: largest absolute row sum."""
     M = np.asarray(M, dtype=float)
     return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
-
-
-_DIFF_NOISE_C = 4.0
 
 
 def _sup_diff(a_vals, b_vals, mask=None) -> float:
@@ -384,10 +383,8 @@ def vb_points_equivalent(
         cp, xp, fp = p.at(eps)
         cq, xq, fq = q.at(eps)
         if cp != cq:
-            T = vb.fiber_transition(cq, cp, xq)
-            fq = T @ fq
-            xq = vb.base.to_chart(xq, cq, cp)
-        base_curve.append(chord_distance(vb.base, cp, xp, xq))
+            fq = vb.fiber_transition(cq, cp, xq) @ fq
+        base_curve.append(point_distance(vb.base, cp, xp, cq, xq))
         fiber_curve.append(_sup_diff(fp, fq))
     return negligible_to_resolution(base_curve, grid) and negligible_to_resolution(
         fiber_curve, grid
@@ -871,9 +868,7 @@ def align_representative(
         t_v, yv = v.base_net.eval(eps, pts, src)
         if t_v != t_u:
             yv = atlas.to_chart(yv, t_v, t_u)
-        d = max(
-            chord_distance(atlas, t_u, a, b) for a, b in zip(yu, yv)
-        )
+        d = float(np.max(chord_distance(atlas, t_u, yu, yv)))
         if d < r:
             if ok_from is None:
                 ok_from = i

@@ -519,12 +519,21 @@ def _single_chart_distance(atlas, chart_id, xp, xq, rel_tol, max_segments):
 
 def chord_distance(atlas: Atlas, chart_id, xp, xq):
     """Midpoint-metric chord length; fast bi-Lipschitz stand-in for the
-    polyline distance on compact sets (equivalent rates, not equal values)."""
+    polyline distance on compact sets (equivalent rates, not equal values).
+
+    Broadcasts over leading point axes: one pair of points gives a float,
+    stacked points ``(..., n)`` give an array of shape ``(...)``.
+    """
     xp = np.asarray(xp, dtype=float)
     xq = np.asarray(xq, dtype=float)
     v = xq - xp
     g = atlas.metric_at(chart_id, 0.5 * (xp + xq))
-    return float(np.sqrt(max(np.einsum("...i,...ij,...j->...", v, g, v), 0.0)))
+    # v^T g v summed term by term in a fixed order, so a batch gives the
+    # per-pair values bitwise (einsum's reduction order depends on shape)
+    n = v.shape[-1]
+    vgv = sum(v[..., i] * g[..., i, j] * v[..., j] for i in range(n) for j in range(n))
+    d = np.sqrt(np.maximum(vgv, 0.0))
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +542,20 @@ def chord_distance(atlas: Atlas, chart_id, xp, xq):
 _PSI_CUTOFF = 1e-30
 
 
-def _psi_jets(s):
-    """exp(-1/s) for s > 0 (0 otherwise) and its first three derivatives."""
+def _psi(s):
+    """exp(-1/s) for s > 0 (0 otherwise), with the live mask and the safe
+    argument the derivatives are built from."""
     s = np.asarray(s, dtype=float)
     live = s > _PSI_CUTOFF
     ss = np.where(live, s, 1.0)
     with np.errstate(over="ignore", under="ignore"):
         e = np.where(live, np.exp(-1.0 / ss), 0.0)
+    return e, live, ss
+
+
+def _psi_jets(s):
+    """exp(-1/s) for s > 0 (0 otherwise) and its first three derivatives."""
+    e, live, ss = _psi(s)
     i1 = 1.0 / ss
     p0 = e
     p1 = np.where(live, e * i1**2, 0.0)
@@ -560,9 +576,7 @@ def _profile_jets(q, r0_sq, r1_sq):
     a0, a1_, a2_, a3_ = _psi_jets(r1_sq - q)
     b0, b1, b2, b3 = _psi_jets(q - r0_sq)
     a1, a2, a3 = -a1_, a2_, -a3_
-    W = a0 + b0
-    dead = W <= 1e-280
-    Ws = np.where(dead, 1.0, W)
+    dead, Ws = _profile_denominator(a0, b0)
     # every quantity is divided by W once before any product is formed:
     # powers of a small W underflow long before W itself does, and the
     # normalized ratios stay inside float range
@@ -579,20 +593,43 @@ def _profile_jets(q, r0_sq, r1_sq):
         beta2 = Nn1 - 2.0 * Nn * Wn1
         beta3 = Nn2 - 4.0 * Nn1 * Wn1 - 2.0 * Nn * Wn2 + 6.0 * Nn * Wn1**2
     if np.any(dead):
-        mid = 0.5 * (r0_sq + r1_sq)
-        step = np.where(q < mid, 1.0, 0.0)
-        beta0 = np.where(dead, step, beta0)
+        beta0 = np.where(dead, _dead_step(q, r0_sq, r1_sq), beta0)
         beta1 = np.where(dead, 0.0, beta1)
         beta2 = np.where(dead, 0.0, beta2)
         beta3 = np.where(dead, 0.0, beta3)
     return beta0, beta1, beta2, beta3
 
 
+def _profile_denominator(a0, b0):
+    """W = a0 + b0 and where it underflowed; dead points divide by 1."""
+    W = a0 + b0
+    dead = W <= 1e-280
+    return dead, np.where(dead, 1.0, W)
+
+
+def _dead_step(q, r0_sq, r1_sq):
+    """Limiting step value where the band is below float resolution."""
+    return np.where(q < 0.5 * (r0_sq + r1_sq), 1.0, 0.0)
+
+
+def _profile_value(q, r0_sq, r1_sq):
+    """The value of :func:`_profile_jets`, bitwise, without the derivatives."""
+    q = np.asarray(q, dtype=float)
+    a0 = _psi(r1_sq - q)[0]
+    b0 = _psi(q - r0_sq)[0]
+    dead, Ws = _profile_denominator(a0, b0)
+    with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
+        beta0 = a0 / Ws
+    if np.any(dead):
+        beta0 = np.where(dead, _dead_step(q, r0_sq, r1_sq), beta0)
+    return beta0
+
+
 def _radial_profile_handle(r0, r1):
     r0_sq, r1_sq = float(r0) ** 2, float(r1) ** 2
 
     def ev(q):
-        return _profile_jets(q[..., 0], r0_sq, r1_sq)[0][..., None]
+        return _profile_value(q[..., 0], r0_sq, r1_sq)[..., None]
 
     def jf(q, alpha):
         return _profile_jets(q[..., 0], r0_sq, r1_sq)[alpha[0]][..., None]

@@ -61,6 +61,9 @@ from .nets import (
 )
 
 _REP_AGREEMENT_TOL = 1e-9
+# differences within this many ulps of the operands' magnitude are
+# arithmetic noise, counted as measured zeros
+_DIFF_NOISE_C = 4.0
 _EVAL_EPS_SAMPLES = (0.5, 0.1, 0.02)
 
 
@@ -110,6 +113,11 @@ class ManifoldNet:
     target: Atlas
     reps: dict
     label: str = ""
+    # c-boundedness reports by (K chart, K box, K resolution, grid values);
+    # see check_cbounded
+    _cbounded: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.reps:
@@ -299,20 +307,32 @@ def _witness_region(target: Atlas, tgt_chart: str, images: np.ndarray) -> Compac
 
 
 def check_cbounded(
-    u: ManifoldNet,
-    K: CompactSet,
-    grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
+    u: ManifoldNet, K: CompactSet, grid: Optional[EpsGrid] = None
 ) -> CBoundedReport:
     """Do the images u_eps(K) stay inside one fixed compact box?
 
     The verdict is the direct image test.  Diagnostics carry the indirect
-    route (order-zero moderateness of f(u_eps) for the bank), which is
-    implied by c-boundedness but does not imply it: a net escaping to
-    infinity slides off every compactly supported f unnoticed.
+    route (order-zero moderateness of f(u_eps) for the default test bank on
+    the witness), which is implied by c-boundedness but does not imply it:
+    a net escaping to infinity slides off every compactly supported f
+    unnoticed.
+
+    The report depends only on (u, K, grid): the sample points are seeded
+    and a net's representations are never changed after construction.  It
+    is therefore memoized on ``u`` per (K, grid), and every later call with
+    an equal K and grid returns the same report object.
     """
     grid = grid or EpsGrid.default()
     u.source.chart(K.chart_id)
+    key = (K.chart_id, K.box.tobytes(), K.resolution, grid.values)
+    report = u._cbounded.get(key)
+    if report is None:
+        report = _cbounded_report(u, K, grid)
+        u._cbounded[key] = report
+    return report
+
+
+def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
     pts = _check_points(K)
     tgt_chart = None
     images_by_eps = {}
@@ -359,11 +379,10 @@ def check_cbounded(
     # f in the bank.  This cannot detect escape to infinity (the images
     # slide off every compact support), which is exactly why the direct
     # image test above is the verdict and this one is a diagnostic.
-    if bank is None:
-        probe = witness if witness is not None else _witness_region(
-            u.target, tgt_chart, pool
-        )
-        bank = default_test_bank(u.target, probe)
+    probe = witness if witness is not None else _witness_region(
+        u.target, tgt_chart, pool
+    )
+    bank = default_test_bank(u.target, probe)
     from .asymptotics import is_negligible
 
     bank_ok = True
@@ -562,8 +581,7 @@ def check_equivalent(
         t_v, yv = v.eval(eps, pts, K.chart_id)
         if t_u != t_v:
             yv = v.target.to_chart(yv, t_v, t_u)
-        d = [chord_distance(u.target, t_u, a, b) for a, b in zip(yu, yv)]
-        dist_curve.append(max(d))
+        dist_curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
     route_a = negligible_to_resolution(dist_curve, grid)
 
     # route B: test-function differences, jets up to derivative_order.
@@ -666,6 +684,27 @@ def point_value(
     )
 
 
+def point_distance(atlas: Atlas, cp: str, xp, cq: str, xq) -> float:
+    """Chord distance between (cp, xp) and (cq, xq), measured in chart cp.
+
+    A coordinate gap within roundoff of the coordinates on either side of
+    the chart change is a measured zero: the same point written into two
+    charts comes back from the transition off by a few ulps of its larger
+    chart coordinates, and a flat eps_mach distance curve would otherwise
+    read as not negligible.
+    """
+    xp = np.asarray(xp, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    scale = max(float(np.max(np.abs(xp))), float(np.max(np.abs(xq))))
+    if cp != cq:
+        xq = atlas.to_chart(xq, cq, cp)
+        scale = max(scale, float(np.max(np.abs(xq))))
+    gap = float(np.max(np.abs(xp - xq)))
+    if math.isfinite(gap) and gap <= _DIFF_NOISE_C * np.finfo(float).eps * scale:
+        return 0.0
+    return chord_distance(atlas, cp, xp, xq)
+
+
 def gpoint_distance_curve(
     atlas: Atlas, p: GeneralizedManifoldPoint, q: GeneralizedManifoldPoint,
     grid: EpsGrid,
@@ -674,9 +713,7 @@ def gpoint_distance_curve(
     for eps in grid:
         cp, xp = p.at(eps)
         cq, xq = q.at(eps)
-        if cp != cq:
-            xq = atlas.to_chart(xq, cq, cp)
-        curve.append(chord_distance(atlas, cp, xp, xq))
+        curve.append(point_distance(atlas, cp, xp, cq, xq))
     return curve
 
 

@@ -17,6 +17,7 @@ from colombeau.geometry import (
     CompactSet,
     VBAtlas,
     affine_transition,
+    constant_metric,
     euclidean_atlas,
     trivial_bundle,
 )
@@ -292,6 +293,31 @@ class TestPointInsertion:
         out = vb_point_insert(h, p)
         _, _, eta = out.at(0.05)
         assert np.allclose(eta, 0.0)
+
+    def test_same_point_in_two_charts_is_equivalent(self):
+        # base charts a and b = a + 10: moving the chart-b point back to a
+        # is off by ulps of 10, which count as a measured zero
+        unit = constant_metric([[1.0]])
+        base = Atlas(
+            [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+            transitions={
+                ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+                ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+            },
+            metric={"a": unit, "b": unit},
+        )
+        one = lambda x: np.ones(np.shape(x)[:-1] + (1, 1))  # noqa: E731
+        vb = VBAtlas(base, 1, fiber_transitions={("a", "b"): one, ("b", "a"): one})
+        L = CompactSet("a", [(-1.0, 1.0)])
+        x = np.array([0.1])
+        assert (x + 10.0) - 10.0 != x  # the round trip really loses bits
+        p = VBGeneralizedPoint(lambda e: ("a", x, np.array([2.0])), L)
+        q = VBGeneralizedPoint(lambda e: ("b", x + 10.0, np.array([2.0])), L)
+        assert vb_points_equivalent(vb, p, q)
+        moved = VBGeneralizedPoint(
+            lambda e: ("b", x + 10.0 + e, np.array([2.0])), L
+        )
+        assert not vb_points_equivalent(vb, p, moved)
 
     def test_growing_fiber_point_rejected(self):
         p = VBGeneralizedPoint(

@@ -15,6 +15,13 @@ from colombeau.errors import (
     OutsideDomain,
 )
 from colombeau.geometry import (
+    _PSI_CUTOFF,
+    _metric_from_expressions,
+    _profile_denominator,
+    _profile_jets,
+    _profile_value,
+    _psi,
+    _radial_profile_handle,
     Atlas,
     Chart,
     CompactSet,
@@ -37,6 +44,11 @@ from colombeau.geometry import (
 )
 
 PLANE = euclidean_atlas(2)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestAtlasInvariants:
@@ -218,6 +230,98 @@ class TestRiemannianDistance:
             v2 = estimate_growth_order(d2, grid)
             assert v1.classification == v2.classification
             assert v1.order == v2.order
+
+
+class TestChordDistance:
+    METRICS = {
+        "constant": constant_metric([[2, 0.3], [0.3, 1]]),
+        "expression": _metric_from_expressions(
+            [["2 + 0.2*sin(x1*x2)", "0.3*cos(x2)"], ["0.3*cos(x2)", "1 + x1^2"]], 2
+        ),
+    }
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_batched_equals_per_point_bitwise(self, metric):
+        atlas = Atlas(
+            [Chart("main", [(-5, 5), (-5, 5)])],
+            metric={"main": self.METRICS[metric]},
+        )
+        rng = np.random.default_rng(3)
+        xp = rng.uniform(-2, 2, size=(3, 19, 2))
+        xq = rng.uniform(-2, 2, size=(3, 19, 2))
+        xq[0, :4] = xp[0, :4]  # coincident pairs
+        batched = chord_distance(atlas, "main", xp, xq)
+        assert batched.shape == (3, 19)
+        single = [
+            [chord_distance(atlas, "main", a, b) for a, b in zip(rp, rq)]
+            for rp, rq in zip(xp, xq)
+        ]
+        assert all(isinstance(d, float) for row in single for d in row)
+        assert _same_bits(batched, single)
+        assert _same_bits(chord_distance(atlas, "main", xp[1], xq[1]), single[1])
+        # the fixed summation order moves the quadratic form by at most an
+        # ulp or two against einsum's
+        v = xq - xp
+        g = atlas.metric_at("main", 0.5 * (xp + xq))
+        ref = np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+        np.testing.assert_allclose(batched, ref, rtol=4 * np.finfo(float).eps)
+
+    @given(
+        st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+        st.sampled_from([[[1, 0], [0, 1]], [[4, 0], [0, 1]], [[2, 0.3], [0.3, 1]]]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_agrees_with_riemannian_distance_on_constant_metrics(
+        self, coords, matrix
+    ):
+        # riemannian_distance stays as the oracle: on a constant metric the
+        # straight chord is the geodesic, so both must give its length to
+        # the oracle's rel_tol.  The oracle's L-BFGS moves interior vertices
+        # by finite-difference gradient steps and so reads about 7e-13 even
+        # for points 1e-30 apart; 1e-11 absolute covers that floor.
+        atlas = Atlas(
+            [Chart("main", [(-5, 5), (-5, 5)])],
+            metric={"main": constant_metric(matrix)},
+        )
+        p, q = np.array(coords[:2]), np.array(coords[2:])
+        chord = chord_distance(atlas, "main", p[None], q[None])[0]
+        oracle = riemannian_distance(atlas, p, q)
+        assert abs(chord - oracle) <= 1e-3 * oracle + 1e-11
+
+
+class TestProfileValue:
+    def _assert_value_path_matches_jets(self, q, r0, r1):
+        q = np.asarray(q, dtype=float)
+        jets0 = _profile_jets(q, r0**2, r1**2)[0]
+        assert _same_bits(_profile_value(q, r0**2, r1**2), jets0)
+        h = _radial_profile_handle(r0, r1)
+        assert _same_bits(h(q[:, None]), jets0[:, None])
+
+    def test_value_path_is_bitwise_the_jet_value(self):
+        r0, r1 = 0.5, 1.0  # squares 0.25 and 1.0, exact in binary
+        q = np.concatenate([
+            np.linspace(-0.5, 1.5, 401),
+            [r0, r1, np.nextafter(r0, 0), np.nextafter(r0, 2),
+             np.nextafter(r1, 0), np.nextafter(r1, 2)],
+            # psi's argument just below, at and just above _PSI_CUTOFF
+            [r1 - 0.5 * _PSI_CUTOFF, r1 - _PSI_CUTOFF, r1 - 2 * _PSI_CUTOFF,
+             r0 + 0.5 * _PSI_CUTOFF, r0 + _PSI_CUTOFF, r0 + 2 * _PSI_CUTOFF],
+        ])
+        self._assert_value_path_matches_jets(q, 0.5, 1.0)
+
+    def test_value_path_matches_on_a_dead_hairline_band(self):
+        # band width 2e-3 in q: W underflows in the middle of the band
+        r0, r1 = 1.0, math.sqrt(1.002)
+        q = np.linspace(0.999, 1.003, 801)
+        dead, _ = _profile_denominator(_psi(r1**2 - q)[0], _psi(q - r0**2)[0])
+        assert np.any(dead) and not np.all(dead)
+        self._assert_value_path_matches_jets(q, r0, r1)
+
+    def test_bump_values_unchanged_through_compose(self):
+        b = make_bump([0.1, -0.2], 0.4, 0.9)
+        x = np.random.default_rng(0).uniform(-1.2, 1.2, size=(257, 2))
+        qsq = np.sum((x - np.array([0.1, -0.2])) ** 2, axis=-1)
+        assert _same_bits(b(x)[..., 0], _profile_jets(qsq, 0.4**2, 0.9**2)[0])
 
 
 class TestBumps:

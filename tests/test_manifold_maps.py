@@ -14,12 +14,14 @@ from colombeau.geometry import (
     Chart,
     CompactSet,
     affine_transition,
+    constant_metric,
     euclidean_atlas,
     make_bump,
 )
 from colombeau.manifold_maps import (
     GeneralizedManifoldPoint,
     ManifoldNet,
+    _check_points,
     adversarial_gpoint,
     check_cbounded,
     check_equivalent,
@@ -94,6 +96,29 @@ def wild_map():
 # grid kept coarse enough that exp(1/eps) stays inside float range
 SHORT_GRID = EpsGrid.dyadic(4, 9)
 
+K_WIDE = CompactSet("main", [(-2.0, 2.0)])
+
+
+def escapes_past(edge=1.5):
+    """The identity on |x| <= edge; beyond it the images run off like 1/eps."""
+    return single_chart_map(
+        LINE, LINE, lambda e, x: x + np.maximum(np.abs(x) - edge, 0.0) / e,
+        label=f"escapes past {edge}",
+    )
+
+
+def two_chart_line():
+    """A line with charts a and b = a + 10 and the unit metric on both."""
+    unit = constant_metric([[1.0]])
+    return Atlas(
+        [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+        transitions={
+            ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+            ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+        },
+        metric={"a": unit, "b": unit},
+    )
+
 
 class TestCBounded:
     def test_oscillator_is_cbounded(self):
@@ -127,6 +152,41 @@ class TestCBounded:
         report = check_cbounded(identity_map(), K1)
         assert report.ok
         assert report.witness.box[0, 0] < -1.0 < 1.0 < report.witness.box[0, 1]
+
+
+class TestCBoundedMemo:
+    def test_repeat_call_returns_the_cached_report(self):
+        u = oscillator()
+        first = check_cbounded(u, K1)
+        assert check_cbounded(u, K1) is first
+        # equal K and grid built anew hit the same entry
+        again = check_cbounded(u, CompactSet("main", [(-1.0, 1.0)]), EpsGrid.default())
+        assert again is first
+
+    def test_box_resolution_and_grid_each_get_their_own_report(self):
+        u = identity_map()
+        base = check_cbounded(u, K1)
+        other_box = check_cbounded(u, CompactSet("main", [(-1.0, 0.5)]))
+        other_res = check_cbounded(u, CompactSet("main", [(-1.0, 1.0)], resolution=5))
+        other_grid = check_cbounded(u, K1, SHORT_GRID)
+        for report in (other_box, other_res, other_grid):
+            assert report is not base
+        assert other_box.witness.box[0, 1] < base.witness.box[0, 1]
+        assert other_res.diagnostics["samples"] < base.diagnostics["samples"]
+        assert other_grid.diagnostics["grid"] == SHORT_GRID
+        assert base.diagnostics["grid"] == EpsGrid.default()
+        # a fresh net starts with an empty memo
+        assert check_cbounded(identity_map(), K1) is not base
+
+    @pytest.mark.parametrize("wide_first", [False, True])
+    def test_verdicts_stay_per_k_in_either_call_order(self, wide_first):
+        u = escapes_past(1.5)
+        order = [K_WIDE, K1] if wide_first else [K1, K_WIDE]
+        for _ in range(2):
+            reports = {id(K): check_cbounded(u, K) for K in order}
+            assert reports[id(K1)].ok
+            assert not reports[id(K_WIDE)].ok
+            assert reports[id(K_WIDE)].diagnostics["escape_eps"] is not None
 
 
 class TestModerate:
@@ -312,6 +372,54 @@ class TestPointValues:
         assert ok
         assert not info["failed_points"]
 
+    def test_each_net_is_sampled_on_k_twice_per_eps(self):
+        # once for c-boundedness, once for the adversarial point; every
+        # further point insertion reuses the memoized c-boundedness report
+        k_pts = _check_points(K1)
+        counts = {"u": 0, "v": 0}
+
+        def counting(name, fn):
+            def counted(e, x):
+                if np.array_equal(x, k_pts):
+                    counts[name] += 1
+                return fn(e, x)
+
+            return counted
+
+        u = single_chart_map(LINE, LINE, counting("u", lambda e, x: x**2))
+        v = single_chart_map(
+            LINE, LINE, counting("v", lambda e, x: x**2 + np.exp(-1.0 / e))
+        )
+        ok, info = check_pointvalue_equality(
+            u, v, random_gpoints(K1, 5, seed=0), K=K1
+        )
+        assert ok and info["tested"] == 6
+        n_grid = len(EpsGrid.default())
+        assert counts == {"u": 2 * n_grid, "v": 2 * n_grid}
+
+    def test_equal_nets_in_two_target_charts_have_equal_point_values(self):
+        # the same map written into charts a and b = a + 10: the transition
+        # back to a leaves ulp-sized gaps of the chart-b magnitude
+        tgt = two_chart_line()
+        box = LINE.chart("main").box
+
+        def into_b(extra):
+            return ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
+                lambda e, x: 0.5 * np.sin(x) + 10.0 + extra(e), 1, 1, box=box)})
+
+        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)})
+        pts = random_gpoints(K1, 5, seed=0)
+        ok, info = check_pointvalue_equality(u, into_b(lambda e: 0.0), pts, K=K1)
+        assert ok, info
+        ok, info = check_pointvalue_equality(
+            u, into_b(lambda e: np.exp(-1.0 / e)), pts, K=K1
+        )
+        assert ok, info
+        ok, info = check_pointvalue_equality(u, into_b(lambda e: e), pts, K=K1)
+        assert not ok
+        assert len(info["failed_points"]) == info["tested"] == 6
+
     def test_adversarial_point_finds_the_gap(self):
         u = identity_map()
         v = single_chart_map(LINE, LINE, lambda e, x: x + e, label="x+e")
@@ -324,13 +432,7 @@ class TestPointValues:
     def test_adversarial_point_compares_in_one_target_chart(self):
         # chart b = chart a + 10; in chart a, v differs from u only by a
         # bump supported on [0.5, 0.9]
-        tgt = Atlas(
-            [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
-            transitions={
-                ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
-                ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
-            },
-        )
+        tgt = two_chart_line()
         g = make_bump(np.array([0.7]), 0.05, 0.2)
         box = LINE.chart("main").box
         u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
