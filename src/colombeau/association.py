@@ -30,12 +30,13 @@ from .errors import (
     NotModerate,
     QuadratureError,
 )
-from .geometry import CompactSet, DensityTest, chord_distance, default_test_bank
+from .geometry import CompactSet, DensityTest, default_test_bank
 from .manifold_maps import (
     ManifoldNet,
+    _bank_difference_curves,
     _check_points,
-    _index_tuples,
-    _sup_abs,
+    _distance_curve,
+    _witness_union,
     check_cbounded,
     check_moderate,
 )
@@ -43,7 +44,6 @@ from .nets import (
     Net,
     SmoothMapHandle,
     fd_step,
-    handle_compose,
     make_handle,
     net_from_function,
 )
@@ -389,46 +389,20 @@ def check_k_associated(
                     chunks.append(np.linspace(a, b, 33)[:, None])
         return np.concatenate(chunks, axis=0)
 
-    cbu = check_cbounded(u, K, grid)
-    cbv = check_cbounded(v, K, grid)
     if bank is None:
-        lo = np.minimum(cbu.witness.box[:, 0], cbv.witness.box[:, 0])
-        hi = np.maximum(cbu.witness.box[:, 1], cbv.witness.box[:, 1])
-        region = CompactSet(cbu.witness.chart_id, np.stack([lo, hi], axis=-1))
-        bank = default_test_bank(u.target, region)
+        cbu, cbv = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
+        bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
 
-    route_bank = True
-    for test in bank.scalar_tests:
-        orders = range(k + 1) if test.jets_stable else range(1)
-        for order in orders:
-            curve = []
-            for eps in grid:
-                pts = pts_at(eps)
-                tu, hu = u.handle(eps, src)
-                tv, hv = v.handle(eps, src)
-                step = fd_step(eps)
-                fu = handle_compose(test.handle, hu)
-                fv = handle_compose(test.handle, hv)
-                sup = 0.0
-                for alpha in _index_tuples(hu.dim_in, order):
-                    diff = fu.jet(pts, alpha, step) - fv.jet(pts, alpha, step)
-                    sup = max(sup, _sup_abs(diff))
-                curve.append(sup)
-            ok, dec, final = _tends_to_zero(curve, grid, assoc_tol)
-            rows.append((test.label, order, ok, final))
-            if not ok:
-                route_bank = False
+    for label, order, curve in _bank_difference_curves(
+        u, v, bank, k, src, grid, pts_at
+    ):
+        ok, _, final = _tends_to_zero(curve, grid, assoc_tol)
+        rows.append((label, order, ok, final))
+    route_bank = all(ok for _, _, ok, _ in rows)
 
     route_distance = None
     if k == 0:
-        curve = []
-        for eps in grid:
-            pts = pts_at(eps)
-            tu, yu = u.eval(eps, pts, src)
-            tv, yv = v.eval(eps, pts, src)
-            if tv != tu:
-                yv = u.target.to_chart(yv, tv, tu)
-            curve.append(float(np.max(chord_distance(u.target, tu, yu, yv))))
+        curve = _distance_curve(u, v, pts_at, src, grid)
         route_distance = _tends_to_zero(curve, grid, assoc_tol)[0]
         if route_distance != route_bank:
             raise InconsistentRoutes(

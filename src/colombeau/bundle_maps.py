@@ -45,23 +45,25 @@ from .geometry import (
     TestBank,
     VBAtlas,
     box_contains,
-    chord_distance,
     default_test_bank,
     partition_of_unity,
     sample_box,
     trivial_bundle,
 )
 from .manifold_maps import (
-    _DIFF_NOISE_C,
     _EVAL_EPS_SAMPLES,
     GeneralizedManifoldPoint,
     ManifoldNet,
     _argmax_point,
     _base_gap,
     _check_points,
+    _colocated_masks,
     _combine_verdicts,
-    _index_tuples,
+    _distance_curve,
     _sup_abs,
+    _sup_curve,
+    _sup_diff,
+    _witness_union,
     check_cbounded,
     check_equivalent,
     check_moderate,
@@ -78,28 +80,6 @@ def opnorm_max(M) -> np.ndarray:
     """Operator norm induced by the max norm: largest absolute row sum."""
     M = np.asarray(M, dtype=float)
     return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
-
-
-def _sup_diff(a_vals, b_vals, mask=None) -> float:
-    """Sup |a - b| with sub-roundoff differences counted as measured zeros.
-
-    Two O(1) values agreeing to machine precision differ by arithmetic
-    noise, not by a residual scale; a flat eps_mach curve would otherwise
-    read as Moderate(0) and block verdicts no finite-precision experiment
-    could refute.  The floor is relative to the operands' own magnitude,
-    so genuinely small quantities keep their genuinely small differences.
-    """
-    a = np.asarray(a_vals, dtype=float)
-    b = np.asarray(b_vals, dtype=float)
-    if mask is not None:
-        a, b = a[mask], b[mask]
-    if a.size == 0:
-        return 0.0
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        return float("inf")
-    d = float(np.max(np.abs(a - b)))
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return 0.0 if d <= _DIFF_NOISE_C * np.finfo(float).eps * scale else d
 
 
 def matrix_net(fn, dim_in, shape, jet=None, box=None, label="") -> Net:
@@ -449,13 +429,10 @@ def _fiber_moderate(u: FiberNet, L, k_max, grid, bank) -> VBModerateReport:
     # chart route: per order k, sup over sampled L of entrywise fiber jets
     fiber_verdicts = []
     for k in range(k_max + 1):
-        curve = []
-        for eps in grid:
-            h = net.at(eps)
-            sup = 0.0
-            for alpha in _index_tuples(net.dim_in, k):
-                sup = max(sup, _sup_abs(h.jet(pts, alpha, _fiber_step(eps, k))))
-            curve.append(sup)
+        curve = _sup_curve(
+            grid, k, pts, lambda eps: (net.at(eps),),
+            step=lambda eps: _fiber_step(eps, k),
+        )
         fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
 
     if bank is None:
@@ -533,42 +510,22 @@ def _fiber_equivalent(
         raise NotModerate("fiber equivalence needs both nets moderate")
 
     base_report = check_equivalent(u.base_net, v.base_net, L, grid=grid)
-    lo = np.minimum(mu.witness.box[:, 0], mv.witness.box[:, 0])
-    hi = np.maximum(mu.witness.box[:, 1], mv.witness.box[:, 1])
-    witness_box = np.stack([lo, hi], axis=-1)
+    witness = _witness_union(mu.witness, mv.witness)
     pts = _check_points(L)
     src = L.chart_id
     _, net_u = u.fiber_for(src)
     _, net_v = v.fiber_for(src)
 
     # chart route: fiber differences masked to co-located base images
-    route_chart = True
-    vacuous = True
-    for k in range(derivative_order + 1):
-        curve = []
-        for eps in grid:
-            tu, yu = u.base_net.eval(eps, pts, src)
-            tv, yv = v.base_net.eval(eps, pts, src)
-            if tv != tu:
-                yv = u.target.base.to_chart(yv, tv, tu)
-            mask = np.all(
-                (yu >= witness_box[:, 0]) & (yu <= witness_box[:, 1])
-                & (yv >= witness_box[:, 0]) & (yv <= witness_box[:, 1]),
-                axis=-1,
-            )
-            if not np.any(mask):
-                curve.append(0.0)
-                continue
-            vacuous = False
-            hu, hv = net_u.at(eps), net_v.at(eps)
-            sup = 0.0
-            for alpha in _index_tuples(net_u.dim_in, k):
-                ju = hu.jet(pts, alpha, _fiber_step(eps, k))
-                jv = hv.jet(pts, alpha, _fiber_step(eps, k))
-                sup = max(sup, _sup_diff(ju, jv, mask))
-            curve.append(sup)
-        if not negligible_to_resolution(curve, grid):
-            route_chart = False
+    masks = _colocated_masks(u.base_net, v.base_net, pts, src, witness.box, grid)
+    vacuous = not any(np.any(m) for m in masks.values())
+    route_chart = all([
+        negligible_to_resolution(_sup_curve(
+            grid, k, pts, lambda eps: (net_u.at(eps), net_v.at(eps)),
+            mask=masks.get, step=lambda eps: _fiber_step(eps, k), diff=_sup_diff,
+        ), grid)
+        for k in range(derivative_order + 1)
+    ])
 
     if bank is None:
         bank = default_test_bank(u.target.base, mu.witness, vb=u.target)
@@ -648,10 +605,7 @@ def _quick_moderate_guard(net: Net, box, label: str):
     mid = 0.5 * (box[:, :1] + box[:, 1:])
     pts = sample_box(mid + 0.8 * (box - mid), 4)
     grid = EpsGrid.dyadic(4, 9)
-    curve = []
-    for eps in grid:
-        vals = net.at(eps)(pts)
-        curve.append(_sup_abs(vals))
+    curve = _sup_curve(grid, 0, pts, lambda eps: (net.at(eps),))
     verdict = estimate_growth_order(curve, grid)
     if verdict.classification == NEITHER:
         raise NotModerate(f"composed fiber net {label!r} fails moderateness")
@@ -854,21 +808,14 @@ def align_representative(
     cb_u = check_cbounded(u_rep, L, grid)
     if not (cb_v.ok and cb_u.ok):
         raise NotCBounded("alignment needs both base nets c-bounded on L")
-    lo = np.minimum(cb_v.witness.box[:, 0], cb_u.witness.box[:, 0])
-    hi = np.maximum(cb_v.witness.box[:, 1], cb_u.witness.box[:, 1])
-    region = CompactSet(cb_v.witness.chart_id, np.stack([lo, hi], axis=-1))
+    region = _witness_union(cb_v.witness, cb_u.witness)
     r = radius if radius is not None else _alignment_radius(atlas, region)
 
     # threshold: all smaller grid eps keep the two base images r-close
     pts = _check_points(L)
     src = L.chart_id
     ok_from = None
-    for i, eps in enumerate(grid.values):
-        t_u, yu = u_rep.eval(eps, pts, src)
-        t_v, yv = v.base_net.eval(eps, pts, src)
-        if t_v != t_u:
-            yv = atlas.to_chart(yv, t_v, t_u)
-        d = float(np.max(chord_distance(atlas, t_u, yu, yv)))
+    for i, d in enumerate(_distance_curve(u_rep, v.base_net, pts, src, grid)):
         if d < r:
             if ok_from is None:
                 ok_from = i

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .asymptotics import (
-    DEFAULT_M_MAX,
     EpsGrid,
     AsymptoticVerdict,
     MODERATE,
@@ -51,8 +50,6 @@ from .geometry import (
     default_test_bank,
 )
 from .nets import (
-    Net,
-    SmoothMapHandle,
     compose_nets,
     constant_net,
     fd_step,
@@ -94,6 +91,73 @@ def _sup_abs(vals) -> float:
     if not np.all(np.isfinite(a)):
         return float("inf")
     return float(np.max(a))
+
+
+def _sup_diff(a_vals, b_vals, mask=None) -> float:
+    """Sup |a - b| with sub-roundoff differences counted as measured zeros.
+
+    Two O(1) values agreeing to machine precision differ by arithmetic
+    noise, not by a residual scale; a flat eps_mach curve would otherwise
+    read as Moderate(0) and block verdicts no finite-precision experiment
+    could refute.  The floor is relative to the operands' own magnitude,
+    so genuinely small quantities keep their genuinely small differences.
+    """
+    a = np.asarray(a_vals, dtype=float)
+    b = np.asarray(b_vals, dtype=float)
+    if mask is not None:
+        a, b = a[mask], b[mask]
+    if a.size == 0:
+        return 0.0
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return float("inf")
+    d = float(np.max(np.abs(a - b)))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return 0.0 if d <= _DIFF_NOISE_C * np.finfo(float).eps * scale else d
+
+
+def _index_tuples(dim, order):
+    if order == 0:
+        yield (0,) * dim
+        return
+    from itertools import combinations_with_replacement
+
+    for combo in combinations_with_replacement(range(dim), order):
+        alpha = [0] * dim
+        for c in combo:
+            alpha[c] += 1
+        yield tuple(alpha)
+
+
+def _sup_curve(grid, k, pts, slices, mask=None, step=fd_step, diff=None):
+    """Order-k sup curve: per eps, the max over |alpha| = k of the sup over
+    the sample points of the alpha-jet of one slice, or of two slices' jet
+    difference.
+
+    ``pts`` is an array or a function eps -> points; ``slices(eps)`` is a
+    tuple of one or two handles; ``mask(eps)``, when given, marks the points
+    the sup runs over, and a mask that keeps no point gives 0.0.  The jet
+    step is ``step(eps)``.  A pair is measured by ``diff(a, b, mask)`` when
+    given, else by the sup of |a - b| over the kept points.
+    """
+    curve = []
+    for eps in grid:
+        x = pts(eps) if callable(pts) else pts
+        keep = None if mask is None else mask(eps)
+        if keep is not None and not np.any(keep):
+            curve.append(0.0)
+            continue
+        hs = slices(eps)
+        h = step(eps)
+        sup = 0.0
+        for alpha in _index_tuples(hs[0].dim_in, k):
+            j = [s.jet(x, alpha, h) for s in hs]
+            if diff is not None:
+                sup = max(sup, diff(j[0], j[1], keep))
+                continue
+            d = j[0] if len(j) == 1 else j[0] - j[1]
+            sup = max(sup, _sup_abs(d if keep is None else d[keep]))
+        curve.append(sup)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +358,18 @@ class CBoundedReport:
         return self.ok
 
 
+def _witness_union(a: CompactSet, b: CompactSet) -> CompactSet:
+    """The smallest box holding two c-boundedness witnesses, which must lie
+    in one target chart: boxes in different charts have no common frame."""
+    if a.chart_id != b.chart_id:
+        raise AtlasMismatch(
+            f"witness boxes lie in different charts {a.chart_id!r} and {b.chart_id!r}"
+        )
+    lo = np.minimum(a.box[:, 0], b.box[:, 0])
+    hi = np.maximum(a.box[:, 1], b.box[:, 1])
+    return CompactSet(a.chart_id, np.stack([lo, hi], axis=-1))
+
+
 def _witness_region(target: Atlas, tgt_chart: str, images: np.ndarray) -> CompactSet:
     box = target.chart(tgt_chart).box
     lo = images.reshape(-1, images.shape[-1]).min(axis=0)
@@ -337,6 +413,7 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
     tgt_chart = None
     images_by_eps = {}
     finite_rows = []
+    mags = []
     escape_eps = None
     for eps in grid:
         tgt, y = u.eval(eps, pts, K.chart_id)
@@ -345,6 +422,9 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
         finite = np.all(np.isfinite(y), axis=-1)
         if np.any(finite):
             finite_rows.append(y[finite])
+            mags.append(float(np.max(np.abs(y[finite]))))
+        else:
+            mags.append(math.inf)
         box = u.target.chart(tgt).box
         inside = np.all(finite) and np.all(
             (y >= box[:, 0] - 1e-9) & (y <= box[:, 1] + 1e-9)
@@ -362,11 +442,6 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
     if escape_eps is not None:
         diagnostics["escape_eps"] = escape_eps
 
-    mags = [
-        float(np.max(np.abs(y[np.all(np.isfinite(y), axis=-1)])))
-        if np.any(np.all(np.isfinite(y), axis=-1)) else math.inf
-        for y in images_by_eps.values()
-    ]
     half = len(mags) // 2
     growing = max(mags[half:]) > 100.0 * (max(mags[:half]) + 1.0)
     ok = escape_eps is None and not growing
@@ -403,19 +478,6 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
 
 # ---------------------------------------------------------------------------
 # moderateness
-
-
-def _index_tuples(dim, order):
-    if order == 0:
-        yield (0,) * dim
-        return
-    from itertools import combinations_with_replacement
-
-    for combo in combinations_with_replacement(range(dim), order):
-        alpha = [0] * dim
-        for c in combo:
-            alpha[c] += 1
-        yield tuple(alpha)
 
 
 @dataclass
@@ -471,38 +533,27 @@ def check_moderate(
     if bank is None:
         bank = default_test_bank(u.target, witness)
     pts = _check_points(K)
-    tgt_chart, _ = u.handle(grid.values[0], K.chart_id)
-    dim_in = u.source.dim
-
+    src = K.chart_id
     per_test = []
     for test in bank.scalar_tests:
         if not test.jets_stable:
             continue
         for k in range(k_max + 1):
-            curve = []
-            for eps in grid:
-                _, h = u.handle(eps, K.chart_id)
-                composed = handle_compose(test.handle, h)
-                sup = 0.0
-                for alpha in _index_tuples(dim_in, k):
-                    sup = max(sup, _sup_abs(composed.jet(pts, alpha, fd_step(eps))))
-                curve.append(sup)
+            curve = _sup_curve(
+                grid, k, pts,
+                lambda eps, f=test.handle: (handle_compose(f, u.handle(eps, src)[1]),),
+            )
             per_test.append((test.label, k, estimate_growth_order(curve, grid)))
 
     verdict = _combine_verdicts([v for _, _, v in per_test])
 
     # chart-route cross-check: jets of the chart representation itself
-    chart_verdicts = []
-    for k in range(k_max + 1):
-        curve = []
-        for eps in grid:
-            _, h = u.handle(eps, K.chart_id)
-            sup = 0.0
-            for alpha in _index_tuples(dim_in, k):
-                sup = max(sup, _sup_abs(h.jet(pts, alpha, fd_step(eps))))
-            curve.append(sup)
-        chart_verdicts.append(estimate_growth_order(curve, grid))
-    chart_combined = _combine_verdicts(chart_verdicts)
+    chart_combined = _combine_verdicts([
+        estimate_growth_order(
+            _sup_curve(grid, k, pts, lambda eps: (u.handle(eps, src)[1],)), grid
+        )
+        for k in range(k_max + 1)
+    ])
     agrees = (chart_combined.classification == NEITHER) == (
         verdict.classification == NEITHER
     )
@@ -526,16 +577,58 @@ class EquivalenceReport:
 
 
 def _moderate_precheck(u: ManifoldNet, K: CompactSet, grid: EpsGrid):
-    pts = _check_points(K)
+    curve = _sup_curve(
+        grid, 0, _check_points(K), lambda eps: (u.handle(eps, K.chart_id)[1],)
+    )
+    if not all(map(math.isfinite, curve)):
+        raise NotModerate(f"{u.label or 'net'} produces non-finite values on K")
+    if estimate_growth_order(curve, grid).classification == NEITHER:
+        raise NotModerate(f"{u.label or 'net'} fails the order-0 moderateness check")
+
+
+def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
+    """(u's target chart, u_eps(pts), v_eps(pts)), both images in that chart."""
+    t_u, yu = u.eval(eps, pts, src)
+    t_v, yv = v.eval(eps, pts, src)
+    if t_v != t_u:
+        yv = v.target.to_chart(yv, t_v, t_u)
+    return t_u, yu, yv
+
+
+def _distance_curve(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
+    """Per eps, the sup over the sample points (an array, or a function
+    eps -> points) of the chord distance between the images of u and v."""
     curve = []
     for eps in grid:
-        _, y = u.eval(eps, pts, K.chart_id)
-        if not np.all(np.isfinite(y)):
-            raise NotModerate(f"{u.label or 'net'} produces non-finite values on K")
-        curve.append(float(np.max(np.abs(y))))
-    v = estimate_growth_order(curve, grid)
-    if v.classification == NEITHER:
-        raise NotModerate(f"{u.label or 'net'} fails the order-0 moderateness check")
+        x = pts(eps) if callable(pts) else pts
+        t_u, yu, yv = _images(u, v, x, src, eps)
+        curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
+    return curve
+
+
+def _colocated_masks(u: ManifoldNet, v: ManifoldNet, pts, src: str, box, grid):
+    """Per eps, the sample points whose images under u and v both lie in
+    ``box`` (coordinates of u's target chart)."""
+    masks = {}
+    for eps in grid:
+        y = np.stack(_images(u, v, pts, src, eps)[1:])
+        masks[eps] = np.all((y >= box[:, 0]) & (y <= box[:, 1]), axis=(0, -1))
+    return masks
+
+
+def _bank_difference_curves(u, v, bank: TestBank, k: int, src: str, grid, pts):
+    """(test label, order, sup curve of the jets of f(u_eps) - f(v_eps)) per
+    scalar bank test f and order up to k.  Bump derivative sups are too noisy
+    to fit (see check_moderate), so bumps enter at order 0 only."""
+    rows = []
+    for test in bank.scalar_tests:
+        for order in range(k + 1) if test.jets_stable else range(1):
+            curve = _sup_curve(grid, order, pts, lambda eps, f=test.handle: (
+                handle_compose(f, u.handle(eps, src)[1]),
+                handle_compose(f, v.handle(eps, src)[1]),
+            ))
+            rows.append((test.label, order, curve))
+    return rows
 
 
 def check_equivalent(
@@ -564,83 +657,39 @@ def check_equivalent(
         raise NoMetric("equivalence route A needs a metric on the target")
 
     pts = _check_points(K)
+    src = K.chart_id
     cb_u = check_cbounded(u, K, grid)
     cb_v = check_cbounded(v, K, grid)
     if not (cb_u.ok and cb_v.ok):
         raise NotCBounded("equivalence needs both nets c-bounded on K")
-    lo = np.minimum(cb_u.witness.box[:, 0], cb_v.witness.box[:, 0])
-    hi = np.maximum(cb_u.witness.box[:, 1], cb_v.witness.box[:, 1])
-    witness = CompactSet(cb_u.witness.chart_id, np.stack([lo, hi], axis=-1))
+    witness = _witness_union(cb_u.witness, cb_v.witness)
     if bank is None:
         bank = default_test_bank(u.target, witness)
 
     # route A: distance decay
-    dist_curve = []
-    for eps in grid:
-        t_u, yu = u.eval(eps, pts, K.chart_id)
-        t_v, yv = v.eval(eps, pts, K.chart_id)
-        if t_u != t_v:
-            yv = v.target.to_chart(yv, t_v, t_u)
-        dist_curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
+    dist_curve = _distance_curve(u, v, pts, src, grid)
     route_a = negligible_to_resolution(dist_curve, grid)
 
-    # route B: test-function differences, jets up to derivative_order.
-    # Bump tests separate values only; their derivative sups are too noisy
-    # to fit (see check_moderate) and jets_stable tests already determine
-    # the jets, so k >= 1 is restricted to those.
-    route_b = True
-    bank_curves = {}
-    dim_in = u.source.dim
-    for test in bank.scalar_tests:
-        orders = range(derivative_order + 1) if test.jets_stable else range(1)
-        for k in orders:
-            curve = []
-            for eps in grid:
-                _, hu = u.handle(eps, K.chart_id)
-                _, hv = v.handle(eps, K.chart_id)
-                cu = handle_compose(test.handle, hu)
-                cv = handle_compose(test.handle, hv)
-                sup = 0.0
-                for alpha in _index_tuples(dim_in, k):
-                    diff = (
-                        cu.jet(pts, alpha, fd_step(eps))
-                        - cv.jet(pts, alpha, fd_step(eps))
-                    )
-                    sup = max(sup, _sup_abs(diff))
-                curve.append(sup)
-            ok = negligible_to_resolution(curve, grid)
-            bank_curves[(test.label, k)] = ok
-            if not ok:
-                route_b = False
+    # route B: test-function differences, jets up to derivative_order
+    bank_rows = [
+        (label, k, negligible_to_resolution(curve, grid))
+        for label, k, curve in _bank_difference_curves(
+            u, v, bank, derivative_order, src, grid, pts
+        )
+    ]
+    bank_curves = {(label, k): ok for label, k, ok in bank_rows}
+    route_b = all(ok for _, _, ok in bank_rows)
 
     # route C: chart differences on the witness, escape-masked
-    route_c = True
-    for k in range(derivative_order + 1):
-        curve = []
-        for eps in grid:
-            t_u, hu = u.handle(eps, K.chart_id)
-            t_v, hv = v.handle(eps, K.chart_id)
-            yu, yv = hu(pts), hv(pts)
-            if t_u != t_v:
-                yv = v.target.to_chart(yv, t_v, t_u)
-            mask = np.all(
-                (yu >= witness.box[:, 0]) & (yu <= witness.box[:, 1])
-                & (yv >= witness.box[:, 0]) & (yv <= witness.box[:, 1]),
-                axis=-1,
-            )
-            if not np.any(mask):
-                curve.append(0.0)
-                continue
-            sup = 0.0
-            for alpha in _index_tuples(dim_in, k):
-                diff = (
-                    hu.jet(pts, alpha, fd_step(eps))
-                    - hv.jet(pts, alpha, fd_step(eps))
-                )
-                sup = max(sup, _sup_abs(diff[mask]))
-            curve.append(sup)
-        if not negligible_to_resolution(curve, grid):
-            route_c = False
+    masks = _colocated_masks(u, v, pts, src, witness.box, grid)
+
+    def pair(eps):
+        return u.handle(eps, src)[1], v.handle(eps, src)[1]
+
+    route_c = all([
+        negligible_to_resolution(_sup_curve(grid, k, pts, pair, mask=masks.get), grid)
+        for k in range(derivative_order + 1)
+    ])
 
     diagnostics = {
         "distance_curve": dist_curve,
@@ -742,10 +791,7 @@ def _argmax_point(gaps: dict, pts, K: CompactSet) -> GeneralizedManifoldPoint:
 
 def _base_gap(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
     """Per-point max-norm difference of the images, both in u's target chart."""
-    t_u, yu = u.eval(eps, pts, src)
-    t_v, yv = v.eval(eps, pts, src)
-    if t_v != t_u:
-        yv = v.target.to_chart(yv, t_v, t_u)
+    _, yu, yv = _images(u, v, pts, src, eps)
     return np.max(np.abs(yu - yv), axis=-1)
 
 

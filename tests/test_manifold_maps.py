@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau.association import check_k_associated
 from colombeau.asymptotics import EpsGrid
+from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
 from colombeau.errors import (
     AtlasMismatch,
     NotCBounded,
@@ -17,11 +19,13 @@ from colombeau.geometry import (
     constant_metric,
     euclidean_atlas,
     make_bump,
+    trivial_bundle,
 )
 from colombeau.manifold_maps import (
     GeneralizedManifoldPoint,
     ManifoldNet,
     _check_points,
+    _sup_curve,
     adversarial_gpoint,
     check_cbounded,
     check_equivalent,
@@ -235,6 +239,126 @@ class TestModerate:
         labels = {label for label, _, _ in report.per_test}
         assert all("bump" not in label for label in labels)
         assert any("cutoff" in label for label in labels)
+
+
+class TestSupCurve:
+    GRID = EpsGrid.dyadic(2, 7)
+    PTS = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 1.0]])
+
+    @staticmethod
+    def quadratic():
+        """f = x^2/2 + xy + 3y^2 with exact jets: its order-2 jets are 1, 1
+        and 6, the largest being d^2/dy^2, the last multi-index."""
+
+        def fn(e, x):
+            a, b = x[..., 0], x[..., 1]
+            return (0.5 * a * a + a * b + 3.0 * b * b)[..., None]
+
+        def jet(e, x, alpha):
+            a, b = x[..., :1], x[..., 1:]
+            table = {
+                (0, 0): lambda: fn(e, x),
+                (1, 0): lambda: a + b,
+                (0, 1): lambda: a + 6.0 * b,
+                (2, 0): lambda: np.ones_like(a),
+                (1, 1): lambda: np.ones_like(a),
+                (0, 2): lambda: np.full_like(a, 6.0),
+            }
+            return table[tuple(alpha)]()
+
+        return net_from_function(fn, 2, 1, jet=jet)
+
+    def test_order_two_takes_the_max_over_every_multi_index(self):
+        net = self.quadratic()
+        curve = _sup_curve(self.GRID, 2, self.PTS, lambda eps: (net.at(eps),))
+        assert curve == [6.0] * len(self.GRID)
+
+    def test_mask_that_keeps_no_point_gives_zero(self):
+        net = self.quadratic()
+        zero = net_from_function(lambda e, x: np.zeros(x.shape[:-1] + (1,)), 2, 1)
+        nowhere = np.zeros(len(self.PTS), dtype=bool)
+        curve = _sup_curve(
+            self.GRID, 0, self.PTS,
+            lambda eps: (net.at(eps), zero.at(eps)),
+            mask=lambda eps: nowhere if eps < 0.1 else ~nowhere,
+        )
+        # f(1, 1) = 4.5 is the sup while every point is kept
+        assert curve == [4.5, 4.5] + [0.0] * (len(self.GRID) - 2)
+
+    def test_nan_jet_gives_inf(self):
+        nan_net = net_from_function(
+            lambda e, x: np.where(x[..., :1] > 0.75, np.nan, x[..., :1]), 2, 1
+        )
+        net = self.quadratic()
+        single = _sup_curve(self.GRID, 0, self.PTS, lambda eps: (nan_net.at(eps),))
+        pair = _sup_curve(
+            self.GRID, 0, self.PTS, lambda eps: (net.at(eps), nan_net.at(eps))
+        )
+        assert single == pair == [float("inf")] * len(self.GRID)
+
+
+class TestPinnedSlopes:
+    """Slopes of one 2-D net, pinned bit for bit: a change to how sup
+    curves are sampled must not move any of them."""
+
+    K2 = CompactSet("main", [(-1.0, 1.0), (-0.5, 0.5)], resolution=5)
+    GRID = EpsGrid.dyadic(2, 8)
+
+    @staticmethod
+    def ripple():
+        def fn(e, x):
+            return np.stack(
+                [x[..., 0] + 0.5 * e * np.sin(x[..., 1] / e), 0.5 * x[..., 1]],
+                axis=-1,
+            )
+
+        return single_chart_map(PLANE, PLANE, fn, label="ripple")
+
+    def test_check_moderate_per_test_slopes(self):
+        report = check_moderate(self.ripple(), self.K2, k_max=2, grid=self.GRID)
+        assert [(label, k, v.slope) for label, k, v in report.per_test] == [
+            ("cutoff", 0, 0.0),
+            ("cutoff", 1, 8.0),
+            ("cutoff", 2, 8.0),
+            ("x0*cutoff", 0, 0.0059650794944265135),
+            ("x0*cutoff", 1, 0.0),
+            ("x0*cutoff", 2, -0.9996578824045167),
+            ("x1*cutoff", 0, 0.0),
+            ("x1*cutoff", 1, 0.0),
+            ("x1*cutoff", 2, 8.0),
+        ]
+
+    def test_check_vb_moderate_fiber_slopes(self):
+        def mat(e, x):
+            a = e * np.cos(x[..., 0] / e)
+            rows = [
+                np.stack([a, x[..., 1]], axis=-1),
+                np.stack([x[..., 0] ** 2, np.ones_like(a)], axis=-1),
+            ]
+            return np.stack(rows, axis=-2)
+
+        bundle = trivial_bundle(PLANE, 2)
+        hom = single_chart_hom(bundle, bundle, self.ripple(), mat, label="ripple")
+        report = check_vb_moderate(hom, self.K2, k_max=2, grid=self.GRID)
+        assert [(k, v.slope) for k, v in report.fiber_verdicts] == [
+            (0, 0.0), (1, 0.0), (2, -1.000000000010602),
+        ]
+
+
+class TestWitnessCharts:
+    def test_witnesses_in_different_target_charts_are_rejected(self):
+        # chart b = chart a + 10: u's witness lies in chart a, v's in b, and
+        # no single box of either chart holds both
+        tgt = two_chart_line()
+        box = LINE.chart("main").box
+        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)}, "u")
+        v = ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
+            lambda e, x: 0.5 * np.sin(x) + 10.0, 1, 1, box=box)}, "v")
+        with pytest.raises(AtlasMismatch, match="'a' and 'b'"):
+            check_equivalent(u, v, K1)
+        with pytest.raises(AtlasMismatch, match="'a' and 'b'"):
+            check_k_associated(u, v, 0, K1)
 
 
 class TestEquivalence:
