@@ -5,14 +5,26 @@ The checker runs a chord-distance route, a test-function-bank route,
 and a raw chart-difference route; the three verdicts must agree, and a
 pair that fails is separated by an adversarially chosen generalized
 point that chases the largest difference as eps shrinks.
+
+Point values do not depend on the chart a net is written in: the same map
+written into two charts of a target atlas takes equal values at every
+generalized point.
 """
 
 import numpy as np
 
-from colombeau.geometry import CompactSet, euclidean_atlas
+from colombeau.geometry import (
+    Atlas,
+    Chart,
+    CompactSet,
+    affine_transition,
+    constant_metric,
+    euclidean_atlas,
+)
 from colombeau.manifold_maps import (
     check_equivalent,
     check_pointvalue_equality,
+    random_gpoints,
     single_chart_map,
 )
 
@@ -40,3 +52,19 @@ for name_u, name_v, fu, fv in pairs:
         same, info = check_pointvalue_equality(u, v, [], K=K)
         print(f"    adversarial generalized point separates them: {not same}")
     print()
+
+print("chart independence: 0.5 sin(x) written into charts a and b = a + 10")
+TWO_CHARTS = Atlas(
+    [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+    transitions={
+        ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+        ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+    },
+    metric={"a": constant_metric([[1.0]]), "b": constant_metric([[1.0]])},
+)
+in_a = single_chart_map(LINE, TWO_CHARTS, lambda e, x: 0.5 * np.sin(x),
+                        tgt_chart="a", label="in a")
+in_b = single_chart_map(LINE, TWO_CHARTS, lambda e, x: 0.5 * np.sin(x) + 10.0,
+                        tgt_chart="b", label="in b")
+same, info = check_pointvalue_equality(in_a, in_b, random_gpoints(K, 5), K=K)
+print(f"    equal point values at {info['tested']} generalized points: {same}")

@@ -6,18 +6,34 @@ one onto the other's representative (base evaluations become bitwise
 equal), after which fiberwise sum and scalar multiple are defined.  The
 equivalence verdict is the same whether fiber jets are compared to
 order 0 or order 2.
+
+Tangent maps compose like their base maps (the chain rule holds up to
+equivalence), homs act on generalized bundle points, and hybrid nets such
+as generalized sections are determined by their values at generalized
+points.
 """
 
 import numpy as np
 
 from colombeau.bundle_maps import (
+    check_hybrid_pointvalues,
     check_vb_equivalent,
+    compose_homs,
+    constant_vb_point,
     hom_u_add,
     hom_u_scale,
+    section_net,
     single_chart_hom,
+    tangent_map,
+    vb_point_insert,
 )
 from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
-from colombeau.manifold_maps import identity_map, single_chart_map
+from colombeau.manifold_maps import (
+    compose,
+    identity_map,
+    random_gpoints,
+    single_chart_map,
+)
 
 LINE = euclidean_atlas(1)
 TX = trivial_bundle(LINE, 1)
@@ -59,3 +75,27 @@ for label, other in [
     v0 = check_vb_equivalent(w, other, K, derivative_order=0).equivalent
     v2 = check_vb_equivalent(w, other, K, derivative_order=2).equivalent
     print(f"    {label}: order0={v0} order2={v2}")
+
+print("\ntangent functor: T(sq o shift) ~ T(sq) o T(shift)")
+sq = single_chart_map(LINE, LINE, lambda e, x: x**2, label="sq")
+shift = single_chart_map(LINE, LINE, lambda e, x: x + 1.0, label="shift")
+chain = check_vb_equivalent(
+    tangent_map(compose(sq, shift)),
+    compose_homs(tangent_map(sq), tangent_map(shift)), K,
+)
+print("    chain rule holds up to equivalence:", chain.equivalent)
+
+print("\nhom acting on a generalized bundle point")
+p = constant_vb_point(K, [0.5], [3.0], label="p")
+wp = vb_point_insert(w, p)
+_, x, xi = wp.at(0.01)
+print(f"    w(p) = ({x[0]:.3f}; {xi[0]:.3f}), fiber 3 * (1 + 0.5 * 0.5) = 3.75")
+print("    w(p) is a bundle point with moderate fiber:", wp.check())
+
+print("\nsections are determined by their point values")
+s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+s_tail = section_net(
+    TX, lambda e, x: e * np.sin(x / e) + np.exp(-1.0 / e), label="s+tail")
+same, info = check_hybrid_pointvalues(s, s_tail, random_gpoints(K, 6), L=K)
+print(f"    s and s + exp(-1/eps) agree at {info['tested']} generalized points: "
+      f"{same}")

@@ -33,7 +33,6 @@ from .bundle_maps import (
     identity_hom,
     section_net,
     single_chart_hom,
-    single_chart_hybrid,
 )
 from .geometry import (
     CompactSet,
@@ -300,9 +299,7 @@ def criterion_point_separation() -> CriterionResult:
         if expect:
             n_agree += 1
             pts = random_gpoints(K1, 20, seed=11)
-            same, info = check_pointvalue_equality(
-                u, v, pts, K=None, include_adversarial=False
-            )
+            same, info = check_pointvalue_equality(u, v, pts)
             if same and info["tested"] == 20:
                 agreed += 1
         else:

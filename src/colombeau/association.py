@@ -444,10 +444,6 @@ class Mollifier:
             tol=1e-12,
         )
 
-    def scaled(self, eps: float, x):
-        x = np.asarray(x, dtype=float)
-        return self.profile(x / eps) / eps
-
 
 def _bump_profile(sharpness: float):
     """exp(-sharpness/(1-x^2)) on (-1, 1), with two analytic derivatives."""

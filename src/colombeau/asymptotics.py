@@ -19,17 +19,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GridTooShort,
-    NonFiniteValue,
-    NotCompactlySupported,
-)
-from .nets import GeneralizedNumber
+from .errors import GridTooShort, NonFiniteValue
 
 MODERATE = "moderate"
 NEGLIGIBLE = "negligible"
@@ -106,15 +100,6 @@ class AsymptoticVerdict:
     tested_order_cap: int
     params: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def is_moderate(self) -> bool:
-        # negligible nets are moderate as well
-        return self.classification in (MODERATE, NEGLIGIBLE)
-
-    @property
-    def is_negligible(self) -> bool:
-        return self.classification == NEGLIGIBLE
 
     def __str__(self):
         tag = {MODERATE: "Moderate(N={})", NEGLIGIBLE: "Negligible(m={})"}.get(
@@ -270,61 +255,6 @@ def negligible_to_resolution(samples, grid: EpsGrid, m_max: int = DEFAULT_M_MAX)
     a finite grid supports."""
     verdict = estimate_growth_order(samples, grid, m_max=m_max)
     return verdict.classification == NEGLIGIBLE and verdict.order == m_max
-
-
-def gnum_equal(a: GeneralizedNumber, b: GeneralizedNumber, grid: EpsGrid) -> bool:
-    """Equality in the ring of generalized numbers, to grid resolution."""
-    if a.d != b.d:
-        raise DimensionMismatch(f"dimensions {a.d} != {b.d}")
-    diff = [float(np.max(np.abs(a.at(e) - b.at(e)))) for e in grid]
-    return negligible_to_resolution(diff, grid)
-
-
-def gpoint_equivalent(
-    p: GeneralizedNumber,
-    q: GeneralizedNumber,
-    grid: EpsGrid,
-    metric: Callable[[np.ndarray, np.ndarray], float],
-    test_bank: Optional[Sequence[Callable]] = None,
-) -> tuple[bool, dict]:
-    """Equivalence of generalized points: d(p_eps, q_eps) negligible at all
-    tested orders.
-
-    Requires both point nets to stay bounded over the grid (compact
-    support).  When a bank of scalar test functions is supplied, the
-    image-separation route (f(p_eps) vs f(q_eps) for every f) is evaluated
-    as a cross-check and reported in the diagnostics; the two routes must
-    agree for healthy inputs.
-    """
-    if p.d != q.d:
-        raise DimensionMismatch(f"dimensions {p.d} != {q.d}")
-    pts_p = np.asarray([p.at(e) for e in grid])
-    pts_q = np.asarray([q.at(e) for e in grid])
-    half = len(grid) // 2
-    for name, pts in (("p", pts_p), ("q", pts_q)):
-        big = np.max(np.abs(pts[half:]))
-        ref = np.max(np.abs(pts[:half])) + 1.0
-        if not np.all(np.isfinite(pts)) or big > 100.0 * ref:
-            raise NotCompactlySupported(
-                f"point net {name} does not stay bounded over the grid"
-            )
-
-    dist = [float(metric(a, b)) for a, b in zip(pts_p, pts_q)]
-    by_distance = negligible_to_resolution(dist, grid)
-    diagnostics: dict = {"distance_curve": dist}
-
-    if test_bank:
-        agree = True
-        for f in test_bank:
-            fdiff = [
-                float(np.max(np.abs(np.asarray(f(a)) - np.asarray(f(b)))))
-                for a, b in zip(pts_p, pts_q)
-            ]
-            if negligible_to_resolution(fdiff, grid) != by_distance:
-                agree = False
-                break
-        diagnostics["test_bank_agrees"] = agree
-    return by_distance, diagnostics
 
 
 def dump_fit_csv(samples, grid: EpsGrid, verdict: AsymptoticVerdict, path=None) -> str:

@@ -71,7 +71,7 @@ from .manifold_maps import (
     point_distance,
     single_chart_map,
 )
-from .nets import Net, fd_step, finite_difference_jet, net_from_function
+from .nets import Net, fd_step, net_from_function
 
 _AGREEMENT_TOL = 1e-9
 
@@ -611,9 +611,9 @@ def _quick_moderate_guard(net: Net, box, label: str):
         raise NotModerate(f"composed fiber net {label!r} fails moderateness")
 
 
-def _compose_with_hom(u: FiberNet, w: FiberNet, label) -> FiberNet:
-    """u (a hom or a hybrid) followed by the hom w: u's fibers run through
-    w's matrices at u's base image."""
+def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
+    """u (a hom or a hybrid) followed by the hom w: u's fiber matrices or
+    vectors multiply through w's matrices at u's base image."""
     if u.target is not w.source and u.target.fiber_dim != w.source.fiber_dim:
         raise AtlasMismatch("composition needs matching middle bundle")
     base = compose(u.base_net, w.base_net, label=label)
@@ -643,16 +643,6 @@ def _compose_with_hom(u: FiberNet, w: FiberNet, label) -> FiberNet:
     for net in out.fiber_nets.values():
         _quick_moderate_guard(net, net.box, net.label)
     return out
-
-
-def compose_homs(u: FiberNet, v: FiberNet, label="") -> FiberNet:
-    """The hom whose fiber matrices multiply through the middle bundle."""
-    return _compose_with_hom(u, v, label)
-
-
-def compose_hybrid_hom(v: FiberNet, w: FiberNet, label="") -> FiberNet:
-    """Hom after a hybrid: the fiber vector runs through w's matrices."""
-    return _compose_with_hom(v, w, label)
 
 
 def compose_hybrid(u: ManifoldNet, v: FiberNet, label="") -> FiberNet:
@@ -706,12 +696,14 @@ def check_hybrid_pointvalues(
     sample_points: Sequence[GeneralizedManifoldPoint],
     L: Optional[CompactSet] = None,
     grid: Optional[EpsGrid] = None,
-    include_adversarial: bool = True,
 ) -> tuple[bool, dict]:
-    """Values-at-points characterization of hybrid equality."""
+    """Values-at-points characterization of hybrid equality.
+
+    When L is given, a point chasing the worst base-plus-fiber gap per eps
+    is appended to the sample."""
     grid = grid or EpsGrid.default()
     points = list(sample_points)
-    if include_adversarial and L is not None:
+    if L is not None:
         points.append(_adversarial_hybrid_point(u, v, L, grid))
     failed = []
     for p in points:
@@ -918,90 +910,3 @@ def hom_u_scale(c: float, v: FiberNet, u_rep: Optional[ManifoldNet] = None,
     if hasattr(v, "alignment"):
         out.alignment = v.alignment
     return out
-
-
-# ---------------------------------------------------------------------------
-# metric pairing derivative
-
-
-@dataclass
-class PairingReport:
-    residuals: dict
-    max_residual: float
-
-    def __bool__(self):
-        return np.isfinite(self.max_residual)
-
-
-def _christoffel_fd(metric_fn, eps, x, h=1e-5):
-    """Gamma^k_ij from central differences of the metric."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    g = np.asarray(metric_fn(eps, x), dtype=float)
-    dg = np.empty(x.shape[:-1] + (n, n, n))
-    for l in range(n):
-        step = np.zeros(n)
-        step[l] = h
-        gp = np.asarray(metric_fn(eps, x + step), dtype=float)
-        gm = np.asarray(metric_fn(eps, x - step), dtype=float)
-        dg[..., l, :, :] = (gp - gm) / (2.0 * h)
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    term = (
-        np.einsum("...ilj->...lij", dg)
-        + np.einsum("...jli->...lij", dg)
-        - np.einsum("...lij->...lij", dg)
-    )
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
-
-
-def metric_pairing_derivative_check(
-    metric_fn,
-    xi: FiberNet,
-    eta: FiberNet,
-    eps_values=(1e-2,),
-    t_span=(-1.0, 1.0),
-    step: float = 1e-4,
-    christoffel=None,
-) -> PairingReport:
-    """Residual of d/dt g(xi, eta) = g(xi', eta) + g(xi, eta') along the
-    shared base curve, with the covariant derivative from the metric's
-    Christoffel symbols (finite differences unless supplied).
-
-    ``xi`` and ``eta`` must share their base net object; align first.
-    """
-    if xi.base_net is not eta.base_net:
-        raise AlignmentError("pairing check needs fields over the same curve net")
-    curve = xi.base_net
-    src = next(iter(curve.reps))[0]
-    _, net_xi = xi.fiber_for(src)
-    _, net_eta = eta.fiber_for(src)
-    gamma = christoffel or _christoffel_fd
-
-    residuals = {}
-    for eps in eps_values:
-        ts = np.arange(t_span[0], t_span[1] + 0.5 * step, step)[:, None]
-        _, x = curve.eval(eps, ts, src)
-        xi_v = fiber_values(net_xi, eps, ts)
-        eta_v = fiber_values(net_eta, eps, ts)
-        g = np.asarray(metric_fn(eps, x), dtype=float)
-
-        h_curve = curve.rep_for(src)[1].at(eps)
-        xdot = h_curve.jet(ts, (1,), 1e-6)
-        dxi = finite_difference_jet(lambda t: net_xi.at(eps)(t), ts, (1,), 1e-6)
-        dxi = dxi.reshape(xi_v.shape)
-        deta = finite_difference_jet(lambda t: net_eta.at(eps)(t), ts, (1,), 1e-6)
-        deta = deta.reshape(eta_v.shape)
-
-        G = gamma(metric_fn, eps, x)
-        xi_prime = dxi + np.einsum("...kij,...i,...j->...k", G, xdot, xi_v)
-        eta_prime = deta + np.einsum("...kij,...i,...j->...k", G, xdot, eta_v)
-
-        pairing = np.einsum("...i,...ij,...j->...", xi_v, g, eta_v)
-        lhs = np.gradient(pairing, step, axis=0)
-        rhs = np.einsum("...i,...ij,...j->...", xi_prime, g, eta_v) + np.einsum(
-            "...i,...ij,...j->...", xi_v, g, eta_prime
-        )
-        interior = slice(2, -2)
-        residuals[eps] = float(np.max(np.abs(lhs - rhs)[interior]))
-    return PairingReport(residuals, max(residuals.values()))

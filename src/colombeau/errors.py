@@ -25,10 +25,6 @@ class GridTooShort(ColombeauError):
     """An epsilon grid has too few points for a stable fit."""
 
 
-class NotCompactlySupported(ColombeauError):
-    """A point net grows as eps -> 0 instead of staying in a compact set."""
-
-
 class NoMetric(ColombeauError):
     """Distance requested on an atlas without a Riemannian metric."""
 

@@ -1,11 +1,10 @@
 """Chart-based manifolds, vector bundles, and the test-object toolbox.
 
-Manifolds here are finite atlases of open boxes in R^n glued by transition
-maps from a small catalog (identity, affine, polar).  That is enough for
-planes, cylinders, tori, and disk-like patches at desk scale, and it keeps
-every geometric question concrete: points are (chart id, coordinates),
-compact sets are boxes strictly inside a chart, and the Riemannian distance
-is a shortest-polyline upper bound that converges under refinement.
+Manifolds here are finite atlases of open boxes in R^n glued by smooth
+transition maps (affine ones are built in).  That keeps every geometric
+question concrete: points are (chart id, coordinates), compact sets are
+boxes strictly inside a chart, and distances are midpoint-metric chords,
+bi-Lipschitz to the Riemannian distance on compact sets.
 
 The module also builds the finite test objects that every characterization
 check quantifies over: smooth bump functions with analytic jets to order 3,
@@ -15,14 +14,12 @@ subordinate to a box cover, and compactly supported one-densities.
 
 from __future__ import annotations
 
-import configparser
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     AtlasMismatch,
@@ -33,12 +30,12 @@ from .errors import (
     NoMetric,
     OutsideDomain,
 )
-from .expressions import compile_expression
 from .nets import (
     SmoothMapHandle,
     handle_compose,
     handle_linear,
     handle_product,
+    identity_handle,
     make_handle,
 )
 
@@ -112,17 +109,7 @@ class CompactSet:
 
 
 # ---------------------------------------------------------------------------
-# transition catalog
-
-
-def identity_transition(dim):
-    def jf(x, alpha):
-        out = np.zeros(x.shape[:-1] + (dim,))
-        if sum(alpha) == 1:
-            out[..., alpha.index(1)] = 1.0
-        return out
-
-    return make_handle(lambda x: x.copy(), dim, dim, jet_fn=jf, name="identity")
+# transitions
 
 
 def affine_transition(matrix, offset=None):
@@ -144,47 +131,6 @@ def affine_transition(matrix, offset=None):
     return make_handle(ev, n, n, jet_fn=jf, name="affine")
 
 
-def polar_transition():
-    """(r, theta) -> (r cos theta, r sin theta), first-order jets analytic."""
-
-    def ev(x):
-        r, t = x[..., 0], x[..., 1]
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def jf(x, alpha):
-        r, t = x[..., 0], x[..., 1]
-        if alpha == (1, 0):
-            return np.stack([np.cos(t), np.sin(t)], axis=-1)
-        return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-
-    h = make_handle(ev, 2, 2, jet_fn=jf, name="polar")
-    h.k_max = 1
-    return h
-
-
-def polar_inverse_transition():
-    def ev(x):
-        a, b = x[..., 0], x[..., 1]
-        return np.stack([np.hypot(a, b), np.arctan2(b, a)], axis=-1)
-
-    return make_handle(ev, 2, 2, name="polar-inverse")
-
-
-TRANSITION_CATALOG = {
-    "identity": lambda dim, **kw: (identity_transition(dim), identity_transition(dim)),
-    "affine": lambda dim, matrix, offset=None, **kw: (
-        affine_transition(matrix, offset),
-        affine_transition(
-            np.linalg.inv(np.asarray(matrix, float)),
-            -np.linalg.inv(np.asarray(matrix, float)) @ (
-                np.zeros(dim) if offset is None else np.asarray(offset, float)
-            ),
-        ),
-    ),
-    "polar": lambda dim, **kw: (polar_transition(), polar_inverse_transition()),
-}
-
-
 # ---------------------------------------------------------------------------
 # atlases
 
@@ -199,7 +145,7 @@ class Atlas:
     (..., n, n) for points (..., n).
     """
 
-    def __init__(self, charts, transitions=None, metric=None, name="", validate=True):
+    def __init__(self, charts, transitions=None, metric=None, name=""):
         self.charts = {c.id: c for c in charts}
         if not self.charts:
             raise AtlasMismatch("atlas needs at least one chart")
@@ -210,8 +156,7 @@ class Atlas:
         self.transitions = dict(transitions or {})
         self.metric = dict(metric or {})
         self.name = name
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         per_axis = {1: 9, 2: 7, 3: 4, 4: 3}.get(self.dim, 3)
@@ -260,21 +205,6 @@ class Atlas:
         except KeyError:
             raise AtlasMismatch(f"no chart {chart_id!r} in atlas") from None
 
-    def locate(self, p):
-        """Resolve a point to (chart_id, coords); arrays pick the first
-        chart whose box contains them."""
-        if isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str):
-            cid, x = p
-            x = np.asarray(x, dtype=float)
-            if not box_contains(self.chart(cid).box, x):
-                raise OutsideDomain(f"point outside chart {cid!r}")
-            return cid, x
-        x = np.asarray(p, dtype=float)
-        for cid, c in self.charts.items():
-            if box_contains(c.box, x):
-                return cid, x
-        raise OutsideDomain("point lies in no chart of the atlas")
-
     def to_chart(self, x, from_id, to_id):
         if from_id == to_id:
             return np.asarray(x, dtype=float)
@@ -285,7 +215,7 @@ class Atlas:
 
     def transition_handle(self, from_id, to_id) -> SmoothMapHandle:
         if from_id == to_id:
-            return identity_transition(self.dim)
+            return identity_handle(self.dim)
         t = self.transitions.get((from_id, to_id))
         if t is None:
             raise AtlasMismatch(f"no transition {from_id}->{to_id} declared")
@@ -302,16 +232,6 @@ class Atlas:
         return bool(self.metric)
 
 
-def euclidean_atlas(dim, half_width=10.0, name="euclidean"):
-    box = [(-half_width, half_width)] * dim
-    eye = np.eye(dim)
-
-    def g(x):
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-    return Atlas([Chart("main", box)], metric={"main": g}, name=name)
-
-
 def constant_metric(matrix):
     m = np.asarray(matrix, dtype=float)
 
@@ -319,6 +239,12 @@ def constant_metric(matrix):
         return np.broadcast_to(m, x.shape[:-1] + m.shape).copy()
 
     return g
+
+
+def euclidean_atlas(dim, half_width=10.0, name="euclidean"):
+    box = [(-half_width, half_width)] * dim
+    return Atlas([Chart("main", box)], metric={"main": constant_metric(np.eye(dim))},
+                 name=name)
 
 
 class VBAtlas:
@@ -331,15 +257,14 @@ class VBAtlas:
     """
 
     def __init__(self, base: Atlas, fiber_dim: int, vb_chart_ids=None,
-                 fiber_transitions=None, validate=True):
+                 fiber_transitions=None):
         self.base = base
         self.fiber_dim = int(fiber_dim)
         self.vb_chart_ids = list(vb_chart_ids or base.charts.keys())
         for cid in self.vb_chart_ids:
             base.chart(cid)
         self.fiber_transitions = dict(fiber_transitions or {})
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         per_axis = {1: 9, 2: 7, 3: 4, 4: 3}.get(self.base.dim, 3)
@@ -419,108 +344,12 @@ def trivial_bundle(atlas: Atlas, fiber_dim: int) -> VBAtlas:
 
 
 # ---------------------------------------------------------------------------
-# Riemannian distance
-
-
-def _polyline_length(atlas, chart_id, vertices):
-    # per-segment Simpson on sqrt(v g v); vertices shape (V, n)
-    total = 0.0
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        v = b - a
-        pts = np.stack([a, 0.5 * (a + b), b])
-        g = atlas.metric_at(chart_id, pts)
-        speeds = np.sqrt(np.maximum(np.einsum("i,...ij,j->...", v, g, v), 0.0))
-        total += (speeds[0] + 4.0 * speeds[1] + speeds[2]) / 6.0
-    return total
-
-
-def _refine_polyline(vertices):
-    mids = 0.5 * (vertices[:-1] + vertices[1:])
-    out = np.empty((2 * len(vertices) - 1, vertices.shape[1]))
-    out[0::2] = vertices
-    out[1::2] = mids
-    return out
-
-
-def _optimize_polyline(atlas, chart_id, vertices, box):
-    if len(vertices) <= 2:
-        return vertices, _polyline_length(atlas, chart_id, vertices)
-    p, q = vertices[0], vertices[-1]
-    interior_shape = vertices[1:-1].shape
-
-    def objective(flat):
-        verts = np.vstack([p, flat.reshape(interior_shape), q])
-        return _polyline_length(atlas, chart_id, verts)
-
-    bounds = [(lo, hi) for lo, hi in box] * interior_shape[0]
-    res = minimize(
-        objective,
-        vertices[1:-1].ravel(),
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    verts = np.vstack([p, res.x.reshape(interior_shape), q])
-    return verts, float(res.fun)
-
-
-def riemannian_distance(atlas: Atlas, p, q, rel_tol=1e-3, max_segments=64):
-    """Length of the shortest sampled polyline from p to q.
-
-    This is an upper bound on the metric distance that converges under
-    refinement; segments are doubled until the optimized length changes by
-    less than ``rel_tol`` relatively.  For constant metrics the straight
-    line is optimal, but the optimizer's finite-difference gradient steps
-    leave an absolute error of about 1e-12 near coincident points.  Points
-    in different charts are routed through waypoints on the declared overlap.
-    """
-    if not atlas.has_metric:
-        raise NoMetric("atlas carries no metric")
-    cid_p, xp = atlas.locate(p)
-    cid_q, xq = atlas.locate(q)
-    if cid_p == cid_q:
-        return _single_chart_distance(atlas, cid_p, xp, xq, rel_tol, max_segments)
-    # route through the overlap: waypoints sampled in the p-chart
-    t = atlas.transitions.get((cid_p, cid_q))
-    if t is None:
-        raise AtlasMismatch(f"no transition {cid_p}->{cid_q} declared")
-    box_p = atlas.chart(cid_p).box
-    box_q = atlas.chart(cid_q).box
-    cand = sample_box(box_p, {1: 17, 2: 9}.get(atlas.dim, 5))
-    ys = t(cand)
-    inside = np.all((ys >= box_q[:, 0]) & (ys <= box_q[:, 1]), axis=-1)
-    if not np.any(inside):
-        raise AtlasMismatch(f"empty sampled overlap between {cid_p} and {cid_q}")
-    best = math.inf
-    for w, wy in zip(cand[inside], ys[inside]):
-        d = _single_chart_distance(
-            atlas, cid_p, xp, w, rel_tol, max_segments
-        ) + _single_chart_distance(atlas, cid_q, wy, xq, rel_tol, max_segments)
-        best = min(best, d)
-    return best
-
-
-def _single_chart_distance(atlas, chart_id, xp, xq, rel_tol, max_segments):
-    if np.array_equal(xp, xq):
-        return 0.0
-    box = atlas.chart(chart_id).box
-    n_seg = 4
-    ts = np.linspace(0.0, 1.0, n_seg + 1)[:, None]
-    verts = xp[None, :] * (1 - ts) + xq[None, :] * ts
-    verts, length = _optimize_polyline(atlas, chart_id, verts, box)
-    while 2 * (len(verts) - 1) <= max_segments:
-        verts2 = _refine_polyline(verts)
-        verts2, length2 = _optimize_polyline(atlas, chart_id, verts2, box)
-        done = abs(length2 - length) <= rel_tol * max(length2, 1e-300)
-        verts, length = verts2, length2
-        if done:
-            break
-    return float(length)
+# distance
 
 
 def chord_distance(atlas: Atlas, chart_id, xp, xq):
-    """Midpoint-metric chord length; fast bi-Lipschitz stand-in for the
-    polyline distance on compact sets (equivalent rates, not equal values).
+    """Midpoint-metric chord length; bi-Lipschitz to the Riemannian distance
+    on compact sets (equivalent rates, not equal values).
 
     Broadcasts over leading point axes: one pair of points gives a float,
     stacked points ``(..., n)`` give an array of shape ``(...)``.
@@ -774,11 +603,6 @@ class VBHomTest:
         fiber = chi[..., None] * xi
         return base, fiber
 
-    def base_handle(self) -> SmoothMapHandle:
-        return handle_product(
-            self.cutoff, coordinate_handle(self.vb.base.dim, self.coord_index)
-        )
-
 
 def make_vbhom_test(vb: VBAtlas, chart_id, cutoff, coord_index=0) -> VBHomTest:
     """Cutoff-localized chart projection as a compactly supported test
@@ -812,11 +636,11 @@ class PartitionMember:
     support_box: np.ndarray
 
 
-def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet], margin_frac=0.5):
+def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
     """Bump-based partition subordinate to the cores' charts.
 
     Each member is ``b_j / sum_k b_k`` where b_j is a box bump equal to 1
-    on core j.  The normalized sum is exactly 1 wherever some b_k > 0; a
+    on core j and padded by half the core's width (less near the chart edge).  The normalized sum is exactly 1 wherever some b_k > 0; a
     sampled point of some core where all bumps vanish raises cover-gap.
     Members of a multi-chart cover are normalized through the declared
     transitions.
@@ -828,7 +652,7 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet], margin_frac=0.
         chart = atlas.chart(core.chart_id)
         gap = core.validate_inside(chart)
         widths = core.box[:, 1] - core.box[:, 0]
-        pad = np.minimum(margin_frac * widths, 0.9 * gap)
+        pad = np.minimum(0.5 * widths, 0.9 * gap)
         outer = np.stack([core.box[:, 0] - pad, core.box[:, 1] + pad], axis=-1)
         bumps.append((core.chart_id, make_box_bump(core.box, outer)))
 
@@ -897,7 +721,6 @@ class DensityTest:
 class TestBank:
     scalar_tests: list
     vbhom_tests: list = field(default_factory=list)
-    densities: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.scalar_tests)
@@ -965,115 +788,4 @@ def default_test_bank(atlas: Atlas, region: CompactSet, size=16, vb: Optional[VB
         cut = make_bump(center, 0.6 * r_out, r_out, box=chart.box)
         for i in range(n):
             vbhoms.append(make_vbhom_test(vb, region.chart_id, cut, coord_index=i))
-
-    densities = []
-    center = 0.5 * (box[:, 0] + box[:, 1])
-    for j, shift in enumerate((0.0, 0.15)):
-        c = center + shift * widths
-        r = min(0.3 * scale, 0.8 * gap)
-        b = make_bump(c, 0.5 * r, r, box=chart.box)
-        densities.append(
-            DensityTest(region.chart_id, b, b.support_box, f"density-{j}")
-        )
-    return TestBank(tests, vbhoms, densities)
-
-
-# ---------------------------------------------------------------------------
-# atlas description files
-
-
-def _parse_box(text):
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    box = []
-    for r in rows:
-        parts = r.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ConfigError(f"box row needs two numbers, got {r!r}")
-        box.append((float(parts[0]), float(parts[1])))
-    return box
-
-
-def _parse_matrix(text):
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return [[float(v) for v in r.replace(",", " ").split()] for r in rows]
-
-
-def _metric_from_expressions(rows, dim):
-    exprs = [[compile_expression(e) for e in row] for row in rows]
-    if len(exprs) != dim or any(len(r) != dim for r in exprs):
-        raise ConfigError(f"metric needs {dim}x{dim} entries")
-    names = [f"x{i+1}" for i in range(dim)]
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        env = {nm: x[..., i] for i, nm in enumerate(names)}
-        mat = np.empty(x.shape[:-1] + (dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                mat[..., i, j] = exprs[i][j](env)
-        return mat
-
-    return g
-
-
-def load_atlas(path) -> Atlas:
-    """Read an atlas description file.
-
-    Sections: ``[atlas]`` with ``dim`` (and optional ``name``);
-    ``[chart:ID]`` with ``box = lo hi; lo hi; ...`` and an optional
-    ``metric`` whose entries are expression strings in x1..xn (rows split
-    by ';', entries by ',');  ``[transition:A->B]`` with ``type`` from the
-    catalog (identity, affine, polar) and type-specific keys (``matrix``,
-    ``offset``).  Both directions of each transition are installed.
-    """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read atlas file {path!r}")
-    if "atlas" not in cp:
-        raise ConfigError("missing [atlas] section")
-    try:
-        dim = cp.getint("atlas", "dim")
-    except (ValueError, configparser.NoOptionError) as exc:
-        raise ConfigError(f"bad or missing dim: {exc}") from None
-    name = cp.get("atlas", "name", fallback="")
-
-    charts, metric = [], {}
-    for section in cp.sections():
-        if section.startswith("chart:"):
-            cid = section.split(":", 1)[1]
-            if not cp.has_option(section, "box"):
-                raise ConfigError(f"chart {cid!r} lacks a box")
-            box = _parse_box(cp.get(section, "box"))
-            if len(box) != dim:
-                raise ConfigError(f"chart {cid!r} box has wrong dimension")
-            charts.append(Chart(cid, box))
-            if cp.has_option(section, "metric"):
-                rows = [
-                    [e.strip() for e in row.split(",")]
-                    for row in cp.get(section, "metric").split(";")
-                ]
-                metric[cid] = _metric_from_expressions(rows, dim)
-
-    transitions = {}
-    for section in cp.sections():
-        if section.startswith("transition:"):
-            spec_part = section.split(":", 1)[1]
-            if "->" not in spec_part:
-                raise ConfigError(f"transition section {section!r} needs A->B")
-            a, b = (s.strip() for s in spec_part.split("->", 1))
-            kind = cp.get(section, "type", fallback="identity")
-            if kind not in TRANSITION_CATALOG:
-                raise ConfigError(f"unknown transition type {kind!r}")
-            kwargs = {}
-            if cp.has_option(section, "matrix"):
-                kwargs["matrix"] = _parse_matrix(cp.get(section, "matrix"))
-            if cp.has_option(section, "offset"):
-                kwargs["offset"] = [
-                    float(v) for v in cp.get(section, "offset").replace(",", " ").split()
-                ]
-            fwd, back = TRANSITION_CATALOG[kind](dim, **kwargs)
-            transitions[(a, b)] = fwd
-            transitions[(b, a)] = back
-
-    return Atlas(charts, transitions, metric, name=name)
+    return TestBank(tests, vbhoms)

@@ -65,10 +65,6 @@ def _unit(n, i):
     return tuple(e)
 
 
-def add_index(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def sub_indices(alpha):
     """All multi-indices beta <= alpha (componentwise), including bounds."""
     ranges = [range(a + 1) for a in alpha]
@@ -347,38 +343,6 @@ def handle_compose(outer: SmoothMapHandle, inner: SmoothMapHandle):
 
 
 # ---------------------------------------------------------------------------
-# generalized numbers
-
-
-@dataclass
-class GeneralizedNumber:
-    """An eps-indexed vector in R^d; moderateness is a query, not an invariant."""
-
-    at_fn: Callable[[float], np.ndarray]
-    d: int
-    label: str = ""
-
-    def at(self, eps: float) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(self.at_fn(eps), dtype=float))
-        if v.shape != (self.d,):
-            raise DimensionMismatch(f"value has shape {v.shape}, expected ({self.d},)")
-        return v
-
-    @classmethod
-    def constant(cls, value, label=""):
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(lambda eps: value, value.shape[0], label)
-
-    def __sub__(self, other: "GeneralizedNumber") -> "GeneralizedNumber":
-        if self.d != other.d:
-            raise DimensionMismatch(f"dimensions {self.d} != {other.d}")
-        return GeneralizedNumber(
-            lambda eps: self.at(eps) - other.at(eps), self.d,
-            f"{self.label or 'a'}-{other.label or 'b'}",
-        )
-
-
-# ---------------------------------------------------------------------------
 # nets
 
 
@@ -497,72 +461,3 @@ def compose_nets(outer: Net, inner: Net) -> Net:
         label=f"({outer.label or 'outer'})o({inner.label or 'inner'})",
         feature_scale=inner.feature_scale,
     )
-
-
-def linear_combination(nets: Sequence[Net], coeffs: Sequence[float]) -> Net:
-    """Pointwise, slicewise linear combination; jets combine linearly."""
-    if not nets:
-        raise DimensionMismatch("empty net list")
-    if len(nets) != len(coeffs):
-        raise DimensionMismatch("coefficient list length mismatch")
-    first = nets[0]
-    for n in nets:
-        if (n.dim_in, n.dim_out) != (first.dim_in, first.dim_out):
-            raise DimensionMismatch("nets disagree in dimensions")
-    box = None
-    for n in nets:
-        if n.box is not None:
-            box = n.box if box is None else np.array(
-                [np.maximum(box[:, 0], n.box[:, 0]), np.minimum(box[:, 1], n.box[:, 1])]
-            ).T
-    feats = [n.feature_scale for n in nets if n.feature_scale is not None]
-
-    def feature(eps):
-        out = []
-        for f in feats:
-            out.extend(f(eps))
-        return out
-
-    return Net(
-        first.dim_in,
-        first.dim_out,
-        lambda eps: handle_linear([n.at(eps) for n in nets], coeffs),
-        box,
-        label="+".join(f"{c}*{n.label or 'net'}" for c, n in zip(coeffs, nets)),
-        feature_scale=feature if feats else None,
-    )
-
-
-def directional_derivative(net: Net, field: SmoothMapHandle) -> Net:
-    """Lie derivative of a scalar net along a smooth vector field, slicewise."""
-    if net.dim_out != 1:
-        raise DimensionMismatch("directional derivative requires a scalar net")
-    n = net.dim_in
-    if (field.dim_in, field.dim_out) != (n, n):
-        raise DimensionMismatch(f"vector field must map R^{n} -> R^{n}")
-
-    def at(eps):
-        u = net.at(eps)
-        step0 = fd_step(eps)
-
-        def ev(x):
-            xi = field.eval_fn(x)
-            acc = 0.0
-            for i in range(n):
-                acc = acc + xi[..., i : i + 1] * u.jet(x, _unit(n, i), step0)
-            return acc
-
-        def ji(x, alpha, step):
-            acc = 0.0
-            for i in range(n):
-                for beta in sub_indices(alpha):
-                    gamma = tuple(a - b for a, b in zip(alpha, beta))
-                    xi_b = field.jet(x, beta, step)[..., i : i + 1]
-                    u_g = u.jet(x, add_index(gamma, _unit(n, i)), step)
-                    acc = acc + index_binom(alpha, beta) * xi_b * u_g
-            return acc
-
-        k = max(0, min(field.k_max, u.k_max - 1))
-        return SmoothMapHandle(n, 1, ev, None, k, jet_impl=ji, name="lie")
-
-    return Net(n, 1, at, net.box, label=f"L({net.label or 'net'})")

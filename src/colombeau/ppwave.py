@@ -35,9 +35,6 @@ from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
 from .manifold_maps import check_cbounded, single_chart_map
 from .nets import Net, SmoothMapHandle, net_from_function
 
-_COORDS = ("u", "v", "x", "y")
-
-
 def saddle_profile() -> SmoothMapHandle:
     """f(x, y) = x^2 - y^2 with analytic jets."""
 
@@ -102,68 +99,12 @@ def pulse_rate(rho: Mollifier, eps: float, u):
 
 
 # ---------------------------------------------------------------------------
-# metric, Christoffel symbols, and the cross-check
-
-
-def metric_fn(profile: PPWaveProfile, rho: Mollifier):
-    """(eps, states) -> metric matrices, coordinates ordered (u, v, x, y)."""
-
-    def g(eps, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[:-1] + (4, 4))
-        out[..., 0, 0] = pulse(rho, eps, X[..., 0]) * profile.value(X[..., 2:4])
-        out[..., 0, 1] = out[..., 1, 0] = -0.5
-        out[..., 2, 2] = out[..., 3, 3] = 1.0
-        return out
-
-    return g
-
-
-def christoffel_analytic(profile: PPWaveProfile, rho: Mollifier, eps: float, X):
-    """Gamma[..., k, i, j] for the regularized metric; five nonzero entries."""
-    X = np.asarray(X, dtype=float)
-    u = X[..., 0]
-    xy = X[..., 2:4]
-    D = pulse(rho, eps, u)
-    Dp = pulse_rate(rho, eps, u)
-    f = profile.value(xy)
-    grad = profile.gradient(xy)
-    fx, fy = grad[..., 0], grad[..., 1]
-    G = np.zeros(X.shape[:-1] + (4, 4, 4))
-    G[..., 1, 0, 0] = -Dp * f
-    G[..., 1, 0, 2] = G[..., 1, 2, 0] = -D * fx
-    G[..., 1, 0, 3] = G[..., 1, 3, 0] = -D * fy
-    G[..., 2, 0, 0] = -0.5 * D * fx
-    G[..., 3, 0, 0] = -0.5 * D * fy
-    return G
-
-
-def christoffel_residual(
-    profile: PPWaveProfile,
-    rho: Mollifier,
-    eps: float,
-    X,
-    h: Optional[float] = None,
-) -> float:
-    """Sup difference between the analytic symbols and a finite-difference
-    evaluation from the metric.
-
-    The symbols scale like inverse powers of eps inside the pulse, so the
-    step follows eps; absolute agreement at the 1e-8 level is meaningful
-    for order-one eps, while small eps calls for a relative reading.
-    """
-    from .bundle_maps import _christoffel_fd
-
-    if h is None:
-        h = 1e-6 * min(eps, 1.0)
-    g = metric_fn(profile, rho)
-    num = _christoffel_fd(g, eps, np.asarray(X, dtype=float), h=h)
-    ana = christoffel_analytic(profile, rho, eps, X)
-    return float(np.max(np.abs(num - ana)))
+# geodesic equations
 
 
 def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps: float):
-    """Right-hand side in state (v, x, y, v', x', y'), u the parameter."""
+    """Right-hand side in state (v, x, y, v', x', y'), u the parameter:
+    -Gamma^k_ij X'^i X'^j of the metric in the module docstring, with u' = 1."""
     if not eps > 0:
         raise ConfigError("eps must be positive")
 

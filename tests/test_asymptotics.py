@@ -12,8 +12,6 @@ from colombeau.asymptotics import (
     EpsGrid,
     dump_fit_csv,
     estimate_growth_order,
-    gnum_equal,
-    gpoint_equivalent,
     is_negligible,
     negligible_to_resolution,
 )
@@ -21,9 +19,10 @@ from colombeau.errors import (
     DimensionMismatch,
     GridTooShort,
     NonFiniteValue,
-    NotCompactlySupported,
+    OutsideDomain,
 )
-from colombeau.nets import GeneralizedNumber
+from colombeau.geometry import CompactSet, euclidean_atlas
+from colombeau.manifold_maps import GeneralizedManifoldPoint, gpoints_equivalent
 
 GRID = EpsGrid.default()
 
@@ -188,80 +187,72 @@ class TestIsNegligible:
         assert not ok or ok_dom
 
 
+def gnum(fn, d):
+    """A generalized number: an eps-indexed point of R^d."""
+    return GeneralizedManifoldPoint(
+        lambda e: np.asarray(fn(e), dtype=float), CompactSet("main", [(-1.0, 1.0)] * d)
+    )
+
+
+def gnum_equal(a, b, grid):
+    """Equality of generalized numbers: equivalence of the points they are
+    in R^d, decided by ``gpoints_equivalent`` on the Euclidean atlas."""
+    d = a.support.box.shape[0]
+    return gpoints_equivalent(euclidean_atlas(d), a, b, grid)
+
+
+def const(value):
+    return gnum(lambda e: value, len(value))
+
+
 class TestGnumEqual:
     def test_linear_difference_is_not_equal(self):
-        a = GeneralizedNumber(lambda e: np.array([2 * e]), 1)
-        b = GeneralizedNumber.constant([0.0])
-        assert not gnum_equal(a, b, GRID)
+        a = gnum(lambda e: [2 * e], 1)
+        assert not gnum_equal(a, const([0.0]), GRID)
 
     def test_exponentially_close_is_equal(self):
-        a = GeneralizedNumber(lambda e: np.array([math.exp(-1 / e)]), 1)
-        b = GeneralizedNumber.constant([0.0])
-        assert gnum_equal(a, b, GRID)
+        a = gnum(lambda e: [math.exp(-1 / e)], 1)
+        assert gnum_equal(a, const([0.0]), GRID)
 
     def test_reflexive(self):
-        a = GeneralizedNumber(lambda e: np.array([math.sin(1 / e), e]), 2)
+        a = gnum(lambda e: [math.sin(1 / e), e], 2)
         assert gnum_equal(a, a, GRID)
 
     def test_symmetric(self):
-        a = GeneralizedNumber(lambda e: np.array([e**9]), 1)
-        b = GeneralizedNumber.constant([0.0])
+        a = gnum(lambda e: [e**9], 1)
+        b = const([0.0])
         assert gnum_equal(a, b, GRID) == gnum_equal(b, a, GRID)
 
     def test_dimension_mismatch(self):
-        a = GeneralizedNumber.constant([0.0])
-        b = GeneralizedNumber.constant([0.0, 0.0])
         with pytest.raises(DimensionMismatch):
-            gnum_equal(a, b, GRID)
+            gnum_equal(const([0.0]), const([0.0, 0.0]), GRID)
 
     def test_transitive_with_margin(self):
-        a = GeneralizedNumber.constant([1.0])
-        b = GeneralizedNumber(lambda e: np.array([1.0 + math.exp(-2 / e)]), 1)
-        c = GeneralizedNumber(lambda e: np.array([1.0 - math.exp(-2 / e)]), 1)
+        a = const([1.0])
+        b = gnum(lambda e: [1.0 + math.exp(-2 / e)], 1)
+        c = gnum(lambda e: [1.0 - math.exp(-2 / e)], 1)
         assert gnum_equal(a, b, GRID) and gnum_equal(b, c, GRID)
         assert gnum_equal(a, c, GRID)
 
 
-def euclid(a, b):
-    return float(np.linalg.norm(a - b))
-
-
 class TestGpointEquivalent:
     def test_eps_offset_not_equivalent(self):
-        p = GeneralizedNumber(lambda e: np.array([e, 0.0]), 2)
-        q = GeneralizedNumber.constant([0.0, 0.0])
-        ok, _ = gpoint_equivalent(p, q, GRID, euclid)
-        assert not ok
+        p = gnum(lambda e: [e, 0.0], 2)
+        assert not gnum_equal(p, const([0.0, 0.0]), GRID)
 
     def test_exponential_offset_equivalent(self):
-        q = GeneralizedNumber(lambda e: np.array([0.3, -0.1]), 2)
-        p = GeneralizedNumber(
-            lambda e: q.at(e) + math.exp(-1 / e) * np.ones(2), 2
-        )
-        ok, _ = gpoint_equivalent(p, q, GRID, euclid)
-        assert ok
+        q = const([0.3, -0.1])
+        p = gnum(lambda e: q.at(e)[1] + math.exp(-1 / e) * np.ones(2), 2)
+        assert gnum_equal(p, q, GRID)
 
     def test_bounded_oscillation_equivalent(self):
-        p = GeneralizedNumber(
-            lambda e: np.array([math.sin(1 / e) * math.exp(-1 / e), 0.0]), 2
-        )
-        q = GeneralizedNumber.constant([0.0, 0.0])
-        ok, _ = gpoint_equivalent(p, q, GRID, euclid)
-        assert ok
+        p = gnum(lambda e: [math.sin(1 / e) * math.exp(-1 / e), 0.0], 2)
+        assert gnum_equal(p, const([0.0, 0.0]), GRID)
 
     def test_unbounded_net_raises(self):
-        p = GeneralizedNumber(lambda e: np.array([1 / e]), 1)
-        q = GeneralizedNumber.constant([0.0])
-        with pytest.raises(NotCompactlySupported):
-            gpoint_equivalent(p, q, GRID, euclid)
-
-    def test_bank_route_agrees(self):
-        bank = [lambda x: np.sin(x).sum(), lambda x: np.exp(-np.sum(x**2))]
-        p = GeneralizedNumber(lambda e: np.array([e, 0.0]), 2)
-        q = GeneralizedNumber.constant([0.0, 0.0])
-        ok, diag = gpoint_equivalent(p, q, GRID, euclid, test_bank=bank)
-        assert not ok
-        assert diag["test_bank_agrees"]
+        # a point net must stay in a compact set as eps -> 0
+        with pytest.raises(OutsideDomain):
+            gnum(lambda e: [1 / e], 1).check_support()
 
 
 def test_csv_dump_roundtrip(tmp_path):

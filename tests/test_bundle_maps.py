@@ -39,7 +39,6 @@ from colombeau.bundle_maps import (
     check_vb_moderate,
     compose_homs,
     compose_hybrid,
-    compose_hybrid_hom,
     constant_vb_point,
     fiber_values,
     hom_u_add,
@@ -47,7 +46,6 @@ from colombeau.bundle_maps import (
     hybrid_point_value,
     identity_hom,
     matrix_net,
-    metric_pairing_derivative_check,
     section_net,
     single_chart_hom,
     single_chart_hybrid,
@@ -428,7 +426,7 @@ class TestHybrids:
     def test_identity_hom_after_hybrid(self):
         s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
         assert check_hybrid_equivalent(
-            compose_hybrid_hom(s, identity_hom(TX)), s, K1
+            compose_homs(s, identity_hom(TX)), s, K1
         )
 
 
@@ -578,71 +576,3 @@ class TestHomModule:
         )
         with pytest.raises(AlignmentError):
             hom_u_scale(2.0, v, base_identity())
-
-
-class TestMetricPairing:
-    def _interval(self):
-        return euclidean_atlas(1, 2.0)
-
-    def _line_curve(self, interval, plane):
-        return single_chart_map(
-            interval,
-            plane,
-            lambda e, t: np.concatenate([t, np.zeros_like(t)], axis=-1),
-            label="line",
-        )
-
-    def test_flat_constant_fields_have_zero_residual(self):
-        interval = self._interval()
-        plane = euclidean_atlas(2, 10.0)
-        bundle = trivial_bundle(plane, 2)
-        curve = self._line_curve(interval, plane)
-        xi = single_chart_hybrid(
-            interval,
-            bundle,
-            curve,
-            lambda e, t: np.concatenate([np.ones_like(t), np.zeros_like(t)], axis=-1),
-            label="const",
-        )
-        rep = metric_pairing_derivative_check(
-            lambda e, x: flat_metric(x), xi, xi, eps_values=(1e-2,), step=1e-4
-        )
-        assert rep.max_residual < 1e-9
-
-    def test_linear_field_matches_product_rule(self):
-        interval = self._interval()
-        plane = euclidean_atlas(2, 10.0)
-        bundle = trivial_bundle(plane, 2)
-        curve = self._line_curve(interval, plane)
-        xi = single_chart_hybrid(
-            interval,
-            bundle,
-            curve,
-            lambda e, t: np.concatenate([t, np.zeros_like(t)], axis=-1),
-            label="t-dx",
-        )
-        rep = metric_pairing_derivative_check(
-            lambda e, x: flat_metric(x), xi, xi, eps_values=(1e-2,), step=1e-4
-        )
-        assert rep.max_residual < 1e-6
-
-    def test_requires_shared_curve(self):
-        interval = self._interval()
-        plane = euclidean_atlas(2, 10.0)
-        bundle = trivial_bundle(plane, 2)
-        xi = single_chart_hybrid(
-            interval,
-            bundle,
-            self._line_curve(interval, plane),
-            lambda e, t: np.concatenate([t, np.zeros_like(t)], axis=-1),
-        )
-        eta = single_chart_hybrid(
-            interval,
-            bundle,
-            self._line_curve(interval, plane),
-            lambda e, t: np.concatenate([t, np.zeros_like(t)], axis=-1),
-        )
-        with pytest.raises(AlignmentError):
-            metric_pairing_derivative_check(
-                lambda e, x: flat_metric(x), xi, eta, eps_values=(1e-2,)
-            )

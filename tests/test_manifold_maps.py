@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colombeau.association import check_k_associated
-from colombeau.asymptotics import EpsGrid
+from colombeau.asymptotics import EpsGrid, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
 from colombeau.errors import (
     AtlasMismatch,
@@ -17,6 +17,7 @@ from colombeau.geometry import (
     CompactSet,
     affine_transition,
     constant_metric,
+    default_test_bank,
     euclidean_atlas,
     make_bump,
     trivial_bundle,
@@ -139,8 +140,17 @@ class TestCBounded:
         report = check_cbounded(blow, K1)
         assert not report.ok
         assert report.diagnostics["escape_eps"] is not None
-        # compactly supported tests cannot see the escape to infinity
-        assert report.diagnostics["bank_bounded"]
+        # compactly supported tests cannot see the escape to infinity: each
+        # test of a bank spread over the chart stays bounded on the images
+        grid = EpsGrid.default()
+        pts = K1.sample_points()
+        bank = default_test_bank(LINE, CompactSet("main", [(-9.0, 9.0)]))
+        for test in bank.scalar_tests:
+            curve = [
+                float(np.max(np.abs(test.handle(blow.eval(e, pts, "main")[1]))))
+                for e in grid
+            ]
+            assert is_negligible(curve, grid, 0)[0]
 
     def test_constant_map_witness_hugs_the_point(self):
         const = single_chart_map(

@@ -14,7 +14,6 @@ from colombeau.errors import (
 from colombeau.nets import (
     compose_nets,
     constant_net,
-    directional_derivative,
     eval_jet,
     fd_step,
     finite_difference_jet,
@@ -22,7 +21,6 @@ from colombeau.nets import (
     handle_linear,
     handle_product,
     identity_handle,
-    linear_combination,
     make_handle,
     net_from_function,
 )
@@ -186,19 +184,6 @@ class TestComposition:
 
 
 class TestCombinators:
-    def test_linear_combination_cancels_exactly(self):
-        u = square_net()
-        z = linear_combination([u, u], [1.0, -1.0])
-        xs = np.linspace(-2, 2, 9).reshape(-1, 1)
-        assert np.all(eval_jet(z, 0.1, xs, (0,)) == 0.0)
-        assert np.all(eval_jet(z, 0.1, xs, (1,)) == 0.0)
-
-    def test_linear_combination_values(self):
-        u = square_net()
-        v = net_from_function(lambda e, x: x, 1, 1, box=[(-5, 5)], label="x")
-        w = linear_combination([u, v], [2.0, 3.0])
-        assert eval_jet(w, 0.5, [2.0], (0,)) == pytest.approx(2 * 4 + 3 * 2)
-
     def test_product_leibniz(self):
         f = make_handle(lambda x: np.sin(x), 1, 1,
                         jet_fn=lambda x, a: np.sin(x + a[0] * np.pi / 2))
@@ -208,22 +193,6 @@ class TestCombinators:
         # (x^2 sin x)'' = 2 sin x + 4x cos x - x^2 sin x
         want = 2 * math.sin(0.7) + 4 * 0.7 * math.cos(0.7) - 0.49 * math.sin(0.7)
         assert p.jet(x0, (2,), 1e-4)[0] == pytest.approx(want, rel=1e-7)
-
-    def test_directional_derivative_radial_field(self):
-        u = net_from_function(
-            lambda e, x: (x[..., 0] ** 2 + x[..., 1] ** 2)[..., None],
-            2, 1, box=[(-2, 2), (-2, 2)], label="r2",
-        )
-        field = identity_handle(2)  # radial field x d/dx + y d/dy
-        lie = directional_derivative(u, field)
-        x0 = np.array([0.6, -0.8])
-        # X(r^2) = 2 r^2
-        assert eval_jet(lie, 0.1, x0, (0, 0))[0] == pytest.approx(2.0, rel=1e-6)
-
-    def test_directional_derivative_requires_scalar(self):
-        vec = net_from_function(lambda e, x: np.concatenate([x, x], -1), 1, 2, label="v")
-        with pytest.raises(DimensionMismatch):
-            directional_derivative(vec, identity_handle(1))
 
 
 def test_fd_step_floor():

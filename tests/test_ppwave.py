@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from colombeau.asymptotics import EpsGrid
-from colombeau.association import standard_mollifier
+from colombeau.association import sharp_mollifier, standard_mollifier
 from colombeau.errors import ConfigError, NonFiniteValue, OutsideDomain
 from colombeau.geometry import make_handle
 from colombeau.ppwave import (
     GeodesicNet,
     PPWaveProfile,
-    christoffel_residual,
     default_profile,
     kink_limit_study,
     regularized_geodesic_system,
@@ -21,6 +20,7 @@ from colombeau.ppwave import (
     trajectory_csv,
     widened,
 )
+from oracles import christoffel_fd, ppwave_metric
 
 RHO = standard_mollifier()
 SADDLE = default_profile()
@@ -70,34 +70,33 @@ class TestGeodesicSystem:
         out = rhs(-0.2, [0.0, 1.0, 0.5, 0.1, 0.2, 0.3])
         assert out[3:] == pytest.approx([0.0, 0.0, 0.0])
 
+    @staticmethod
+    def _rhs_matches_fd_symbols(seed, epsilons):
+        # the solver's right-hand side is -Gamma^k_ij X'^i X'^j with u' = 1,
+        # X = (u, v, x, y); compare it with symbols from central differences
+        # of the metric at states whose u lies inside the pulse
+        rng = np.random.default_rng(seed)
+        for rho in (standard_mollifier(), sharp_mollifier()):
+            metric = ppwave_metric(SADDLE, rho)
+            for eps in epsilons:
+                rhs = regularized_geodesic_system(SADDLE, rho, eps)
+                for _ in range(6):
+                    u = rng.uniform(-0.9, 0.9) * eps * rho.support_radius
+                    v, vd = rng.uniform(-1.0, 1.0, 2)
+                    x, y, xd, yd = rng.uniform(-2.0, 2.0, 4)
+                    G = christoffel_fd(metric, eps, np.array([u, v, x, y]), h=1e-4 * eps)
+                    Xd = np.array([1.0, vd, xd, yd])
+                    want = -np.einsum("kij,i,j->k", G, Xd, Xd)
+                    got = np.asarray(rhs(u, [v, x, y, vd, xd, yd])[3:])
+                    scale = np.max(np.abs(want))
+                    assert abs(want[0]) <= 1e-8 * scale
+                    assert np.max(np.abs(got - want[1:])) <= 1e-8 * scale
+
     def test_analytic_symbols_match_finite_differences(self):
-        rng = np.random.default_rng(7)
-        for eps in (1.0, 0.6):
-            X = np.column_stack(
-                [
-                    rng.uniform(-0.5, 0.5, 6),
-                    rng.uniform(-1.0, 1.0, 6),
-                    rng.uniform(-2.0, 2.0, 6),
-                    rng.uniform(-2.0, 2.0, 6),
-                ]
-            )
-            assert christoffel_residual(SADDLE, RHO, eps, X) < 1e-8
+        self._rhs_matches_fd_symbols(7, (1.0, 0.5, 0.1))
 
     def test_symbol_agreement_inside_a_narrow_pulse(self):
-        rng = np.random.default_rng(3)
-        eps = 1e-2
-        X = np.column_stack(
-            [
-                rng.uniform(-eps, eps, 6),
-                rng.uniform(-1.0, 1.0, 6),
-                rng.uniform(-2.0, 2.0, 6),
-                rng.uniform(-2.0, 2.0, 6),
-            ]
-        )
-        from colombeau.ppwave import christoffel_analytic
-
-        scale = np.max(np.abs(christoffel_analytic(SADDLE, RHO, eps, X)))
-        assert christoffel_residual(SADDLE, RHO, eps, X) / scale < 1e-8
+        self._rhs_matches_fd_symbols(3, (0.02, 1e-2))
 
 
 class TestSolver:
