@@ -43,7 +43,6 @@ from .manifold_maps import (
 from .nets import (
     Net,
     SmoothMapHandle,
-    fd_step,
     make_handle,
     net_from_function,
 )
@@ -127,7 +126,7 @@ def adaptive_simpson(
     return total
 
 
-def weak_integral(u: Net, nu: DensityTest, eps: float, tol: float = _QUAD_TOL) -> float:
+def weak_integral(u: Net, nu: DensityTest, eps: float) -> float:
     """Pairing of the eps-slice of ``u`` with a compactly supported density.
 
     The subdivision floor scales with eps so eps-width features of the
@@ -153,7 +152,7 @@ def weak_integral(u: Net, nu: DensityTest, eps: float, tol: float = _QUAD_TOL) -
         integrand,
         a,
         b,
-        tol=tol,
+        tol=_QUAD_TOL,
         min_width=min(eps / 8.0, b - a) * 2.0**-30,
         pre_split=splits,
     )
@@ -347,7 +346,6 @@ def check_k_associated(
     k: int,
     K: CompactSet,
     grid: Optional[EpsGrid] = None,
-    bank=None,
     assoc_tol: float = ASSOC_TOL,
 ) -> KAssociationReport:
     """Do all jets of f(u_eps) - f(v_eps) up to order k converge to zero
@@ -389,9 +387,8 @@ def check_k_associated(
                     chunks.append(np.linspace(a, b, 33)[:, None])
         return np.concatenate(chunks, axis=0)
 
-    if bank is None:
-        cbu, cbv = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
-        bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
+    cbu, cbv = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
+    bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
 
     for label, order, curve in _bank_difference_curves(
         u, v, bank, k, src, grid, pts_at
@@ -503,24 +500,16 @@ def sharp_mollifier() -> Mollifier:
 def embed_distribution(
     kind: str,
     rho: Mollifier,
-    atlas=None,
-    chart: str = "main",
-    fn: Optional[Callable] = None,
+    atlas,
     label: str = "",
 ) -> Net:
-    """Regularization of a classical distribution as a net on a line chart.
-
-    delta embeds as the scaled profile, heaviside as its cumulative
-    integral, and custom-L1 convolves ``fn`` with the scaled profile by
-    quadrature.
-    """
-    if atlas is not None:
-        ch = atlas.chart(chart)
-        if ch.dim != 1:
-            raise DimensionMismatch("built-in embeddings need a line chart")
-        box = np.asarray(ch.box, dtype=float).reshape(1, 2)
-    else:
-        box = np.array([[-10.0, 10.0]])
+    """Regularization of a classical distribution as a net on the line chart
+    ``main`` of ``atlas``: delta embeds as the scaled profile, heaviside as
+    its cumulative integral."""
+    ch = atlas.chart("main")
+    if ch.dim != 1:
+        raise DimensionMismatch("built-in embeddings need a line chart")
+    box = np.asarray(ch.box, dtype=float).reshape(1, 2)
     r = rho.support_radius
     if box[0, 0] > -r or box[0, 1] < r:
         raise BallEscapesChart(
@@ -532,14 +521,9 @@ def embed_distribution(
         def ev(e, x):
             return rho.profile(x / e) / e
 
-        def jet(e, x, alpha):
-            return rho.profile.jet(x / e, alpha, fd_step(e)) / e ** (
-                1 + sum(alpha)
-            )
-
         return net_from_function(
-            ev, 1, 1, box=box, jet=jet, k_max=2,
-            label=label or f"delta[{rho.id}]", feature_scale=features,
+            ev, 1, 1, box=box, label=label or f"delta[{rho.id}]",
+            feature_scale=features,
         )
 
     if kind == "heaviside":
@@ -554,33 +538,8 @@ def embed_distribution(
             inside = spline(np.clip(t, -r, r))
             return np.where(t <= -r, 0.0, np.where(t >= r, 1.0, inside))
 
-        def jet(e, x, alpha):
-            k = sum(alpha)
-            if k == 0:
-                return ev(e, x)
-            return rho.profile.jet(x / e, (k - 1,), fd_step(e)) / e**k
-
         return net_from_function(
-            ev, 1, 1, box=box, jet=jet, k_max=3,
-            label=label or f"heaviside[{rho.id}]", feature_scale=features,
-        )
-
-    if kind == "custom-L1":
-        if fn is None:
-            raise ConfigError("custom-L1 embedding needs the function to smooth")
-        ts = np.linspace(-r, r, 513)
-        w = np.asarray(rho.profile(ts[:, None])[:, 0])
-
-        def ev(e, x):
-            x = np.asarray(x, dtype=float)
-            shifted = x[..., None, 0] - e * ts
-            vals = np.asarray(fn(shifted), dtype=float)
-            from scipy.integrate import simpson
-
-            return simpson(vals * w, x=ts, axis=-1)[..., None]
-
-        return net_from_function(
-            ev, 1, 1, box=box, label=label or f"smooth[{rho.id}]",
+            ev, 1, 1, box=box, label=label or f"heaviside[{rho.id}]",
             feature_scale=features,
         )
 

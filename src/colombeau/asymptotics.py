@@ -110,19 +110,11 @@ class AsymptoticVerdict:
 
 
 def _sample_array(samples, grid: EpsGrid) -> np.ndarray:
-    if callable(samples):
-        s = np.asarray([float(samples(e)) for e in grid], dtype=float)
-    elif isinstance(samples, dict):
-        try:
-            s = np.asarray([float(samples[e]) for e in grid], dtype=float)
-        except KeyError as missing:
-            raise GridTooShort(f"samples missing grid point {missing}") from None
-    else:
-        s = np.asarray(samples, dtype=float)
-        if s.shape != (len(grid),):
-            raise GridTooShort(
-                f"sample array has shape {s.shape}, grid has {len(grid)} points"
-            )
+    s = np.asarray(samples, dtype=float)
+    if s.shape != (len(grid),):
+        raise GridTooShort(
+            f"sample array has shape {s.shape}, grid has {len(grid)} points"
+        )
     if np.any(np.isnan(s)):
         raise NonFiniteValue("sample curve contains NaN")
     if np.any(s[np.isfinite(s)] < 0):
@@ -146,20 +138,19 @@ def _fit_line(logx, logy):
 def estimate_growth_order(
     samples,
     grid: EpsGrid,
-    n_max: int = DEFAULT_N_MAX,
     m_max: int = DEFAULT_M_MAX,
-    m_min: float = DEFAULT_M_MIN,
-    floor: float = DEFAULT_FLOOR,
     fit_tolerance: float = DEFAULT_FIT_TOLERANCE,
 ) -> AsymptoticVerdict:
     """Fit samples ~ C * eps^s on the small-eps half and classify.
 
-    ``samples`` may be a dict keyed by grid eps, a callable eps -> value,
-    or an array aligned with the grid.  Values must be >= 0 and non-NaN;
-    infinities classify as neither (overflow on the way to eps = 0).
+    ``samples`` is an array (or sequence) aligned with the grid.  Values
+    must be >= 0 and non-NaN; infinities classify as neither (overflow on
+    the way to eps = 0).  Moderateness is tested up to order DEFAULT_N_MAX
+    and negligibility up to ``m_max``.
     """
     s = _sample_array(samples, grid)
     eps = grid.as_array()
+    n_max, m_min, floor = DEFAULT_N_MAX, DEFAULT_M_MIN, DEFAULT_FLOOR
     params = dict(
         n_max=n_max, m_max=m_max, m_min=m_min, floor=floor,
         fit_tolerance=fit_tolerance,
@@ -250,11 +241,11 @@ def is_negligible(
     return ok, diagnostics
 
 
-def negligible_to_resolution(samples, grid: EpsGrid, m_max: int = DEFAULT_M_MAX) -> bool:
-    """True iff the curve classifies Negligible(m_max), the strongest verdict
-    a finite grid supports."""
-    verdict = estimate_growth_order(samples, grid, m_max=m_max)
-    return verdict.classification == NEGLIGIBLE and verdict.order == m_max
+def negligible_to_resolution(samples, grid: EpsGrid) -> bool:
+    """True iff the curve classifies Negligible(DEFAULT_M_MAX), the strongest
+    verdict a finite grid supports."""
+    verdict = estimate_growth_order(samples, grid)
+    return verdict.classification == NEGLIGIBLE and verdict.order == DEFAULT_M_MAX
 
 
 def dump_fit_csv(samples, grid: EpsGrid, verdict: AsymptoticVerdict, path=None) -> str:

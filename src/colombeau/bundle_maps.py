@@ -40,12 +40,11 @@ from .errors import (
     NotModerate,
     OutsideDomain,
 )
+from . import geometry
 from .geometry import (
     CompactSet,
-    TestBank,
     VBAtlas,
     box_contains,
-    default_test_bank,
     partition_of_unity,
     sample_box,
     trivial_bundle,
@@ -82,7 +81,7 @@ def opnorm_max(M) -> np.ndarray:
     return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
 
 
-def matrix_net(fn, dim_in, shape, jet=None, box=None, label="") -> Net:
+def matrix_net(fn, dim_in, shape, box=None, label="") -> Net:
     """Net of fiber matrices (or vectors) from ``fn(eps, x) -> (..., *shape)``.
 
     Stored flattened so the scalar net machinery applies; ``fiber_shape``
@@ -95,13 +94,7 @@ def matrix_net(fn, dim_in, shape, jet=None, box=None, label="") -> Net:
         vals = np.asarray(fn(eps, x), dtype=float)
         return vals.reshape(x.shape[:-1] + (size,))
 
-    flat_jet = None
-    if jet is not None:
-        def flat_jet(eps, x, alpha):
-            vals = np.asarray(jet(eps, x, alpha), dtype=float)
-            return vals.reshape(x.shape[:-1] + (size,))
-
-    net = net_from_function(flat_fn, dim_in, size, box=box, jet=flat_jet, label=label)
+    net = net_from_function(flat_fn, dim_in, size, box=box, label=label)
     net.fiber_shape = shape
     return net
 
@@ -228,14 +221,12 @@ def single_chart_hom(
     matrix_fn,
     src_chart="main",
     tgt_chart="main",
-    jet=None,
     label="",
 ) -> FiberNet:
     m = matrix_net(
         matrix_fn,
         source.base.dim,
         (target.fiber_dim, source.fiber_dim),
-        jet=jet,
         box=source.base.chart(src_chart).box,
         label=label,
     )
@@ -278,27 +269,25 @@ def single_chart_hybrid(
     vector_fn,
     src_chart="main",
     tgt_chart="main",
-    jet=None,
     label="",
 ) -> FiberNet:
     v = matrix_net(
         vector_fn,
         source.dim,
         (target.fiber_dim,),
-        jet=jet,
         box=source.chart(src_chart).box,
         label=label,
     )
     return FiberNet(source, target, base, {(src_chart, tgt_chart): v}, label)
 
 
-def section_net(vb: VBAtlas, vector_fn, chart="main", jet=None, label="") -> FiberNet:
+def section_net(vb: VBAtlas, vector_fn, chart="main", label="") -> FiberNet:
     """Generalized section: hybrid net over the identity base."""
     base = single_chart_map(
         vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart,
         label=f"id[{label}]",
     )
-    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, chart, jet, label)
+    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, chart, label)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +383,7 @@ class VBModerateReport:
     verdict: AsymptoticVerdict
     base_report: object
     fiber_verdicts: list
-    bank_verdicts: list
+    bank_verdict: AsymptoticVerdict
     witness: Optional[CompactSet]
 
     def __bool__(self):
@@ -411,12 +400,37 @@ def _fiber_step(eps, k):
     return h
 
 
-def _fiber_moderate(u: FiberNet, L, k_max, grid, bank) -> VBModerateReport:
+def _fiber_cutoff(atlas, witness: CompactSet, pts, src):
+    """Cutoff of the compactly supported test homs, a test hom being the
+    cutoff at the base image times the chart trivialization.
+
+    The cutoff is a bump centred on the witness box, 1 on a ball around it
+    and supported inside the witness chart of ``atlas``.  Returns
+    ``(base_net, eps) -> cutoff`` at the base images of ``pts``."""
+    chart = atlas.chart(witness.chart_id)
+    gap = witness.validate_inside(chart)
+    box = witness.box
+    scale = float(np.max(box[:, 1] - box[:, 0]))
+    pad = min(0.45 * gap, 0.25 * scale)
+    r_out = min(0.5 * scale + pad, 0.9 * gap + 0.5 * scale)
+    center = 0.5 * (box[:, 0] + box[:, 1])
+    bump = geometry.make_bump(center, 0.6 * r_out, r_out, box=chart.box)
+
+    def at_base(base_net, eps):
+        tgt, y = base_net.eval(eps, pts, src)
+        if tgt != witness.chart_id:
+            y = atlas.to_chart(y, tgt, witness.chart_id)
+        return bump(y)[..., 0]
+
+    return at_base
+
+
+def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
     """Base moderateness plus fiber classification.
 
     The fiber runs two routes: jets of the raw chart fibers, and the
-    order-0 norm of the fiber localized by each compactly supported test
-    hom (cutoff at the base image times the fiber).  The combined verdict
+    order-0 norm of the fiber localized by the compactly supported test
+    homs (cutoff at the base image times the fiber).  The combined verdict
     is the worst of base and fiber.
     """
     grid = grid or EpsGrid.default()
@@ -435,26 +449,20 @@ def _fiber_moderate(u: FiberNet, L, k_max, grid, bank) -> VBModerateReport:
         )
         fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
 
-    if bank is None:
-        bank = default_test_bank(u.target.base, witness, vb=u.target)
-    bank_verdicts = []
-    for test in bank.vbhom_tests:
-        curve = []
-        for eps in grid:
-            tgt, y = u.base_net.eval(eps, pts, src)
-            if tgt != test.chart_id:
-                y = u.target.base.to_chart(y, tgt, test.chart_id)
-            chi = test.cutoff(y)[..., 0]
-            M = _as_matrix(fiber_values(net, eps, pts), net.fiber_shape)
-            curve.append(_sup_abs(chi * opnorm_max(M)))
-        bank_verdicts.append(estimate_growth_order(curve, grid))
+    cutoff = _fiber_cutoff(u.target.base, witness, pts, src)
+    curve = []
+    for eps in grid:
+        chi = cutoff(u.base_net, eps)
+        M = _as_matrix(fiber_values(net, eps, pts), net.fiber_shape)
+        curve.append(_sup_abs(chi * opnorm_max(M)))
+    bank_verdict = estimate_growth_order(curve, grid)
 
     verdict = _combine_verdicts(
         [base_report.verdict]
         + [v for _, v in fiber_verdicts]
-        + bank_verdicts
+        + [bank_verdict]
     )
-    return VBModerateReport(verdict, base_report, fiber_verdicts, bank_verdicts, witness)
+    return VBModerateReport(verdict, base_report, fiber_verdicts, bank_verdict, witness)
 
 
 def check_vb_moderate(
@@ -462,10 +470,9 @@ def check_vb_moderate(
     L: CompactSet,
     k_max: int = 2,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
 ) -> VBModerateReport:
     """Moderateness of a bundle hom: base plus fiber matrices."""
-    return _fiber_moderate(u, L, k_max, grid, bank)
+    return _fiber_moderate(u, L, k_max, grid)
 
 
 def check_hybrid_moderate(
@@ -473,10 +480,9 @@ def check_hybrid_moderate(
     L: CompactSet,
     k_max: int = 2,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
 ) -> VBModerateReport:
     """Moderateness of a hybrid net: base plus fiber vectors."""
-    return _fiber_moderate(u, L, k_max, grid, bank)
+    return _fiber_moderate(u, L, k_max, grid)
 
 
 @dataclass
@@ -493,7 +499,7 @@ class VBEquivalenceReport:
 
 
 def _fiber_equivalent(
-    u: FiberNet, v: FiberNet, L, grid, bank, derivative_order
+    u: FiberNet, v: FiberNet, L, grid, derivative_order
 ) -> VBEquivalenceReport:
     """Base equivalence plus order-0 fiber difference negligibility.
 
@@ -504,8 +510,8 @@ def _fiber_equivalent(
     depend on it.
     """
     grid = grid or EpsGrid.default()
-    mu = _fiber_moderate(u, L, k_max=2, grid=grid, bank=None)
-    mv = _fiber_moderate(v, L, k_max=2, grid=grid, bank=None)
+    mu = _fiber_moderate(u, L, k_max=2, grid=grid)
+    mv = _fiber_moderate(v, L, k_max=2, grid=grid)
     if not (bool(mu) and bool(mv)):
         raise NotModerate("fiber equivalence needs both nets moderate")
 
@@ -527,29 +533,19 @@ def _fiber_equivalent(
         for k in range(derivative_order + 1)
     ])
 
-    if bank is None:
-        bank = default_test_bank(u.target.base, mu.witness, vb=u.target)
+    cutoff = _fiber_cutoff(u.target.base, witness, pts, src)
     fiber_axes = (1,) * len(net_u.fiber_shape)
-    route_bank = True
-    for test in bank.vbhom_tests:
-        curve = []
-        for eps in grid:
-            tu, yu = u.base_net.eval(eps, pts, src)
-            tv, yv = v.base_net.eval(eps, pts, src)
-            if tu != test.chart_id:
-                yu = u.target.base.to_chart(yu, tu, test.chart_id)
-            if tv != test.chart_id:
-                yv = u.target.base.to_chart(yv, tv, test.chart_id)
-            chi_u = test.cutoff(yu)[..., 0]
-            chi_v = test.cutoff(yv)[..., 0]
-            Fu = fiber_values(net_u, eps, pts)
-            Fv = fiber_values(net_v, eps, pts)
-            curve.append(_sup_diff(
-                chi_u.reshape(chi_u.shape + fiber_axes) * Fu,
-                chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
-            ))
-        if not negligible_to_resolution(curve, grid):
-            route_bank = False
+    curve = []
+    for eps in grid:
+        chi_u = cutoff(u.base_net, eps)
+        chi_v = cutoff(v.base_net, eps)
+        Fu = fiber_values(net_u, eps, pts)
+        Fv = fiber_values(net_v, eps, pts)
+        curve.append(_sup_diff(
+            chi_u.reshape(chi_u.shape + fiber_axes) * Fu,
+            chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
+        ))
+    route_bank = negligible_to_resolution(curve, grid)
 
     diagnostics = {"grid": grid, "derivative_order": derivative_order}
     if vacuous:
@@ -574,11 +570,10 @@ def check_vb_equivalent(
     v: FiberNet,
     L: CompactSet,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
     derivative_order: int = 0,
 ) -> VBEquivalenceReport:
     """Equivalence of two bundle homs: base plus fiber matrices."""
-    return _fiber_equivalent(u, v, L, grid, bank, derivative_order)
+    return _fiber_equivalent(u, v, L, grid, derivative_order)
 
 
 def check_hybrid_equivalent(
@@ -586,11 +581,10 @@ def check_hybrid_equivalent(
     v: FiberNet,
     L: CompactSet,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
     derivative_order: int = 0,
 ) -> VBEquivalenceReport:
     """Equivalence of two hybrid nets: base plus fiber vectors."""
-    return _fiber_equivalent(u, v, L, grid, bank, derivative_order)
+    return _fiber_equivalent(u, v, L, grid, derivative_order)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,8 +198,9 @@ class RunConfig:
         if self.half_width <= 0:
             raise ConfigError("atlas half_width must be positive")
 
-    @property
+    @functools.cached_property
     def atlas(self):
+        """The one working atlas every net of this config maps between."""
         return euclidean_atlas(self.dim, half_width=self.half_width)
 
     @property

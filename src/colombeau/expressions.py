@@ -1,24 +1,20 @@
 """Tiny arithmetic expression grammar for config files.
 
-Grammar: numbers, named variables, ``+ - * / ^``, parentheses, unary minus,
-and the functions ``sin``, ``cos``, ``exp``, ``pow``.  No attribute access,
-no calls besides the whitelisted functions, no code execution.  Compiled
+Grammar: decimal numbers, variables, ``+ - * / ^`` (or ``**``), parentheses,
+unary signs and ``sin``, ``cos``, ``exp``, ``pow``.  Text is parsed by
+``ast`` and checked node by node; nothing is executed as code.  Compiled
 expressions evaluate on scalars or numpy arrays.
 """
 
-from __future__ import annotations
-
+import ast
+import operator
 import re
 
 import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
-)
+_DECIMAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -27,130 +23,47 @@ _FUNCTIONS = {
     "pow": np.power,
 }
 
-
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigError(f"bad token in expression at {text[pos:]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            out.append(("op", "^" if op == "**" else op))
-    out.append(("end", None))
-    return out
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: np.power,
+}
 
 
-class _Parser:
-    """Recursive descent over + - (lowest), * /, unary minus, ^ (right assoc)."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, op=None):
-        kind, val = self.tokens[self.i]
-        if op is not None and (kind != "op" or val != op):
-            raise ConfigError(f"expected {op!r}, found {val!r}")
-        self.i += 1
-        return kind, val
-
-    def parse(self):
-        node = self.sum()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing input after expression: {self.peek()[1]!r}")
-        return node
-
-    def sum(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("^", node, self.unary())  # right associative, binds unary minus
-        return node
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {val!r}")
-                self.take("(")
-                args = [self.sum()]
-                while self.peek() == ("op", ","):
-                    self.take(",")
-                    args.append(self.sum())
-                self.take(")")
-                want = 2 if val == "pow" else 1
-                if len(args) != want:
-                    raise ConfigError(f"{val} takes {want} argument(s)")
-                return ("call", val, args)
-            return ("var", val)
-        if (kind, val) == ("op", "("):
-            node = self.sum()
-            self.take(")")
-            return node
-        raise ConfigError(f"unexpected token {val!r}")
+def _compile(node, text, names):
+    """env -> value for a node of the grammar (its variables go to names)."""
+    segment = ast.get_source_segment(text, node)
+    if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment):
+        value = float(node.value)
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+        return lambda env: _variable(env, node.id)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left = _compile(node.left, text, names)
+        right = _compile(node.right, text, names)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _compile(node.operand, text, names)
+        return (lambda env: -operand(env)) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS:
+        want = 2 if node.func.id == "pow" else 1
+        if node.keywords or len(node.args) != want:
+            raise ConfigError(f"{node.func.id} takes {want} argument(s)")
+        fn = _FUNCTIONS[node.func.id]
+        args = [_compile(a, text, names) for a in node.args]
+        return lambda env: fn(*[a(env) for a in args])
+    raise ConfigError(f"not allowed in an expression: {segment!r}")
 
 
-def _eval(node, env):
-    head = node[0]
-    if head == "num":
-        return node[1]
-    if head == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ConfigError(f"unknown variable {node[1]!r}") from None
-    if head == "neg":
-        return -_eval(node[1], env)
-    if head == "call":
-        args = [_eval(a, env) for a in node[2]]
-        return _FUNCTIONS[node[1]](*args)
-    a, b = _eval(node[1], env), _eval(node[2], env)
-    if head == "+":
-        return a + b
-    if head == "-":
-        return a - b
-    if head == "*":
-        return a * b
-    if head == "/":
-        return a / b
-    return np.power(a, b)
+def _variable(env, name):
+    try:
+        return env[name]
+    except KeyError:
+        raise ConfigError(f"unknown variable {name!r}") from None
 
 
 class Expression:
@@ -158,27 +71,16 @@ class Expression:
 
     def __init__(self, text):
         self.text = text
-        self._ast = _Parser(_tokenize(text)).parse()
-        self.variables = self._collect(self._ast, set())
-
-    @staticmethod
-    def _collect(node, acc):
-        if node[0] == "var":
-            acc.add(node[1])
-        elif node[0] in ("neg",):
-            Expression._collect(node[1], acc)
-        elif node[0] == "call":
-            for a in node[2]:
-                Expression._collect(a, acc)
-        elif node[0] in "+-*/^":
-            Expression._collect(node[1], acc)
-            Expression._collect(node[2], acc)
-        return acc
+        source = " ".join(text.split()).replace("^", "**")
+        try:
+            tree = ast.parse(source, mode="eval").body
+        except (SyntaxError, ValueError) as exc:
+            raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
+        self.variables = set()
+        self._fn = _compile(tree, source, self.variables)
 
     def __call__(self, env=None, **vars):
-        if env is None:
-            env = vars
-        return _eval(self._ast, env)
+        return self._fn(vars if env is None else env)
 
     def __repr__(self):
         return f"Expression({self.text!r})"

@@ -7,17 +7,17 @@ boxes strictly inside a chart, and distances are midpoint-metric chords,
 bi-Lipschitz to the Riemannian distance on compact sets.
 
 The module also builds the finite test objects that every characterization
-check quantifies over: smooth bump functions with analytic jets to order 3,
-compactly supported fiber-linear bundle test maps, partitions of unity
-subordinate to a box cover, and compactly supported one-densities.
+check quantifies over: smooth bump functions with analytic jets to order 3
+(the cutoffs of the fiber-linear bundle test maps among them), partitions
+of unity subordinate to a box cover, and compactly supported one-densities.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -578,54 +578,6 @@ def coordinate_handle(dim, index):
 
 
 # ---------------------------------------------------------------------------
-# fiber-linear test homomorphisms
-
-
-@dataclass
-class VBHomTest:
-    """Compactly supported fiber-linear test map to R x R^fiber_dim.
-
-    Near the cutoff's core this is the chart trivialization itself: base
-    part = cutoff(x) * x[coord_index], fiber part = cutoff(x) * xi.
-    """
-
-    vb: "VBAtlas"
-    chart_id: str
-    coord_index: int
-    cutoff: SmoothMapHandle
-    support_box: np.ndarray
-
-    def __call__(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        chi = self.cutoff(x)[..., 0]
-        base = chi * x[..., self.coord_index]
-        fiber = chi[..., None] * xi
-        return base, fiber
-
-
-def make_vbhom_test(vb: VBAtlas, chart_id, cutoff, coord_index=0) -> VBHomTest:
-    """Cutoff-localized chart projection as a compactly supported test
-    homomorphism.  ``cutoff`` is a bump handle (or (center, r_in, r_out)
-    spec) supported inside the chart."""
-    chart = vb.base.chart(chart_id)
-    if isinstance(cutoff, tuple):
-        center, r_in, r_out = cutoff
-        cutoff = make_bump(center, r_in, r_out, box=chart.box)
-    support = getattr(cutoff, "support_box", None)
-    if support is None:
-        raise BallEscapesChart("cutoff has no support box metadata")
-    support = np.asarray(support, dtype=float)
-    if np.any(support[:, 0] < chart.box[:, 0]) or np.any(
-        support[:, 1] > chart.box[:, 1]
-    ):
-        raise BallEscapesChart("cutoff support escapes the chart box")
-    if not 0 <= coord_index < vb.base.dim:
-        raise DimensionMismatch(f"coord_index {coord_index} out of range")
-    return VBHomTest(vb, chart_id, coord_index, cutoff, support)
-
-
-# ---------------------------------------------------------------------------
 # partitions of unity
 
 
@@ -720,10 +672,12 @@ class DensityTest:
 @dataclass
 class TestBank:
     scalar_tests: list
-    vbhom_tests: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.scalar_tests)
+
+
+_BANK_SIZE = 16
 
 
 def _lattice(box, count):
@@ -740,13 +694,15 @@ def _lattice(box, count):
     return pts[::stride][:count]
 
 
-def default_test_bank(atlas: Atlas, region: CompactSet, size=16, vb: Optional[VBAtlas] = None) -> TestBank:
-    """Finite stand-in for "all compactly supported smooth functions".
+def default_test_bank(atlas: Atlas, region: CompactSet) -> TestBank:
+    """Finite stand-in for "all compactly supported smooth functions" near
+    ``region``, a compact box inside one chart of ``atlas``.
 
     Contents: per-coordinate cutoff-times-coordinate functions whose cutoff
     is 1 on the whole region (so differences of nets pass through raw), and
-    bumps at two scales with separated centers.  The bank size is reported
-    by callers in every verdict that quantifies over it.
+    bumps at two scales with separated centers; _BANK_SIZE tests in low
+    dimension.  The bank size is reported by callers in every verdict that
+    quantifies over it.
     """
     chart = atlas.chart(region.chart_id)
     gap = region.validate_inside(chart)
@@ -768,7 +724,7 @@ def default_test_bank(atlas: Atlas, region: CompactSet, size=16, vb: Optional[VB
             ScalarTest(h, outer, "coordinate", f"x{i}*cutoff", jets_stable=True)
         )
 
-    remaining = max(size - len(tests), 2)
+    remaining = max(_BANK_SIZE - len(tests), 2)
     big = math.ceil(remaining / 2)
     centers_big = _lattice(box, big)
     centers_small = _lattice(box, remaining - big)
@@ -780,12 +736,4 @@ def default_test_bank(atlas: Atlas, region: CompactSet, size=16, vb: Optional[VB
     for j, c in enumerate(centers_small):
         b = make_bump(c, 0.5 * r_small, r_small, box=chart.box)
         tests.append(ScalarTest(b, b.support_box, "bump", f"bump-small-{j}"))
-
-    vbhoms = []
-    if vb is not None:
-        center = 0.5 * (box[:, 0] + box[:, 1])
-        r_out = min(0.5 * scale + pad, 0.9 * gap + 0.5 * scale)
-        cut = make_bump(center, 0.6 * r_out, r_out, box=chart.box)
-        for i in range(n):
-            vbhoms.append(make_vbhom_test(vb, region.chart_id, cut, coord_index=i))
-    return TestBank(tests, vbhoms)
+    return TestBank(tests)

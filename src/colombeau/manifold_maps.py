@@ -289,7 +289,6 @@ class GeneralizedManifoldPoint:
 
     at_fn: Callable
     support: CompactSet
-    eps0: float = 1.0
     label: str = ""
 
     def at(self, eps: float):
@@ -300,10 +299,8 @@ class GeneralizedManifoldPoint:
             cid, x = self.support.chart_id, v
         return cid, np.atleast_1d(np.asarray(x, dtype=float))
 
-    def check_support(self, eps_samples=_EVAL_EPS_SAMPLES):
-        for eps in eps_samples:
-            if eps > self.eps0:
-                continue
+    def check_support(self):
+        for eps in _EVAL_EPS_SAMPLES:
             cid, x = self.at(eps)
             if cid == self.support.chart_id and not box_contains(
                 self.support.box, x, slack=1e-9
@@ -472,7 +469,6 @@ def check_moderate(
     K: CompactSet,
     k_max: int = 3,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
 ) -> ModerateReport:
     """Moderateness via the derivative-free route: jets of f(u_eps) for
     bank tests f that reduce to coordinates on the witness plateau,
@@ -494,8 +490,7 @@ def check_moderate(
             f"{u.label or 'net'} is not c-bounded on K: {cb.diagnostics}"
         )
     witness = cb.witness
-    if bank is None:
-        bank = default_test_bank(u.target, witness)
+    bank = default_test_bank(u.target, witness)
     pts = _check_points(K)
     src = K.chart_id
     per_test = []
@@ -600,7 +595,6 @@ def check_equivalent(
     v: ManifoldNet,
     K: CompactSet,
     grid: Optional[EpsGrid] = None,
-    bank: Optional[TestBank] = None,
     derivative_order: int = 0,
 ) -> EquivalenceReport:
     """Equivalence of two nets on K by three independent routes.
@@ -627,8 +621,7 @@ def check_equivalent(
     if not (cb_u.ok and cb_v.ok):
         raise NotCBounded("equivalence needs both nets c-bounded on K")
     witness = _witness_union(cb_u.witness, cb_v.witness)
-    if bank is None:
-        bank = default_test_bank(u.target, witness)
+    bank = default_test_bank(u.target, witness)
 
     # route A: distance decay
     dist_curve = _distance_curve(u, v, pts, src, grid)
@@ -692,7 +685,7 @@ def point_value(
         return tgt, y[0]
 
     return GeneralizedManifoldPoint(
-        at, cb.witness, eps0=p.eps0,
+        at, cb.witness,
         label=f"{u.label or 'u'}({p.label or 'p'})",
     )
 

@@ -35,6 +35,11 @@ from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
 from .manifold_maps import check_cbounded, single_chart_map
 from .nets import Net, SmoothMapHandle, net_from_function
 
+# DOP853 tolerances of every slice solve
+_RTOL = 1e-10
+_ATOL = 1e-12
+
+
 def saddle_profile() -> SmoothMapHandle:
     """f(x, y) = x^2 - y^2 with analytic jets."""
 
@@ -182,8 +187,6 @@ def solve_geodesic(
     eps: float,
     init: Sequence[float],
     u_span: tuple,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> GeodesicSlice:
     """Integrate one slice of the geodesic system across the pulse.
 
@@ -221,8 +224,8 @@ def solve_geodesic(
                 (a, b),
                 state,
                 method="DOP853",
-                rtol=rtol,
-                atol=atol,
+                rtol=_RTOL,
+                atol=_ATOL,
                 max_step=max(r / 16.0, 1e-12),
                 dense_output=True,
             )
@@ -252,8 +255,6 @@ class GeodesicNet:
     rho: Mollifier
     init: tuple
     u_span: tuple
-    rtol: float = 1e-10
-    atol: float = 1e-12
     _slices: dict = field(default_factory=dict, repr=False)
 
     def slice(self, eps: float) -> GeodesicSlice:
@@ -261,43 +262,19 @@ class GeodesicNet:
         if s is None:
             s = solve_geodesic(
                 self.profile, self.rho, eps, self.init, self.u_span,
-                rtol=self.rtol, atol=self.atol,
             )
             self._slices[eps] = s
         return s
 
     def component_net(self, name: str) -> Net:
-        """The named state component as a net over the u-interval.
-
-        Transverse position nets carry analytic first and second jets
-        (the velocity component and the geodesic right-hand side).
-        """
-        vel = {"x": "xdot", "y": "ydot", "v": "vdot"}.get(name)
-        grad_index = {"x": 0, "y": 1}.get(name)
+        """The named state component as a net over the u-interval; its
+        values only, with finite-difference jets."""
 
         def ev(e, u):
             return self.slice(e).component(u[..., 0], name)[..., None]
 
-        jet = None
-        if vel is not None:
-
-            def jet(e, u, alpha, _vel=vel, _gi=grad_index):
-                k = alpha[0]
-                if k == 0:
-                    return ev(e, u)
-                st = self.slice(e).states(u[..., 0])
-                if k == 1:
-                    return st[..., {"vdot": 3, "xdot": 4, "ydot": 5}[_vel], None]
-                if k == 2 and _gi is not None:
-                    D = pulse(self.rho, e, u[..., 0])
-                    g = self.profile.gradient(st[..., 1:3])[..., _gi]
-                    return (0.5 * D * g)[..., None]
-                raise NotImplementedError
-
-        k_max = 2 if grad_index is not None else (1 if vel else 0)
         return net_from_function(
-            ev, 1, 1, box=[self.u_span], jet=jet, k_max=k_max,
-            label=f"geodesic-{name}",
+            ev, 1, 1, box=[self.u_span], label=f"geodesic-{name}"
         )
 
 

@@ -331,33 +331,6 @@ class TestEmbedding:
         vals = HEAVI.at(2.0**-4)(xs)[:, 0]
         assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_delta_jets_are_analytic(self):
-        eps = 0.25
-        x = np.array([[0.1]])
-        h = DELTA1.at(eps)
-        analytic = h.jet(x, (1,), 1e-6)[0, 0]
-        fd = (h(x + 1e-7) - h(x - 1e-7))[0, 0] / 2e-7
-        assert analytic == pytest.approx(fd, rel=1e-5)
-
-    def test_step_derivative_is_the_scaled_profile(self):
-        eps = 2.0**-3
-        x = np.array([[0.05]])
-        dh = HEAVI.at(eps).jet(x, (1,), 1e-6)[0, 0]
-        rho = DELTA1.at(eps)(x)[0, 0]
-        assert dh == pytest.approx(rho, rel=1e-9)
-
-    def test_convolution_smooths_the_absolute_value(self):
-        absn = embed_distribution("custom-L1", RHO1, LINE, fn=np.abs, label="abs")
-        slope = adaptive_simpson(
-            lambda t: np.abs(t[:, :1]) * RHO1.profile(t), -1.0, 1.0, tol=1e-12
-        )
-        v1 = absn.at(0.5)(np.array([[0.0]]))[0, 0]
-        v2 = absn.at(0.125)(np.array([[0.0]]))[0, 0]
-        assert v1 == pytest.approx(0.5 * slope, rel=1e-7)
-        assert v2 == pytest.approx(0.125 * slope, rel=1e-7)
-        # affine far from the kink: convolution reproduces the function
-        assert absn.at(0.25)(np.array([[2.0]]))[0, 0] == pytest.approx(2.0, rel=1e-12)
-
     def test_support_escaping_the_chart_is_rejected(self):
         tight = euclidean_atlas(1, half_width=0.5)
         with pytest.raises(BallEscapesChart):
@@ -366,10 +339,6 @@ class TestEmbedding:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ConfigError):
             embed_distribution("fourier", RHO1, LINE)
-
-    def test_convolution_without_function_is_rejected(self):
-        with pytest.raises(ConfigError):
-            embed_distribution("custom-L1", RHO1, LINE)
 
     def test_plane_atlas_is_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -131,11 +131,6 @@ class TestEstimateGrowthOrder:
         v = estimate_growth_order(curve(lambda e: e**-14), GRID)
         assert v.classification == NEITHER
 
-    def test_callable_and_dict_inputs(self):
-        by_call = estimate_growth_order(lambda e: e**2, GRID)
-        by_dict = estimate_growth_order({e: e**2 for e in GRID}, GRID)
-        assert by_call.slope == pytest.approx(by_dict.slope)
-
     @given(st.floats(1e-3, 1e3))
     @settings(max_examples=30, deadline=None)
     def test_scaling_leaves_slope_alone(self, c):

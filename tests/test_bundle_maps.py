@@ -7,6 +7,7 @@ from colombeau.asymptotics import EpsGrid
 from colombeau.errors import (
     AlignmentError,
     AtlasMismatch,
+    BallEscapesChart,
     DimensionMismatch,
     NotModerate,
     OutsideDomain,
@@ -31,6 +32,7 @@ from colombeau.manifold_maps import (
 from colombeau.bundle_maps import (
     FiberNet,
     VBGeneralizedPoint,
+    _fiber_cutoff,
     align_representative,
     check_hybrid_equivalent,
     check_hybrid_moderate,
@@ -226,6 +228,20 @@ class TestVBEquivalence:
             with pytest.raises(NotModerate):
                 check_vb_equivalent(h, wild, K1, grid=SHORT_GRID)
 
+    def test_swapping_the_pair_keeps_every_route(self):
+        # the base witnesses differ, [-1.2, 1.2] for x and [-0.6, 0.6] for
+        # x/2; a test-hom cutoff built on the second alone is not 1 at every
+        # image of the first, and the fiber routes would split
+        half = single_chart_map(LINE, LINE, lambda e, x: 0.5 * x, label="half")
+        u = scaled_hom(lambda e: 1.0, label="u")
+        v = scaled_hom(lambda e: 1.0, base=half, label="v")
+        uv = check_vb_equivalent(u, v, K1)
+        vu = check_vb_equivalent(v, u, K1)
+        assert (uv.equivalent, uv.route_chart, uv.route_bank) == (
+            vu.equivalent, vu.route_chart, vu.route_bank
+        )
+        assert not uv.equivalent and uv.route_chart and uv.route_bank
+
     @settings(max_examples=4, deadline=None)
     @given(scale=st.floats(0.1, 50.0))
     def test_routes_agree_for_any_negligible_scale(self, scale):
@@ -236,6 +252,22 @@ class TestVBEquivalence:
         rep = check_vb_equivalent(h, pert, K1)
         assert rep.route_chart == rep.route_bank
         assert rep
+
+
+class TestFiberCutoff:
+    def test_one_near_the_witness_centre_and_zero_off_its_support(self):
+        # witness [-1, 1]: the bump is 1 within 0.9 of 0 and 0 beyond 1.5
+        witness = CompactSet("main", [(-1.0, 1.0)])
+        pts = np.array([[-0.5], [0.0], [0.8], [1.6], [3.0]])
+        cutoff = _fiber_cutoff(LINE, witness, pts, "main")
+        assert cutoff(base_identity(), 0.5).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+    def test_support_escaping_the_chart_is_rejected(self):
+        # the ball around the widest axis does not fit the narrow one
+        flat = Atlas([Chart("main", [(-2.0, 2.0), (-0.5, 0.5)])])
+        witness = CompactSet("main", [(-1.0, 1.0), (-0.1, 0.1)])
+        with pytest.raises(BallEscapesChart):
+            _fiber_cutoff(flat, witness, witness.sample_points(), "main")
 
 
 class TestTangentMap:

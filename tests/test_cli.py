@@ -48,6 +48,11 @@ class TestConfig:
         assert np.isclose(cfg.grid.values[0], 0.5)
         assert np.isclose(cfg.grid.values[-1], 0.001)
 
+    def test_nets_of_one_config_share_its_atlas(self):
+        cfg = load_config(None)
+        assert cfg.map_net("sine").target is cfg.map_net("linear").target
+        assert cfg.map_net("sine").source is cfg.atlas
+
     def test_net_needs_expr_or_kind(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[net:both]\nexpr = x\nkind = delta\n")

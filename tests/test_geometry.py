@@ -31,7 +31,6 @@ from colombeau.geometry import (
     euclidean_atlas,
     make_box_bump,
     make_bump,
-    make_vbhom_test,
     partition_of_unity,
     trivial_bundle,
 )
@@ -390,36 +389,6 @@ class TestBumps:
         assert 0.0 < b(np.array([0.9, 0.9]))[0] < 0.01
 
 
-class TestVBHomTest:
-    def test_core_point_is_trivialization(self):
-        vb = trivial_bundle(PLANE, 2)
-        t = make_vbhom_test(vb, "main", (np.zeros(2), 1.0, 2.0), coord_index=0)
-        xi = np.array([0.5, -1.5])
-        base, fiber = t(np.array([0.3, 0.1]), xi)
-        assert base == pytest.approx(0.3)
-        assert fiber == pytest.approx(xi)
-
-    def test_outside_support_zero(self):
-        vb = trivial_bundle(PLANE, 2)
-        t = make_vbhom_test(vb, "main", (np.zeros(2), 1.0, 2.0))
-        base, fiber = t(np.array([3.0, 3.0]), np.array([1.0, 1.0]))
-        assert base == 0.0
-        assert np.all(fiber == 0.0)
-
-    def test_fiber_linearity(self):
-        vb = trivial_bundle(PLANE, 2)
-        t = make_vbhom_test(vb, "main", (np.zeros(2), 1.0, 2.0))
-        x = np.array([1.2, 0.4])
-        _, f1 = t(x, np.array([1.0, 2.0]))
-        _, f2 = t(x, np.array([2.0, 4.0]))
-        assert f2 == pytest.approx(2 * f1)
-
-    def test_support_escape_rejected(self):
-        vb = trivial_bundle(euclidean_atlas(2, 1.5), 1)
-        with pytest.raises(BallEscapesChart):
-            make_vbhom_test(vb, "main", (np.array([1.0, 0.0]), 0.5, 1.0))
-
-
 class TestPartitionOfUnity:
     def test_single_core_is_one(self):
         atlas = euclidean_atlas(1, 5.0)
@@ -456,7 +425,7 @@ class TestPartitionOfUnity:
 class TestDefaultBank:
     def test_bank_size_and_support(self):
         region = CompactSet("main", [(-1, 1), (-1, 1)])
-        bank = default_test_bank(PLANE, region, size=16)
+        bank = default_test_bank(PLANE, region)
         assert len(bank) == 16
         rng = np.random.default_rng(3)
         for t in bank.scalar_tests:
@@ -477,9 +446,3 @@ class TestDefaultBank:
         plateau = bank.scalar_tests[0]
         pts = region.sample_points()
         assert np.allclose(plateau.handle(pts), 1.0)
-
-    def test_vbhoms_when_bundle_given(self):
-        region = CompactSet("main", [(-1, 1), (-1, 1)])
-        vb = trivial_bundle(PLANE, 2)
-        bank = default_test_bank(PLANE, region, vb=vb)
-        assert len(bank.vbhom_tests) == 2

@@ -130,24 +130,6 @@ class TestSolver:
             solve_geodesic(SADDLE, RHO, 0.1, REST_AT_X1, (0.2, 0.2))
 
 
-class TestComponentNets:
-    def test_transverse_net_carries_analytic_jets(self):
-        gnet = GeodesicNet(SADDLE, RHO, REST_AT_X1, SPAN)
-        net = gnet.component_net("x")
-        eps = 0.1
-        h = net.at(eps)
-        u = np.array([[0.02]])
-        slope = h.jet(u, (1,), 1e-6)[0, 0]
-        fd = (h(u + 1e-7) - h(u - 1e-7))[0, 0] / 2e-7
-        assert slope == pytest.approx(fd, rel=1e-6)
-        curv = h.jet(u, (2,), 1e-5)[0, 0]
-        st = gnet.slice(eps).states(np.array([0.02]))[0]
-        from colombeau.ppwave import pulse
-
-        expected = 0.5 * pulse(RHO, eps, 0.02) * 2.0 * st[1]
-        assert curv == pytest.approx(expected, rel=1e-9)
-
-
 class TestKinkStudy:
     GRID = EpsGrid.dyadic(6, 12)
 
