@@ -99,6 +99,72 @@ class TestGeodesicSystem:
         self._rhs_matches_fd_symbols(3, (0.02, 1e-2))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pulse_shapes():
+    rho1, rho2 = standard_mollifier(), sharp_mollifier()
+    return [
+        (rho1, rho1, 1.0), (rho2, rho2, 1.0), (widened(rho1, 2.0), rho1, 2.0),
+        (widened(rho2, 2.0), rho2, 2.0), (widened(rho1, 1.5), rho1, 1.5),
+    ]
+
+
+class TestRhsBits:
+    """The right-hand side, bit for bit, against the geodesic equations
+    written out from the pulse profile's value and first jet and the wave
+    profile's gradient, each evaluated as an array of one point."""
+
+    @staticmethod
+    def _formula(profile, rho, eps, u, state):
+        v, x, y, vd, xd, yd = state
+        t = np.array([[u]]) / eps
+        D = rho.profile(t)[0, 0] / eps
+        Dp = rho.profile.jet(t, (1,))[0, 0] / eps**2
+        p = np.array([[x, y]])
+        f = profile.f(p)[0, 0]
+        fx = profile.f.jet(p, (1, 0))[0, 0]
+        fy = profile.f.jet(p, (0, 1))[0, 0]
+        return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
+                0.5 * D * fx, 0.5 * D * fy]
+
+    def test_rhs_equals_the_formula(self):
+        rng = np.random.default_rng(11)
+        for rho, _, _ in _pulse_shapes():
+            for eps in (2.0**-6, 2.0**-11, 0.1):
+                rhs = regularized_geodesic_system(SADDLE, rho, eps)
+                r = rho.support_radius * eps
+                # centre, interior, both support edges (where 1 - t^2 is
+                # at most 1e-12 and the pulse is exactly zero), outside
+                us = [0.0, *rng.uniform(-r, r, 12), -r, r, 1.5 * r, -0.3]
+                for u in us:
+                    state = np.concatenate(
+                        [rng.uniform(-1.0, 1.0, 3), rng.uniform(-2.0, 2.0, 3)]
+                    )
+                    got = rhs(u, state)
+                    want = self._formula(SADDLE, rho, eps, u, state)
+                    assert all(g == w for g, w in zip(got, want)), (rho.id, eps, u)
+                    assert len(got) == 6
+
+    def test_edges_take_the_zero_branch(self):
+        for rho, _, _ in _pulse_shapes():
+            eps = 2.0**-6
+            r = rho.support_radius * eps
+            rhs = regularized_geodesic_system(SADDLE, rho, eps)
+            for u in (-r, r):
+                assert rhs(u, np.array([0.0, 1.0, 0.5, 0.1, 0.2, 0.3]))[3:] == [0.0] * 3
+
+    def test_widened_profile_is_the_scaled_profile(self):
+        x = np.linspace(-2.2, 2.2, 1001)[:, None]
+        for wide, rho, s in _pulse_shapes():
+            assert _same_bits(wide.profile(x), rho.profile(x / s) / s)
+            assert _same_bits(
+                wide.profile.jet(x, (1,)), rho.profile.jet(x / s, (1,)) / s**2
+            )
+
+
 class TestSolver:
     def test_free_motion_is_exact(self):
         s = solve_geodesic(flat_profile(), RHO, 0.1, (0.0, 0.3, 0.0, 0.0, 1.0, 0.0), SPAN)
