@@ -413,35 +413,6 @@ def check_k_associated(
 # mollifiers and embedding
 
 
-@dataclass
-class Mollifier:
-    """Compactly supported unit-mass profile with its scaling rule
-    rho_eps(x) = rho(x/eps)/eps."""
-
-    profile: SmoothMapHandle
-    support_radius: float
-    id: str = ""
-
-    def __post_init__(self):
-        mass = adaptive_simpson(
-            self.profile, -self.support_radius, self.support_radius, tol=1e-12
-        )
-        if abs(mass - 1.0) > 1e-10:
-            raise ConfigError(
-                f"mollifier {self.id!r} integrates to {mass!r}, not 1"
-            )
-
-    def squared_mass(self) -> float:
-        """Integral of the squared profile; the shape fingerprint that
-        composition with x -> x^2 exposes."""
-        return adaptive_simpson(
-            lambda x: self.profile(x) ** 2,
-            -self.support_radius,
-            self.support_radius,
-            tol=1e-12,
-        )
-
-
 def _bump_profile(sharpness: float):
     """exp(-sharpness/(1-x^2)) on (-1, 1), with two analytic derivatives."""
 
@@ -472,29 +443,74 @@ def _bump_profile(sharpness: float):
     return raw, jet
 
 
-def _normalized_bump_handle(sharpness: float, name: str) -> SmoothMapHandle:
-    raw, raw_jet = _bump_profile(sharpness)
-    mass = adaptive_simpson(lambda x: raw(x[..., 0])[..., None], -1.0, 1.0, tol=1e-12)
+@dataclass
+class Mollifier:
+    """Unit-mass bump exp(-sharpness/(1-(x/r)^2)) on [-r, r], r the support
+    radius, with its scaling rule rho_eps(x) = rho(x/eps)/eps."""
 
-    def ev(x):
-        return raw(x[..., 0])[..., None] / mass
+    sharpness: float
+    support_radius: float = 1.0
+    id: str = ""
+    profile: SmoothMapHandle = field(init=False, repr=False)
 
-    def jf(x, alpha):
-        return raw_jet(x[..., 0], (alpha[0],))[..., None] / mass
+    def __post_init__(self):
+        if not self.sharpness > 0:
+            raise ConfigError(f"mollifier {self.id!r} needs a positive sharpness")
+        r = self.support_radius
+        raw, raw_jet = _bump_profile(self.sharpness)
+        norm = adaptive_simpson(lambda x: raw(x[..., 0])[..., None], -1.0, 1.0, tol=1e-12)
+        self._norm = norm
 
-    return make_handle(ev, 1, 1, jet_fn=jf, k_max=2, name=name)
+        def ev(x):
+            return raw(x[..., 0] / r)[..., None] / norm / r
+
+        def jf(x, alpha):
+            k = alpha[0]
+            return raw_jet(x[..., 0] / r, (k,))[..., None] / norm / r ** (1 + k)
+
+        self.profile = make_handle(ev, 1, 1, jet_fn=jf, k_max=2, name=self.id)
+        mass = adaptive_simpson(self.profile, -r, r, tol=1e-12)
+        if abs(mass - 1.0) > 1e-10:
+            raise ConfigError(
+                f"mollifier {self.id!r} integrates to {mass!r}, not 1"
+            )
+
+    def pulse_at(self, eps: float, u: float):
+        """(D, D') of the pulse D(u) = rho(u/eps)/eps at one float u, by the
+        operations of the array path in their order (np.exp included, so
+        the bits agree)."""
+        a, r = self.sharpness, self.support_radius
+        t = u / eps / r
+        s = 1.0 - t * t
+        if not s > 1e-12:
+            return 0.0, 0.0
+        val = np.exp(-a / s)
+        return (
+            val / self._norm / r / eps,
+            val * (-2.0 * a * t / (s * s)) / self._norm / r**2 / eps**2,
+        )
+
+    def squared_mass(self) -> float:
+        """Integral of the squared profile; the shape fingerprint that
+        composition with x -> x^2 exposes."""
+        return adaptive_simpson(
+            lambda x: self.profile(x) ** 2,
+            -self.support_radius,
+            self.support_radius,
+            tol=1e-12,
+        )
 
 
 def standard_mollifier() -> Mollifier:
     """Normalized exp(-1/(1-x^2)) bump on [-1, 1]."""
-    return Mollifier(_normalized_bump_handle(1.0, "rho1"), 1.0, "rho1")
+    return Mollifier(1.0, id="rho1")
 
 
 def sharp_mollifier() -> Mollifier:
     """Normalized exp(-2/(1-x^2)) bump: same support, visibly different
     squared mass (the suggested polynomial reweighting separated the
     squared masses by under five percent, so this shape replaces it)."""
-    return Mollifier(_normalized_bump_handle(2.0, "rho2"), 1.0, "rho2")
+    return Mollifier(2.0, id="rho2")
 
 
 def embed_distribution(

@@ -65,7 +65,7 @@ from .manifold_maps import (
     single_chart_map,
 )
 from .nets import Net, net_from_function
-from .ppwave import GeodesicNet, default_profile, kink_limit_study, trajectory_csv
+from .ppwave import default_profile, kink_limit_study, trajectory_csv
 
 DEFAULT_CONFIG = """\
 [grid]
@@ -628,9 +628,8 @@ def run_ppwave(cfg: RunConfig, out_dir) -> list:
     )
     with open(Path(out_dir) / "ppwave_report.txt", "w") as fh:
         fh.write("\n".join(report.lines()) + "\n")
-    gnet = GeodesicNet(profile, rho, init, u_span)
     trajectory_csv(
-        gnet, list(grid.values[-2:]), Path(out_dir) / "ppwave_trajectories.csv"
+        report.net, list(grid.values[-2:]), Path(out_dir) / "ppwave_trajectories.csv"
     )
     verdict = (
         f"kink verified: jump {report.jump:.4f}, "

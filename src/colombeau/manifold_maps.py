@@ -577,11 +577,25 @@ def _colocated_masks(u: ManifoldNet, v: ManifoldNet, pts, src: str, box, grid):
 
 def _bank_difference_curves(u, v, bank: TestBank, k: int, src: str, grid, pts):
     """(test label, order, sup curve of the jets of f(u_eps) - f(v_eps)) per
-    scalar bank test f and order up to k.  Bump derivative sups are too noisy
-    to fit (see check_moderate), so bumps enter at order 0 only."""
+    scalar bank test f and order up to k.  Order 0 takes each net's image
+    once per eps and applies every test to it, which is what the composite
+    evaluates; higher orders take chain-rule jets.  Bump derivative sups
+    are too noisy to fit (see check_moderate), so bumps enter at order 0
+    only."""
+    tests = bank.scalar_tests
+    order0 = [[] for _ in tests]
+    for eps in grid:
+        x = np.asarray(pts(eps) if callable(pts) else pts, dtype=float)
+        yu = u.handle(eps, src)[1].eval_fn(x)
+        yv = v.handle(eps, src)[1].eval_fn(x)
+        for curve, test in zip(order0, tests):
+            f = test.handle.eval_fn
+            d = np.asarray(f(yu), dtype=float) - np.asarray(f(yv), dtype=float)
+            curve.append(max(0.0, _sup_abs(d)))
     rows = []
-    for test in bank.scalar_tests:
-        for order in range(k + 1) if test.jets_stable else range(1):
+    for test, curve in zip(tests, order0):
+        rows.append((test.label, 0, curve))
+        for order in range(1, k + 1) if test.jets_stable else ():
             curve = _sup_curve(grid, order, pts, lambda eps, f=test.handle: (
                 handle_compose(f, u.handle(eps, src)[1]),
                 handle_compose(f, v.handle(eps, src)[1]),

@@ -98,11 +98,6 @@ def pulse(rho: Mollifier, eps: float, u):
     return rho.profile(u[..., None] / eps)[..., 0] / eps
 
 
-def pulse_rate(rho: Mollifier, eps: float, u):
-    u = np.asarray(u, dtype=float)
-    return rho.profile.jet(u[..., None] / eps, (1,))[..., 0] / eps**2
-
-
 # ---------------------------------------------------------------------------
 # geodesic equations
 
@@ -115,19 +110,13 @@ def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps: flo
 
     def rhs(u, state):
         v, x, y, vd, xd, yd = state
-        xy = np.array([[x, y]])
-        D = pulse(rho, eps, np.array([u]))[0]
-        Dp = pulse_rate(rho, eps, np.array([u]))[0]
-        f = profile.value(xy)[0]
-        grad = profile.gradient(xy)[0]
-        return [
-            vd,
-            xd,
-            yd,
-            Dp * f + 2.0 * D * (grad[0] * xd + grad[1] * yd),
-            0.5 * D * grad[0],
-            0.5 * D * grad[1],
-        ]
+        D, Dp = rho.pulse_at(eps, u)
+        p = np.array([x, y])
+        f = profile.f.eval_fn(p)[0]
+        fx = profile.f.jet(p, (1, 0))[0]
+        fy = profile.f.jet(p, (0, 1))[0]
+        return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
+                0.5 * D * fx, 0.5 * D * fy]
 
     return rhs
 
@@ -172,13 +161,6 @@ class GeodesicSlice:
     def component(self, us, name):
         idx = {"v": 0, "x": 1, "y": 2, "vdot": 3, "xdot": 4, "ydot": 5}[name]
         return self.states(us)[..., idx]
-
-
-def _energy(profile, rho, eps, u, state):
-    v, x, y, vd, xd, yd = state
-    D = pulse(rho, eps, np.array([u]))[0]
-    f = profile.value(np.array([[x, y]]))[0]
-    return D * f - vd + xd**2 + yd**2
 
 
 def solve_geodesic(
@@ -234,16 +216,18 @@ def solve_geodesic(
             pieces.append((a, b, "ode", sol))
             state = sol.y[:, -1].copy()
 
-    e0 = _energy(profile, rho, eps, u0, np.asarray(init, dtype=float))
-    drift = 0.0
+    # drift of g(X', X') from its initial value, over probes on the whole
+    # interval and across the pulse
     probe = np.linspace(u0, u1, 33)
     lo, hi = min(u0, u1), max(u0, u1)
     if lo < r and hi > -r:
         probe = np.concatenate([probe, np.linspace(max(lo, -r), min(hi, r), 65)])
     slice_ = GeodesicSlice(eps, (u0, u1), pieces, 0.0)
-    for u in probe:
-        drift = max(drift, abs(_energy(profile, rho, eps, u, slice_.states(u)[0]) - e0))
-    slice_.energy_drift = drift
+    us = np.concatenate([[u0], probe])
+    st = np.concatenate([np.asarray(init, dtype=float)[None], slice_.states(probe)])
+    energy = (pulse(rho, eps, us) * profile.value(st[:, 1:3])
+              - st[:, 3] + st[:, 4] ** 2 + st[:, 5] ** 2)
+    slice_.energy_drift = float(np.max(np.abs(energy[1:] - energy[0])))
     return slice_
 
 
@@ -313,6 +297,7 @@ class KinkReport:
     assoc_routes: tuple
     vdot_growth: str
     flags: list
+    net: GeodesicNet
 
     def __bool__(self):
         return self.cauchy_ok and self.x_cbounded and self.associated
@@ -441,20 +426,15 @@ def kink_limit_study(
         assoc_routes=(assoc.route_distance, assoc.route_bank),
         vdot_growth=vdot_growth,
         flags=flags,
+        net=gnet,
     )
 
 
 def widened(rho: Mollifier, scale: float, label: str = "") -> Mollifier:
     """Same shape stretched to support radius scale * r, mass preserved."""
-
-    def ev(x):
-        return rho.profile(x / scale) / scale
-
-    def jf(x, alpha):
-        return rho.profile.jet(x / scale, alpha) / scale ** (1 + alpha[0])
-
-    h = make_handle(ev, 1, 1, jet_fn=jf, k_max=rho.profile.k_max, name="wide")
-    return Mollifier(h, rho.support_radius * scale, label or f"{rho.id}-x{scale:g}")
+    return Mollifier(
+        rho.sharpness, rho.support_radius * scale, label or f"{rho.id}-x{scale:g}"
+    )
 
 
 def trajectory_csv(gnet: GeodesicNet, eps_values: Sequence[float], path) -> None:

@@ -32,7 +32,6 @@ from colombeau.geometry import (
     DensityTest,
     euclidean_atlas,
     make_bump,
-    make_handle,
 )
 from colombeau.manifold_maps import check_equivalent, single_chart_map
 from colombeau.nets import net_from_function
@@ -110,12 +109,12 @@ class TestMollifier:
     def test_shapes_are_separated(self):
         assert abs(C1 - C2) / C1 > 0.05
 
-    def test_non_unit_mass_is_rejected(self):
-        gauss = make_handle(
-            lambda x: np.exp(-x[..., 0] ** 2)[..., None], 1, 1, name="g"
-        )
-        with pytest.raises(ConfigError):
-            Mollifier(gauss, 1.0, "bad")
+    def test_non_positive_sharpness_is_rejected(self):
+        # sharpness 0 is the flat profile, not a bump; below 0 it blows up
+        # at the support edge
+        for sharpness in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                Mollifier(sharpness, 1.0, "bad")
 
     def test_scaled_profile_keeps_unit_mass(self):
         for eps in (0.5, 2.0**-5, 2.0**-9):

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau import association
 from colombeau.association import check_k_associated
 from colombeau.asymptotics import EpsGrid, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
@@ -25,6 +28,7 @@ from colombeau.geometry import (
 from colombeau.manifold_maps import (
     GeneralizedManifoldPoint,
     ManifoldNet,
+    _bank_difference_curves,
     _check_points,
     _sup_curve,
     adversarial_gpoint,
@@ -40,7 +44,7 @@ from colombeau.manifold_maps import (
     random_gpoints,
     single_chart_map,
 )
-from colombeau.nets import net_from_function
+from colombeau.nets import handle_compose, net_from_function
 
 LINE = euclidean_atlas(1, 10.0)
 PLANE = euclidean_atlas(2, 10.0)
@@ -305,6 +309,75 @@ class TestSupCurve:
             self.GRID, 0, self.PTS, lambda eps: (net.at(eps), nan_net.at(eps))
         )
         assert single == pair == [float("inf")] * len(self.GRID)
+
+
+class TestBankImage:
+    """The bank route's order-0 rows take each net's image once per eps and
+    apply every test to it; they equal the sup curves of the composites
+    f(u_eps) - f(v_eps), as do the chain-rule rows above order 0."""
+
+    GRID = EpsGrid.dyadic(2, 9)
+
+    @staticmethod
+    def _compose_rows(u, v, bank, k, grid, pts):
+        rows = []
+        for test in bank.scalar_tests:
+            for order in range(k + 1) if test.jets_stable else range(1):
+                rows.append((test.label, order, _sup_curve(
+                    grid, order, pts, lambda eps, f=test.handle: (
+                        handle_compose(f, u.handle(eps, "main")[1]),
+                        handle_compose(f, v.handle(eps, "main")[1]),
+                    ))))
+        return rows
+
+    def test_rows_equal_the_composite_sup_curves(self):
+        # an eps-scale spike at 0 against an O(eps) perturbation, sampled at
+        # K's check points and through the spike's feature window per eps
+        window = lambda e: [(-e, e)]
+        u = single_chart_map(
+            LINE, LINE, lambda e, x: np.sin(x) + e * np.exp(-((x / e) ** 2)),
+            label="spike", feature_scale=window,
+        )
+        v = single_chart_map(
+            LINE, LINE, lambda e, x: np.sin(x) + e * np.cos(x), label="shift"
+        )
+        base = _check_points(K1)
+
+        def pts(eps):
+            return np.concatenate([base, np.linspace(-eps, eps, 33)[:, None]])
+
+        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
+        for k in (0, 1):
+            got = _bank_difference_curves(u, v, bank, k, "main", self.GRID, pts)
+            assert got == self._compose_rows(u, v, bank, k, self.GRID, pts)
+            assert [o for _, o, _ in got].count(k) >= 2
+
+    def test_each_net_is_evaluated_once_per_eps(self, monkeypatch):
+        calls = {"u": Counter(), "v": Counter()}
+        in_bank_route = [False]
+
+        def counted(name, fn):
+            def wrapped(e, x):
+                if in_bank_route[0]:
+                    calls[name][e] += 1
+                return fn(e, x)
+            return wrapped
+
+        u = single_chart_map(LINE, LINE, counted("u", lambda e, x: e * x))
+        v = single_chart_map(LINE, LINE, counted("v", lambda e, x: e**2 * x**2))
+        bank_route = association._bank_difference_curves
+
+        def spy(*args):
+            in_bank_route[0] = True
+            try:
+                return bank_route(*args)
+            finally:
+                in_bank_route[0] = False
+
+        monkeypatch.setattr(association, "_bank_difference_curves", spy)
+        grid = association.association_grid()
+        assert check_k_associated(u, v, 0, K1, grid=grid)
+        assert calls["u"] == calls["v"] == {eps: 1 for eps in grid}
 
 
 class TestPinnedSlopes:

@@ -243,6 +243,16 @@ class TestKinkStudy:
 
 
 class TestTrajectoryDump:
+    def test_study_net_reuses_its_slices(self, tmp_path):
+        rep = kink_limit_study(SADDLE, RHO, REST_AT_X1, TestKinkStudy.GRID)
+        eps_values = [2.0**-6, 2.0**-9]
+        # the study has solved both slices; the dump reads them back
+        assert all(e in rep.net._slices for e in eps_values)
+        trajectory_csv(rep.net, eps_values, tmp_path / "study.csv")
+        trajectory_csv(GeodesicNet(SADDLE, RHO, REST_AT_X1, SPAN), eps_values,
+                       tmp_path / "fresh.csv")
+        assert (tmp_path / "study.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
     def test_csv_layout(self, tmp_path):
         gnet = GeodesicNet(SADDLE, RHO, REST_AT_X1, SPAN)
         path = tmp_path / "traj.csv"
@@ -258,3 +268,48 @@ class TestTrajectoryDump:
         assert float(first[1]) == -0.5
         assert float(first[3]) == 1.0
         assert float(first[5]) == 0.0
+
+
+class TestImpulsiveLimit:
+    """Slices against the distributional geodesics of
+    ds^2 = f(x) delta(u) du^2 - du dv + dx^2 (Steinbauer, J. Math. Phys. 39,
+    1998; Kunzinger and Steinbauer, J. Math. Phys. 40, 1999).  With x0 the
+    position at u = 0 on the incoming line, the limit jumps by
+    dx' = grad f(x0) / 2, dv = f(x0) and dv' = grad f(x0) . x0' + |grad f(x0)|^2 / 4,
+    and x is continuous."""
+
+    # criterion 10's data, and the datum whose kink study splits its routes
+    DATA = (
+        ((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (-1.25, 1.25)),
+        ((0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022), (-0.5, 0.5)),
+    )
+
+    @staticmethod
+    def _errors(rho, init, span, eps):
+        """|numerical - exact| of (dx', dv, dv', x jump), the jumps read off
+        the straight lines on both sides of the pulse, extended to u = 0."""
+        s = solve_geodesic(SADDLE, rho, eps, init, span)
+        r = rho.support_radius * eps
+        pre, post = s.states(np.array([-r, r]))
+        init = np.asarray(init)
+        x0 = init[1:3] - init[4:6] * span[0]
+        f = SADDLE.value(x0[None])[0]
+        g = SADDLE.gradient(x0[None])[0]
+        left = pre[:3] + pre[3:] * r
+        right = post[:3] - post[3:] * r
+        return np.array([
+            np.max(np.abs(post[4:6] - pre[4:6] - 0.5 * g)),
+            abs(right[0] - left[0] - f),
+            abs(post[3] - pre[3] - (g @ init[4:6] + 0.25 * g @ g)),
+            np.max(np.abs(right[1:3] - left[1:3])),
+        ])
+
+    def test_slices_converge_to_the_closed_form_jumps(self):
+        for rho in (standard_mollifier(), sharp_mollifier()):
+            for init, span in self.DATA:
+                coarse = self._errors(rho, init, span, 2.0**-6)
+                fine = self._errors(rho, init, span, 2.0**-9)
+                # the jumps converge like eps, the break point like eps^2
+                assert np.all(fine[:3] < 2e-3), (rho.id, init, fine)
+                assert np.all(coarse[:3] >= 6.0 * fine[:3]), (rho.id, init)
+                assert fine[3] < 1e-6 and coarse[3] >= 30.0 * fine[3]
