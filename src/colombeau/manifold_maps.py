@@ -593,8 +593,8 @@ def _bank_difference_curves(u, v, bank: TestBank, k: int, src: str, grid, pts):
             d = np.asarray(f(yu), dtype=float) - np.asarray(f(yv), dtype=float)
             curve.append(max(0.0, _sup_abs(d)))
     rows = []
-    for test, curve in zip(tests, order0):
-        rows.append((test.label, 0, curve))
+    for test, curve0 in zip(tests, order0):
+        rows.append((test.label, 0, curve0))
         for order in range(1, k + 1) if test.jets_stable else ():
             curve = _sup_curve(grid, order, pts, lambda eps, f=test.handle: (
                 handle_compose(f, u.handle(eps, src)[1]),

@@ -332,11 +332,10 @@ class TestBankImage:
 
     def test_rows_equal_the_composite_sup_curves(self):
         # an eps-scale spike at 0 against an O(eps) perturbation, sampled at
-        # K's check points and through the spike's feature window per eps
-        window = lambda e: [(-e, e)]
+        # K's check points and through the spike's window [-eps, eps] per eps
         u = single_chart_map(
             LINE, LINE, lambda e, x: np.sin(x) + e * np.exp(-((x / e) ** 2)),
-            label="spike", feature_scale=window,
+            label="spike",
         )
         v = single_chart_map(
             LINE, LINE, lambda e, x: np.sin(x) + e * np.cos(x), label="shift"
