@@ -45,6 +45,7 @@ from .geometry import (
     CompactSet,
     VBAtlas,
     box_contains,
+    inside_box,
     partition_of_unity,
     sample_box,
     trivial_bundle,
@@ -169,11 +170,7 @@ class FiberNet:
                     tgt1, y1 = self.base_net.eval(eps, pts, s)
                     if tgt1 != t1:
                         y1 = self.target.base.to_chart(y1, tgt1, t1)
-                    inside = np.all(
-                        (y1 >= self.target.base.chart(t1).box[:, 0] - 1e-9)
-                        & (y1 <= self.target.base.chart(t1).box[:, 1] + 1e-9),
-                        axis=-1,
-                    )
+                    inside = inside_box(self.target.base.chart(t1).box, y1, 1e-9)
                     if not np.any(inside):
                         continue
                     T = self.target.fiber_transition(t1, t2, y1[inside])

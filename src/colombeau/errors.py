@@ -13,10 +13,6 @@ class OutsideDomain(ColombeauError):
     """A point lies outside the declared domain box or atlas."""
 
 
-class OrderUnreachable(ColombeauError):
-    """Requested derivative order exceeds analytic and finite-difference support."""
-
-
 class NonFiniteValue(ColombeauError):
     """An evaluation produced NaN (overflow to +/-inf is handled by classification)."""
 

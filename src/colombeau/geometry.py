@@ -56,9 +56,14 @@ def _as_box(box, dim=None):
     return b
 
 
+def inside_box(box, y, slack):
+    """Mask over the points ``y`` (..., n) that lie in ``box`` widened by ``slack``."""
+    y = np.asarray(y, dtype=float)
+    return np.all((y >= box[:, 0] - slack) & (y <= box[:, 1] + slack), axis=-1)
+
+
 def box_contains(box, x, slack=1e-12):
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= box[:, 0] - slack) and np.all(x <= box[:, 1] + slack))
+    return bool(np.all(inside_box(box, x, slack)))
 
 
 def sample_box(box, per_axis):
@@ -168,11 +173,7 @@ class Atlas:
                 raise AtlasMismatch(f"transition {a}->{b} lacks an inverse pair")
             pts = sample_box(self.charts[a].box, per_axis)
             ys = fwd(pts)
-            inside = np.all(
-                (ys >= self.charts[b].box[:, 0] - 1e-12)
-                & (ys <= self.charts[b].box[:, 1] + 1e-12),
-                axis=-1,
-            )
+            inside = inside_box(self.charts[b].box, ys, 1e-12)
             if not np.any(inside):
                 raise AtlasMismatch(f"transition {a}->{b} has empty sampled overlap")
             round_trip = back(ys[inside])
@@ -308,21 +309,13 @@ class VBAtlas:
             ys = self.base.to_chart(pts, a, b)
         except AtlasMismatch:
             return None
-        inside = np.all(
-            (ys >= self.base.chart(b).box[:, 0] - 1e-12)
-            & (ys <= self.base.chart(b).box[:, 1] + 1e-12),
-            axis=-1,
-        )
+        inside = inside_box(self.base.chart(b).box, ys, 1e-12)
         if also is not None:
             try:
                 zs = self.base.to_chart(pts, a, also)
             except AtlasMismatch:
                 return None
-            inside &= np.all(
-                (zs >= self.base.chart(also).box[:, 0] - 1e-12)
-                & (zs <= self.base.chart(also).box[:, 1] + 1e-12),
-                axis=-1,
-            )
+            inside &= inside_box(self.base.chart(also).box, zs, 1e-12)
         if not np.any(inside):
             return None
         return pts[inside]
@@ -464,9 +457,7 @@ def _radial_profile_handle(r0, r1):
     def jf(q, alpha):
         return _profile_jets(q[..., 0], r0_sq, r1_sq)[alpha[0]][..., None]
 
-    h = make_handle(ev, 1, 1, jet_fn=jf, name="profile")
-    h.k_max = 3
-    return h
+    return make_handle(ev, 1, 1, jet_fn=jf, k_max=3, name="profile")
 
 
 def _squared_distance_handle(center):

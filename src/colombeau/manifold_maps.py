@@ -48,6 +48,8 @@ from .geometry import (
     box_contains,
     chord_distance,
     default_test_bank,
+    inside_box,
+    sample_box,
 )
 from .nets import (
     compose_nets,
@@ -203,20 +205,13 @@ class ManifoldNet:
         for s, entries in by_source.items():
             if len(entries) < 2:
                 continue
-            box = self.source.chart(s).box
-            from .geometry import sample_box
-
-            pts = sample_box(box, 5)
+            pts = sample_box(self.source.chart(s).box, 5)
             for (t1, n1), (t2, n2) in zip(entries, entries[1:]):
                 for eps in _EVAL_EPS_SAMPLES:
                     y1 = n1.at(eps)(pts)
                     y2 = n2.at(eps)(pts)
                     moved = self.target.to_chart(y1, t1, t2)
-                    inside = np.all(
-                        (y2 >= self.target.chart(t2).box[:, 0] - 1e-9)
-                        & (y2 <= self.target.chart(t2).box[:, 1] + 1e-9),
-                        axis=-1,
-                    )
+                    inside = inside_box(self.target.chart(t2).box, y2, 1e-9)
                     if not np.any(inside):
                         continue
                     err = float(np.max(np.abs(moved[inside] - y2[inside])))
@@ -409,9 +404,8 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
             mags.append(float(np.max(np.abs(y[finite]))))
         else:
             mags.append(math.inf)
-        box = u.target.chart(tgt).box
         inside = np.all(finite) and np.all(
-            (y >= box[:, 0] - 1e-9) & (y <= box[:, 1] + 1e-9)
+            inside_box(u.target.chart(tgt).box, y, 1e-9)
         )
         if not inside and escape_eps is None:
             escape_eps = eps
@@ -623,7 +617,7 @@ def check_equivalent(
     grid = grid or EpsGrid.default()
     _moderate_precheck(u, K, grid)
     _moderate_precheck(v, K, grid)
-    if u.target is not v.target and u.target.dim != v.target.dim:
+    if u.target is not v.target:
         raise AtlasMismatch("nets map into different target atlases")
     if not u.target.has_metric:
         raise NoMetric("equivalence route A needs a metric on the target")

@@ -2,11 +2,14 @@
 
 A :class:`Net` is a family ``eps -> smooth map`` on a domain box; every map
 is a :class:`SmoothMapHandle` that evaluates points and partial-derivative
-jets.  Jets come from an analytic rule where the constructor supplies one
-(up to ``k_max``) and otherwise from central finite differences with two
-Richardson extrapolation levels.  The finite-difference step shrinks with
-eps, ``h = max(eps**1.5, 1e-7) * (1 + |x|)``, because interesting nets
-oscillate at scale eps.
+jets.  Each handle has one jet rule.  :func:`make_handle` builds it from an
+analytic rule up to an order ``k_max`` and central finite differences with
+two Richardson extrapolation levels above it; the sum, product and
+composition combinators build it from their operands' jets.  Checkers take
+the jets of the eps-slice with ``net.at(eps).jet(x, alpha, fd_step(eps))``:
+the finite-difference step shrinks with eps,
+``h = max(eps**1.5, 1e-7) * (1 + |x|)``, because interesting nets oscillate
+at scale eps.
 
 Points are numpy arrays whose last axis is the input dimension; evaluation
 broadcasts over leading axes.  Multi-indices are integer tuples of length
@@ -22,22 +25,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteValue,
-    OrderUnreachable,
-    OutsideDomain,
-)
-
-#: sentinel order for handles whose analytic jets are valid at every order
-INF_ORDER = 10**6
+from .errors import DimensionMismatch, OutsideDomain
 
 #: composition uses the exact multivariate chain rule up to this jet order,
 #: plain finite differences of the composite above it
 CHAIN_ORDER_CAP = 3
-
-#: finite differences support jets up to this order (beyond analytic reach)
-FD_ORDER_CAP = 4
 
 _RICHARDSON_LEVELS = 2
 
@@ -165,24 +157,20 @@ def finite_difference_jet(eval_fn, x, alpha, step):
 class SmoothMapHandle:
     """A single smooth map with point and jet evaluation.
 
-    ``jet_fn(x, alpha)`` supplies analytic partial derivatives for
-    ``|alpha| <= k_max``; ``k_max = 0`` means finite differences are the
-    only route above order zero.  ``jet_impl`` replaces the whole dispatch
-    (used by algebraic combinators that delegate to their operands).
+    ``jet_impl(x, alpha, step)`` is the one jet rule, used for
+    ``|alpha| >= 1``; order zero is evaluation.  ``step`` is the base step
+    of any finite differences the rule takes.
     """
 
     dim_in: int
     dim_out: int
     eval_fn: Callable
-    jet_fn: Optional[Callable] = None
-    k_max: int = 0
-    jet_impl: Optional[Callable] = None
+    jet_impl: Callable
     name: str = ""
 
     def __call__(self, x):
         x = _as_points(x, self.dim_in)
-        out = np.asarray(self.eval_fn(x), dtype=float)
-        return out
+        return np.asarray(self.eval_fn(x), dtype=float)
 
     def jet(self, x, alpha, step=1e-6):
         x = _as_points(x, self.dim_in)
@@ -190,14 +178,9 @@ class SmoothMapHandle:
             raise DimensionMismatch(
                 f"multi-index length {len(alpha)} != dim_in {self.dim_in}"
             )
-        k = order(alpha)
-        if k == 0:
+        if order(alpha) == 0:
             return self(x)
-        if self.jet_impl is not None:
-            return np.asarray(self.jet_impl(x, tuple(alpha), step), dtype=float)
-        if self.jet_fn is not None and k <= self.k_max:
-            return np.asarray(self.jet_fn(x, tuple(alpha)), dtype=float)
-        return finite_difference_jet(self.eval_fn, x, tuple(alpha), step)
+        return np.asarray(self.jet_impl(x, tuple(alpha), step), dtype=float)
 
     def jacobian(self, x, step=1e-6):
         """Matrix of first partials, shape (..., dim_out, dim_in)."""
@@ -205,10 +188,17 @@ class SmoothMapHandle:
         return np.stack(cols, axis=-1)
 
 
-def make_handle(eval_fn, dim_in, dim_out, jet_fn=None, k_max=0, name=""):
-    if jet_fn is not None and k_max == 0:
-        k_max = INF_ORDER
-    return SmoothMapHandle(dim_in, dim_out, eval_fn, jet_fn, k_max, name=name)
+def make_handle(eval_fn, dim_in, dim_out, jet_fn=None, k_max=math.inf, name=""):
+    """Handle whose jets are ``jet_fn(x, alpha)`` up to order ``k_max`` and
+    finite differences of ``eval_fn`` above it, or at every order when
+    ``jet_fn`` is None."""
+
+    def ji(x, alpha, step):
+        if jet_fn is not None and order(alpha) <= k_max:
+            return jet_fn(x, alpha)
+        return finite_difference_jet(eval_fn, x, alpha, step)
+
+    return SmoothMapHandle(dim_in, dim_out, eval_fn, ji, name)
 
 
 def identity_handle(dim):
@@ -220,7 +210,7 @@ def identity_handle(dim):
             out[..., i] = 1.0
         return out
 
-    return SmoothMapHandle(dim, dim, lambda x: x.copy(), jf, INF_ORDER, name="id")
+    return make_handle(lambda x: x.copy(), dim, dim, jet_fn=jf, name="id")
 
 
 # -- algebraic combinators ---------------------------------------------------
@@ -249,8 +239,7 @@ def handle_linear(handles: Sequence[SmoothMapHandle], coeffs: Sequence[float]):
             acc = acc + c * h.jet(x, alpha, step)
         return acc
 
-    k = min(h.k_max for h in handles)
-    return SmoothMapHandle(dim_in, dim_out, ev, None, k, jet_impl=ji, name="lincomb")
+    return SmoothMapHandle(dim_in, dim_out, ev, ji, "lincomb")
 
 
 def handle_product(f: SmoothMapHandle, g: SmoothMapHandle):
@@ -270,8 +259,7 @@ def handle_product(f: SmoothMapHandle, g: SmoothMapHandle):
             )
         return acc
 
-    k = min(f.k_max, g.k_max)
-    return SmoothMapHandle(f.dim_in, f.dim_out, ev, None, k, jet_impl=ji, name="prod")
+    return SmoothMapHandle(f.dim_in, f.dim_out, ev, ji, "prod")
 
 
 def _set_partitions(items):
@@ -336,10 +324,7 @@ def handle_compose(outer: SmoothMapHandle, inner: SmoothMapHandle):
             return _chain_jet(outer, inner, x, alpha, step)
         return finite_difference_jet(ev, x, alpha, step)
 
-    k = min(inner.k_max, outer.k_max, CHAIN_ORDER_CAP)
-    return SmoothMapHandle(
-        inner.dim_in, outer.dim_out, ev, None, k, jet_impl=ji, name="compose"
-    )
+    return SmoothMapHandle(inner.dim_in, outer.dim_out, ev, ji, "compose")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +336,8 @@ class Net:
     """An eps-indexed family of smooth maps on a fixed domain box.
 
     ``at(eps)`` must be valid for every eps in (0, 1].  The box is the
-    evaluability region: points outside raise, there is no extrapolation.
+    region the net is declared on; slices are not checked against it, and
+    finite-difference stencils probe a step beyond its faces.
     ``feature_scale``, when set, maps eps to a list of (lo, hi) windows per
     axis-0 coordinate where the slice has eps-scale features (quadrature
     uses it to place subdivisions).
@@ -380,16 +366,6 @@ class Net:
             self._cache[eps] = h
         return h
 
-    def contains(self, x) -> bool:
-        if self.box is None:
-            return True
-        x = _as_points(x, self.dim_in)
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
-
-    def eval(self, eps, x):
-        return eval_jet(self, eps, x, (0,) * self.dim_in)
-
     def __repr__(self):
         return f"Net({self.label or 'unnamed'}, {self.dim_in}->{self.dim_out})"
 
@@ -400,19 +376,14 @@ def net_from_function(
     dim_out,
     box=None,
     jet=None,
-    k_max=None,
     label="",
     feature_scale=None,
 ):
     """Net from ``fn(eps, x)`` with optional analytic jets ``jet(eps, x, alpha)``."""
-    if k_max is None:
-        k_max = INF_ORDER if jet is not None else 0
 
     def at(eps):
         jf = None if jet is None else (lambda x, alpha, _e=eps: jet(_e, x, alpha))
-        return SmoothMapHandle(
-            dim_in, dim_out, lambda x, _e=eps: fn(_e, x), jf, k_max
-        )
+        return make_handle(lambda x, _e=eps: fn(_e, x), dim_in, dim_out, jf)
 
     return Net(dim_in, dim_out, at, box, label, feature_scale)
 
@@ -420,31 +391,6 @@ def net_from_function(
 def constant_net(handle: SmoothMapHandle, box=None, label=""):
     """Net whose slices are all the same smooth map (constant in eps)."""
     return Net(handle.dim_in, handle.dim_out, lambda eps: handle, box, label)
-
-
-# -- spec operations ---------------------------------------------------------
-
-
-def eval_jet(net: Net, eps: float, x, alpha):
-    """Partial derivative of the eps-slice of ``net`` at ``x``.
-
-    Uses the analytic jet when ``|alpha| <= k_max`` of the slice, central
-    finite differences with Richardson extrapolation otherwise.
-    """
-    handle = net.at(eps)
-    x = _as_points(x, net.dim_in)
-    if not net.contains(x):
-        raise OutsideDomain(f"point outside the domain box of {net.label or 'net'}")
-    alpha = tuple(int(a) for a in alpha)
-    k = order(alpha)
-    if k > max(handle.k_max, FD_ORDER_CAP):
-        raise OrderUnreachable(
-            f"order {k} exceeds analytic ({handle.k_max}) and FD ({FD_ORDER_CAP}) support"
-        )
-    val = handle.jet(x, alpha, fd_step(eps))
-    if np.any(np.isnan(val)):
-        raise NonFiniteValue(f"jet {alpha} of {net.label or 'net'} returned NaN")
-    return val
 
 
 def compose_nets(outer: Net, inner: Net) -> Net:

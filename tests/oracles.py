@@ -182,9 +182,7 @@ def polar_transition():
             return np.stack([np.cos(t), np.sin(t)], axis=-1)
         return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
 
-    h = make_handle(ev, 2, 2, jet_fn=jf, name="polar")
-    h.k_max = 1
-    return h
+    return make_handle(ev, 2, 2, jet_fn=jf, k_max=1, name="polar")
 
 
 def polar_inverse_transition():

@@ -140,6 +140,16 @@ class TestDeterminism:
         for rel in ["verdicts.csv", "fit_pole.csv", "pv/verdicts.csv"]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    def test_pointvals_verdicts_do_not_depend_on_the_seed(self, tmp_path, capsys):
+        # the seed draws the random generalized points; the verdicts on
+        # them must not move
+        outputs = []
+        for seed in range(10):
+            out = tmp_path / str(seed)
+            assert main(["pointvals", "--out", str(out), "--seed", str(seed)]) == 0
+            outputs.append((capsys.readouterr().out, (out / "verdicts.csv").read_bytes()))
+        assert all(o == outputs[0] for o in outputs[1:])
+
 
 class TestExitCodes:
     def test_config_parse_error(self, tmp_path, capsys):

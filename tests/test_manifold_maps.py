@@ -473,6 +473,12 @@ class TestEquivalence:
         report = check_equivalent(H, H_shift, K1)
         assert not report.equivalent
 
+    def test_targets_of_equal_dimension_are_not_one_atlas(self):
+        u = single_chart_map(LINE, euclidean_atlas(1), lambda e, x: x, label="x")
+        v = single_chart_map(LINE, euclidean_atlas(1), lambda e, x: x, label="x")
+        with pytest.raises(AtlasMismatch, match="different target atlases"):
+            check_equivalent(u, v, K1)
+
     def test_equal_nets_are_equivalent_with_derivatives(self):
         report = check_equivalent(
             identity_map(), perturbed_identity(), K1, derivative_order=1
