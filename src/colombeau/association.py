@@ -376,8 +376,7 @@ def check_k_associated(
 
     def pts_at(eps):
         chunks = [base_pts]
-        for net in (u, v):
-            _, rep = net.rep_for(src)
+        for rep in (u.net, v.net):
             if rep.feature_scale is None or rep.dim_in != 1:
                 continue
             for w_lo, w_hi in rep.feature_scale(eps):

@@ -1,7 +1,8 @@
 """Generalized bundle homomorphisms, hybrid nets, and their checkers.
 
 Both kinds are one :class:`FiberNet` stored in local form: one base net
-between the base manifolds plus, per chart pair, a net of fiber values.
+between the base manifolds plus one net of fiber values, written over the
+base net's source chart in one target vb-chart.
 A homomorphism maps a vector bundle into a vector bundle and carries fiber
 matrices of shape ``(m_out, m_in)``; a hybrid net maps a manifold into a
 vector bundle and carries fiber vectors of shape ``(m_out,)``.  Generalized
@@ -45,13 +46,11 @@ from .geometry import (
     CompactSet,
     VBAtlas,
     box_contains,
-    inside_box,
     partition_of_unity,
     sample_box,
     trivial_bundle,
 )
 from .manifold_maps import (
-    _EVAL_EPS_SAMPLES,
     GeneralizedManifoldPoint,
     ManifoldNet,
     _argmax_point,
@@ -68,12 +67,10 @@ from .manifold_maps import (
     check_equivalent,
     check_moderate,
     compose,
+    identity_map,
     point_distance,
-    single_chart_map,
 )
 from .nets import Net, fd_step, net_from_function
-
-_AGREEMENT_TOL = 1e-9
 
 
 def opnorm_max(M) -> np.ndarray:
@@ -118,97 +115,58 @@ def _as_matrix(vals, shape) -> np.ndarray:
 
 @dataclass
 class FiberNet:
-    """Net into a vector bundle in local form: base net plus fiber nets.
+    """Net into a vector bundle in local form: base net plus fiber net.
 
-    ``fiber_nets`` maps (source chart, target vb-chart) to a
-    :func:`matrix_net`.  With a :class:`VBAtlas` as ``source`` the net is a
-    bundle homomorphism and its fibers are ``(m_out, m_in)`` matrices; with
-    a manifold atlas as ``source`` it is a hybrid net and its fibers are
-    ``(m_out,)`` vectors.  Fiber nets sharing a source chart must agree
-    through the target's fiber transitions at sampled points and eps.
+    ``fiber`` is a :func:`matrix_net` over the base net's source chart,
+    with values in the target vb-chart ``chart``.  With a :class:`VBAtlas`
+    as ``source`` the net is a bundle homomorphism and its fibers are
+    ``(m_out, m_in)`` matrices; with a manifold atlas as ``source`` it is a
+    hybrid net and its fibers are ``(m_out,)`` vectors.
     """
 
     source: object
     target: VBAtlas
     base_net: ManifoldNet
-    fiber_nets: dict
+    chart: str
+    fiber: Net
     label: str = ""
 
     def __post_init__(self):
         m_out = self.target.fiber_dim
         if isinstance(self.source, VBAtlas):
-            manifold, src_charts = self.source.base, self.source.vb_chart_ids
-            shape = (m_out, self.source.fiber_dim)
+            manifold, shape = self.source.base, (m_out, self.source.fiber_dim)
         else:
-            manifold, src_charts = self.source, self.source.charts
-            shape = (m_out,)
-        for (s, t), net in self.fiber_nets.items():
-            if s not in src_charts or t not in self.target.vb_chart_ids:
-                raise AtlasMismatch(f"fiber net keyed by unknown charts ({s},{t})")
-            if net.fiber_shape != shape:
-                raise DimensionMismatch(
-                    f"fiber net ({s},{t}) has shape {net.fiber_shape}, "
-                    f"bundle expects {shape}"
-                )
-            if net.dim_in != manifold.dim:
-                raise DimensionMismatch("fiber net domain dim != base dim")
-        self._check_fiber_agreement(shape)
-
-    def _check_fiber_agreement(self, shape):
-        by_source = {}
-        for (s, t), net in sorted(self.fiber_nets.items()):
-            by_source.setdefault(s, []).append((t, net))
-        for s, entries in by_source.items():
-            if len(entries) < 2:
-                continue
-            box = self.base_net.rep_for(s)[1].box
-            if box is None:
-                continue
-            pts = sample_box(box, 5)
-            for (t1, n1), (t2, n2) in zip(entries, entries[1:]):
-                for eps in _EVAL_EPS_SAMPLES:
-                    tgt1, y1 = self.base_net.eval(eps, pts, s)
-                    if tgt1 != t1:
-                        y1 = self.target.base.to_chart(y1, tgt1, t1)
-                    inside = inside_box(self.target.base.chart(t1).box, y1, 1e-9)
-                    if not np.any(inside):
-                        continue
-                    T = self.target.fiber_transition(t1, t2, y1[inside])
-                    M1 = _as_matrix(fiber_values(n1, eps, pts[inside]), shape)
-                    M2 = _as_matrix(fiber_values(n2, eps, pts[inside]), shape)
-                    err = float(np.max(np.abs(T @ M1 - M2)))
-                    if err > _AGREEMENT_TOL:
-                        raise AtlasMismatch(
-                            f"fiber nets ({s},{t1}) and ({s},{t2}) disagree through "
-                            f"the fiber transition: error {err:.2e} at eps={eps}"
-                        )
+            manifold, shape = self.source, (m_out,)
+        base = self.base_net
+        if base.source is not manifold or base.target is not self.target.base:
+            raise AtlasMismatch("base net does not map between the bundles' base atlases")
+        if self.chart not in self.target.vb_chart_ids:
+            raise AtlasMismatch(f"fiber net written in unknown vb-chart {self.chart!r}")
+        if self.fiber.fiber_shape != shape:
+            raise DimensionMismatch(
+                f"fiber net has shape {self.fiber.fiber_shape}, bundle expects {shape}"
+            )
+        if self.fiber.dim_in != manifold.dim:
+            raise DimensionMismatch("fiber net domain dim != base dim")
 
     def fiber_for(self, src_chart: str):
-        for (s, t), net in self.fiber_nets.items():
-            if s == src_chart:
-                return t, net
-        raise AtlasMismatch(f"no fiber net with source chart {src_chart!r}")
+        """(target vb-chart, fiber net) for coordinates in ``src_chart``."""
+        self.base_net._own_chart(src_chart)
+        return self.chart, self.fiber
 
     def fiber_matrix(self, eps: float, x, src_chart: Optional[str] = None):
         """(target vb-chart, fiber values at x): matrices or vectors."""
-        if src_chart is None:
-            src_chart = next(iter(self.fiber_nets))[0]
-        t, net = self.fiber_for(src_chart)
-        return t, fiber_values(net, eps, x)
+        self.base_net._own_chart(src_chart)
+        return self.chart, fiber_values(self.fiber, eps, x)
 
     def apply(self, eps: float, x, xi=None, src_chart: Optional[str] = None):
         """Full map at x: (target chart, base image, fiber value), the
         fiber matrix applied to ``xi`` when one is given."""
-        if src_chart is None:
-            src_chart = next(iter(self.fiber_nets))[0]
-        tgt, y = self.base_net.eval(eps, x, src_chart)
-        t2, F = self.fiber_matrix(eps, np.asarray(x, dtype=float), src_chart)
-        if t2 != tgt:
-            y = self.target.base.to_chart(y, tgt, t2)
-            tgt = t2
+        y = self.base_net.image_in(eps, x, self.chart, src_chart)
+        _, F = self.fiber_matrix(eps, np.asarray(x, dtype=float))
         if xi is not None:
             F = np.einsum("...ij,...j->...i", F, np.asarray(xi, dtype=float))
-        return tgt, y, F
+        return self.chart, y, F
 
 
 def single_chart_hom(
@@ -216,47 +174,44 @@ def single_chart_hom(
     target: VBAtlas,
     base: ManifoldNet,
     matrix_fn,
-    src_chart="main",
     tgt_chart="main",
     label="",
 ) -> FiberNet:
+    """Hom over ``base`` whose fiber matrices ``matrix_fn(eps, x)`` are
+    written over the base's source chart, in the vb-chart ``tgt_chart``."""
     m = matrix_net(
         matrix_fn,
         source.base.dim,
         (target.fiber_dim, source.fiber_dim),
-        box=source.base.chart(src_chart).box,
+        box=base.source.chart(base.src_chart).box,
         label=label,
     )
-    return FiberNet(source, target, base, {(src_chart, tgt_chart): m}, label)
+    return FiberNet(source, target, base, tgt_chart, m, label)
 
 
 def identity_hom(vb: VBAtlas, chart="main", label="id") -> FiberNet:
-    base = single_chart_map(
-        vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart, label=label
-    )
+    base = identity_map(vb.base, chart, label=label)
     eye = np.eye(vb.fiber_dim)
 
     def mat(e, x):
         return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
 
-    return single_chart_hom(vb, vb, base, mat, chart, chart, label=label)
+    return single_chart_hom(vb, vb, base, mat, chart, label=label)
 
 
 def tangent_map(u: ManifoldNet, label="") -> FiberNet:
-    """The hom net of Jacobians of u's chart representations."""
+    """The hom net of Jacobians of u's chart representation."""
     source = trivial_bundle(u.source, u.source.dim)
     target = trivial_bundle(u.target, u.target.dim)
-    fiber = {}
-    for (s, t), net in u.reps.items():
-        def mat(e, x, _net=net):
-            h = _net.at(e)
-            return h.jacobian(x, step=fd_step(e))
 
-        fiber[(s, t)] = matrix_net(
-            mat, u.source.dim, (u.target.dim, u.source.dim),
-            box=net.box, label=f"D({net.label or 'net'})",
-        )
-    return FiberNet(source, target, u, fiber, label or f"T({u.label})")
+    def mat(e, x):
+        return u.net.at(e).jacobian(x, step=fd_step(e))
+
+    fiber = matrix_net(
+        mat, u.source.dim, (u.target.dim, u.source.dim),
+        box=u.net.box, label=f"D({u.net.label or 'net'})",
+    )
+    return FiberNet(source, target, u, u.tgt_chart, fiber, label or f"T({u.label})")
 
 
 def single_chart_hybrid(
@@ -264,27 +219,25 @@ def single_chart_hybrid(
     target: VBAtlas,
     base: ManifoldNet,
     vector_fn,
-    src_chart="main",
     tgt_chart="main",
     label="",
 ) -> FiberNet:
+    """Hybrid over ``base`` whose fiber vectors ``vector_fn(eps, x)`` are
+    written over the base's source chart, in the vb-chart ``tgt_chart``."""
     v = matrix_net(
         vector_fn,
         source.dim,
         (target.fiber_dim,),
-        box=source.chart(src_chart).box,
+        box=base.source.chart(base.src_chart).box,
         label=label,
     )
-    return FiberNet(source, target, base, {(src_chart, tgt_chart): v}, label)
+    return FiberNet(source, target, base, tgt_chart, v, label)
 
 
 def section_net(vb: VBAtlas, vector_fn, chart="main", label="") -> FiberNet:
     """Generalized section: hybrid net over the identity base."""
-    base = single_chart_map(
-        vb.base, vb.base, lambda e, x: x, src_chart=chart, tgt_chart=chart,
-        label=f"id[{label}]",
-    )
-    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, chart, label)
+    base = identity_map(vb.base, chart, label=f"id[{label}]")
+    return single_chart_hybrid(vb.base, vb, base, vector_fn, chart, label)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +367,7 @@ def _fiber_cutoff(atlas, witness: CompactSet, pts, src):
     bump = geometry.make_bump(center, 0.6 * r_out, r_out, box=chart.box)
 
     def at_base(base_net, eps):
-        tgt, y = base_net.eval(eps, pts, src)
-        if tgt != witness.chart_id:
-            y = atlas.to_chart(y, tgt, witness.chart_id)
-        return bump(y)[..., 0]
+        return bump(base_net.image_in(eps, pts, witness.chart_id, src))[..., 0]
 
     return at_base
 
@@ -435,7 +385,7 @@ def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
     witness = base_report.witness
     pts = _check_points(L)
     src = L.chart_id
-    _, net = u.fiber_for(src)
+    net = u.fiber
 
     # chart route: per order k, sup over sampled L of entrywise fiber jets
     fiber_verdicts = []
@@ -516,8 +466,7 @@ def _fiber_equivalent(
     witness = _witness_union(mu.witness, mv.witness)
     pts = _check_points(L)
     src = L.chart_id
-    _, net_u = u.fiber_for(src)
-    _, net_v = v.fiber_for(src)
+    net_u, net_v = u.fiber, v.fiber
 
     # chart route: fiber differences masked to co-located base images
     masks = _colocated_masks(u.base_net, v.base_net, pts, src, witness.box, grid)
@@ -608,58 +557,44 @@ def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
     if u.target is not w.source and u.target.fiber_dim != w.source.fiber_dim:
         raise AtlasMismatch("composition needs matching middle bundle")
     base = compose(u.base_net, w.base_net, label=label)
-    fiber = {}
-    for (s, m1), net_u in u.fiber_nets.items():
-        for (m2, t), net_w in w.fiber_nets.items():
-            if m1 != m2:
-                continue
-
-            def fib(e, x, _nu=net_u, _nw=net_w, _s=s, _m=m1):
-                F = _as_matrix(fiber_values(_nu, e, x), _nu.fiber_shape)
-                tgt, y = u.base_net.eval(e, x, _s)
-                if tgt != _m:
-                    y = u.target.base.to_chart(y, tgt, _m)
-                return fiber_values(_nw, e, y) @ F
-
-            fiber[(s, t)] = matrix_net(
-                fib,
-                net_u.dim_in,
-                (w.target.fiber_dim,) + net_u.fiber_shape[1:],
-                box=net_u.box,
-                label=f"{net_w.label}*{net_u.label}",
-            )
-    if not fiber:
+    if u.chart != w.base_net.src_chart:
         raise AtlasMismatch("no chart pair chains through the middle bundle")
-    out = FiberNet(u.source, w.target, base, fiber, label or f"{w.label}o{u.label}")
-    for net in out.fiber_nets.values():
-        _quick_moderate_guard(net, net.box, net.label)
+    net_u, net_w = u.fiber, w.fiber
+
+    def fib(e, x):
+        F = _as_matrix(fiber_values(net_u, e, x), net_u.fiber_shape)
+        return fiber_values(net_w, e, u.base_net.image_in(e, x, u.chart)) @ F
+
+    fiber = matrix_net(
+        fib,
+        net_u.dim_in,
+        (w.target.fiber_dim,) + net_u.fiber_shape[1:],
+        box=net_u.box,
+        label=f"{net_w.label}*{net_u.label}",
+    )
+    out = FiberNet(
+        u.source, w.target, base, w.chart, fiber, label or f"{w.label}o{u.label}"
+    )
+    _quick_moderate_guard(fiber, fiber.box, fiber.label)
     return out
 
 
 def compose_hybrid(u: ManifoldNet, v: FiberNet, label="") -> FiberNet:
-    """Hybrid after a manifold net: fiber part pulled back along u."""
-    if u.target is not v.source and u.target.dim != v.source.dim:
-        raise AtlasMismatch("hybrid composition needs matching middle manifold")
+    """Hybrid after a manifold net: fiber part pulled back along u.  The
+    base composition rejects a middle atlas other than ``v.source``."""
     base = compose(u, v.base_net, label=label)
-    fiber = {}
-    for (s, m1), net_base in u.reps.items():
-        for (m2, t), net_v in v.fiber_nets.items():
-            if m1 != m2:
-                continue
+    net_v = v.fiber
 
-            def vec(e, x, _nv=net_v, _s=s, _m=m1):
-                tgt, y = u.eval(e, x, _s)
-                if tgt != _m:
-                    y = u.target.to_chart(y, tgt, _m)
-                return fiber_values(_nv, e, y)
+    def vec(e, x):
+        return fiber_values(net_v, e, u.image_in(e, x, v.base_net.src_chart))
 
-            fiber[(s, t)] = matrix_net(
-                vec, u.source.dim, (v.target.fiber_dim,),
-                box=net_base.box, label=f"{net_v.label}o{u.label}",
-            )
-    if not fiber:
-        raise AtlasMismatch("no chart pair chains through the middle manifold")
-    return FiberNet(u.source, v.target, base, fiber, label or f"{v.label}o{u.label}")
+    fiber = matrix_net(
+        vec, u.source.dim, (v.target.fiber_dim,),
+        box=u.net.box, label=f"{net_v.label}o{u.label}",
+    )
+    return FiberNet(
+        u.source, v.target, base, v.chart, fiber, label or f"{v.label}o{u.label}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +644,7 @@ def _adversarial_hybrid_point(u, v, L, grid) -> GeneralizedManifoldPoint:
     """Point chasing the per-eps worst base-plus-fiber gap over sampled L."""
     pts = _check_points(L)
     src = L.chart_id
-    _, net_u = u.fiber_for(src)
-    _, net_v = v.fiber_for(src)
+    net_u, net_v = u.fiber, v.fiber
     gaps = {}
     for eps in grid:
         su = fiber_values(net_u, eps, pts)
@@ -812,7 +746,7 @@ def align_representative(
     eps_threshold = grid.values[ok_from]
 
     members = partition_of_unity(atlas, list(cores) if cores else [region])
-    t_in, old_net = v.fiber_for(src)
+    t_in, old_net = v.chart, v.fiber
     shape = old_net.fiber_shape
     trivial = (
         len(members) == 1
@@ -826,12 +760,8 @@ def align_representative(
             # one trivialization covers everything: transport between the
             # old and new base points is the identity, fiber passes through
             return old
-        tu, y_new = u_rep.eval(eps, x, src)
-        if tu != t_in:
-            y_new = atlas.to_chart(y_new, tu, t_in)
-        tv, y_old = v.base_net.eval(eps, x, src)
-        if tv != t_in:
-            y_old = atlas.to_chart(y_old, tv, t_in)
+        y_new = u_rep.image_in(eps, x, t_in, src)
+        y_old = v.base_net.image_in(eps, x, t_in, src)
         old = _as_matrix(old, shape)
         acc = np.zeros_like(old)
         for member in members:
@@ -853,7 +783,7 @@ def align_representative(
     info = AlignmentInfo(
         eps_threshold, r, region, passthrough=eps_threshold < grid.values[0]
     )
-    out = FiberNet(v.source, target, u_rep, {(src, t_in): aligned},
+    out = FiberNet(v.source, target, u_rep, t_in, aligned,
                    label=f"aligned({v.label})")
     out.alignment = info
     return out
@@ -864,10 +794,8 @@ def hom_u_add(v1: FiberNet, v2: FiberNet, u_rep: ManifoldNet, L: CompactSet,
     """Fiberwise sum after aligning both homs to the shared base."""
     a1 = align_representative(v1, u_rep, L, grid)
     a2 = align_representative(v2, u_rep, L, grid)
-    src = L.chart_id
-    t1, n1 = a1.fiber_for(src)
-    t2, n2 = a2.fiber_for(src)
-    if t1 != t2:
+    n1, n2 = a1.fiber, a2.fiber
+    if a1.chart != a2.chart:
         raise AlignmentError("aligned homs land in different vb charts")
 
     def mat(e, x):
@@ -875,7 +803,7 @@ def hom_u_add(v1: FiberNet, v2: FiberNet, u_rep: ManifoldNet, L: CompactSet,
 
     summed = matrix_net(mat, n1.dim_in, n1.fiber_shape, box=n1.box,
                         label=f"{v1.label}+{v2.label}")
-    out = FiberNet(v1.source, v1.target, u_rep, {(src, t1): summed},
+    out = FiberNet(v1.source, v1.target, u_rep, a1.chart, summed,
                    label=f"{v1.label}+{v2.label}")
     out.alignment = a1.alignment
     return out
@@ -890,14 +818,14 @@ def hom_u_scale(c: float, v: FiberNet, u_rep: Optional[ManifoldNet] = None,
             raise AlignmentError("scaling with alignment needs the working region")
         v = align_representative(v, u_rep, L, grid)
     c = float(c)
-    fiber = {}
-    for (s, t), net in v.fiber_nets.items():
-        def mat(e, x, _n=net):
-            return c * fiber_values(_n, e, x)
+    net = v.fiber
 
-        fiber[(s, t)] = matrix_net(mat, net.dim_in, net.fiber_shape, box=net.box,
-                                   label=f"{c}*{net.label}")
-    out = FiberNet(v.source, v.target, v.base_net, fiber, label=f"{c}*{v.label}")
+    def mat(e, x):
+        return c * fiber_values(net, e, x)
+
+    fiber = matrix_net(mat, net.dim_in, net.fiber_shape, box=net.box,
+                       label=f"{c}*{net.label}")
+    out = FiberNet(v.source, v.target, v.base_net, v.chart, fiber, label=f"{c}*{v.label}")
     if hasattr(v, "alignment"):
         out.alignment = v.alignment
     return out

@@ -287,6 +287,15 @@ def _parse_entry(entry: str, tags: dict, what: str):
     return names, expect
 
 
+def _pairs(section: dict, tags: dict, what: str):
+    """(two net names, expectation) per entry of the section's ``pairs``."""
+    for entry in _parse_list(section.get("pairs", "")):
+        names, expect = _parse_entry(entry, tags, what)
+        if len(names) != 2:
+            raise ConfigError(f"{what} needs two nets: {entry!r}")
+        yield names, expect
+
+
 def load_config(path=None, overrides=None) -> RunConfig:
     cp = configparser.ConfigParser()
     if path is None:
@@ -465,10 +474,7 @@ _EQUIV_TAGS = {"equivalent": True, "not-equivalent": False, "distinct": False}
 def run_equiv(cfg: RunConfig, out_dir) -> list:
     section = cfg.sections.get("equiv", {})
     records = []
-    for entry in _parse_list(section.get("pairs", "")):
-        names, expect = _parse_entry(entry, _EQUIV_TAGS, "equiv pair")
-        if len(names) != 2:
-            raise ConfigError(f"equiv pair needs two nets: {entry!r}")
+    for names, expect in _pairs(section, _EQUIV_TAGS, "equiv pair"):
         u, v = cfg.map_net(names[0]), cfg.map_net(names[1])
         rep = check_equivalent(u, v, cfg.region, grid=cfg.grid)
         assoc = check_k_associated(
@@ -490,10 +496,7 @@ def run_vb_equiv(cfg: RunConfig, out_dir) -> list:
     vb = trivial_bundle(cfg.atlas, 1)
     base = identity_map(cfg.atlas)
     records = []
-    for entry in _parse_list(section.get("pairs", "")):
-        names, expect = _parse_entry(entry, _EQUIV_TAGS, "vb-equiv pair")
-        if len(names) != 2:
-            raise ConfigError(f"vb-equiv pair needs two nets: {entry!r}")
+    for names, expect in _pairs(section, _EQUIV_TAGS, "vb-equiv pair"):
         u = single_chart_hom(vb, vb, base, cfg.fiber_fn(names[0]), label=names[0])
         v = single_chart_hom(vb, vb, base, cfg.fiber_fn(names[1]), label=names[1])
         rep = check_vb_equivalent(u, v, cfg.region, grid=cfg.grid)
@@ -509,10 +512,7 @@ def run_hybrid_equiv(cfg: RunConfig, out_dir) -> list:
     section = cfg.sections.get("hybrid-equiv", {})
     vb = trivial_bundle(cfg.atlas, 1)
     records = []
-    for entry in _parse_list(section.get("pairs", "")):
-        names, expect = _parse_entry(entry, _EQUIV_TAGS, "hybrid-equiv pair")
-        if len(names) != 2:
-            raise ConfigError(f"hybrid-equiv pair needs two nets: {entry!r}")
+    for names, expect in _pairs(section, _EQUIV_TAGS, "hybrid-equiv pair"):
         u = section_net(vb, cfg.fiber_fn(names[0]), label=names[0])
         v = section_net(vb, cfg.fiber_fn(names[1]), label=names[1])
         rep = check_hybrid_equivalent(u, v, cfg.region, grid=cfg.grid)
@@ -531,10 +531,7 @@ def run_pointvals(cfg: RunConfig, out_dir) -> list:
     section = cfg.sections.get("pointvals", {})
     count = int(section.get("count", 20))
     records = []
-    for i, entry in enumerate(_parse_list(section.get("pairs", ""))):
-        names, expect = _parse_entry(entry, _POINT_TAGS, "pointvals pair")
-        if len(names) != 2:
-            raise ConfigError(f"pointvals pair needs two nets: {entry!r}")
+    for i, (names, expect) in enumerate(_pairs(section, _POINT_TAGS, "pointvals pair")):
         u, v = cfg.map_net(names[0]), cfg.map_net(names[1])
         pts = random_gpoints(cfg.region, count, seed=cfg.seed + i)
         same, info = check_pointvalue_equality(
@@ -571,10 +568,7 @@ def run_associate(cfg: RunConfig, out_dir) -> list:
         records.append(_judged(
             "associate", names[0], verdict, expect, bool(rep), detail=detail
         ))
-    for entry in _parse_list(section.get("pairs", "")):
-        names, expect = _parse_entry(entry, _ASSOC_TAGS, "associate pair")
-        if len(names) != 2:
-            raise ConfigError(f"associate pair needs two nets: {entry!r}")
+    for names, expect in _pairs(section, _ASSOC_TAGS, "associate pair"):
         u, v = cfg.map_net(names[0]), cfg.map_net(names[1])
         rep = check_k_associated(
             u, v, k, cfg.region, grid=cfg.grid, assoc_tol=cfg.assoc_tol

@@ -33,8 +33,8 @@ from .errors import (
 from .nets import (
     SmoothMapHandle,
     handle_compose,
-    handle_linear,
     handle_product,
+    handle_sum,
     identity_handle,
     make_handle,
 )
@@ -606,7 +606,7 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
                 terms.append(b)
             else:
                 terms.append(handle_compose(b, atlas.transition_handle(eval_chart, cid)))
-        return handle_linear(terms, [1.0] * len(terms)) if len(terms) > 1 else terms[0]
+        return handle_sum(terms) if len(terms) > 1 else terms[0]
 
     members = []
     for cid, b in bumps:

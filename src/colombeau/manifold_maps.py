@@ -49,9 +49,9 @@ from .geometry import (
     chord_distance,
     default_test_bank,
     inside_box,
-    sample_box,
 )
 from .nets import (
+    Net,
     compose_nets,
     constant_net,
     fd_step,
@@ -59,7 +59,6 @@ from .nets import (
     identity_handle,
 )
 
-_REP_AGREEMENT_TOL = 1e-9
 # differences within this many ulps of the operands' magnitude are
 # arithmetic noise, counted as measured zeros
 _DIFF_NOISE_C = 4.0
@@ -168,16 +167,15 @@ def _sup_curve(grid, k, pts, slices, mask=None, step=fd_step, diff=None):
 
 @dataclass
 class ManifoldNet:
-    """A net of maps between atlases, stored per (source chart, target chart).
-
-    ``reps`` maps (source chart id, target chart id) to a Net in those
-    coordinates.  Where two representations share a source chart they must
-    agree through the target transition maps at sampled points and eps.
-    """
+    """A net of maps between atlases, written in one chart pair: ``net``
+    takes coordinates of ``src_chart`` to coordinates of ``tgt_chart``.
+    The target's transitions give its images in every other chart."""
 
     source: Atlas
     target: Atlas
-    reps: dict
+    src_chart: str
+    tgt_chart: str
+    net: Net
     label: str = ""
     # c-boundedness reports by (K chart, K box, K resolution, grid values);
     # see check_cbounded
@@ -186,59 +184,37 @@ class ManifoldNet:
     )
 
     def __post_init__(self):
-        if not self.reps:
-            raise AtlasMismatch("manifold net needs at least one chart-pair net")
-        for (s, t), net in self.reps.items():
-            self.source.chart(s)
-            self.target.chart(t)
-            if net.dim_in != self.source.dim or net.dim_out != self.target.dim:
-                raise DimensionMismatch(
-                    f"net for ({s},{t}) has dims {net.dim_in}->{net.dim_out}, "
-                    f"atlas needs {self.source.dim}->{self.target.dim}"
-                )
-        self._check_rep_agreement()
+        self.source.chart(self.src_chart)
+        self.target.chart(self.tgt_chart)
+        if self.net.dim_in != self.source.dim or self.net.dim_out != self.target.dim:
+            raise DimensionMismatch(
+                f"net for ({self.src_chart},{self.tgt_chart}) has dims "
+                f"{self.net.dim_in}->{self.net.dim_out}, "
+                f"atlas needs {self.source.dim}->{self.target.dim}"
+            )
 
-    def _check_rep_agreement(self):
-        by_source: dict = {}
-        for (s, t), net in self.reps.items():
-            by_source.setdefault(s, []).append((t, net))
-        for s, entries in by_source.items():
-            if len(entries) < 2:
-                continue
-            pts = sample_box(self.source.chart(s).box, 5)
-            for (t1, n1), (t2, n2) in zip(entries, entries[1:]):
-                for eps in _EVAL_EPS_SAMPLES:
-                    y1 = n1.at(eps)(pts)
-                    y2 = n2.at(eps)(pts)
-                    moved = self.target.to_chart(y1, t1, t2)
-                    inside = inside_box(self.target.chart(t2).box, y2, 1e-9)
-                    if not np.any(inside):
-                        continue
-                    err = float(np.max(np.abs(moved[inside] - y2[inside])))
-                    if err > _REP_AGREEMENT_TOL:
-                        raise AtlasMismatch(
-                            f"chart-pair nets ({s},{t1}) and ({s},{t2}) disagree "
-                            f"through transitions: error {err:.2e} at eps={eps}"
-                        )
+    def _own_chart(self, src_chart):
+        """Raise unless ``src_chart`` is None or the net's source chart."""
+        if src_chart is not None and src_chart != self.src_chart:
+            raise AtlasMismatch(
+                f"{self.label or 'net'} is written in source chart "
+                f"{self.src_chart!r}, not {src_chart!r}"
+            )
 
-    def rep_for(self, src_chart: str):
-        for (s, t), net in self.reps.items():
-            if s == src_chart:
-                return t, net
-        raise AtlasMismatch(f"no representation with source chart {src_chart!r}")
+    def handle(self, eps: float, src_chart: str = None):
+        """(target chart, eps-slice) for coordinates in ``src_chart``."""
+        self._own_chart(src_chart)
+        return self.tgt_chart, self.net.at(eps)
 
     def eval(self, eps: float, x, src_chart: str = None):
         """Evaluate the eps-slice at points x (coords in src_chart)."""
-        if src_chart is None:
-            src_chart = next(iter(self.reps))[0]
-        tgt, net = self.rep_for(src_chart)
-        return tgt, net.at(eps)(np.asarray(x, dtype=float))
+        tgt, h = self.handle(eps, src_chart)
+        return tgt, h(np.asarray(x, dtype=float))
 
-    def handle(self, eps: float, src_chart: str = None):
-        if src_chart is None:
-            src_chart = next(iter(self.reps))[0]
-        tgt, net = self.rep_for(src_chart)
-        return tgt, net.at(eps)
+    def image_in(self, eps: float, x, chart: str, src_chart: str = None):
+        """The eps-slice at points x, written in target chart ``chart``."""
+        tgt, y = self.eval(eps, x, src_chart)
+        return y if tgt == chart else self.target.to_chart(y, tgt, chart)
 
 
 def single_chart_map(
@@ -251,7 +227,8 @@ def single_chart_map(
     label="",
     feature_scale=None,
 ):
-    """ManifoldNet with one chart-pair representation on the source box."""
+    """ManifoldNet of ``fn(eps, x)`` from ``src_chart`` into ``tgt_chart``,
+    on the source chart's box."""
     from .nets import net_from_function
 
     net = net_from_function(
@@ -263,7 +240,7 @@ def single_chart_map(
         label=label,
         feature_scale=feature_scale,
     )
-    return ManifoldNet(source, target, {(src_chart, tgt_chart): net}, label)
+    return ManifoldNet(source, target, src_chart, tgt_chart, net, label)
 
 
 def identity_map(atlas: Atlas, chart="main", label="id") -> ManifoldNet:
@@ -271,7 +248,7 @@ def identity_map(atlas: Atlas, chart="main", label="id") -> ManifoldNet:
     net = constant_net(
         identity_handle(atlas.dim), box=atlas.chart(chart).box, label=label
     )
-    return ManifoldNet(atlas, atlas, {(chart, chart): net}, label)
+    return ManifoldNet(atlas, atlas, chart, chart, net, label)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +352,9 @@ def check_cbounded(
     escaping to infinity slides off every compactly supported f unnoticed.
 
     The report depends only on (u, K, grid): the sample points are seeded
-    and a net's representations are never changed after construction.  It
-    is therefore memoized on ``u`` per (K, grid), and every later call with
-    an equal K and grid returns the same report object.
+    and a net is never changed after construction.  It is therefore
+    memoized on ``u`` per (K, grid), and every later call with an equal K
+    and grid returns the same report object.
     """
     grid = grid or EpsGrid.default()
     u.source.chart(K.chart_id)
@@ -542,10 +519,7 @@ def _moderate_precheck(u: ManifoldNet, K: CompactSet, grid: EpsGrid):
 def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
     """(u's target chart, u_eps(pts), v_eps(pts)), both images in that chart."""
     t_u, yu = u.eval(eps, pts, src)
-    t_v, yv = v.eval(eps, pts, src)
-    if t_v != t_u:
-        yv = v.target.to_chart(yv, t_v, t_u)
-    return t_u, yu, yv
+    return t_u, yu, v.image_in(eps, pts, t_u, src)
 
 
 def _distance_curve(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
@@ -806,18 +780,13 @@ def check_pointvalue_equality(
 
 def compose(u: ManifoldNet, v: ManifoldNet, label="") -> ManifoldNet:
     """The net x -> v_eps(u_eps(x)) (u first, then v)."""
-    if v.source.dim != u.target.dim:
+    if v.source is not u.target:
+        raise AtlasMismatch("cannot compose: the middle atlases are different objects")
+    if v.src_chart != u.tgt_chart:
         raise AtlasMismatch(
-            f"cannot compose: middle dims {u.target.dim} vs {v.source.dim}"
+            f"cannot compose: middle charts {u.tgt_chart!r} and {v.src_chart!r}"
         )
-    reps = {}
-    for (a, b), nu in u.reps.items():
-        for (b2, c), nv in v.reps.items():
-            if b2 == b:
-                reps[(a, c)] = compose_nets(nv, nu)
-    if not reps:
-        raise AtlasMismatch("no matching middle chart between the nets")
     return ManifoldNet(
-        u.source, v.target, reps,
+        u.source, v.target, u.src_chart, v.tgt_chart, compose_nets(v.net, u.net),
         label or f"{v.label or 'v'}o{u.label or 'u'}",
     )

@@ -216,30 +216,28 @@ def identity_handle(dim):
 # -- algebraic combinators ---------------------------------------------------
 
 
-def handle_linear(handles: Sequence[SmoothMapHandle], coeffs: Sequence[float]):
+def handle_sum(handles: Sequence[SmoothMapHandle]):
+    """Pointwise sum; jets term by term."""
     if not handles:
         raise DimensionMismatch("empty handle list")
     dim_in, dim_out = handles[0].dim_in, handles[0].dim_out
     for h in handles:
         if (h.dim_in, h.dim_out) != (dim_in, dim_out):
             raise DimensionMismatch("handles disagree in dimensions")
-    if len(coeffs) != len(handles):
-        raise DimensionMismatch("coefficient list length mismatch")
-    coeffs = [float(c) for c in coeffs]
 
     def ev(x):
-        acc = coeffs[0] * handles[0].eval_fn(x)
-        for c, h in zip(coeffs[1:], handles[1:]):
-            acc = acc + c * h.eval_fn(x)
+        acc = handles[0].eval_fn(x)
+        for h in handles[1:]:
+            acc = acc + h.eval_fn(x)
         return acc
 
     def ji(x, alpha, step):
-        acc = coeffs[0] * handles[0].jet(x, alpha, step)
-        for c, h in zip(coeffs[1:], handles[1:]):
-            acc = acc + c * h.jet(x, alpha, step)
+        acc = handles[0].jet(x, alpha, step)
+        for h in handles[1:]:
+            acc = acc + h.jet(x, alpha, step)
         return acc
 
-    return SmoothMapHandle(dim_in, dim_out, ev, ji, "lincomb")
+    return SmoothMapHandle(dim_in, dim_out, ev, ji, "sum")
 
 
 def handle_product(f: SmoothMapHandle, g: SmoothMapHandle):

@@ -137,32 +137,38 @@ class TestHomConstruction:
         for kind, src in self.SOURCES.items():
             bad = self.constant_fiber(kind, 1.0, rows=2)
             with pytest.raises(DimensionMismatch):
-                FiberNet(src, TX, base_identity(), {("main", "main"): bad})
+                FiberNet(src, TX, base_identity(), "main", bad)
 
     def test_unknown_vb_chart_rejected(self):
         for kind, src in self.SOURCES.items():
             m = self.constant_fiber(kind, 1.0)
-            for key in (("main", "elsewhere"), ("elsewhere", "main")):
-                with pytest.raises(AtlasMismatch):
-                    FiberNet(src, TX, base_identity(), {key: m})
-
-    def test_two_chart_fibers_must_agree(self):
-        base, vb = two_chart_bundle()
-        reps = {
-            ("main", "A"): net_from_function(
-                lambda e, x: x, 1, 1, box=LINE.chart("main").box
-            )
-        }
-        base_net = ManifoldNet(LINE, base, reps)
-        for kind, src in self.SOURCES.items():
-            m_a = self.constant_fiber(kind, 3.0)
-            m_b_good = self.constant_fiber(kind, 6.0)
-            m_b_bad = self.constant_fiber(kind, 5.0)
-            FiberNet(src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_good})
             with pytest.raises(AtlasMismatch):
-                FiberNet(
-                    src, vb, base_net, {("main", "A"): m_a, ("main", "B"): m_b_bad}
-                )
+                FiberNet(src, TX, base_identity(), "elsewhere", m)
+
+    def test_base_net_over_another_atlas_rejected(self):
+        # a second euclidean line of the same dimension is another atlas
+        other = euclidean_atlas(1, 10.0)
+        for kind, src in self.SOURCES.items():
+            m = self.constant_fiber(kind, 1.0)
+            for base in (
+                single_chart_map(other, LINE, lambda e, x: x),
+                single_chart_map(LINE, other, lambda e, x: x),
+            ):
+                with pytest.raises(AtlasMismatch, match="base atlases"):
+                    FiberNet(src, TX, base, "main", m)
+
+    def test_other_source_chart_rejected(self):
+        _, vb = two_chart_bundle()
+        s = section_net(vb, lambda e, x: np.ones_like(x), chart="A")
+        x = np.array([[0.5]])
+        assert s.fiber_for("A") == ("A", s.fiber)
+        assert np.array_equal(s.fiber_matrix(0.1, x, "A")[1], [[1.0]])
+        with pytest.raises(AtlasMismatch, match="source chart 'A', not 'B'"):
+            s.fiber_for("B")
+        with pytest.raises(AtlasMismatch):
+            s.fiber_matrix(0.1, x, "B")
+        with pytest.raises(AtlasMismatch):
+            s.apply(0.1, x, src_chart="B")
 
 
 class TestVBModerate:
@@ -392,18 +398,23 @@ class TestComposition:
             TX,
             t2,
             into_plane,
-            {
-                ("main", "main"): matrix_net(
-                    lambda e, x: np.ones(x.shape[:-1] + (2, 1)),
-                    1,
-                    (2, 1),
-                    box=LINE.chart("main").box,
-                )
-            },
+            "main",
+            matrix_net(
+                lambda e, x: np.ones(x.shape[:-1] + (2, 1)),
+                1,
+                (2, 1),
+                box=LINE.chart("main").box,
+            ),
         )
         a = scaled_hom(lambda e: 3.0, label="A")
         with pytest.raises(AtlasMismatch):
             compose_homs(widen, a)
+
+    def test_hybrid_after_net_into_another_atlas_raises(self):
+        other = euclidean_atlas(1, 10.0)
+        s = section_net(TX, lambda e, x: np.ones_like(x), label="one")
+        with pytest.raises(AtlasMismatch, match="middle atlases"):
+            compose_hybrid(single_chart_map(LINE, other, lambda e, x: x), s)
 
     def test_blowup_composite_rejected(self):
         a = scaled_hom(lambda e: 3.0, label="A")
@@ -538,32 +549,32 @@ class TestAlignment:
         u_rep = ManifoldNet(
             LINE,
             base,
-            {
-                ("main", "A"): net_from_function(
-                    lambda e, x: x, 1, 1, box=LINE.chart("main").box, label="id"
-                )
-            },
+            "main",
+            "A",
+            net_from_function(
+                lambda e, x: x, 1, 1, box=LINE.chart("main").box, label="id"
+            ),
             label="id",
         )
         vbase = ManifoldNet(
             LINE,
             base,
-            {
-                ("main", "A"): net_from_function(
-                    lambda e, x: x + np.exp(-1.0 / e),
-                    1,
-                    1,
-                    box=LINE.chart("main").box,
-                    label="pert",
-                )
-            },
+            "main",
+            "A",
+            net_from_function(
+                lambda e, x: x + np.exp(-1.0 / e),
+                1,
+                1,
+                box=LINE.chart("main").box,
+                label="pert",
+            ),
             label="pert",
         )
         fib = matrix_net(
             lambda e, x: 2.0 + x[..., :1, None], 1, (1, 1),
             box=LINE.chart("main").box, label="M",
         )
-        v = FiberNet(trivial_bundle(LINE, 1), vb, vbase, {("main", "A"): fib})
+        v = FiberNet(trivial_bundle(LINE, 1), vb, vbase, "A", fib)
         cores = [CompactSet("A", [(-1.4, 1.4)]), CompactSet("B", [(-1.9, 0.9)])]
         a = align_representative(v, u_rep, K1, cores=cores)
         assert a.base_net is u_rep

@@ -433,10 +433,10 @@ class TestWitnessCharts:
         # no single box of either chart holds both
         tgt = two_chart_line()
         box = LINE.chart("main").box
-        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
-            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)}, "u")
-        v = ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
-            lambda e, x: 0.5 * np.sin(x) + 10.0, 1, 1, box=box)}, "v")
+        u = ManifoldNet(LINE, tgt, "main", "a", net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box), "u")
+        v = ManifoldNet(LINE, tgt, "main", "b", net_from_function(
+            lambda e, x: 0.5 * np.sin(x) + 10.0, 1, 1, box=box), "v")
         with pytest.raises(AtlasMismatch, match="'a' and 'b'"):
             check_equivalent(u, v, K1)
         with pytest.raises(AtlasMismatch, match="'a' and 'b'"):
@@ -616,11 +616,11 @@ class TestPointValues:
         box = LINE.chart("main").box
 
         def into_b(extra):
-            return ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
-                lambda e, x: 0.5 * np.sin(x) + 10.0 + extra(e), 1, 1, box=box)})
+            return ManifoldNet(LINE, tgt, "main", "b", net_from_function(
+                lambda e, x: 0.5 * np.sin(x) + 10.0 + extra(e), 1, 1, box=box))
 
-        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
-            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)})
+        u = ManifoldNet(LINE, tgt, "main", "a", net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box))
         pts = random_gpoints(K1, 5, seed=0)
         ok, info = check_pointvalue_equality(u, into_b(lambda e: 0.0), pts, K=K1)
         assert ok, info
@@ -647,10 +647,10 @@ class TestPointValues:
         tgt = two_chart_line()
         g = make_bump(np.array([0.7]), 0.05, 0.2)
         box = LINE.chart("main").box
-        u = ManifoldNet(LINE, tgt, {("main", "a"): net_from_function(
-            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box)})
-        v = ManifoldNet(LINE, tgt, {("main", "b"): net_from_function(
-            lambda e, x: 0.5 * np.sin(x) - g(x) + 10.0, 1, 1, box=box)})
+        u = ManifoldNet(LINE, tgt, "main", "a", net_from_function(
+            lambda e, x: 0.5 * np.sin(x), 1, 1, box=box))
+        v = ManifoldNet(LINE, tgt, "main", "b", net_from_function(
+            lambda e, x: 0.5 * np.sin(x) - g(x) + 10.0, 1, 1, box=box))
         grid = EpsGrid.default()
         adv = adversarial_gpoint(u, v, K1, grid)
         for eps in grid:
@@ -716,29 +716,36 @@ class TestComposition:
         assert gpoints_equivalent(LINE, direct, staged)
 
 
-class TestChartRepresentations:
-    def _two_chart_target(self):
-        fwd = affine_transition(np.eye(1), np.array([-2.0]))
-        back = affine_transition(np.eye(1), np.array([2.0]))
-        return Atlas(
-            [Chart("A", [(-10, 10)]), Chart("B", [(-10, 10)])],
-            transitions={("A", "B"): fwd, ("B", "A"): back},
-        )
+class TestOneChartPair:
+    def test_compact_set_in_another_source_chart_is_rejected(self):
+        # the net is written from chart a; K lies in chart b of the same atlas
+        src = two_chart_line()
+        u = ManifoldNet(src, LINE, "a", "main", net_from_function(
+            lambda e, x: 0.1 * x, 1, 1, box=src.chart("a").box), "u")
+        K_b = CompactSet("b", [(9.0, 11.0)])
+        with pytest.raises(AtlasMismatch, match="source chart 'a', not 'b'"):
+            check_cbounded(u, K_b)
+        with pytest.raises(AtlasMismatch, match="source chart 'a', not 'b'"):
+            check_equivalent(u, u, K_b)
+        assert u.eval(0.1, np.array([[1.0]]), "a")[1][0, 0] == pytest.approx(0.1)
 
-    def test_consistent_representations_accepted(self):
-        tgt = self._two_chart_target()
+    def test_middle_charts_must_match(self):
+        # u lands in chart a, v is written from chart b of the same atlas
+        mid = two_chart_line()
         box = LINE.chart("main").box
-        nA = net_from_function(lambda e, x: x, 1, 1, box=box)
-        nB = net_from_function(lambda e, x: x - 2.0, 1, 1, box=box)
-        u = ManifoldNet(LINE, tgt, {("main", "A"): nA, ("main", "B"): nB})
-        cid, y = u.eval(0.1, np.array([[0.5]]), "main")
-        assert cid == "A"
-        assert np.allclose(y, [[0.5]])
+        u = ManifoldNet(LINE, mid, "main", "a", net_from_function(
+            lambda e, x: 0.1 * x, 1, 1, box=box), "u")
+        v = ManifoldNet(mid, LINE, "b", "main", net_from_function(
+            lambda e, x: x - 10.0, 1, 1, box=mid.chart("b").box), "v")
+        with pytest.raises(AtlasMismatch, match="middle charts 'a' and 'b'"):
+            compose(u, v)
 
-    def test_disagreeing_representations_rejected(self):
-        tgt = self._two_chart_target()
-        box = LINE.chart("main").box
-        nA = net_from_function(lambda e, x: x, 1, 1, box=box)
-        nB = net_from_function(lambda e, x: x + 2.1, 1, 1, box=box)
-        with pytest.raises(AtlasMismatch):
-            ManifoldNet(LINE, tgt, {("main", "A"): nA, ("main", "B"): nB})
+    def test_middle_atlas_must_be_one_object(self):
+        # two euclidean lines of equal dimension and charts are two atlases
+        line_a, line_b = euclidean_atlas(1, 10.0), euclidean_atlas(1, 10.0)
+        u = single_chart_map(line_a, line_a, lambda e, x: 0.5 * x, label="u")
+        v = single_chart_map(line_b, line_b, lambda e, x: 0.5 * x, label="v")
+        with pytest.raises(AtlasMismatch, match="middle atlases"):
+            compose(u, v)
+        bridge = single_chart_map(line_a, line_b, lambda e, x: x, label="bridge")
+        assert compose(u, bridge).target is line_b

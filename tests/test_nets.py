@@ -12,7 +12,6 @@ from colombeau.nets import (
     fd_step,
     finite_difference_jet,
     handle_compose,
-    handle_linear,
     handle_product,
     identity_handle,
     make_handle,
