@@ -30,7 +30,9 @@ from colombeau.manifold_maps import (
     ManifoldNet,
     _bank_difference_curves,
     _check_points,
+    _colocated_masks,
     _sup_curve,
+    _witness_union,
     adversarial_gpoint,
     check_cbounded,
     check_equivalent,
@@ -44,7 +46,7 @@ from colombeau.manifold_maps import (
     random_gpoints,
     single_chart_map,
 )
-from colombeau.nets import handle_compose, net_from_function
+from colombeau.nets import SmoothMapHandle, handle_compose, net_from_function
 
 LINE = euclidean_atlas(1, 10.0)
 PLANE = euclidean_atlas(2, 10.0)
@@ -425,6 +427,104 @@ class TestPinnedSlopes:
         assert [(k, v.slope) for k, v in report.fiber_verdicts] == [
             (0, 0.0), (1, 0.0), (2, -1.000000000010602),
         ]
+
+
+def _coordinate(h, i):
+    """The i-th target coordinate of the handle h: column i of its values
+    and jets."""
+    return SmoothMapHandle(
+        h.dim_in, 1, lambda x: h.eval_fn(x)[..., i:i + 1],
+        lambda x, alpha, step: h.jet(x, alpha, step)[..., i:i + 1],
+    )
+
+
+def _e2_ripple():
+    return single_chart_map(
+        LINE, LINE, lambda e, x: e**2 * np.sin(x / e) + x, label="e^2 sin(x/e)+x"
+    )
+
+
+class TestModerateCoordinateRows:
+    """On the witness plateau the bank's plateau tests measure nothing but
+    the chart coordinates: the composite of u with ``x_i*cutoff`` has the
+    jets of u's i-th chart coordinate bit for bit, and the composite with
+    ``cutoff`` is the constant 1."""
+
+    CASES = {
+        "sin(x/e)": (oscillator, K1, EpsGrid.default()),
+        "e^2 sin(x/e)+x": (_e2_ripple, K1, EpsGrid.default()),
+        "ripple": (TestPinnedSlopes.ripple, TestPinnedSlopes.K2, TestPinnedSlopes.GRID),
+    }
+
+    @staticmethod
+    def _composite_curves(u, K, grid, k_max):
+        """(test label, order) -> sup curve of f(u_eps) per plateau test f
+        of the bank on u's witness."""
+        bank = default_test_bank(u.target, check_cbounded(u, K, grid).witness)
+        pts = _check_points(K)
+        return {
+            (test.label, k): _sup_curve(grid, k, pts, lambda eps, f=test.handle: (
+                handle_compose(f, u.handle(eps, K.chart_id)[1]),
+            ))
+            for test in bank.scalar_tests if test.jets_stable
+            for k in range(k_max + 1)
+        }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_coordinate_tests_repeat_the_chart_coordinates(self, case):
+        net, K, grid = self.CASES[case]
+        u = net()
+        composite = self._composite_curves(u, K, grid, 3)
+        pts = _check_points(K)
+        for i in range(u.target.dim):
+            for k in range(4):
+                chart = _sup_curve(grid, k, pts, lambda eps: (
+                    _coordinate(u.handle(eps, K.chart_id)[1], i),
+                ))
+                assert composite[(f"x{i}*cutoff", k)] == chart, (i, k)
+        assert composite[("cutoff", 0)] == [1.0] * len(grid)
+        for k in (1, 2, 3):
+            assert composite[("cutoff", k)] == [0.0] * len(grid)
+
+
+class TestBankRouteCoordinateRows:
+    """Route B of check_equivalent shares its coordinate rows with route C:
+    the ``x0*cutoff`` difference rows are route C's masked chart-difference
+    curves bit for bit and the ``cutoff`` row is 0.  Only its bump rows
+    measure what route C does not."""
+
+    PAIRS = {
+        "e*x vs e^2x^2": lambda: (
+            single_chart_map(LINE, LINE, lambda e, x: e * x, label="e*x"),
+            single_chart_map(LINE, LINE, lambda e, x: e**2 * x**2, label="e^2x^2"),
+        ),
+        "x vs x+negl": lambda: (identity_map(), perturbed_identity()),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_coordinate_rows_are_route_c(self, pair):
+        u, v = self.PAIRS[pair]()
+        grid = EpsGrid.default()
+        pts = _check_points(K1)
+        witness = _witness_union(
+            check_cbounded(u, K1, grid).witness, check_cbounded(v, K1, grid).witness
+        )
+        bank = default_test_bank(LINE, witness)
+        rows = {
+            (label, k): curve
+            for label, k, curve in _bank_difference_curves(
+                u, v, bank, 2, "main", grid, pts
+            )
+        }
+        masks = _colocated_masks(u, v, pts, "main", witness.box, grid)
+        for k in range(3):
+            chart = _sup_curve(
+                grid, k, pts,
+                lambda eps: (u.handle(eps, "main")[1], v.handle(eps, "main")[1]),
+                mask=masks.get,
+            )
+            assert rows[("x0*cutoff", k)] == chart, k
+            assert rows[("cutoff", k)] == [0.0] * len(grid), k
 
 
 class TestWitnessCharts:
