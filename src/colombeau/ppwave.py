@@ -107,14 +107,17 @@ def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps: flo
     -Gamma^k_ij X'^i X'^j of the metric in the module docstring, with u' = 1."""
     if not eps > 0:
         raise ConfigError("eps must be positive")
+    # the profile's jet rule, bound once, at the step SmoothMapHandle.jet
+    # passes by default
+    grad = profile.f.jet_impl
 
     def rhs(u, state):
         v, x, y, vd, xd, yd = state
         D, Dp = rho.pulse_at(eps, u)
         p = np.array([x, y])
         f = profile.f.eval_fn(p)[0]
-        fx = profile.f.jet(p, (1, 0))[0]
-        fy = profile.f.jet(p, (0, 1))[0]
+        fx = grad(p, (1, 0), 1e-6)[0]
+        fy = grad(p, (0, 1), 1e-6)[0]
         return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
                 0.5 * D * fx, 0.5 * D * fy]
 

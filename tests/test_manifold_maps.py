@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from colombeau import association
 from colombeau.association import check_k_associated
-from colombeau.asymptotics import EpsGrid, is_negligible
+from colombeau.asymptotics import EpsGrid, estimate_growth_order, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
 from colombeau.errors import (
     AtlasMismatch,
@@ -215,7 +215,6 @@ class TestModerate:
         assert bool(report)
         assert report.verdict.classification == "moderate"
         assert report.verdict.order == 2
-        assert report.chart_route_agrees
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_order_calibration(self, power):
@@ -225,8 +224,8 @@ class TestModerate:
         assert report.verdict.order == power
         slopes = [
             v.slope
-            for label, k, v in report.per_test
-            if label == "x0*cutoff" and k == 1
+            for label, k, v in report.rows
+            if label == "x0" and k == 1
         ]
         assert abs(slopes[0] + power) < 0.1
 
@@ -234,14 +233,25 @@ class TestModerate:
         report = check_moderate(identity_map(), K1, k_max=2)
         assert report.verdict.classification == "moderate"
         assert report.verdict.order == 0
-        assert report.chart_route_agrees
+
+    def test_negligible_coordinates_read_moderate_of_order_zero(self):
+        # order 0 of a manifold-valued net is its c-boundedness: every row
+        # of exp(-1/e)cos x reads negligible, the verdict Moderate(0)
+        u = single_chart_map(
+            LINE, LINE, lambda e, x: np.exp(-1.0 / e) * np.cos(x),
+            label="exp(-1/e)cos x",
+        )
+        report = check_moderate(u, K1, k_max=2)
+        assert {v.classification for _, _, v in report.rows} == {"negligible"}
+        assert report.verdict.classification == "moderate"
+        assert report.verdict.order == 0
+        assert bool(report)
 
     def test_wild_net_is_neither(self):
         with np.errstate(over="ignore", invalid="ignore"):
             report = check_moderate(wild_map(), K1, k_max=2, grid=SHORT_GRID)
         assert not bool(report)
         assert report.verdict.classification == "neither"
-        assert report.chart_route_agrees
 
     def test_blowup_raises_not_cbounded(self):
         blow = single_chart_map(
@@ -252,9 +262,12 @@ class TestModerate:
 
     def test_report_lists_only_plateau_tests(self):
         report = check_moderate(identity_map(), K1, k_max=1)
-        labels = {label for label, _, _ in report.per_test}
-        assert all("bump" not in label for label in labels)
-        assert any("cutoff" in label for label in labels)
+        assert [(label, k) for label, k, _ in report.rows] == [("x0", 0), ("x0", 1)]
+        report = check_moderate(TestPinnedSlopes.ripple(), TestPinnedSlopes.K2,
+                                k_max=2, grid=TestPinnedSlopes.GRID)
+        assert [(label, k) for label, k, _ in report.rows] == [
+            (f"x{i}", k) for i in range(2) for k in range(3)
+        ]
 
 
 class TestSupCurve:
@@ -400,16 +413,13 @@ class TestPinnedSlopes:
 
     def test_check_moderate_per_test_slopes(self):
         report = check_moderate(self.ripple(), self.K2, k_max=2, grid=self.GRID)
-        assert [(label, k, v.slope) for label, k, v in report.per_test] == [
-            ("cutoff", 0, 0.0),
-            ("cutoff", 1, 8.0),
-            ("cutoff", 2, 8.0),
-            ("x0*cutoff", 0, 0.0059650794944265135),
-            ("x0*cutoff", 1, 0.0),
-            ("x0*cutoff", 2, -0.9996578824045167),
-            ("x1*cutoff", 0, 0.0),
-            ("x1*cutoff", 1, 0.0),
-            ("x1*cutoff", 2, 8.0),
+        assert [(label, k, v.slope) for label, k, v in report.rows] == [
+            ("x0", 0, 0.0059650794944265135),
+            ("x0", 1, 0.0),
+            ("x0", 2, -0.9996578824045167),
+            ("x1", 0, 0.0),
+            ("x1", 1, 0.0),
+            ("x1", 2, 8.0),
         ]
 
     def test_check_vb_moderate_fiber_slopes(self):
@@ -448,7 +458,8 @@ class TestModerateCoordinateRows:
     """On the witness plateau the bank's plateau tests measure nothing but
     the chart coordinates: the composite of u with ``x_i*cutoff`` has the
     jets of u's i-th chart coordinate bit for bit, and the composite with
-    ``cutoff`` is the constant 1."""
+    ``cutoff`` is the constant 1.  So check_moderate's rows, which measure
+    the coordinates alone, are the composites' verdicts."""
 
     CASES = {
         "sin(x/e)": (oscillator, K1, EpsGrid.default()),
@@ -485,6 +496,11 @@ class TestModerateCoordinateRows:
         assert composite[("cutoff", 0)] == [1.0] * len(grid)
         for k in (1, 2, 3):
             assert composite[("cutoff", k)] == [0.0] * len(grid)
+        assert check_moderate(u, K, k_max=3, grid=grid).rows == [
+            (f"x{i}", k, estimate_growth_order(composite[(f"x{i}*cutoff", k)], grid))
+            for i in range(u.target.dim)
+            for k in range(4)
+        ]
 
 
 class TestBankRouteCoordinateRows:
