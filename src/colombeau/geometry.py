@@ -662,10 +662,30 @@ class DensityTest:
 
 @dataclass
 class TestBank:
+    """The scalar tests, with what it takes to evaluate them all at once.
+
+    ``eval(y)`` returns every test's value at the points ``y`` (shape
+    (n_pts, n)) as one (n_tests, n_pts) array, rows in ``scalar_tests``
+    order and bit for bit each test's handle: one plateau evaluation, its
+    products with the coordinates, and one profile evaluation of the squared
+    distances to all bump ``centers``, against the columns ``r0_sq`` and
+    ``r1_sq`` of squared inner and outer radii.
+    """
+
     scalar_tests: list
+    plateau: SmoothMapHandle
+    centers: np.ndarray
+    r0_sq: np.ndarray
+    r1_sq: np.ndarray
 
     def __len__(self):
         return len(self.scalar_tests)
+
+    def eval(self, y):
+        cut = self.plateau.eval_fn(y)
+        q = np.sum((y - self.centers[:, None, :]) ** 2, axis=-1)
+        bumps = _profile_value(q, self.r0_sq, self.r1_sq)
+        return np.vstack([cut.T, (cut * y).T, bumps])
 
 
 _BANK_SIZE = 16
@@ -721,10 +741,12 @@ def default_test_bank(atlas: Atlas, region: CompactSet) -> TestBank:
     centers_small = _lattice(box, remaining - big)
     r_big = min(0.35 * scale, 0.9 * gap)
     r_small = r_big / 3.0
-    for j, c in enumerate(centers_big):
-        b = make_bump(c, 0.5 * r_big, r_big, box=chart.box)
-        tests.append(ScalarTest(b, b.support_box, "bump", f"bump-big-{j}"))
-    for j, c in enumerate(centers_small):
-        b = make_bump(c, 0.5 * r_small, r_small, box=chart.box)
-        tests.append(ScalarTest(b, b.support_box, "bump", f"bump-small-{j}"))
-    return TestBank(tests)
+    centers, radii_sq = [], []
+    for size, r, cs in (("big", r_big, centers_big), ("small", r_small, centers_small)):
+        for j, c in enumerate(cs):
+            b = make_bump(c, 0.5 * r, r, box=chart.box)
+            tests.append(ScalarTest(b, b.support_box, "bump", f"bump-{size}-{j}"))
+            centers.append(c)
+            radii_sq.append((float(0.5 * r) ** 2, float(r) ** 2))
+    r0_sq, r1_sq = np.array(radii_sq).T[:, :, None]
+    return TestBank(tests, plateau, np.array(centers), r0_sq, r1_sq)

@@ -539,22 +539,23 @@ def _colocated_masks(u: ManifoldNet, v: ManifoldNet, pts, src: str, box, grid):
 def _bank_difference_curves(u, v, bank: TestBank, k: int, src: str, grid, pts):
     """(test label, order, sup curve of the jets of f(u_eps) - f(v_eps)) per
     scalar bank test f and order up to k.  Order 0 takes each net's image
-    once per eps and applies every test to it, which is what the composite
-    evaluates; higher orders take chain-rule jets.  Bump derivative sups
-    are too noisy to fit (see the comment on geometry.ScalarTest), so bumps
-    enter at order 0 only."""
+    once per eps and evaluates the whole bank on it in one ``TestBank.eval``
+    call per net, which is what each composite evaluates; the row-wise sup
+    reads inf for a row with any non-finite entry, as ``_sup_abs`` does.
+    Higher orders take chain-rule jets.  Bump derivative sups are too noisy
+    to fit (see the comment on geometry.ScalarTest), so bumps enter at
+    order 0 only."""
     tests = bank.scalar_tests
-    order0 = [[] for _ in tests]
+    order0 = []
     for eps in grid:
         x = np.asarray(pts(eps) if callable(pts) else pts, dtype=float)
         yu = u.handle(eps, src)[1].eval_fn(x)
         yv = v.handle(eps, src)[1].eval_fn(x)
-        for curve, test in zip(order0, tests):
-            f = test.handle.eval_fn
-            d = np.asarray(f(yu), dtype=float) - np.asarray(f(yv), dtype=float)
-            curve.append(max(0.0, _sup_abs(d)))
+        a = np.abs(bank.eval(yu) - bank.eval(yv))
+        finite = np.all(np.isfinite(a), axis=1)
+        order0.append(np.where(finite, np.max(a, axis=1, initial=0.0), np.inf))
     rows = []
-    for test, curve0 in zip(tests, order0):
+    for test, curve0 in zip(tests, np.transpose(order0).tolist()):
         rows.append((test.label, 0, curve0))
         for order in range(1, k + 1) if test.jets_stable else ():
             curve = _sup_curve(grid, order, pts, lambda eps, f=test.handle: (
