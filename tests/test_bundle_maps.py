@@ -55,6 +55,7 @@ from colombeau.bundle_maps import (
     vb_point_insert,
     vb_points_equivalent,
 )
+from colombeau import nets
 from colombeau.nets import net_from_function
 
 LINE = euclidean_atlas(1, 10.0)
@@ -296,6 +297,32 @@ class TestTangentMap:
         assert np.isclose(M0.ravel()[0], 0.5 / eps, rtol=1e-4)
         _, M1 = T.fiber_matrix(eps, np.array([[0.5]]))
         assert abs(M1.ravel()[0]) < 1e-8
+
+    def test_fiber_takes_the_base_jet_rule(self, monkeypatch):
+        # the Jacobian goes through the base handle's jet rule where it has
+        # one: the fiber of e*sin(x/e) is cos(x/e), with no finite difference
+        def jet(e, x, alpha):
+            k = alpha[0]
+            table = [np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)]
+            return e ** (1 - k) * table[k % 4](x / e)
+
+        fd_calls = []
+        fd = nets.finite_difference_jet
+        monkeypatch.setattr(
+            nets, "finite_difference_jet", lambda *a: fd_calls.append(a) or fd(*a)
+        )
+        wave = single_chart_map(
+            LINE, LINE, lambda e, x: e * np.sin(x / e), jet=jet, label="wave"
+        )
+        T = tangent_map(wave)
+        x = np.linspace(-1.0, 1.0, 41)[:, None]
+        for eps in SHORT_GRID:
+            _, M = T.fiber_matrix(eps, x)
+            assert M.shape == (41, 1, 1)
+            assert np.array_equal(
+                M[..., 0].view(np.uint64), jet(eps, x, (1,)).view(np.uint64)
+            )
+        assert fd_calls == []
 
     def test_identity_tangent_is_identity_hom(self):
         T = tangent_map(base_identity())

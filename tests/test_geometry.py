@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau import association, geometry
+from colombeau.association import sharp_mollifier
 from colombeau.asymptotics import EpsGrid, estimate_growth_order
 from colombeau.errors import (
     AtlasMismatch,
     BallEscapesChart,
     CoverGap,
+    InconsistentRoutes,
     NoMetric,
     OutsideDomain,
 )
@@ -35,6 +38,7 @@ from colombeau.geometry import (
     trivial_bundle,
 )
 from colombeau.nets import identity_handle, make_handle
+from colombeau.ppwave import default_profile, kink_limit_study
 from oracles import (
     locate,
     polar_inverse_transition,
@@ -415,6 +419,69 @@ class TestPartitionOfUnity:
         members = partition_of_unity(atlas, cores)
         # disjoint cores are each fully covered by their own bump
         assert members[0].handle(np.array([-29.5]))[0] == pytest.approx(1.0)
+
+
+class TestBankEval:
+    """TestBank.eval stacks the values of every scalar test, bit for bit
+    what each test's own handle gives."""
+
+    @staticmethod
+    def _eval_counting_dead_steps(bank, y, monkeypatch):
+        calls = []
+        step = geometry._dead_step
+        monkeypatch.setattr(
+            geometry, "_dead_step", lambda *a: calls.append(a) or step(*a)
+        )
+        got = bank.eval(y)
+        monkeypatch.setattr(geometry, "_dead_step", step)
+        want = np.stack([t.handle.eval_fn(y)[..., 0] for t in bank.scalar_tests])
+        assert got.shape == want.shape == (len(bank), len(y))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return len(calls)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_are_the_tests_bit_for_bit(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        atlas = euclidean_atlas(dim, 10.0)
+        dead = {}
+        for width in np.geomspace(1e-3, 4.0, 10):
+            lo = rng.uniform(-5.0, 5.0 - width, dim)
+            region = CompactSet("main", np.stack([lo, lo + width], axis=-1))
+            bank = default_test_bank(atlas, region)
+            # every bump's band middle, where a hairline band's W underflows
+            band = bank.centers.copy()
+            band[:, 0] += 0.75 * np.sqrt(bank.r1_sq[:, 0])
+            y = np.concatenate([
+                rng.uniform(lo - 0.3 * width, lo + 1.3 * width, (200, dim)),
+                band,
+                np.full((1, dim), 9.5),  # outside every support
+            ])
+            dead[width] = self._eval_counting_dead_steps(bank, y, monkeypatch)
+        assert dead[1e-3] > 0 and dead[4.0] == 0
+
+    def test_the_kink_datums_near_step_bump(self, monkeypatch):
+        # the bank of the kink study's 0-association check on the datum whose
+        # routes split: its bump-small-0 steps from 0 to 1 near y = 1.435
+        banks = []
+        build = association.default_test_bank
+        monkeypatch.setattr(
+            association, "default_test_bank",
+            lambda *a: banks.append(build(*a)) or banks[-1],
+        )
+        with pytest.raises(InconsistentRoutes):
+            kink_limit_study(
+                default_profile(), sharp_mollifier(),
+                (0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022), EpsGrid.dyadic(6, 12),
+            )
+        (bank,) = banks
+        y = np.concatenate([
+            np.linspace(1.2, 2.3, 1101), np.linspace(1.434, 1.436, 201)
+        ])
+        self._eval_counting_dead_steps(bank, y[:, None], monkeypatch)
+        row = bank.eval(np.array([[1.4345], [1.4355]]))[
+            [t.label for t in bank.scalar_tests].index("bump-small-0")
+        ]
+        assert row[0] < 1e-3 and row[1] > 1.0 - 1e-3
 
 
 class TestDefaultBank:

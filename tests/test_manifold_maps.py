@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colombeau import association
+from colombeau import association, geometry
 from colombeau.association import check_k_associated
 from colombeau.asymptotics import EpsGrid, estimate_growth_order, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
@@ -31,6 +31,7 @@ from colombeau.manifold_maps import (
     _bank_difference_curves,
     _check_points,
     _colocated_masks,
+    _sup_abs,
     _sup_curve,
     _witness_union,
     adversarial_gpoint,
@@ -46,7 +47,12 @@ from colombeau.manifold_maps import (
     random_gpoints,
     single_chart_map,
 )
-from colombeau.nets import SmoothMapHandle, handle_compose, net_from_function
+from colombeau.nets import (
+    SmoothMapHandle,
+    handle_compose,
+    make_handle,
+    net_from_function,
+)
 
 LINE = euclidean_atlas(1, 10.0)
 PLANE = euclidean_atlas(2, 10.0)
@@ -392,6 +398,66 @@ class TestBankImage:
         grid = association.association_grid()
         assert check_k_associated(u, v, 0, K1, grid=grid)
         assert calls["u"] == calls["v"] == {eps: 1 for eps in grid}
+
+    def test_order_zero_evaluates_the_bank_twice_per_eps(self, monkeypatch):
+        evals = []
+        stacked = geometry.TestBank.eval
+        monkeypatch.setattr(
+            geometry.TestBank, "eval",
+            lambda bank, y: evals.append(y) or stacked(bank, y),
+        )
+        u = single_chart_map(LINE, LINE, lambda e, x: np.sin(x) + e * x)
+        v = single_chart_map(LINE, LINE, lambda e, x: np.sin(x))
+        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
+        pts = _check_points(K1)
+        want = _bank_difference_curves(u, v, bank, 0, "main", self.GRID, pts)
+        evals.clear()
+
+        def per_test(x):
+            raise AssertionError("a per-test handle was evaluated")
+
+        for test in bank.scalar_tests:
+            test.handle = make_handle(per_test, 1, 1)
+        got = _bank_difference_curves(u, v, bank, 0, "main", self.GRID, pts)
+        assert got == want
+        assert len(evals) == 2 * len(self.GRID)
+
+    def test_non_finite_images_read_as_the_per_test_sups(self):
+        # u is nan at one eps and +-inf at another; a nan entry makes its row
+        # inf, while inf only sends a bump (and the cutoff) to 0
+        grid = self.GRID
+        i_nan, i_inf = 2, 5
+        e_nan, e_inf = list(grid)[i_nan], list(grid)[i_inf]
+
+        def fn(e, x):
+            y = np.sin(x) + e * x
+            if e == e_nan:
+                return np.where(x > 0.5, np.nan, y)
+            if e == e_inf:
+                return np.where(x < -0.5, np.inf, np.where(x > 0.5, -np.inf, y))
+            return y
+
+        u = single_chart_map(LINE, LINE, fn)
+        v = single_chart_map(LINE, LINE, lambda e, x: np.sin(x))
+        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
+        pts = _check_points(K1)
+        rows = _bank_difference_curves(u, v, bank, 0, "main", grid, pts)
+        got = {label: curve for label, _, curve in rows}
+        for test in bank.scalar_tests:
+            f = test.handle.eval_fn
+            want = [
+                max(0.0, _sup_abs(
+                    f(u.handle(eps, "main")[1].eval_fn(pts))
+                    - f(v.handle(eps, "main")[1].eval_fn(pts))
+                ))
+                for eps in grid
+            ]
+            assert got[test.label] == want, test.label
+        assert got["x0*cutoff"][i_nan] == got["x0*cutoff"][i_inf] == np.inf
+        assert all(
+            np.isfinite(got[t.label][i]) for t in bank.scalar_tests
+            if t.kind != "coordinate" for i in (i_nan, i_inf)
+        )
 
 
 class TestPinnedSlopes:
