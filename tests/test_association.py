@@ -289,6 +289,21 @@ class TestKAssociation:
         for k in (0, 1, 2):
             assert check_k_associated(u, u, k, K1)
 
+    def test_ripple_fails_at_order_two_only(self):
+        # e^2 sin(x/e) -> 0 and its first derivative e cos(x/e) -> 0, but its
+        # second derivative -sin(x/e) stays O(1)
+        u = single_chart_map(LINE, LINE, lambda e, x: x, label="x")
+        v = single_chart_map(
+            LINE, LINE, lambda e, x: x + e**2 * np.sin(x / e), label="ripple"
+        )
+        assert check_k_associated(u, v, 0, K1)
+        assert check_k_associated(u, v, 1, K1)
+        rep = check_k_associated(u, v, 2, K1)
+        assert not rep
+        assert [(label, k) for label, k, ok, _ in rep.rows if not ok] == [
+            ("x0*cutoff", 2)
+        ]
+
     def test_step_against_half_scale_step_is_not_associated(self):
         h1 = single_chart_map(
             LINE, LINE, lambda e, x: HEAVI.at(e)(x), label="step",

@@ -609,6 +609,73 @@ class TestBankRouteCoordinateRows:
             assert rows[("cutoff", k)] == [0.0] * len(grid), k
 
 
+def _ripple_limit():
+    return single_chart_map(
+        PLANE, PLANE,
+        lambda e, x: np.stack([x[..., 0], 0.5 * x[..., 1]], axis=-1), label="limit",
+    )
+
+
+class TestKAssociationCoordinateRows:
+    """check_k_associated's rows above order 0 measure the chart
+    coordinates: at orders 1..k the ``x_i*cutoff`` rows are the sup curves
+    of the difference of the two nets' i-th coordinate jets, bit for bit,
+    on the route's own sample points, and the ``cutoff`` rows are 0."""
+
+    PAIRS = {
+        "e*x vs e^2x^2": (lambda: (
+            single_chart_map(LINE, LINE, lambda e, x: e * x, label="e*x"),
+            single_chart_map(LINE, LINE, lambda e, x: e**2 * x**2, label="e^2x^2"),
+        ), K1),
+        "sin x + e vs itself": (lambda: (
+            single_chart_map(LINE, LINE, lambda e, x: np.sin(x) + e, label="w"),
+        ) * 2, K1),
+        "x vs x + e^2 sin(x/e)": (lambda: (identity_map(), _e2_ripple()), K1),
+        "spike vs shift": (lambda: (
+            single_chart_map(
+                LINE, LINE, lambda e, x: np.sin(x) + e * np.exp(-((x / e) ** 2)),
+                label="spike", feature_scale=lambda e: [(-e, e)],
+            ),
+            single_chart_map(
+                LINE, LINE, lambda e, x: np.sin(x) + e * np.cos(x), label="shift"
+            ),
+        ), K1),
+        "ripple vs limit": (
+            lambda: (TestPinnedSlopes.ripple(), _ripple_limit()), TestPinnedSlopes.K2
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_derivative_rows_are_coordinate_differences(self, pair, monkeypatch):
+        make, K = self.PAIRS[pair]
+        u, v = make()
+        curves, sample = [], []
+        tends = association._tends_to_zero
+        monkeypatch.setattr(
+            association, "_tends_to_zero",
+            lambda curve, *a: curves.append(curve) or tends(curve, *a),
+        )
+        bank_route = association._bank_difference_curves
+        monkeypatch.setattr(
+            association, "_bank_difference_curves",
+            lambda *a: sample.append(a[-1]) or bank_route(*a),
+        )
+        rep = check_k_associated(u, v, 2, K)
+        assert len(curves) == len(rep.rows)
+        rows = {(label, k): c for (label, k, _, _), c in zip(rep.rows, curves)}
+        (pts,) = sample
+        grid = association.association_grid()
+        for i in range(u.target.dim):
+            for k in (1, 2):
+                want = _sup_curve(grid, k, pts, lambda eps: (
+                    _coordinate(u.handle(eps, K.chart_id)[1], i),
+                    _coordinate(v.handle(eps, K.chart_id)[1], i),
+                ))
+                assert rows[(f"x{i}*cutoff", k)] == want, (i, k)
+        for k in (1, 2):
+            assert rows[("cutoff", k)] == [0.0] * len(grid), k
+
+
 class TestWitnessCharts:
     def test_witnesses_in_different_target_charts_are_rejected(self):
         # chart b = chart a + 10: u's witness lies in chart a, v's in b, and
