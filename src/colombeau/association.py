@@ -35,6 +35,7 @@ from .manifold_maps import (
     ManifoldNet,
     _bank_difference_curves,
     _check_points,
+    _coordinate_curves,
     _distance_curve,
     _witness_union,
     check_cbounded,
@@ -351,9 +352,14 @@ def check_k_associated(
     """Do all jets of f(u_eps) - f(v_eps) up to order k converge to zero
     locally uniformly?
 
-    At k = 0 the sup-distance route characterizes the same property and
-    both routes must agree; a split is a numerics bug, not a verdict.
+    Order 0 has a row per bank test f, orders 1..k a row ``f"x{i}"`` per
+    target chart coordinate i: there the bank's ``x_i*cutoff`` composites
+    have the coordinates' jets bit for bit, and ``cutoff``'s are 0.  At
+    k = 0 the sup-distance route characterizes the same property and both
+    routes must agree; a split is a numerics bug, not a verdict.
     """
+    if k < 0:
+        raise ConfigError(f"k must be >= 0, got {k}")
     grid = grid or association_grid()
     for net, who in ((u, "first"), (v, "second")):
         try:
@@ -371,8 +377,7 @@ def check_k_associated(
 
     # features that concentrate as eps shrinks slip between fixed sample
     # points; each net's declared feature windows are sampled per eps
-    lo_K = np.asarray(K.box, dtype=float).reshape(-1, 2)[:, 0]
-    hi_K = np.asarray(K.box, dtype=float).reshape(-1, 2)[:, 1]
+    lo_K, hi_K = K.box[:, 0], K.box[:, 1]
 
     def pts_at(eps):
         chunks = [base_pts]
@@ -390,8 +395,8 @@ def check_k_associated(
     bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
 
     for label, order, curve in _bank_difference_curves(
-        u, v, bank, k, src, grid, pts_at
-    ):
+        u, v, bank, src, grid, pts_at
+    ) + _coordinate_curves((u, v), range(1, k + 1), src, grid, pts_at):
         ok, _, final = _tends_to_zero(curve, grid, assoc_tol)
         rows.append((label, order, ok, final))
     route_bank = all(ok for _, _, ok, _ in rows)

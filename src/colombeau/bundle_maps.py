@@ -35,6 +35,7 @@ from .asymptotics import (
 from .errors import (
     AlignmentError,
     AtlasMismatch,
+    ConfigError,
     DimensionMismatch,
     InconsistentRoutes,
     NotCBounded,
@@ -456,6 +457,8 @@ def _fiber_equivalent(
     ``derivative_order`` extend the chart route; the verdict must not
     depend on it.
     """
+    if derivative_order < 0:
+        raise ConfigError(f"derivative_order must be >= 0, got {derivative_order}")
     grid = grid or EpsGrid.default()
     mu = _fiber_moderate(u, L, k_max=2, grid=grid)
     mv = _fiber_moderate(v, L, k_max=2, grid=grid)

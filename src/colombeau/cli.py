@@ -551,6 +551,8 @@ _ASSOC_TAGS = {"associated": True, "not-associated": False}
 def run_associate(cfg: RunConfig, out_dir) -> list:
     section = cfg.sections.get("associate", {})
     k = int(section.get("k", 0))
+    if k < 0:
+        raise ConfigError(f"[associate] k must be >= 0, got {k}")
     densities = cfg.densities()
     records = []
     for entry in _parse_list(section.get("zeros", "")):

@@ -555,19 +555,6 @@ def reciprocal_handle():
     return make_handle(ev, 1, 1, jet_fn=jf, name="recip")
 
 
-def coordinate_handle(dim, index):
-    def jf(x, alpha):
-        k = sum(alpha)
-        out = np.zeros(x.shape[:-1] + (1,))
-        if k == 1 and alpha[index] == 1:
-            out[...] = 1.0
-        return out
-
-    return make_handle(
-        lambda x: x[..., index : index + 1], dim, 1, jet_fn=jf, name=f"x{index}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # partitions of unity
 
@@ -636,20 +623,6 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
 
 
 @dataclass
-class ScalarTest:
-    # jets_stable: the test equals a polynomial (constant or coordinate) on
-    # the plateau covering the region of interest, so jets of test∘u there
-    # reproduce jets of u exactly.  Only such tests give usable derivative
-    # sup curves; narrow bumps are kept for order-0 separation, where the
-    # double-exponential falloff at their support edge cannot poison a fit.
-    handle: SmoothMapHandle
-    support_box: np.ndarray
-    kind: str
-    label: str = ""
-    jets_stable: bool = False
-
-
-@dataclass
 class DensityTest:
     """Compactly supported one-density in a fixed chart: a smooth
     coefficient function against which nets are integrated."""
@@ -662,24 +635,25 @@ class DensityTest:
 
 @dataclass
 class TestBank:
-    """The scalar tests, with what it takes to evaluate them all at once.
+    """The scalar tests of a bank, held as values, not handles.
 
-    ``eval(y)`` returns every test's value at the points ``y`` (shape
-    (n_pts, n)) as one (n_tests, n_pts) array, rows in ``scalar_tests``
-    order and bit for bit each test's handle: one plateau evaluation, its
-    products with the coordinates, and one profile evaluation of the squared
-    distances to all bump ``centers``, against the columns ``r0_sq`` and
-    ``r1_sq`` of squared inner and outer radii.
+    ``labels`` names the tests in row order: ``cutoff`` (the ``plateau``
+    box bump), ``x{i}*cutoff`` per chart coordinate i, then the radial
+    bumps ``bump-big-*`` and ``bump-small-*``, one row of ``centers`` and
+    of the squared radii columns ``r0_sq`` (inner) and ``r1_sq`` (outer)
+    each.  ``eval(y)`` returns all tests at the points ``y`` (n_pts, n) as
+    one (n_tests, n_pts) array: one plateau evaluation, its products with
+    the coordinates, and one profile evaluation of all bumps.
     """
 
-    scalar_tests: list
+    labels: list
     plateau: SmoothMapHandle
     centers: np.ndarray
     r0_sq: np.ndarray
     r1_sq: np.ndarray
 
     def __len__(self):
-        return len(self.scalar_tests)
+        return len(self.labels)
 
     def eval(self, y):
         cut = self.plateau.eval_fn(y)
@@ -717,36 +691,25 @@ def default_test_bank(atlas: Atlas, region: CompactSet) -> TestBank:
     """
     chart = atlas.chart(region.chart_id)
     gap = region.validate_inside(chart)
-    n = atlas.dim
     box = region.box
-    widths = box[:, 1] - box[:, 0]
-    scale = float(np.max(widths))
-
-    tests = []
+    scale = float(np.max(box[:, 1] - box[:, 0]))
     pad = min(0.45 * gap, 0.25 * scale)
-    inner = np.stack([box[:, 0] - pad * 0.5, box[:, 1] + pad * 0.5], axis=-1)
-    outer = np.stack([box[:, 0] - pad, box[:, 1] + pad], axis=-1)
-    plateau = make_box_bump(inner, outer)
-    tests.append(ScalarTest(plateau, outer, "plateau", "cutoff", jets_stable=True))
-    for i in range(n):
-        h = handle_product(plateau, coordinate_handle(n, i))
-        h.support_box = outer
-        tests.append(
-            ScalarTest(h, outer, "coordinate", f"x{i}*cutoff", jets_stable=True)
-        )
+    plateau = make_box_bump(
+        np.stack([box[:, 0] - pad * 0.5, box[:, 1] + pad * 0.5], axis=-1),
+        np.stack([box[:, 0] - pad, box[:, 1] + pad], axis=-1),
+    )
+    labels = ["cutoff"] + [f"x{i}*cutoff" for i in range(atlas.dim)]
 
-    remaining = max(_BANK_SIZE - len(tests), 2)
-    big = math.ceil(remaining / 2)
-    centers_big = _lattice(box, big)
-    centers_small = _lattice(box, remaining - big)
+    remaining = max(_BANK_SIZE - len(labels), 2)
+    sizes = (("big", math.ceil(remaining / 2)), ("small", remaining // 2))
+    labels += [f"bump-{size}-{j}" for size, count in sizes for j in range(count)]
+    centers = np.vstack([_lattice(box, count) for _, count in sizes])
     r_big = min(0.35 * scale, 0.9 * gap)
-    r_small = r_big / 3.0
-    centers, radii_sq = [], []
-    for size, r, cs in (("big", r_big, centers_big), ("small", r_small, centers_small)):
-        for j, c in enumerate(cs):
-            b = make_bump(c, 0.5 * r, r, box=chart.box)
-            tests.append(ScalarTest(b, b.support_box, "bump", f"bump-{size}-{j}"))
-            centers.append(c)
-            radii_sq.append((float(0.5 * r) ** 2, float(r) ** 2))
-    r0_sq, r1_sq = np.array(radii_sq).T[:, :, None]
-    return TestBank(tests, plateau, np.array(centers), r0_sq, r1_sq)
+    radii = [r_big] * sizes[0][1] + [r_big / 3.0] * sizes[1][1]
+    r1 = np.array(radii)[:, None]
+    if np.any(centers - r1 < chart.box[:, 0]) or np.any(centers + r1 > chart.box[:, 1]):
+        raise BallEscapesChart("outer ball does not fit inside the chart box")
+    # Python's float pow, as the bump handles square their radii
+    r0_sq = np.array([[float(0.5 * r) ** 2] for r in radii])
+    r1_sq = np.array([[float(r) ** 2] for r in radii])
+    return TestBank(labels, plateau, centers, r0_sq, r1_sq)

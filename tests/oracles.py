@@ -1,8 +1,9 @@
 """Reference computations that tests compare library code with: the
 polyline Riemannian distance (for ``geometry.chord_distance``), finite-
 difference Christoffel symbols of the pp-wave metric (for the right-hand
-side of ``ppwave.regularized_geodesic_system``), and a polar transition
-pair (for the atlas invariant checks)."""
+side of ``ppwave.regularized_geodesic_system``), a polar transition pair
+(for the atlas invariant checks), and the test bank's tests as separate
+handles (for ``geometry.TestBank.eval`` and the bank route)."""
 
 import math
 
@@ -10,7 +11,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from colombeau.errors import AtlasMismatch, NoMetric, OutsideDomain
-from colombeau.geometry import box_contains, make_handle, sample_box
+from colombeau.geometry import (
+    _BANK_SIZE,
+    _lattice,
+    box_contains,
+    make_box_bump,
+    make_bump,
+    make_handle,
+    sample_box,
+)
+from colombeau.nets import handle_product
 from colombeau.ppwave import pulse
 
 
@@ -191,3 +201,48 @@ def polar_inverse_transition():
         return np.stack([np.hypot(a, b), np.arctan2(b, a)], axis=-1)
 
     return make_handle(ev, 2, 2, name="polar-inverse")
+
+
+def coordinate_handle(dim, index):
+    """x -> x[index], with exact jets."""
+
+    def jf(x, alpha):
+        out = np.zeros(x.shape[:-1] + (1,))
+        if sum(alpha) == 1 and alpha[index] == 1:
+            out[...] = 1.0
+        return out
+
+    return make_handle(
+        lambda x: x[..., index : index + 1], dim, 1, jet_fn=jf, name=f"x{index}"
+    )
+
+
+def bank_tests(atlas, region):
+    """(label, handle) per test of ``default_test_bank(atlas, region)``, in
+    its row order: each test built on its own by the bank's rule from the
+    public ``make_box_bump`` and ``make_bump``, and carrying its
+    ``support_box``."""
+    chart = atlas.chart(region.chart_id)
+    gap = region.validate_inside(chart)
+    n = atlas.dim
+    box = region.box
+    scale = float(np.max(box[:, 1] - box[:, 0]))
+    pad = min(0.45 * gap, 0.25 * scale)
+    outer = np.stack([box[:, 0] - pad, box[:, 1] + pad], axis=-1)
+    plateau = make_box_bump(
+        np.stack([box[:, 0] - pad * 0.5, box[:, 1] + pad * 0.5], axis=-1), outer
+    )
+    tests = [("cutoff", plateau)]
+    for i in range(n):
+        h = handle_product(plateau, coordinate_handle(n, i))
+        h.support_box = outer
+        tests.append((f"x{i}*cutoff", h))
+    remaining = max(_BANK_SIZE - len(tests), 2)
+    big = math.ceil(remaining / 2)
+    r_big = min(0.35 * scale, 0.9 * gap)
+    for size, r, count in (
+        ("big", r_big, big), ("small", r_big / 3.0, remaining - big)
+    ):
+        for j, c in enumerate(_lattice(box, count)):
+            tests.append((f"bump-{size}-{j}", make_bump(c, 0.5 * r, r, box=chart.box)))
+    return tests

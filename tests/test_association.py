@@ -300,9 +300,12 @@ class TestKAssociation:
         assert check_k_associated(u, v, 1, K1)
         rep = check_k_associated(u, v, 2, K1)
         assert not rep
-        assert [(label, k) for label, k, ok, _ in rep.rows if not ok] == [
-            ("x0*cutoff", 2)
-        ]
+        assert [(label, k) for label, k, ok, _ in rep.rows if not ok] == [("x0", 2)]
+
+    def test_negative_order_is_rejected(self):
+        u = single_chart_map(LINE, LINE, lambda e, x: x, label="x")
+        with pytest.raises(ConfigError, match=r"^k must be >= 0, got -1"):
+            check_k_associated(u, u, -1, K1)
 
     def test_step_against_half_scale_step_is_not_associated(self):
         h1 = single_chart_map(

@@ -8,6 +8,7 @@ from colombeau.errors import (
     AlignmentError,
     AtlasMismatch,
     BallEscapesChart,
+    ConfigError,
     DimensionMismatch,
     NotModerate,
     OutsideDomain,
@@ -218,6 +219,13 @@ class TestVBEquivalence:
     def test_reflexive(self):
         h = scaled_hom(lambda e: 2.0, label="two")
         assert check_vb_equivalent(h, h, K1)
+
+    def test_negative_derivative_order_is_rejected(self):
+        h = identity_hom(TX)
+        with pytest.raises(
+            ConfigError, match="derivative_order must be >= 0, got -1"
+        ):
+            check_vb_equivalent(h, h, K1, derivative_order=-1)
 
     def test_verdict_ignores_derivative_order(self):
         h = identity_hom(TX)
@@ -477,6 +485,13 @@ class TestHybrids:
             label="moved",
         )
         assert not check_hybrid_equivalent(s, moved, K1)
+
+    def test_negative_derivative_order_is_rejected(self):
+        s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+        with pytest.raises(
+            ConfigError, match="derivative_order must be >= 0, got -1"
+        ):
+            check_hybrid_equivalent(s, s, K1, derivative_order=-1)
 
     def test_verdict_ignores_derivative_order(self):
         s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")

@@ -180,6 +180,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "check-failure: classify lin" in err
 
+    def test_negative_association_order_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "negative.ini"
+        p.write_text(
+            "[net:a]\nexpr = x\n[net:b]\nexpr = x + eps * x\n"
+            "[associate]\nk = -1\npairs =\n    a : b -> associated\n"
+        )
+        assert main(["associate", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "[associate] k must be >= 0, got -1" in capsys.readouterr().err
+
     def test_grid_too_short_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "short.ini"
         p.write_text("[grid]\nkind = geometric\neps_max = 0.5\neps_min = 0.1\npoints = 3\n")

@@ -40,6 +40,7 @@ from colombeau.geometry import (
 from colombeau.nets import identity_handle, make_handle
 from colombeau.ppwave import default_profile, kink_limit_study
 from oracles import (
+    bank_tests,
     locate,
     polar_inverse_transition,
     polar_transition,
@@ -426,7 +427,8 @@ class TestBankEval:
     what each test's own handle gives."""
 
     @staticmethod
-    def _eval_counting_dead_steps(bank, y, monkeypatch):
+    def _eval_counting_dead_steps(atlas, region, y, monkeypatch):
+        bank = default_test_bank(atlas, region)
         calls = []
         step = geometry._dead_step
         monkeypatch.setattr(
@@ -434,7 +436,9 @@ class TestBankEval:
         )
         got = bank.eval(y)
         monkeypatch.setattr(geometry, "_dead_step", step)
-        want = np.stack([t.handle.eval_fn(y)[..., 0] for t in bank.scalar_tests])
+        tests = bank_tests(atlas, region)
+        assert bank.labels == [label for label, _ in tests]
+        want = np.stack([h.eval_fn(y)[..., 0] for _, h in tests])
         assert got.shape == want.shape == (len(bank), len(y))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         return len(calls)
@@ -456,30 +460,31 @@ class TestBankEval:
                 band,
                 np.full((1, dim), 9.5),  # outside every support
             ])
-            dead[width] = self._eval_counting_dead_steps(bank, y, monkeypatch)
+            dead[width] = self._eval_counting_dead_steps(atlas, region, y, monkeypatch)
         assert dead[1e-3] > 0 and dead[4.0] == 0
 
     def test_the_kink_datums_near_step_bump(self, monkeypatch):
         # the bank of the kink study's 0-association check on the datum whose
         # routes split: its bump-small-0 steps from 0 to 1 near y = 1.435
-        banks = []
+        built = []
         build = association.default_test_bank
         monkeypatch.setattr(
             association, "default_test_bank",
-            lambda *a: banks.append(build(*a)) or banks[-1],
+            lambda *a: built.append(a) or build(*a),
         )
         with pytest.raises(InconsistentRoutes):
             kink_limit_study(
                 default_profile(), sharp_mollifier(),
                 (0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022), EpsGrid.dyadic(6, 12),
             )
-        (bank,) = banks
+        (args,) = built
         y = np.concatenate([
             np.linspace(1.2, 2.3, 1101), np.linspace(1.434, 1.436, 201)
         ])
-        self._eval_counting_dead_steps(bank, y[:, None], monkeypatch)
+        self._eval_counting_dead_steps(*args, y[:, None], monkeypatch)
+        bank = build(*args)
         row = bank.eval(np.array([[1.4345], [1.4355]]))[
-            [t.label for t in bank.scalar_tests].index("bump-small-0")
+            bank.labels.index("bump-small-0")
         ]
         assert row[0] < 1e-3 and row[1] > 1.0 - 1e-3
 
@@ -490,8 +495,8 @@ class TestDefaultBank:
         bank = default_test_bank(PLANE, region)
         assert len(bank) == 16
         rng = np.random.default_rng(3)
-        for t in bank.scalar_tests:
-            lo, hi = t.support_box[:, 0], t.support_box[:, 1]
+        for row, (_, h) in enumerate(bank_tests(PLANE, region)):
+            lo, hi = h.support_box[:, 0], h.support_box[:, 1]
             for _ in range(10):
                 # points outside the support box (inflate away from it)
                 direction = rng.normal(size=2)
@@ -500,11 +505,29 @@ class TestDefaultBank:
                 if np.all(far >= PLANE.chart("main").box[:, 0]) and np.all(
                     far <= PLANE.chart("main").box[:, 1]
                 ):
-                    assert abs(t.handle(far)[0]) == 0.0
+                    assert abs(bank.eval(far[None, :])[row, 0]) == 0.0
 
     def test_cutoff_is_one_on_region(self):
         region = CompactSet("main", [(-1, 1), (-1, 1)])
         bank = default_test_bank(PLANE, region)
-        plateau = bank.scalar_tests[0]
         pts = region.sample_points()
-        assert np.allclose(plateau.handle(pts), 1.0)
+        assert np.allclose(bank.eval(pts)[bank.labels.index("cutoff")], 1.0)
+
+    def test_builds_no_per_test_handle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_bump was called")
+
+        monkeypatch.setattr(geometry, "make_bump", refuse)
+        region = CompactSet("main", [(-1, 1), (-1, 1)])
+        bank = default_test_bank(PLANE, region)
+        assert bank.labels == [label for label, _ in bank_tests(PLANE, region)]
+
+    def test_a_ball_outside_the_chart_is_rejected(self, monkeypatch):
+        # the bump centers sit inside the region by construction; moved to
+        # the chart's face, every bump ball sticks out of the chart
+        box = PLANE.chart("main").box
+        monkeypatch.setattr(
+            geometry, "_lattice", lambda b, count: np.tile(box[:, 1], (count, 1))
+        )
+        with pytest.raises(BallEscapesChart):
+            default_test_bank(PLANE, CompactSet("main", [(-1, 1), (-1, 1)]))

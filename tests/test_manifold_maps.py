@@ -11,6 +11,7 @@ from colombeau.asymptotics import EpsGrid, estimate_growth_order, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
 from colombeau.errors import (
     AtlasMismatch,
+    ConfigError,
     NotCBounded,
     OutsideDomain,
 )
@@ -31,6 +32,7 @@ from colombeau.manifold_maps import (
     _bank_difference_curves,
     _check_points,
     _colocated_masks,
+    _coordinate_curves,
     _sup_abs,
     _sup_curve,
     _witness_union,
@@ -50,9 +52,9 @@ from colombeau.manifold_maps import (
 from colombeau.nets import (
     SmoothMapHandle,
     handle_compose,
-    make_handle,
     net_from_function,
 )
+from oracles import bank_tests
 
 LINE = euclidean_atlas(1, 10.0)
 PLANE = euclidean_atlas(2, 10.0)
@@ -157,11 +159,11 @@ class TestCBounded:
         grid = EpsGrid.default()
         pts = K1.sample_points()
         bank = default_test_bank(LINE, CompactSet("main", [(-9.0, 9.0)]))
-        for test in bank.scalar_tests:
-            curve = [
-                float(np.max(np.abs(test.handle(blow.eval(e, pts, "main")[1]))))
-                for e in grid
-            ]
+        sups = [
+            np.max(np.abs(bank.eval(blow.eval(e, pts, "main")[1])), axis=1)
+            for e in grid
+        ]
+        for curve in np.transpose(sups).tolist():
             assert is_negligible(curve, grid, 0)[0]
 
     def test_constant_map_witness_hugs_the_point(self):
@@ -216,6 +218,10 @@ class TestCBoundedMemo:
 
 
 class TestModerate:
+    def test_negative_order_is_rejected(self):
+        with pytest.raises(ConfigError, match="k_max must be >= 0, got -1"):
+            check_moderate(oscillator(), K1, k_max=-1)
+
     def test_oscillator_order_matches_derivative_count(self):
         report = check_moderate(oscillator(), K1, k_max=2)
         assert bool(report)
@@ -333,23 +339,22 @@ class TestSupCurve:
 
 
 class TestBankImage:
-    """The bank route's order-0 rows take each net's image once per eps and
-    apply every test to it; they equal the sup curves of the composites
-    f(u_eps) - f(v_eps), as do the chain-rule rows above order 0."""
+    """The bank route's rows take each net's image once per eps and apply
+    every test to it; they equal the sup curves of the composites
+    f(u_eps) - f(v_eps) of the tests' own handles.  Above order 0 the
+    composites of the plateau tests are the chart-coordinate rows."""
 
     GRID = EpsGrid.dyadic(2, 9)
 
     @staticmethod
-    def _compose_rows(u, v, bank, k, grid, pts):
-        rows = []
-        for test in bank.scalar_tests:
-            for order in range(k + 1) if test.jets_stable else range(1):
-                rows.append((test.label, order, _sup_curve(
-                    grid, order, pts, lambda eps, f=test.handle: (
-                        handle_compose(f, u.handle(eps, "main")[1]),
-                        handle_compose(f, v.handle(eps, "main")[1]),
-                    ))))
-        return rows
+    def _compose_rows(u, v, tests, order, grid, pts):
+        return [
+            (label, order, _sup_curve(grid, order, pts, lambda eps, f=f: (
+                handle_compose(f, u.handle(eps, "main")[1]),
+                handle_compose(f, v.handle(eps, "main")[1]),
+            )))
+            for label, f in tests
+        ]
 
     def test_rows_equal_the_composite_sup_curves(self):
         # an eps-scale spike at 0 against an O(eps) perturbation, sampled at
@@ -366,11 +371,17 @@ class TestBankImage:
         def pts(eps):
             return np.concatenate([base, np.linspace(-eps, eps, 33)[:, None]])
 
-        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
-        for k in (0, 1):
-            got = _bank_difference_curves(u, v, bank, k, "main", self.GRID, pts)
-            assert got == self._compose_rows(u, v, bank, k, self.GRID, pts)
-            assert [o for _, o, _ in got].count(k) >= 2
+        region = CompactSet("main", [(-1.5, 1.5)])
+        bank = default_test_bank(LINE, region)
+        tests = bank_tests(LINE, region)
+        got = _bank_difference_curves(u, v, bank, "main", self.GRID, pts)
+        assert got == self._compose_rows(u, v, tests, 0, self.GRID, pts)
+        assert [o for _, o, _ in got].count(0) >= 2
+        cutoff, x0 = self._compose_rows(u, v, tests[:2], 1, self.GRID, pts)
+        assert _coordinate_curves((u, v), [1], "main", self.GRID, pts) == [
+            ("x0", 1, x0[2])
+        ]
+        assert cutoff[2] == [0.0] * len(self.GRID)
 
     def test_each_net_is_evaluated_once_per_eps(self, monkeypatch):
         calls = {"u": Counter(), "v": Counter()}
@@ -408,17 +419,11 @@ class TestBankImage:
         )
         u = single_chart_map(LINE, LINE, lambda e, x: np.sin(x) + e * x)
         v = single_chart_map(LINE, LINE, lambda e, x: np.sin(x))
-        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
+        region = CompactSet("main", [(-1.5, 1.5)])
+        bank = default_test_bank(LINE, region)
         pts = _check_points(K1)
-        want = _bank_difference_curves(u, v, bank, 0, "main", self.GRID, pts)
-        evals.clear()
-
-        def per_test(x):
-            raise AssertionError("a per-test handle was evaluated")
-
-        for test in bank.scalar_tests:
-            test.handle = make_handle(per_test, 1, 1)
-        got = _bank_difference_curves(u, v, bank, 0, "main", self.GRID, pts)
+        want = self._compose_rows(u, v, bank_tests(LINE, region), 0, self.GRID, pts)
+        got = _bank_difference_curves(u, v, bank, "main", self.GRID, pts)
         assert got == want
         assert len(evals) == 2 * len(self.GRID)
 
@@ -439,24 +444,25 @@ class TestBankImage:
 
         u = single_chart_map(LINE, LINE, fn)
         v = single_chart_map(LINE, LINE, lambda e, x: np.sin(x))
-        bank = default_test_bank(LINE, CompactSet("main", [(-1.5, 1.5)]))
+        region = CompactSet("main", [(-1.5, 1.5)])
+        bank = default_test_bank(LINE, region)
         pts = _check_points(K1)
-        rows = _bank_difference_curves(u, v, bank, 0, "main", grid, pts)
+        rows = _bank_difference_curves(u, v, bank, "main", grid, pts)
         got = {label: curve for label, _, curve in rows}
-        for test in bank.scalar_tests:
-            f = test.handle.eval_fn
+        tests = bank_tests(LINE, region)
+        for label, h in tests:
             want = [
                 max(0.0, _sup_abs(
-                    f(u.handle(eps, "main")[1].eval_fn(pts))
-                    - f(v.handle(eps, "main")[1].eval_fn(pts))
+                    h.eval_fn(u.handle(eps, "main")[1].eval_fn(pts))
+                    - h.eval_fn(v.handle(eps, "main")[1].eval_fn(pts))
                 ))
                 for eps in grid
             ]
-            assert got[test.label] == want, test.label
+            assert got[label] == want, label
         assert got["x0*cutoff"][i_nan] == got["x0*cutoff"][i_inf] == np.inf
         assert all(
-            np.isfinite(got[t.label][i]) for t in bank.scalar_tests
-            if t.kind != "coordinate" for i in (i_nan, i_inf)
+            np.isfinite(got[label][i]) for label, _ in tests
+            if not label.endswith("*cutoff") for i in (i_nan, i_inf)
         )
 
 
@@ -537,13 +543,13 @@ class TestModerateCoordinateRows:
     def _composite_curves(u, K, grid, k_max):
         """(test label, order) -> sup curve of f(u_eps) per plateau test f
         of the bank on u's witness."""
-        bank = default_test_bank(u.target, check_cbounded(u, K, grid).witness)
+        tests = bank_tests(u.target, check_cbounded(u, K, grid).witness)
         pts = _check_points(K)
         return {
-            (test.label, k): _sup_curve(grid, k, pts, lambda eps, f=test.handle: (
+            (label, k): _sup_curve(grid, k, pts, lambda eps, f=f: (
                 handle_compose(f, u.handle(eps, K.chart_id)[1]),
             ))
-            for test in bank.scalar_tests if test.jets_stable
+            for label, f in tests[:1 + u.target.dim]
             for k in range(k_max + 1)
         }
 
@@ -570,10 +576,12 @@ class TestModerateCoordinateRows:
 
 
 class TestBankRouteCoordinateRows:
-    """Route B of check_equivalent shares its coordinate rows with route C:
-    the ``x0*cutoff`` difference rows are route C's masked chart-difference
-    curves bit for bit and the ``cutoff`` row is 0.  Only its bump rows
-    measure what route C does not."""
+    """The plateau tests measure what route C of check_equivalent does: the
+    ``x0*cutoff`` composite difference curves are route C's masked
+    chart-difference curves bit for bit at orders 0-2, and the ``cutoff``
+    curves are 0.  So route B stops at order 0, where its ``x0*cutoff``
+    row is route C's, and only its bump rows measure what route C does
+    not."""
 
     PAIRS = {
         "e*x vs e^2x^2": lambda: (
@@ -595,9 +603,17 @@ class TestBankRouteCoordinateRows:
         rows = {
             (label, k): curve
             for label, k, curve in _bank_difference_curves(
-                u, v, bank, 2, "main", grid, pts
+                u, v, bank, "main", grid, pts
             )
         }
+        plateau_tests = bank_tests(LINE, witness)[:2]
+        for k in (1, 2):
+            rows.update({
+                (label, k): curve
+                for label, _, curve in TestBankImage._compose_rows(
+                    u, v, plateau_tests, k, grid, pts
+                )
+            })
         masks = _colocated_masks(u, v, pts, "main", witness.box, grid)
         for k in range(3):
             chart = _sup_curve(
@@ -665,15 +681,16 @@ class TestKAssociationCoordinateRows:
         rows = {(label, k): c for (label, k, _, _), c in zip(rep.rows, curves)}
         (pts,) = sample
         grid = association.association_grid()
+        assert [key for key in rows if key[1] >= 1] == [
+            (f"x{i}", k) for i in range(u.target.dim) for k in (1, 2)
+        ]
         for i in range(u.target.dim):
             for k in (1, 2):
                 want = _sup_curve(grid, k, pts, lambda eps: (
                     _coordinate(u.handle(eps, K.chart_id)[1], i),
                     _coordinate(v.handle(eps, K.chart_id)[1], i),
                 ))
-                assert rows[(f"x{i}*cutoff", k)] == want, (i, k)
-        for k in (1, 2):
-            assert rows[("cutoff", k)] == [0.0] * len(grid), k
+                assert rows[(f"x{i}", k)] == want, (i, k)
 
 
 class TestWitnessCharts:
@@ -693,6 +710,12 @@ class TestWitnessCharts:
 
 
 class TestEquivalence:
+    def test_negative_derivative_order_is_rejected(self):
+        with pytest.raises(
+            ConfigError, match="derivative_order must be >= 0, got -1"
+        ):
+            check_equivalent(identity_map(), identity_map(), K1, derivative_order=-1)
+
     def test_negligible_perturbation_is_equivalent(self):
         report = check_equivalent(identity_map(), perturbed_identity(), K1)
         assert report.equivalent
