@@ -17,8 +17,8 @@ caller the library has outside its tests:
 It then prints every line of ``src/colombeau`` that holds code and was never
 entered, as ``file:line: source``, grouped by the function it sits in.  Such
 a line guards no verdict of any caller: delete it, give it a caller, or say
-why it stays.  All output files go to a temporary directory.  The run takes
-a few minutes (the tracer slows the library down several times).
+why it stays.  All output files go to a temporary directory.  A run took
+25 s on a shared 2-CPU x86_64 host.
 """
 
 import contextlib
