@@ -634,9 +634,10 @@ def _ripple_limit():
 
 class TestKAssociationCoordinateRows:
     """check_k_associated's rows above order 0 measure the chart
-    coordinates: at orders 1..k the ``x_i*cutoff`` rows are the sup curves
-    of the difference of the two nets' i-th coordinate jets, bit for bit,
-    on the route's own sample points, and the ``cutoff`` rows are 0."""
+    coordinates: at orders 1..k it has one row ``x{i}`` per target chart
+    coordinate i, the sup curve of the difference of the two nets' i-th
+    coordinate jets, bit for bit, on the route's own sample points, and
+    no ``cutoff`` row."""
 
     PAIRS = {
         "e*x vs e^2x^2": (lambda: (
