@@ -2,9 +2,11 @@
 polyline Riemannian distance (for ``geometry.chord_distance``), finite-
 difference Christoffel symbols of the pp-wave metric (for the right-hand
 side of ``ppwave.regularized_geodesic_system``), a polar transition pair
-(for the atlas invariant checks), and the test bank's tests as separate
-handles (for ``geometry.TestBank.eval`` and the bank route)."""
+(for the atlas invariant checks), the test bank's tests as separate
+handles (for ``geometry.TestBank.eval`` and the bank route), and the
+per-offset finite-difference loop (for ``nets.finite_difference_jet``)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +22,7 @@ from colombeau.geometry import (
     make_handle,
     sample_box,
 )
-from colombeau.nets import handle_product
+from colombeau.nets import _FD_NOISE_C, _RICHARDSON_LEVELS, handle_product, order
 from colombeau.ppwave import pulse
 
 
@@ -246,3 +248,61 @@ def bank_tests(atlas, region):
         for j, c in enumerate(_lattice(box, count)):
             tests.append((f"bump-{size}-{j}", make_bump(c, 0.5 * r, r, box=chart.box)))
     return tests
+
+
+def _stencil_reference(alpha):
+    """Tensor-product central-difference stencil: (offsets, coeffs) in h units."""
+    per_dim = []
+    for a in alpha:
+        if a == 0:
+            per_dim.append([(0.0, 1.0)])
+        else:
+            pts = [((a / 2.0 - j), (-1.0) ** j * math.comb(a, j)) for j in range(a + 1)]
+            per_dim.append(pts)
+    offsets, coeffs = [], []
+    for combo in itertools.product(*per_dim):
+        offsets.append([c[0] for c in combo])
+        coeffs.append(math.prod(c[1] for c in combo))
+    return np.asarray(offsets), np.asarray(coeffs)
+
+
+def fd_jet_reference(eval_fn, x, alpha, step):
+    """The central-difference jet with Richardson levels, one ``eval_fn``
+    call per stencil offset per level, summed offset by offset."""
+    k = order(alpha)
+    if k == 0:
+        return eval_fn(x)
+    offsets, coeffs = _stencil_reference(alpha)
+    scale = step * (1.0 + np.max(np.abs(x), axis=-1, keepdims=True))
+    fmax = None
+
+    def estimate(h):
+        nonlocal fmax
+        acc = None
+        for off, c in zip(offsets, coeffs):
+            val = eval_fn(x + h * off)
+            a = np.abs(np.asarray(val, dtype=float))
+            fmax = a if fmax is None else np.maximum(fmax, a)
+            acc = c * val if acc is None else acc + c * val
+        return acc / (h**k)
+
+    estimates = [estimate(scale / (2.0**lvl)) for lvl in range(_RICHARDSON_LEVELS + 1)]
+    # central differences have an even error expansion: orders 2, 4, ...
+    p = 2.0
+    for lvl in range(_RICHARDSON_LEVELS):
+        factor = 2.0 ** (p * (lvl + 1))
+        estimates = [
+            (factor * hi - lo) / (factor - 1.0)
+            for lo, hi in zip(estimates[:-1], estimates[1:])
+        ]
+    result = np.asarray(estimates[0], dtype=float)
+    h_min = scale / (2.0**_RICHARDSON_LEVELS)
+    floor = (
+        _FD_NOISE_C
+        * np.finfo(float).eps
+        * np.sum(np.abs(coeffs))
+        * fmax
+        / (h_min**k)
+    )
+    snap = np.isfinite(result) & np.isfinite(floor) & (np.abs(result) <= floor)
+    return np.where(snap, 0.0, result)

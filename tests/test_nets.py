@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from colombeau.errors import DimensionMismatch, OutsideDomain
 from colombeau.nets import (
+    _FD_NOISE_C,
+    CHAIN_ORDER_CAP,
     compose_nets,
     constant_net,
     fd_step,
@@ -17,6 +20,7 @@ from colombeau.nets import (
     make_handle,
     net_from_function,
 )
+from oracles import fd_jet_reference
 
 
 def slice_jet(net, eps, x, alpha):
@@ -105,6 +109,124 @@ class TestFiniteDifferences:
                 a = slice_jet(v_an, eps, [x0], (1,))[0]
                 b = slice_jet(v_fd, eps, [x0], (1,))[0]
                 assert b == pytest.approx(a, rel=1e-5, abs=1e-5)
+
+
+def _first(x):
+    return x[..., :1]
+
+
+def _last(x):
+    return x[..., -1:]
+
+
+# evaluators over (..., d) points with (..., m) values, elementwise in the
+# leading axes
+FD_FUNCTIONS = {
+    "sin": lambda x: np.sin(3.0 * _first(x) + _last(x)),
+    "sin-fast": lambda x: np.sin(_first(x) / 0.01),
+    "exp-cos": lambda x: np.exp(_first(x)) * np.cos(2.0 * _last(x)),
+    "product": lambda x: np.concatenate(
+        [_first(x) * _last(x) ** 2, _first(x) + _last(x)], axis=-1
+    ),
+    "kink-cubed": lambda x: np.where(_first(x) > 0, _first(x), 0.0) ** 3,
+    "near-pole": lambda x: 1.0 / (_first(x) + 1e-3),
+}
+
+# evaluators that return nan or +-inf on some stencil points
+FD_NON_FINITE = {
+    "log-abs": lambda x: np.log(np.abs(_first(x))),
+    "sqrt": lambda x: np.sqrt(_first(x)),
+    "pole": lambda x: 1.0 / _first(x),
+    "inf-plateau": lambda x: np.where(_first(x) > 0.5, np.inf, np.sin(_first(x))),
+    "nan-plateau": lambda x: np.where(_last(x) < -0.5, np.nan, _last(x) ** 2),
+    "huge": lambda x: 1e301 * np.sin(_first(x)),
+    "overflow": lambda x: np.exp(700.0 * _first(x)),
+}
+
+FD_STEPS = (1e-7, 1e-4, 0.03)
+
+
+def _fd_alphas(dim):
+    return [
+        a for a in itertools.product(range(CHAIN_ORDER_CAP + 1), repeat=dim)
+        if 1 <= sum(a) <= CHAIN_ORDER_CAP
+    ]
+
+
+def _fd_points(dim):
+    rng = np.random.default_rng(dim)
+    special = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0125])
+    cloud = np.stack([np.roll(special, j) for j in range(dim)], axis=-1)
+    return [
+        rng.uniform(-1.5, 1.5, size=(5, dim)),
+        rng.uniform(-1.5, 1.5, size=(2, 3, dim)),
+        rng.uniform(-1.5, 1.5, size=(dim,)),
+        cloud,
+    ]
+
+
+def assert_same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestFiniteDifferenceStack:
+    """``finite_difference_jet`` equals the per-offset loop of
+    ``oracles.fd_jet_reference`` bit for bit: the same stencil points, the
+    same offset-by-offset sums, Richardson rounds and zero snap."""
+
+    @staticmethod
+    def compare(fn, dim):
+        results = []
+        with np.errstate(all="ignore"):
+            for x in _fd_points(dim):
+                for alpha in _fd_alphas(dim):
+                    for step in FD_STEPS:
+                        want = fd_jet_reference(fn, x, alpha, step)
+                        got = finite_difference_jet(fn, x, alpha, step)
+                        assert_same_bits(got, want)
+                        results.append(np.ravel(want))
+        return np.concatenate(results)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FD_FUNCTIONS))
+    def test_equals_the_per_offset_loop(self, name, dim):
+        self.compare(FD_FUNCTIONS[name], dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FD_NON_FINITE))
+    def test_non_finite_values_keep_the_snap_rule(self, name, dim):
+        self.compare(FD_NON_FINITE[name], dim)
+
+    def test_cases_reach_both_sides_of_the_snap(self):
+        # the catalog holds snapped zeros, non-finite results and results
+        # the snap leaves alone although its floor is not finite
+        snapped = non_finite = 0
+        with np.errstate(all="ignore"):
+            for fns in (FD_FUNCTIONS, FD_NON_FINITE):
+                for fn in fns.values():
+                    want = self.compare(fn, 1)
+                    snapped += int(np.sum(want == 0.0))
+                    non_finite += int(np.sum(~np.isfinite(want)))
+        # order-3 roundoff of 1e301*sin: finite estimates, an overflowing floor
+        huge = FD_NON_FINITE["huge"]
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 1))
+        with np.errstate(all="ignore"):
+            got = fd_jet_reference(huge, x, (3,), 1e-7)
+            h_min = 1e-7 * (1.0 + np.abs(x)) / 4.0
+            floor = _FD_NOISE_C * np.finfo(float).eps * 8.0 * np.abs(huge(x)) / h_min**3
+        unsnapped_at_inf_floor = int(np.sum(
+            np.isfinite(got) & (got != 0.0) & ~np.isfinite(floor)
+        ))
+        assert snapped > 0 and non_finite > 0
+        assert unsnapped_at_inf_floor > 0
+
+    def test_order_zero_is_one_evaluation(self):
+        x = np.array([[0.3], [-0.7]])
+        fn = FD_FUNCTIONS["sin"]
+        assert_same_bits(finite_difference_jet(fn, x, (0,), 1e-3), fn(x))
 
 
 class TestComposition:
