@@ -357,3 +357,117 @@ def test_constant_net_slices_share_handle():
     h = identity_handle(1)
     n = constant_net(h, label="idnet")
     assert n.at(0.5) is n.at(0.03125)
+
+
+def _slabs(dim, lo, hi, seed=0):
+    """Four (5, dim) point sets inside [lo, hi]^dim."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(lo, hi, size=(5, dim)) for _ in range(4)]
+
+
+class TestLeadingAxes:
+    """Every evaluator that ``finite_difference_jet`` reaches broadcasts
+    over extra leading axes: evaluating stacked point sets equals
+    evaluating each set on its own, bit for bit."""
+
+    @staticmethod
+    def assert_stacks(eval_fn, slabs):
+        x1, x2, x3, x4 = slabs
+        one = eval_fn(np.stack([x1, x2]))
+        assert_same_bits(one, np.stack([eval_fn(x1), eval_fn(x2)]))
+        two = eval_fn(np.stack([np.stack([x1, x2]), np.stack([x3, x4])]))
+        assert_same_bits(two, np.stack([
+            np.stack([eval_fn(x1), eval_fn(x2)]),
+            np.stack([eval_fn(x3), eval_fn(x4)]),
+        ]))
+
+    def test_cli_expression_nets(self):
+        from colombeau.bundle_maps import section_net, single_chart_hom
+        from colombeau.cli import load_config
+        from colombeau.geometry import trivial_bundle
+        from colombeau.manifold_maps import identity_map
+
+        cfg = load_config()
+        vb = trivial_bundle(cfg.atlas, 1)
+        base = identity_map(cfg.atlas)
+        names = [n for n, spec in cfg.nets.items() if not spec.kind]
+        assert len(names) >= 10
+        slabs = _slabs(1, -1.0, 1.0)
+        for name in names:
+            fn = cfg.fiber_fn(name)
+            for net in (
+                cfg.scalar_net(name),
+                cfg.map_net(name).net,
+                single_chart_hom(vb, vb, base, fn).fiber,
+                section_net(vb, fn).fiber,
+            ):
+                for eps in (0.5, 2.0**-7):
+                    self.assert_stacks(net.at(eps).eval_fn, slabs)
+
+    def test_bundle_fiber_nets(self):
+        from colombeau.bundle_maps import (
+            compose_homs,
+            compose_hybrid,
+            section_net,
+            single_chart_hom,
+            tangent_map,
+        )
+        from colombeau.geometry import euclidean_atlas, trivial_bundle
+        from colombeau.manifold_maps import identity_map, single_chart_map
+
+        for dim in (1, 2):
+            line = euclidean_atlas(dim, 10.0)
+            tx = trivial_bundle(line, dim)
+            shape = (dim, dim)
+
+            def mat(e, x, c=1.0):
+                return c + e * np.sin(x[..., :1, None]) * np.ones(x.shape[:-1] + shape)
+
+            base = identity_map(line)
+            a = single_chart_hom(tx, tx, base, mat)
+            post = single_chart_hom(tx, tx, base, lambda e, x: mat(e, x, 2.0))
+            wave = single_chart_map(
+                line, line, lambda e, x: 0.5 * x + e * np.sin(x / e), label="wave"
+            )
+            sec = section_net(tx, lambda e, x: np.cos(x) + e * x)
+            pre = single_chart_map(line, line, lambda e, x: 0.5 * x - 0.1)
+            fibers = [
+                compose_homs(a, post).fiber,
+                compose_homs(sec, post).fiber,
+                compose_hybrid(pre, sec).fiber,
+                tangent_map(wave).fiber,
+                sec.fiber,
+            ]
+            slabs = _slabs(dim, -1.0, 1.0, seed=dim)
+            for fiber in fibers:
+                for eps in (0.5, 2.0**-7):
+                    self.assert_stacks(fiber.at(eps).eval_fn, slabs)
+
+    def test_geodesic_component_nets(self):
+        from colombeau.association import standard_mollifier
+        from colombeau.ppwave import GeodesicNet, default_profile
+
+        gnet = GeodesicNet(
+            default_profile(), standard_mollifier(), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            (-1.0, 1.0),
+        )
+        slabs = _slabs(1, -0.9, 0.9)
+        # points on the knots between the line pieces and the pulse
+        slabs[0][:2, 0] = [-1.0 / 16.0, 1.0 / 16.0]
+        for name in ("v", "x", "xdot"):
+            net = gnet.component_net(name)
+            self.assert_stacks(net.at(1.0 / 16.0).eval_fn, slabs)
+
+    def test_bump_handles(self):
+        from colombeau.geometry import make_box_bump, make_bump
+
+        for dim in (1, 2, 3):
+            slabs = _slabs(dim, -1.2, 1.2, seed=dim)
+            for h in (
+                make_bump(np.full(dim, 0.1), 0.3, 0.9),
+                make_bump(np.zeros(dim), 0.05, 0.1),
+                make_box_bump(
+                    np.tile([-0.5, 0.4], (dim, 1)), np.tile([-1.0, 1.0], (dim, 1))
+                ),
+            ):
+                self.assert_stacks(h.eval_fn, slabs)
