@@ -178,9 +178,8 @@ class ManifoldNet:
     tgt_chart: str
     net: Net
     label: str = ""
-    # c-boundedness reports by (K chart, K box, K resolution, grid values);
-    # see check_cbounded
-    _cbounded: dict = field(
+    # check_cbounded and check_moderate reports; see _memo
+    _reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -359,12 +358,16 @@ def check_cbounded(
     """
     grid = grid or EpsGrid.default()
     u.source.chart(K.chart_id)
-    key = (K.chart_id, K.box.tobytes(), K.resolution, grid.values)
-    report = u._cbounded.get(key)
-    if report is None:
-        report = _cbounded_report(u, K, grid)
-        u._cbounded[key] = report
-    return report
+    return _memo(u, _cbounded_report, K, grid)
+
+
+def _memo(u: ManifoldNet, compute, K: CompactSet, grid: EpsGrid, *args):
+    """``compute(u, K, grid, *args)``, stored on u per (compute, K, grid,
+    *args); a call that raises stores nothing."""
+    key = (compute.__name__, K.chart_id, K.box.tobytes(), K.resolution, grid.values, *args)
+    if key not in u._reports:
+        u._reports[key] = compute(u, K, grid, *args)
+    return u._reports[key]
 
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
@@ -470,11 +473,15 @@ def check_moderate(
     i-th coordinate; the verdict is the worst row.  The paper tests f∘u_eps
     for smooth f, but on the c-boundedness witness the bank's plateau tests
     are the coordinates times a cutoff that is exactly 1 there, so their
-    composites have these jets bit for bit.
+    composites have these jets bit for bit.  The report is memoized on
+    ``u`` per (K, grid, k_max), as :func:`check_cbounded`'s is.
     """
     if k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {k_max}")
-    grid = grid or EpsGrid.default()
+    return _memo(u, _moderate_report, K, grid or EpsGrid.default(), k_max)
+
+
+def _moderate_report(u: ManifoldNet, K, grid, k_max) -> ModerateReport:
     cb = check_cbounded(u, K, grid)
     if not cb.ok:
         raise NotCBounded(

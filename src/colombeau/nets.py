@@ -9,15 +9,17 @@ composition combinators build it from their operands' jets.  Checkers take
 the jets of the eps-slice with ``net.at(eps).jet(x, alpha, fd_step(eps))``:
 the finite-difference step shrinks with eps,
 ``h = max(eps**1.5, 1e-7) * (1 + |x|)``, because interesting nets oscillate
-at scale eps.
+at scale eps.  A finite-difference jet is one evaluation of every stencil
+point of every level, stacked on two leading axes.
 
 Points are numpy arrays whose last axis is the input dimension; evaluation
-broadcasts over leading axes.  Multi-indices are integer tuples of length
-``dim_in``.
+broadcasts over leading axes, and every ``eval_fn`` must.  Multi-indices
+are integer tuples of length ``dim_in``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -81,8 +83,10 @@ def _as_points(x, dim):
 # ---------------------------------------------------------------------------
 # finite differences
 
+@functools.lru_cache(maxsize=None)
 def _stencil(alpha):
-    """Tensor-product central-difference stencil: (offsets, coeffs) in h units."""
+    """Tensor-product central-difference stencil in h units: read-only
+    (offsets, coeffs) and sum|coeffs|."""
     per_dim = []
     for a in alpha:
         if a == 0:
@@ -94,7 +98,9 @@ def _stencil(alpha):
     for combo in itertools.product(*per_dim):
         offsets.append([c[0] for c in combo])
         coeffs.append(math.prod(c[1] for c in combo))
-    return np.asarray(offsets), np.asarray(coeffs)
+    offsets, coeffs = np.asarray(offsets), np.asarray(coeffs)
+    offsets.flags.writeable = coeffs.flags.writeable = False
+    return offsets, coeffs, np.sum(np.abs(coeffs))
 
 
 def finite_difference_jet(eval_fn, x, alpha, step):
@@ -103,7 +109,9 @@ def finite_difference_jet(eval_fn, x, alpha, step):
     ``step`` is the base step; the actual step per point is
     ``step * (1 + max_i |x_i|)``.  The stencil may probe points slightly
     outside a declared domain box, so evaluators must tolerate an
-    O(step)-neighborhood of it.
+    O(step)-neighborhood of it.  Every stencil point of every level is
+    evaluated in one ``eval_fn`` call on an array with two extra leading
+    axes (level, offset), so ``eval_fn`` must broadcast over leading axes.
 
     Results smaller than the stencil's roundoff resolution at its finest
     level are measured zeros and returned as exact 0.0; without the snap,
@@ -113,38 +121,25 @@ def finite_difference_jet(eval_fn, x, alpha, step):
     k = order(alpha)
     if k == 0:
         return eval_fn(x)
-    offsets, coeffs = _stencil(alpha)
+    offsets, coeffs, coeff_sum = _stencil(tuple(alpha))
     scale = step * (1.0 + np.max(np.abs(x), axis=-1, keepdims=True))
-    fmax = None
-
-    def estimate(h):
-        nonlocal fmax
-        acc = None
-        for off, c in zip(offsets, coeffs):
-            val = eval_fn(x + h * off)
-            a = np.abs(np.asarray(val, dtype=float))
-            fmax = a if fmax is None else np.maximum(fmax, a)
-            acc = c * val if acc is None else acc + c * val
-        return acc / (h**k)
-
-    estimates = [estimate(scale / (2.0**lvl)) for lvl in range(_RICHARDSON_LEVELS + 1)]
+    # stencil points on two new leading axes: (level, offset, *x.shape)
+    lead = (1,) * (np.ndim(x) - 1)
+    h = scale / (2.0 ** np.arange(_RICHARDSON_LEVELS + 1.0)).reshape((-1,) + lead + (1,))
+    vals = eval_fn(x + h[:, None] * offsets.reshape((1, len(coeffs)) + lead + (-1,)))
+    fmax = np.max(np.abs(np.asarray(vals, dtype=float)), axis=(0, 1))
+    terms = coeffs.reshape((1, -1) + (1,) * (np.ndim(vals) - 2)) * vals
+    # offset by offset, in stencil order, on all levels at once
+    est = terms[:, 0]
+    for s in range(1, len(coeffs)):
+        est = est + terms[:, s]
+    est = est / (h**k)
     # central differences have an even error expansion: orders 2, 4, ...
-    p = 2.0
     for lvl in range(_RICHARDSON_LEVELS):
-        factor = 2.0 ** (p * (lvl + 1))
-        estimates = [
-            (factor * hi - lo) / (factor - 1.0)
-            for lo, hi in zip(estimates[:-1], estimates[1:])
-        ]
-    result = np.asarray(estimates[0], dtype=float)
-    h_min = scale / (2.0**_RICHARDSON_LEVELS)
-    floor = (
-        _FD_NOISE_C
-        * np.finfo(float).eps
-        * np.sum(np.abs(coeffs))
-        * fmax
-        / (h_min**k)
-    )
+        factor = 2.0 ** (2.0 * (lvl + 1))
+        est = (factor * est[1:] - est[:-1]) / (factor - 1.0)
+    result = np.asarray(est[0], dtype=float)
+    floor = _FD_NOISE_C * np.finfo(float).eps * coeff_sum * fmax / (h[-1] ** k)
     snap = np.isfinite(result) & np.isfinite(floor) & (np.abs(result) <= floor)
     return np.where(snap, 0.0, result)
 
@@ -159,7 +154,8 @@ class SmoothMapHandle:
 
     ``jet_impl(x, alpha, step)`` is the one jet rule, used for
     ``|alpha| >= 1``; order zero is evaluation.  ``step`` is the base step
-    of any finite differences the rule takes.
+    of any finite differences the rule takes.  ``eval_fn`` must accept
+    points with extra leading axes, as finite differences stack them.
     """
 
     dim_in: int

@@ -217,6 +217,61 @@ class TestCBoundedMemo:
             assert reports[id(K_WIDE)].diagnostics["escape_eps"] is not None
 
 
+class TestModerateMemo:
+    """``check_moderate`` computes each (net, K, grid, k_max) once."""
+
+    @staticmethod
+    def counted_oscillator(calls):
+        def fn(e, x):
+            calls.append(e)
+            return np.sin(x / e)
+
+        return single_chart_map(LINE, LINE, fn, label="sin(x/e)")
+
+    def test_repeat_call_returns_the_cached_report(self):
+        calls = []
+        u = self.counted_oscillator(calls)
+        first = check_moderate(u, K1, k_max=2)
+        n = len(calls)
+        assert n > 0
+        assert check_moderate(u, K1, k_max=2) is first
+        # equal K and grid built anew hit the same entry
+        again = check_moderate(
+            u, CompactSet("main", [(-1.0, 1.0)]), k_max=2, grid=EpsGrid.default()
+        )
+        assert again is first
+        assert len(calls) == n
+
+    def test_k_max_box_and_grid_each_get_their_own_report(self):
+        calls = []
+        u = self.counted_oscillator(calls)
+        base = check_moderate(u, K1, k_max=2)
+        others = [
+            check_moderate(u, K1, k_max=1),
+            check_moderate(u, CompactSet("main", [(-1.0, 0.5)]), k_max=2),
+            check_moderate(u, K1, k_max=2, grid=SHORT_GRID),
+        ]
+        for report in others:
+            assert report is not base
+        assert others[0].verdict.order == 1 and base.verdict.order == 2
+        # a fresh net starts with an empty memo
+        assert check_moderate(oscillator(), K1, k_max=2) is not base
+
+    def test_a_raising_call_is_not_stored(self):
+        calls = []
+
+        def fn(e, x):
+            calls.append(e)
+            return np.full_like(x, 1.0 / e)
+
+        blow = single_chart_map(LINE, LINE, fn, label="1/e")
+        for _ in range(2):
+            with pytest.raises(NotCBounded):
+                check_moderate(blow, K1)
+        # the c-boundedness report is memoized, the raise is not
+        assert [k[0] for k in blow._reports] == ["_cbounded_report"]
+
+
 class TestModerate:
     def test_negative_order_is_rejected(self):
         with pytest.raises(ConfigError, match="k_max must be >= 0, got -1"):

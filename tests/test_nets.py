@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from colombeau.errors import DimensionMismatch, OutsideDomain
 from colombeau.nets import (
     _FD_NOISE_C,
+    _RICHARDSON_LEVELS,
     CHAIN_ORDER_CAP,
     compose_nets,
     constant_net,
@@ -222,6 +223,26 @@ class TestFiniteDifferenceStack:
         ))
         assert snapped > 0 and non_finite > 0
         assert unsnapped_at_inf_floor > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_evaluation_per_jet(self, dim):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return np.sin(_first(x))
+
+        h = make_handle(fn, dim, 1)
+        for x in _fd_points(dim):
+            for alpha in _fd_alphas(dim):
+                # every stencil point of every level, stacked on two axes
+                stacked = (_RICHARDSON_LEVELS + 1, math.prod(a + 1 for a in alpha))
+                calls.clear()
+                finite_difference_jet(fn, x, alpha, 1e-4)
+                assert calls == [stacked + x.shape]
+                calls.clear()
+                h.jet(x, alpha, 1e-4)
+                assert calls == [stacked + x.shape]
 
     def test_order_zero_is_one_evaluation(self):
         x = np.array([[0.3], [-0.7]])
