@@ -556,8 +556,13 @@ def _quick_moderate_guard(net: Net, box, label: str):
 
 def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
     """u (a hom or a hybrid) followed by the hom w: u's fiber matrices or
-    vectors multiply through w's matrices at u's base image."""
-    if u.target is not w.source and u.target.fiber_dim != w.source.fiber_dim:
+    vectors multiply through w's matrices at u's base image.  The middle
+    bundles must be one object, or trivial bundles alike over one base."""
+    a, b = u.target, w.source
+    if a is not b and not (
+        a.base is b.base and (a.fiber_dim, a.vb_chart_ids) == (b.fiber_dim, b.vb_chart_ids)
+        and not a.fiber_transitions and not b.fiber_transitions
+    ):
         raise AtlasMismatch("composition needs matching middle bundle")
     base = compose(u.base_net, w.base_net, label=label)
     if u.chart != w.base_net.src_chart:

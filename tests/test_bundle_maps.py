@@ -445,6 +445,35 @@ class TestComposition:
         with pytest.raises(AtlasMismatch):
             compose_homs(widen, a)
 
+    def test_middle_bundle_with_fiber_transitions_must_be_the_same_object(self):
+        base, vb = two_chart_bundle()
+        ident = single_chart_map(base, base, lambda e, x: x, "A", "A", label="id")
+
+        def hom(source, target):
+            return single_chart_hom(
+                source, target, ident, lambda e, x: np.ones(x.shape[:-1] + (1, 1)), "A"
+            )
+
+        vb_again = VBAtlas(base, 1, fiber_transitions=vb.fiber_transitions)
+        trivial = VBAtlas(base, 1)
+        assert compose_homs(hom(vb, vb), hom(vb, vb)).target is vb
+        # equal fiber dims and chart ids, but the middle fibers are glued
+        # by a transition in one bundle and not in the other, or by another
+        # object's transitions
+        for u, w in (
+            (hom(vb, vb), hom(trivial, trivial)),
+            (hom(trivial, trivial), hom(vb, vb)),
+            (hom(vb, vb), hom(vb_again, vb_again)),
+        ):
+            with pytest.raises(AtlasMismatch, match="matching middle bundle"):
+                compose_homs(u, w)
+        # trivial bundles built alike over one base compose, as tangent
+        # maps built per call do
+        out = compose_homs(hom(trivial, trivial), hom(VBAtlas(base, 1), vb))
+        assert out.target is vb
+        with pytest.raises(AtlasMismatch, match="matching middle bundle"):
+            compose_homs(hom(trivial, trivial), hom(VBAtlas(base, 1, ["A"]), vb))
+
     def test_hybrid_after_net_into_another_atlas_raises(self):
         other = euclidean_atlas(1, 10.0)
         s = section_net(TX, lambda e, x: np.ones_like(x), label="one")
