@@ -126,13 +126,13 @@ def finite_difference_jet(eval_fn, x, alpha, step):
     # stencil points on two new leading axes: (level, offset, *x.shape)
     lead = (1,) * (np.ndim(x) - 1)
     h = scale / (2.0 ** np.arange(_RICHARDSON_LEVELS + 1.0)).reshape((-1,) + lead + (1,))
-    vals = eval_fn(x + h[:, None] * offsets.reshape((1, len(coeffs)) + lead + (-1,)))
-    fmax = np.max(np.abs(np.asarray(vals, dtype=float)), axis=(0, 1))
-    terms = coeffs.reshape((1, -1) + (1,) * (np.ndim(vals) - 2)) * vals
+    pts = x + h[:, None] * offsets.reshape((1, len(coeffs)) + lead + (-1,))
+    vals = np.asarray(eval_fn(pts), dtype=float)
+    fmax = np.max(np.abs(vals), axis=(0, 1))
     # offset by offset, in stencil order, on all levels at once
-    est = terms[:, 0]
+    est = coeffs[0] * vals[:, 0]
     for s in range(1, len(coeffs)):
-        est = est + terms[:, s]
+        est = est + coeffs[s] * vals[:, s]
     est = est / (h**k)
     # central differences have an even error expansion: orders 2, 4, ...
     for lvl in range(_RICHARDSON_LEVELS):
