@@ -138,7 +138,7 @@ def finite_difference_jet(eval_fn, x, alpha, step):
     for lvl in range(_RICHARDSON_LEVELS):
         factor = 2.0 ** (2.0 * (lvl + 1))
         est = (factor * est[1:] - est[:-1]) / (factor - 1.0)
-    result = np.asarray(est[0], dtype=float)
+    result = est[0]
     floor = _FD_NOISE_C * np.finfo(float).eps * coeff_sum * fmax / (h[-1] ** k)
     snap = np.isfinite(result) & np.isfinite(floor) & (np.abs(result) <= floor)
     return np.where(snap, 0.0, result)
