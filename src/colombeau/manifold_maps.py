@@ -353,8 +353,8 @@ def check_cbounded(
 
     The report depends only on (u, K, grid): the sample points are seeded
     and a net is never changed after construction.  It is therefore
-    memoized on ``u`` per (K, grid), and every later call with an equal K
-    and grid returns the same report object.
+    memoized on ``u`` per (K, grid), beside :func:`check_moderate`'s, and
+    every later call with an equal K and grid returns the same object.
     """
     grid = grid or EpsGrid.default()
     u.source.chart(K.chart_id)
