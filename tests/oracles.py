@@ -3,8 +3,10 @@ polyline Riemannian distance (for ``geometry.chord_distance``), finite-
 difference Christoffel symbols of the pp-wave metric (for the right-hand
 side of ``ppwave.regularized_geodesic_system``), a polar transition pair
 (for the atlas invariant checks), the test bank's tests as separate
-handles (for ``geometry.TestBank.eval`` and the bank route), and the
-per-offset finite-difference loop (for ``nets.finite_difference_jet``)."""
+handles (for ``geometry.TestBank.eval`` and the bank route), the
+per-offset finite-difference loop (for ``nets.finite_difference_jet``),
+and the test-hom curve of a fiber net (for the order-0 fiber row of
+``bundle_maps.check_vb_moderate``)."""
 
 import itertools
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from colombeau.bundle_maps import _as_matrix, _fiber_cutoff, fiber_values
 from colombeau.errors import AtlasMismatch, NoMetric, OutsideDomain
 from colombeau.geometry import (
     _BANK_SIZE,
@@ -22,6 +25,7 @@ from colombeau.geometry import (
     make_handle,
     sample_box,
 )
+from colombeau.manifold_maps import _check_points, _sup_abs, check_cbounded
 from colombeau.nets import _FD_NOISE_C, _RICHARDSON_LEVELS, handle_product, order
 from colombeau.ppwave import pulse
 
@@ -306,3 +310,28 @@ def fd_jet_reference(eval_fn, x, alpha, step):
     )
     snap = np.isfinite(result) & np.isfinite(floor) & (np.abs(result) <= floor)
     return np.where(snap, 0.0, result)
+
+
+def opnorm_max(M):
+    """Operator norm induced by the max norm: largest absolute row sum."""
+    M = np.asarray(M, dtype=float)
+    return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
+
+
+def fiber_test_hom_curve(u, L, grid):
+    """(curve, cutoffs) of the compactly supported test homs of the fiber
+    net ``u`` on L: per eps, the sup over L's check points of the cutoff
+    at the base image times the fiber's operator norm (a fiber vector
+    counting as one column), and the cutoff values it took.  The cutoff
+    is the one ``bundle_maps._fiber_cutoff`` builds on the base net's
+    c-boundedness witness."""
+    witness = check_cbounded(u.base_net, L, grid).witness
+    pts = _check_points(L)
+    cutoff = _fiber_cutoff(u.target.base, witness, pts, L.chart_id)
+    curve, cutoffs = [], []
+    for eps in grid:
+        chi = cutoff(u.base_net, eps)
+        M = _as_matrix(fiber_values(u.fiber, eps, pts), u.fiber.fiber_shape)
+        curve.append(_sup_abs(chi * opnorm_max(M)))
+        cutoffs.append(chi)
+    return curve, cutoffs

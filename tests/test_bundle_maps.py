@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colombeau.asymptotics import EpsGrid
+from colombeau.asymptotics import EpsGrid, estimate_growth_order
 from colombeau.errors import (
     AlignmentError,
     AtlasMismatch,
@@ -56,8 +56,9 @@ from colombeau.bundle_maps import (
     vb_point_insert,
     vb_points_equivalent,
 )
-from colombeau import nets
+from colombeau import bundle_maps, nets
 from colombeau.nets import net_from_function
+from oracles import fiber_test_hom_curve
 
 LINE = euclidean_atlas(1, 10.0)
 TX = trivial_bundle(LINE, 1)
@@ -283,6 +284,85 @@ class TestFiberCutoff:
         witness = CompactSet("main", [(-1.0, 1.0), (-0.1, 0.1)])
         with pytest.raises(BallEscapesChart):
             _fiber_cutoff(flat, witness, witness.sample_points(), "main")
+
+
+class TestTestHomCurve:
+    """The compactly supported test homs of a fiber net, cutoff at the base
+    image times the fiber's operator norm (``oracles.fiber_test_hom_curve``),
+    add nothing to check_vb_moderate's order-0 chart row: on L every base
+    image lies in the witness, where the cutoff is exactly 1.0, so with
+    fiber 1 the curve is the row bit for bit, and with wider fibers the
+    operator norm is an equivalent norm with the row's classification and
+    order."""
+
+    CASES = {
+        "hom over the identity": lambda: single_chart_hom(
+            TX, TX, base_identity(), lambda e, x: (1.0 + x**2 / e)[..., None],
+            label="1+x^2/e",
+        ),
+        "compose_homs": lambda: compose_homs(
+            single_chart_hom(
+                TX, TX, base_identity(), lambda e, x: (1.0 + x**2 / e)[..., None],
+                label="1+x^2/e",
+            ),
+            scaled_hom(lambda e: 3.0 + e, label="3+e"),
+        ),
+        "compose_hybrid over 0.5x": lambda: compose_hybrid(
+            single_chart_map(LINE, LINE, lambda e, x: 0.5 * x, label="half"),
+            section_net(TX, lambda e, x: e * np.sin(x / e), label="s"),
+        ),
+    }
+
+    @staticmethod
+    def fiber_rows(u, L, grid, monkeypatch):
+        """check_vb_moderate's report and the fiber curves it classified,
+        the order-0 chart row first."""
+        curves = []
+        fit = bundle_maps.estimate_growth_order
+        monkeypatch.setattr(
+            bundle_maps, "estimate_growth_order",
+            lambda curve, *a, **kw: curves.append(list(curve)) or fit(curve, *a, **kw),
+        )
+        return check_vb_moderate(u, L, grid=grid), curves
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fiber_one_curve_is_the_order_zero_row(self, case, monkeypatch):
+        u = self.CASES[case]()
+        grid = EpsGrid.default()
+        curve, cutoffs = fiber_test_hom_curve(u, K1, grid)
+        assert all(np.all(chi == 1.0) for chi in cutoffs)
+        _, rows = self.fiber_rows(u, K1, grid, monkeypatch)
+        assert curve == rows[0]
+
+    def test_two_by_two_hom_has_the_row_classification(self, monkeypatch):
+        plane = euclidean_atlas(2, 10.0)
+        K2 = CompactSet("main", [(-1.0, 1.0), (-0.5, 0.5)], resolution=5)
+        grid = EpsGrid.dyadic(2, 8)
+        ripple = single_chart_map(
+            plane, plane,
+            lambda e, x: np.stack(
+                [x[..., 0] + 0.5 * e * np.sin(x[..., 1] / e), 0.5 * x[..., 1]],
+                axis=-1,
+            ),
+            label="ripple",
+        )
+
+        def mat(e, x):
+            a = np.cos(x[..., 0] / e) / e
+            rows = [
+                np.stack([a, x[..., 1]], axis=-1),
+                np.stack([x[..., 0] ** 2, np.ones_like(a)], axis=-1),
+            ]
+            return np.stack(rows, axis=-2)
+
+        bundle = trivial_bundle(plane, 2)
+        hom = single_chart_hom(bundle, bundle, ripple, mat, label="ripple")
+        curve, _ = fiber_test_hom_curve(hom, K2, grid)
+        report, _ = self.fiber_rows(hom, K2, grid, monkeypatch)
+        (k, row), want = report.fiber_verdicts[0], estimate_growth_order(curve, grid)
+        assert k == 0
+        assert (want.classification, want.order) == (row.classification, row.order)
+        assert (row.classification, row.order) == ("moderate", 1)
 
 
 class TestTangentMap:

@@ -91,13 +91,33 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "not equivalent; 0-associated: true" in out
         assert "equiv sine:sine_tail: equivalent" in out
+        assert (tmp_path / "verdicts.csv").read_text() == (
+            "command,subject,verdict,expected,status,detail\n"
+            "equiv,linear:quadratic,not equivalent; 0-associated: true,"
+            "not-equivalent,pass,routes False/False/False\n"
+            "equiv,sine:sine_tail,equivalent; 0-associated: true,"
+            "equivalent,pass,routes True/True/True\n"
+        )
 
     def test_vb_and_hybrid_equiv(self, tmp_path, capsys):
-        assert main(["vb-equiv", "--out", str(tmp_path)]) == 0
-        assert main(["hybrid-equiv", "--out", str(tmp_path)]) == 0
+        assert main(["vb-equiv", "--out", str(tmp_path / "vb")]) == 0
+        assert main(["hybrid-equiv", "--out", str(tmp_path / "hybrid")]) == 0
         out = capsys.readouterr().out
         assert "vb-equiv gain:gain_scaled: not equivalent [pass]" in out
         assert "hybrid-equiv sine:sine_tail: equivalent [pass]" in out
+        header = "command,subject,verdict,expected,status,detail\n"
+        assert (tmp_path / "vb" / "verdicts.csv").read_text() == header + (
+            "vb-equiv,gain:gain_scaled,not equivalent,not-equivalent,pass,"
+            '"chart route False, bank route False"\n'
+            "vb-equiv,sine:sine_tail,equivalent,equivalent,pass,"
+            '"chart route True, bank route True"\n'
+        )
+        assert (tmp_path / "hybrid" / "verdicts.csv").read_text() == header + (
+            "hybrid-equiv,sine:sine_tail,equivalent,equivalent,pass,"
+            '"chart route True, bank route True"\n'
+            "hybrid-equiv,linear:quadratic,not equivalent,not-equivalent,pass,"
+            '"chart route False, bank route False"\n'
+        )
 
     def test_pointvals(self, tmp_path, capsys):
         assert main(["pointvals", "--out", str(tmp_path)]) == 0
