@@ -10,10 +10,10 @@ sections are hybrid nets whose base is the identity.  The projection
 identity (bundle projection after the net equals the base map after the
 projection) then holds by construction and is never tested numerically.
 
-Fiber norms use the operator norm induced by the max norm (largest
-absolute row sum), a fiber vector counting as a one-column matrix;
-derivative curves of fiber entries use the entrywise max, an equivalent
-norm.
+Fiber values and their jets are measured in the entrywise max norm,
+which is equivalent to every operator norm on matrices of a fixed shape.
+Equivalence decides the base first: the fiber comparison presumes that the
+two base nets agree.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ from .manifold_maps import (
     _argmax_point,
     _base_gap,
     _check_points,
-    _colocated_masks,
     _combine_verdicts,
     _distance_curve,
-    _sup_abs,
     _sup_curve,
     _sup_diff,
     _witness_union,
@@ -72,12 +70,6 @@ from .manifold_maps import (
     point_distance,
 )
 from .nets import Net, fd_step, net_from_function
-
-
-def opnorm_max(M) -> np.ndarray:
-    """Operator norm induced by the max norm: largest absolute row sum."""
-    M = np.asarray(M, dtype=float)
-    return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
 
 
 def matrix_net(fn, dim_in, shape, box=None, label="") -> Net:
@@ -334,7 +326,6 @@ class VBModerateReport:
     verdict: AsymptoticVerdict
     base_report: object
     fiber_verdicts: list
-    bank_verdict: AsymptoticVerdict
     witness: Optional[CompactSet]
 
     def __bool__(self):
@@ -376,19 +367,19 @@ def _fiber_cutoff(atlas, witness: CompactSet, pts, src):
 def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
     """Base moderateness plus fiber classification.
 
-    The fiber runs two routes: jets of the raw chart fibers, and the
-    order-0 norm of the fiber localized by the compactly supported test
-    homs (cutoff at the base image times the fiber).  The combined verdict
-    is the worst of base and fiber.
+    The fiber has one row ``(k, verdict)`` per order k <= ``k_max``, from
+    the sup over L of the entrywise jets of the chart fibers; the combined
+    verdict is the worst of base and fiber.  The compactly supported test
+    homs add nothing: a cutoff <= 1 at the base image times the fiber's
+    operator norm is bounded by a constant times the order-0 row, and on
+    the base's c-boundedness witness, where the cutoff is 1, it is that row
+    in an equivalent norm.
     """
     grid = grid or EpsGrid.default()
     base_report = check_moderate(u.base_net, L, k_max=k_max, grid=grid)
-    witness = base_report.witness
     pts = _check_points(L)
-    src = L.chart_id
     net = u.fiber
 
-    # chart route: per order k, sup over sampled L of entrywise fiber jets
     fiber_verdicts = []
     for k in range(k_max + 1):
         curve = _sup_curve(
@@ -397,20 +388,10 @@ def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
         )
         fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
 
-    cutoff = _fiber_cutoff(u.target.base, witness, pts, src)
-    curve = []
-    for eps in grid:
-        chi = cutoff(u.base_net, eps)
-        M = _as_matrix(fiber_values(net, eps, pts), net.fiber_shape)
-        curve.append(_sup_abs(chi * opnorm_max(M)))
-    bank_verdict = estimate_growth_order(curve, grid)
-
     verdict = _combine_verdicts(
-        [base_report.verdict]
-        + [v for _, v in fiber_verdicts]
-        + [bank_verdict]
+        [base_report.verdict] + [v for _, v in fiber_verdicts]
     )
-    return VBModerateReport(verdict, base_report, fiber_verdicts, bank_verdict, witness)
+    return VBModerateReport(verdict, base_report, fiber_verdicts, base_report.witness)
 
 
 def check_vb_moderate(
@@ -435,10 +416,14 @@ def check_hybrid_moderate(
 
 @dataclass
 class VBEquivalenceReport:
+    """``route_chart`` and ``route_bank`` are None when the fiber routes
+    did not run, because the bases are not equivalent; ``fiber_vacuous`` is
+    always False."""
+
     equivalent: bool
     base_report: object
-    route_chart: bool
-    route_bank: bool
+    route_chart: Optional[bool]
+    route_bank: Optional[bool]
     fiber_vacuous: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -449,11 +434,15 @@ class VBEquivalenceReport:
 def _fiber_equivalent(
     u: FiberNet, v: FiberNet, L, grid, derivative_order
 ) -> VBEquivalenceReport:
-    """Base equivalence plus order-0 fiber difference negligibility.
+    """Base equivalence, then order-0 fiber difference negligibility.
 
-    The fiber difference runs a chart route (fiber differences where both
-    base images sit in the shared witness) and a test-hom route (cutoff
-    times fiber differences); the routes must agree.  Fiber jets up to
+    Both nets must be moderate.  The paper's equivalence is base
+    equivalence plus a fiber condition, and comparing fibers presumes that
+    the bases agree: a pair over bases that are not equivalent is not
+    equivalent, and its fiber routes are not run.  Over equivalent bases
+    the fiber difference runs a chart route (fiber differences at every
+    sample point of L) and a test-hom route (cutoff at each base image
+    times the fiber differences); the routes must agree.  Fiber jets up to
     ``derivative_order`` extend the chart route; the verdict must not
     depend on it.
     """
@@ -466,18 +455,19 @@ def _fiber_equivalent(
         raise NotModerate("fiber equivalence needs both nets moderate")
 
     base_report = check_equivalent(u.base_net, v.base_net, L, grid=grid)
+    diagnostics = {"grid": grid, "derivative_order": derivative_order}
+    if not base_report.equivalent:
+        return VBEquivalenceReport(False, base_report, None, None, diagnostics=diagnostics)
+
     witness = _witness_union(mu.witness, mv.witness)
     pts = _check_points(L)
     src = L.chart_id
     net_u, net_v = u.fiber, v.fiber
 
-    # chart route: fiber differences masked to co-located base images
-    masks = _colocated_masks(u.base_net, v.base_net, pts, src, witness.box, grid)
-    vacuous = not any(np.any(m) for m in masks.values())
     route_chart = all([
         negligible_to_resolution(_sup_curve(
             grid, k, pts, lambda eps: (net_u.at(eps), net_v.at(eps)),
-            mask=masks.get, step=lambda eps: _fiber_step(eps, k), diff=_sup_diff,
+            step=lambda eps: _fiber_step(eps, k), diff=_sup_diff,
         ), grid)
         for k in range(derivative_order + 1)
     ])
@@ -496,21 +486,13 @@ def _fiber_equivalent(
         ))
     route_bank = negligible_to_resolution(curve, grid)
 
-    diagnostics = {"grid": grid, "derivative_order": derivative_order}
-    if vacuous:
-        # bases never co-locate on the witness; only the base verdict is
-        # meaningful and the fiber test is flagged, not failed
-        return VBEquivalenceReport(
-            base_report.equivalent, base_report, True, route_bank, True, diagnostics
-        )
     if route_chart != route_bank:
         raise InconsistentRoutes(
             f"fiber routes disagree: chart={route_chart}, bank={route_bank} "
             f"for ({u.label!r}, {v.label!r})"
         )
-    equivalent = base_report.equivalent and route_chart
     return VBEquivalenceReport(
-        equivalent, base_report, route_chart, route_bank, False, diagnostics
+        route_chart, base_report, route_chart, route_bank, diagnostics=diagnostics
     )
 
 

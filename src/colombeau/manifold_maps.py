@@ -3,10 +3,12 @@ equivalence, generalized points, point values, and composition.
 
 The checks here are derivative-free where the theory allows it: equivalence
 of two nets is decided by order-0 data (distance decay, test-function
-differences, chart differences), and the three routes are required to agree
-with each other.  A disagreement is raised as an error rather than averaged
-away, because it signals either a numerics bug or a genuinely borderline
-net that needs a closer look.
+differences, chart differences at every sample point), and the three routes
+are required to agree with each other.  Order 0 of a manifold-valued net is
+its c-boundedness, so that is the one gate a net passes before it is
+compared.  A disagreement is raised as an error rather than averaged away,
+because it signals either a numerics bug or a genuinely borderline net that
+needs a closer look.
 
 Every verdict records the sampling that produced it: the eps grid, the
 compact set resolution, and the test bank size.  The universal quantifiers
@@ -39,7 +41,6 @@ from .errors import (
     InconsistentRoutes,
     NoMetric,
     NotCBounded,
-    NotModerate,
     OutsideDomain,
 )
 from .geometry import (
@@ -95,7 +96,7 @@ def _sup_abs(vals) -> float:
     return float(np.max(a))
 
 
-def _sup_diff(a_vals, b_vals, mask=None) -> float:
+def _sup_diff(a_vals, b_vals) -> float:
     """Sup |a - b| with sub-roundoff differences counted as measured zeros.
 
     Two O(1) values agreeing to machine precision differ by arithmetic
@@ -106,8 +107,6 @@ def _sup_diff(a_vals, b_vals, mask=None) -> float:
     """
     a = np.asarray(a_vals, dtype=float)
     b = np.asarray(b_vals, dtype=float)
-    if mask is not None:
-        a, b = a[mask], b[mask]
     if a.size == 0:
         return 0.0
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -130,34 +129,27 @@ def _index_tuples(dim, order):
         yield tuple(alpha)
 
 
-def _sup_curve(grid, k, pts, slices, mask=None, step=fd_step, diff=None):
+def _sup_curve(grid, k, pts, slices, step=fd_step, diff=None):
     """Order-k sup curve: per eps, the max over |alpha| = k of the sup over
-    the sample points of the alpha-jet of one slice, or of two slices' jet
+    every sample point of the alpha-jet of one slice, or of two slices' jet
     difference.
 
     ``pts`` is an array or a function eps -> points; ``slices(eps)`` is a
-    tuple of one or two handles; ``mask(eps)``, when given, marks the points
-    the sup runs over, and a mask that keeps no point gives 0.0.  The jet
-    step is ``step(eps)``.  A pair is measured by ``diff(a, b, mask)`` when
-    given, else by the sup of |a - b| over the kept points.
+    tuple of one or two handles.  The jet step is ``step(eps)``.  A pair is
+    measured by ``diff(a, b)`` when given, else by the sup of |a - b|.
     """
     curve = []
     for eps in grid:
         x = pts(eps) if callable(pts) else pts
-        keep = None if mask is None else mask(eps)
-        if keep is not None and not np.any(keep):
-            curve.append(0.0)
-            continue
         hs = slices(eps)
         h = step(eps)
         sup = 0.0
         for alpha in _index_tuples(hs[0].dim_in, k):
             j = [s.jet(x, alpha, h) for s in hs]
             if diff is not None:
-                sup = max(sup, diff(j[0], j[1], keep))
-                continue
-            d = j[0] if len(j) == 1 else j[0] - j[1]
-            sup = max(sup, _sup_abs(d if keep is None else d[keep]))
+                sup = max(sup, diff(*j))
+            else:
+                sup = max(sup, _sup_abs(j[0] if len(j) == 1 else j[0] - j[1]))
         curve.append(sup)
     return curve
 
@@ -518,16 +510,6 @@ class EquivalenceReport:
         return self.equivalent
 
 
-def _moderate_precheck(u: ManifoldNet, K: CompactSet, grid: EpsGrid):
-    curve = _sup_curve(
-        grid, 0, _check_points(K), lambda eps: (u.handle(eps, K.chart_id)[1],)
-    )
-    if not all(map(math.isfinite, curve)):
-        raise NotModerate(f"{u.label or 'net'} produces non-finite values on K")
-    if estimate_growth_order(curve, grid).classification == NEITHER:
-        raise NotModerate(f"{u.label or 'net'} fails the order-0 moderateness check")
-
-
 def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
     """(u's target chart, u_eps(pts), v_eps(pts)), both images in that chart."""
     t_u, yu = u.eval(eps, pts, src)
@@ -543,16 +525,6 @@ def _distance_curve(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
         t_u, yu, yv = _images(u, v, x, src, eps)
         curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
     return curve
-
-
-def _colocated_masks(u: ManifoldNet, v: ManifoldNet, pts, src: str, box, grid):
-    """Per eps, the sample points whose images under u and v both lie in
-    ``box`` (coordinates of u's target chart)."""
-    masks = {}
-    for eps in grid:
-        y = np.stack(_images(u, v, pts, src, eps)[1:])
-        masks[eps] = np.all((y >= box[:, 0]) & (y <= box[:, 1]), axis=(0, -1))
-    return masks
 
 
 def _bank_difference_curves(u, v, bank: TestBank, src: str, grid, pts):
@@ -582,25 +554,25 @@ def check_equivalent(
 ) -> EquivalenceReport:
     """Equivalence of two nets on K by three independent routes.
 
-    (A) the distance route: sup over K of d_h(u_eps, v_eps) decays below
-    every tested power; (B) the bank route: f(u_eps) - f(v_eps) negligible
-    for every bank member f; (C) the chart route: coordinate differences on
-    the witness region, masked at points whose image leaves it.  A and B
-    are derivative-free, as the paper's characterization is;
+    Both nets must map into one target atlas with a metric, and be
+    c-bounded on K, which is their order-0 moderateness; otherwise this
+    raises before any route runs.  (A) the distance route: sup over K of
+    d_h(u_eps, v_eps) decays below every tested power; (B) the bank route:
+    f(u_eps) - f(v_eps) negligible for every bank member f, the bank built
+    on the union of the two c-boundedness witnesses; (C) the chart route:
+    coordinate differences, in u's target chart, at every sample point of
+    K.  A and B are derivative-free, as the paper's characterization is;
     ``derivative_order`` extends C alone to jets of that order, so the
     required agreement then checks the paper's theorem that order 0
     decides.  A split verdict raises inconsistent-routes.
     """
     if derivative_order < 0:
         raise ConfigError(f"derivative_order must be >= 0, got {derivative_order}")
-    grid = grid or EpsGrid.default()
-    _moderate_precheck(u, K, grid)
-    _moderate_precheck(v, K, grid)
     if u.target is not v.target:
         raise AtlasMismatch("nets map into different target atlases")
     if not u.target.has_metric:
         raise NoMetric("equivalence route A needs a metric on the target")
-
+    grid = grid or EpsGrid.default()
     pts = _check_points(K)
     src = K.chart_id
     cb_u = check_cbounded(u, K, grid)
@@ -621,14 +593,12 @@ def check_equivalent(
     }
     route_b = all(bank_curves.values())
 
-    # route C: chart differences on the witness, escape-masked
-    masks = _colocated_masks(u, v, pts, src, witness.box, grid)
-
+    # route C: chart differences at every sample point
     def pair(eps):
         return u.handle(eps, src)[1], v.handle(eps, src)[1]
 
     route_c = all([
-        negligible_to_resolution(_sup_curve(grid, k, pts, pair, mask=masks.get), grid)
+        negligible_to_resolution(_sup_curve(grid, k, pts, pair), grid)
         for k in range(derivative_order + 1)
     ])
 

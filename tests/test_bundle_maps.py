@@ -245,9 +245,8 @@ class TestVBEquivalence:
                 check_vb_equivalent(h, wild, K1, grid=SHORT_GRID)
 
     def test_swapping_the_pair_keeps_every_route(self):
-        # the base witnesses differ, [-1.2, 1.2] for x and [-0.6, 0.6] for
-        # x/2; a test-hom cutoff built on the second alone is not 1 at every
-        # image of the first, and the fiber routes would split
+        # the bases x and x/2 are not equivalent, so in either order the
+        # fiber routes are not run
         half = single_chart_map(LINE, LINE, lambda e, x: 0.5 * x, label="half")
         u = scaled_hom(lambda e: 1.0, label="u")
         v = scaled_hom(lambda e: 1.0, base=half, label="v")
@@ -256,7 +255,33 @@ class TestVBEquivalence:
         assert (uv.equivalent, uv.route_chart, uv.route_bank) == (
             vu.equivalent, vu.route_chart, vu.route_bank
         )
-        assert not uv.equivalent and uv.route_chart and uv.route_bank
+        assert not uv.equivalent
+        assert uv.route_chart is None and uv.route_bank is None
+
+    @pytest.mark.parametrize("shift", [0.3, 2.0, 6.0])
+    @pytest.mark.parametrize("kind", ["hom", "hybrid"])
+    def test_shifted_bases_decide_before_the_fibers(self, kind, shift):
+        # equal unit fibers over the bases x and x + shift: a test-hom
+        # cutoff at each net's own base image would read the O(1) base gap
+        # as a fiber difference
+        bases = (
+            base_identity(),
+            single_chart_map(LINE, LINE, lambda e, x: x + shift, label="x+s"),
+        )
+        if kind == "hom":
+            u, v = (scaled_hom(lambda e: 1.0, base=b, label=kind) for b in bases)
+            check = check_vb_equivalent
+        else:
+            u, v = (
+                single_chart_hybrid(
+                    LINE, TX, b, lambda e, x: np.ones_like(x), label=kind
+                )
+                for b in bases
+            )
+            check = check_hybrid_equivalent
+        rep = check(u, v, K1)
+        assert not rep.equivalent and not rep.base_report.equivalent
+        assert (rep.route_chart, rep.route_bank) == (None, None)
 
     @settings(max_examples=4, deadline=None)
     @given(scale=st.floats(0.1, 50.0))

@@ -31,7 +31,6 @@ from colombeau.manifold_maps import (
     ManifoldNet,
     _bank_difference_curves,
     _check_points,
-    _colocated_masks,
     _coordinate_curves,
     _sup_abs,
     _sup_curve,
@@ -369,18 +368,6 @@ class TestSupCurve:
         curve = _sup_curve(self.GRID, 2, self.PTS, lambda eps: (net.at(eps),))
         assert curve == [6.0] * len(self.GRID)
 
-    def test_mask_that_keeps_no_point_gives_zero(self):
-        net = self.quadratic()
-        zero = net_from_function(lambda e, x: np.zeros(x.shape[:-1] + (1,)), 2, 1)
-        nowhere = np.zeros(len(self.PTS), dtype=bool)
-        curve = _sup_curve(
-            self.GRID, 0, self.PTS,
-            lambda eps: (net.at(eps), zero.at(eps)),
-            mask=lambda eps: nowhere if eps < 0.1 else ~nowhere,
-        )
-        # f(1, 1) = 4.5 is the sup while every point is kept
-        assert curve == [4.5, 4.5] + [0.0] * (len(self.GRID) - 2)
-
     def test_nan_jet_gives_inf(self):
         nan_net = net_from_function(
             lambda e, x: np.where(x[..., :1] > 0.75, np.nan, x[..., :1]), 2, 1
@@ -632,7 +619,7 @@ class TestModerateCoordinateRows:
 
 class TestBankRouteCoordinateRows:
     """The plateau tests measure what route C of check_equivalent does: the
-    ``x0*cutoff`` composite difference curves are route C's masked
+    ``x0*cutoff`` composite difference curves are route C's
     chart-difference curves bit for bit at orders 0-2, and the ``cutoff``
     curves are 0.  So route B stops at order 0, where its ``x0*cutoff``
     row is route C's, and only its bump rows measure what route C does
@@ -669,12 +656,10 @@ class TestBankRouteCoordinateRows:
                     u, v, plateau_tests, k, grid, pts
                 )
             })
-        masks = _colocated_masks(u, v, pts, "main", witness.box, grid)
         for k in range(3):
             chart = _sup_curve(
                 grid, k, pts,
                 lambda eps: (u.handle(eps, "main")[1], v.handle(eps, "main")[1]),
-                mask=masks.get,
             )
             assert rows[("x0*cutoff", k)] == chart, k
             assert rows[("cutoff", k)] == [0.0] * len(grid), k
@@ -832,8 +817,24 @@ class TestEquivalence:
         blow = single_chart_map(
             LINE, LINE, lambda e, x: np.full_like(x, 1.0 / e), label="1/e"
         )
-        with pytest.raises((NotCBounded, Exception)):
+        with pytest.raises(NotCBounded):
             check_equivalent(identity_map(), blow, K1)
+
+    def test_cbounded_net_whose_sup_curve_rises_is_equivalent_to_itself(self):
+        # x*exp(-2^20 eps) is 0 in float at the coarse end of the grid and
+        # x at the fine end: its order-0 sup curve rises from 0 to 1, yet it
+        # is c-bounded, which is all that order 0 asks of it
+        u = single_chart_map(
+            LINE, LINE, lambda e, x: x * np.exp(-(2.0**20) * e), label="x*exp(-2^20e)"
+        )
+        assert check_equivalent(u, u, K1).equivalent
+
+    def test_target_atlases_are_checked_before_the_nets_are_evaluated(self):
+        nan = single_chart_map(
+            LINE, euclidean_atlas(1), lambda e, x: np.full_like(x, np.nan), label="nan"
+        )
+        with pytest.raises(AtlasMismatch, match="different target atlases"):
+            check_equivalent(identity_map(), nan, K1)
 
     @settings(max_examples=4, deadline=None)
     @given(scale=st.floats(min_value=0.1, max_value=50.0))
