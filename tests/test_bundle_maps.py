@@ -314,23 +314,22 @@ class TestFiberCutoff:
 class TestTestHomCurve:
     """The compactly supported test homs of a fiber net, cutoff at the base
     image times the fiber's operator norm (``oracles.fiber_test_hom_curve``),
-    add nothing to check_vb_moderate's order-0 chart row: on L every base
-    image lies in the witness, where the cutoff is exactly 1.0, so with
-    fiber 1 the curve is the row bit for bit, and with wider fibers the
-    operator norm is an equivalent norm with the row's classification and
-    order."""
+    add nothing to check_vb_moderate's order-0 chart row: with fiber 1 the
+    cutoff is exactly 1.0 at every base image of L and the curve is the row
+    bit for bit, and with a (2, 2) fiber the operator norm is an equivalent
+    norm that gives the row's classification and order."""
 
-    CASES = {
-        "hom over the identity": lambda: single_chart_hom(
+    @staticmethod
+    def growing_hom():
+        return single_chart_hom(
             TX, TX, base_identity(), lambda e, x: (1.0 + x**2 / e)[..., None],
             label="1+x^2/e",
-        ),
+        )
+
+    CASES = {
+        "hom over the identity": lambda: TestTestHomCurve.growing_hom(),
         "compose_homs": lambda: compose_homs(
-            single_chart_hom(
-                TX, TX, base_identity(), lambda e, x: (1.0 + x**2 / e)[..., None],
-                label="1+x^2/e",
-            ),
-            scaled_hom(lambda e: 3.0 + e, label="3+e"),
+            TestTestHomCurve.growing_hom(), scaled_hom(lambda e: 3.0 + e, label="3+e")
         ),
         "compose_hybrid over 0.5x": lambda: compose_hybrid(
             single_chart_map(LINE, LINE, lambda e, x: 0.5 * x, label="half"),
@@ -359,7 +358,7 @@ class TestTestHomCurve:
         _, rows = self.fiber_rows(u, K1, grid, monkeypatch)
         assert curve == rows[0]
 
-    def test_two_by_two_hom_has_the_row_classification(self, monkeypatch):
+    def test_two_by_two_hom_has_the_row_classification(self):
         plane = euclidean_atlas(2, 10.0)
         K2 = CompactSet("main", [(-1.0, 1.0), (-0.5, 0.5)], resolution=5)
         grid = EpsGrid.dyadic(2, 8)
@@ -383,7 +382,7 @@ class TestTestHomCurve:
         bundle = trivial_bundle(plane, 2)
         hom = single_chart_hom(bundle, bundle, ripple, mat, label="ripple")
         curve, _ = fiber_test_hom_curve(hom, K2, grid)
-        report, _ = self.fiber_rows(hom, K2, grid, monkeypatch)
+        report = check_vb_moderate(hom, K2, grid=grid)
         (k, row), want = report.fiber_verdicts[0], estimate_growth_order(curve, grid)
         assert k == 0
         assert (want.classification, want.order) == (row.classification, row.order)
