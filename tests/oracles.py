@@ -5,17 +5,25 @@ side of ``ppwave.regularized_geodesic_system``), a polar transition pair
 (for the atlas invariant checks), the test bank's tests as separate
 handles (for ``geometry.TestBank.eval`` and the bank route), the
 per-offset finite-difference loop (for ``nets.finite_difference_jet``),
-and the test-hom curve of a fiber net (for the order-0 fiber row of
-``bundle_maps.check_vb_moderate``)."""
+the test-hom curve of a fiber net (for the order-0 fiber row of
+``bundle_maps.check_vb_moderate``), and the per-slice geodesic solver in
+the wave's own parameter u (for the stacked ``ppwave.solve_geodesic``)."""
 
 import itertools
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from colombeau.bundle_maps import _as_matrix, _fiber_cutoff, fiber_values
-from colombeau.errors import AtlasMismatch, NoMetric, OutsideDomain
+from colombeau.errors import (
+    AtlasMismatch,
+    ConfigError,
+    NoMetric,
+    NonFiniteValue,
+    OutsideDomain,
+)
 from colombeau.geometry import (
     _BANK_SIZE,
     _lattice,
@@ -27,7 +35,6 @@ from colombeau.geometry import (
 )
 from colombeau.manifold_maps import _check_points, _sup_abs, check_cbounded
 from colombeau.nets import _FD_NOISE_C, _RICHARDSON_LEVELS, handle_product, order
-from colombeau.ppwave import pulse
 
 
 def locate(atlas, p):
@@ -168,6 +175,12 @@ def christoffel_fd(metric_fn, eps, x, h=1e-5):
         - np.einsum("...lij->...lij", dg)
     )
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+
+
+def pulse(rho, eps, u):
+    """The scaled pulse rho(u/eps)/eps, by the mollifier's array path."""
+    u = np.asarray(u, dtype=float)
+    return rho.profile(u[..., None] / eps)[..., 0] / eps
 
 
 def ppwave_metric(profile, rho):
@@ -335,3 +348,138 @@ def fiber_test_hom_curve(u, L, grid):
         curve.append(_sup_abs(chi * opnorm_max(M)))
         cutoffs.append(chi)
     return curve, cutoffs
+
+
+# ---------------------------------------------------------------------------
+# the geodesic slices solved one by one, in u
+
+
+# DOP853 tolerances of every slice solve
+_GEODESIC_RTOL = 1e-10
+_GEODESIC_ATOL = 1e-12
+
+
+def _pulse_at_u(rho, eps, u):
+    """(D, D') of the pulse D(u) = rho(u/eps)/eps at one float u, by the
+    operations of the mollifier's array path in their order."""
+    a, r = rho.sharpness, rho.support_radius
+    t = u / eps / r
+    s = 1.0 - t * t
+    if not s > 1e-12:
+        return 0.0, 0.0
+    val = np.exp(-a / s)
+    return (
+        val / rho._norm / r / eps,
+        val * (-2.0 * a * t / (s * s)) / rho._norm / r**2 / eps**2,
+    )
+
+
+def geodesic_rhs_u(profile, rho, eps):
+    """Right-hand side d/du of one slice in state (v, x, y, v', x', y'):
+    -Gamma^k_ij X'^i X'^j of the regularized pp-wave, with u' = 1."""
+    if not eps > 0:
+        raise ConfigError("eps must be positive")
+    grad = profile.f.jet_impl
+
+    def rhs(u, state):
+        v, x, y, vd, xd, yd = state
+        D, Dp = _pulse_at_u(rho, eps, u)
+        p = np.array([x, y])
+        f = profile.f.eval_fn(p)[0]
+        fx = grad(p, (1, 0), 1e-6)[0]
+        fy = grad(p, (0, 1), 1e-6)[0]
+        return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
+                0.5 * D * fx, 0.5 * D * fy]
+
+    return rhs
+
+
+class ReferenceSlice:
+    """One eps-slice as a list of pieces (a, b, kind, data): exact straight
+    lines off the pulse, a dense DOP853 solution in u across it."""
+
+    def __init__(self, eps, u_span, pieces, energy_drift):
+        self.eps = eps
+        self.u_span = u_span
+        self.pieces = pieces
+        self.energy_drift = energy_drift
+
+    def states(self, us):
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        lo, hi = sorted(self.u_span)
+        if np.any(us < lo - 1e-12) or np.any(us > hi + 1e-12):
+            raise OutsideDomain("query outside the integrated u-interval")
+        out = np.empty(us.shape + (6,))
+        for a, b, kind, data in self.pieces:
+            p_lo, p_hi = min(a, b), max(a, b)
+            mask = (us >= p_lo - 1e-12) & (us <= p_hi + 1e-12)
+            if not np.any(mask):
+                continue
+            uu = us[mask]
+            if kind == "line":
+                s0 = data
+                vals = np.tile(s0, (uu.size, 1))
+                vals[:, 0] += s0[3] * (uu - a)
+                vals[:, 1] += s0[4] * (uu - a)
+                vals[:, 2] += s0[5] * (uu - a)
+                out[mask] = vals
+            else:
+                out[mask] = data.sol(uu).T
+        return out
+
+
+def solve_geodesic_per_slice(profile, rho, eps, init, u_span):
+    """One slice integrated on its own in u, its pulse window split off
+    the u-interval; the step cap inside the pulse is R eps / 16."""
+    u0, u1 = float(u_span[0]), float(u_span[1])
+    if u1 == u0:
+        raise ConfigError("u-interval must have nonzero length")
+    state = np.asarray(init, dtype=float).copy()
+    if state.shape != (6,):
+        raise ConfigError("initial data is (v, x, y, v', x', y')")
+    r = rho.support_radius * eps
+    rhs = geodesic_rhs_u(profile, rho, eps)
+
+    forward = u1 > u0
+    inner = [c for c in (-r, r) if min(u0, u1) < c < max(u0, u1)]
+    cuts = [u0] + sorted(inner, reverse=not forward) + [u1]
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        p_lo, p_hi = min(a, b), max(a, b)
+        outside = p_hi <= -r + 1e-300 or p_lo >= r - 1e-300
+        if outside:
+            pieces.append((a, b, "line", state.copy()))
+            nxt = state.copy()
+            nxt[0] += state[3] * (b - a)
+            nxt[1] += state[4] * (b - a)
+            nxt[2] += state[5] * (b - a)
+            state = nxt
+        else:
+            sol = solve_ivp(
+                rhs,
+                (a, b),
+                state,
+                method="DOP853",
+                rtol=_GEODESIC_RTOL,
+                atol=_GEODESIC_ATOL,
+                max_step=max(r / 16.0, 1e-12),
+                dense_output=True,
+            )
+            if not sol.success:
+                raise NonFiniteValue(f"integrator failed on [{a}, {b}]: {sol.message}")
+            pieces.append((a, b, "ode", sol))
+            state = sol.y[:, -1].copy()
+
+    # drift of g(X', X') from its initial value, over probes on the whole
+    # interval and across the pulse
+    probe = np.linspace(u0, u1, 33)
+    lo, hi = min(u0, u1), max(u0, u1)
+    if lo < r and hi > -r:
+        probe = np.concatenate([probe, np.linspace(max(lo, -r), min(hi, r), 65)])
+    slice_ = ReferenceSlice(eps, (u0, u1), pieces, 0.0)
+    us = np.concatenate([[u0], probe])
+    st = np.concatenate([np.asarray(init, dtype=float)[None], slice_.states(probe)])
+    energy = (pulse(rho, eps, us) * profile.value(st[:, 1:3])
+              - st[:, 3] + st[:, 4] ** 2 + st[:, 5] ** 2)
+    slice_.energy_drift = float(np.max(np.abs(energy[1:] - energy[0])))
+    return slice_

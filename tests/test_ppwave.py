@@ -20,12 +20,15 @@ from colombeau.ppwave import (
     trajectory_csv,
     widened,
 )
-from oracles import christoffel_fd, ppwave_metric
+from oracles import christoffel_fd, ppwave_metric, solve_geodesic_per_slice
 
 RHO = standard_mollifier()
 SADDLE = default_profile()
 REST_AT_X1 = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 SPAN = (-0.5, 0.5)
+# the datum whose kink study splits its association routes; it moves in x
+# and y before the pulse
+KD0 = (0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022)
 
 
 def flat_profile():
@@ -163,6 +166,57 @@ class TestRhsBits:
             assert _same_bits(
                 wide.profile.jet(x, (1,)), rho.profile.jet(x / s, (1,)) / s**2
             )
+
+
+def _stacked(rho, eps_values, init, span):
+    """The slices of one study's grid, as a study solves them."""
+    net = GeodesicNet(SADDLE, rho, init, span)
+    return [net.slice(e) for e in eps_values]
+
+
+class TestStackedAgainstPerSlice:
+    """The slices of a study against the per-slice solve in u of
+    ``oracles.solve_geodesic_per_slice``, at the window points and the end
+    state.  The transverse components x, y, x', y' agree within 1e-11.  The
+    longitudinal v and v' agree within 5e-10 times the slice's peak |v'|,
+    which grows like 1/eps; against a solve at rtol 1e-13 the per-slice
+    solve is the less accurate of the two there."""
+
+    CASES = {
+        # the five kink pulse shapes of the benchmark
+        **{wide.id: (wide, REST_AT_X1, (6, 12), SPAN) for wide, _, _ in _pulse_shapes()},
+        "criterion-10": (RHO, REST_AT_X1, (6, 14), (-1.25, 1.25)),
+        "reversed": (RHO, REST_AT_X1, (6, 12), (0.5, -0.5)),
+        "kd0": (sharp_mollifier(), KD0, (6, 12), SPAN),
+    }
+
+    @staticmethod
+    def _compare(rho, init, grid, span):
+        eps_values = list(EpsGrid.dyadic(*grid))
+        us = np.append(np.linspace(0.8 * span[0], 0.8 * span[1], 801), span[1])
+        drift, drift_ref = [], []
+        for e, got in zip(eps_values, _stacked(rho, eps_values, init, span)):
+            ref = solve_geodesic_per_slice(SADDLE, rho, e, init, span)
+            gap = np.max(np.abs(got.states(us) - ref.states(us)), axis=0)
+            r = rho.support_radius * e
+            peak = np.max(np.abs(ref.states(np.linspace(-r, r, 129))[:, 3]))
+            assert np.max(gap[[1, 2, 4, 5]]) <= 1e-11, (rho.id, e, gap)
+            assert np.max(gap[[0, 3]]) <= 5e-10 * peak, (rho.id, e, gap, peak)
+            drift.append(got.energy_drift)
+            drift_ref.append(ref.energy_drift)
+        return max(drift), max(drift_ref)
+
+    @pytest.mark.parametrize("case", ["criterion-10", "reversed", "kd0"])
+    def test_slices_match_the_per_slice_solve(self, case):
+        drift, drift_ref = self._compare(*self.CASES[case])
+        if case == "criterion-10":
+            assert drift <= drift_ref
+
+    def test_kink_pulse_shapes_match_the_per_slice_solve(self):
+        # the worst energy drift over the five shapes' slices is no larger
+        # than the per-slice solve's
+        worst = [self._compare(*self.CASES[wide.id]) for wide, _, _ in _pulse_shapes()]
+        assert max(d for d, _ in worst) <= max(d for _, d in worst)
 
 
 class TestSolver:
