@@ -479,20 +479,18 @@ class Mollifier:
                 f"mollifier {self.id!r} integrates to {mass!r}, not 1"
             )
 
-    def pulse_at(self, eps: float, u: float):
-        """(D, D') of the pulse D(u) = rho(u/eps)/eps at one float u, by the
-        operations of the array path in their order (np.exp included, so
-        the bits agree)."""
+    def pulse_at(self, s: float):
+        """(rho(s), rho'(s)) at one float s, by the operations of the array
+        path in their order (np.exp included, so the bits agree).  In the
+        pulse variable s = u/eps the scaled pulse rho(u/eps)/eps is
+        rho(s)/eps, and its u-derivative rho'(s)/eps^2."""
         a, r = self.sharpness, self.support_radius
-        t = u / eps / r
-        s = 1.0 - t * t
-        if not s > 1e-12:
+        t = s / r
+        q = 1.0 - t * t
+        if not q > 1e-12:
             return 0.0, 0.0
-        val = np.exp(-a / s)
-        return (
-            val / self._norm / r / eps,
-            val * (-2.0 * a * t / (s * s)) / self._norm / r**2 / eps**2,
-        )
+        val = np.exp(-a / q)
+        return val / self._norm / r, val * (-2.0 * a * t / (q * q)) / self._norm / r**2
 
     def squared_mass(self) -> float:
         """Integral of the squared profile; the shape fingerprint that

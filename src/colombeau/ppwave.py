@@ -9,16 +9,28 @@ geodesics of interest, and the system in the remaining components reads
 
 with ' = d/du.  Off the pulse support the right-hand side vanishes and the
 solutions are straight lines, so slices are integrated only across the
-pulse window and extended linearly on both sides.  As the pulse narrows
-the transverse components converge to a broken straight line (a kink);
-the study below measures that convergence and the velocity jump.
+pulse window and extended linearly on both sides.
+
+Across the pulse the solver uses the pulse variable s = u/eps.  With D the
+scaled mollifier rho(u/eps)/eps of support radius R, every slice then lives
+on the same interval s in [-R, R], the state stays (v, x, y, v', x', y')
+with ' = d/du, and
+
+    d(v, x, y)/ds = eps (v', x', y'),
+    dx'/ds = rho(s) f_x / 2,   dy'/ds = rho(s) f_y / 2,
+    dv'/ds = rho'(s) f / eps + 2 rho(s) (f_x x' + f_y y').
+
+So the slices of a study are integrated together, as one
+system with one column per eps.  As the pulse narrows the transverse
+components converge to a broken straight line (a kink); the study below
+measures that convergence and the velocity jump.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -93,33 +105,35 @@ def default_profile() -> PPWaveProfile:
     return PPWaveProfile(saddle_profile())
 
 
-def pulse(rho: Mollifier, eps: float, u):
-    u = np.asarray(u, dtype=float)
-    return rho.profile(u[..., None] / eps)[..., 0] / eps
-
-
 # ---------------------------------------------------------------------------
 # geodesic equations
 
 
-def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps: float):
-    """Right-hand side in state (v, x, y, v', x', y'), u the parameter:
-    -Gamma^k_ij X'^i X'^j of the metric in the module docstring, with u' = 1."""
-    if not eps > 0:
-        raise ConfigError("eps must be positive")
-    # the profile's jet rule, bound once, at the step SmoothMapHandle.jet
-    # passes by default
+def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps_values):
+    """Right-hand side d/ds, in the pulse variable s = u/eps, of the slices
+    at ``eps_values`` stacked as one state: eps times -Gamma^k_ij X'^i X'^j
+    of the metric in the module docstring, with u' = 1.  The stacked state
+    is (v, x, y, v', x', y'), each component an array over the eps values,
+    flattened component-major; ' stays d/du."""
+    eps = np.atleast_1d(np.asarray(eps_values, dtype=float))
+    if eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0):
+        raise ConfigError("eps values must be positive")
+    # the profile's value and jet rules, bound once; the jet at the step
+    # SmoothMapHandle.jet passes by default
+    value = profile.f.eval_fn
     grad = profile.f.jet_impl
 
-    def rhs(u, state):
-        v, x, y, vd, xd, yd = state
-        D, Dp = rho.pulse_at(eps, u)
-        p = np.array([x, y])
-        f = profile.f.eval_fn(p)[0]
-        fx = grad(p, (1, 0), 1e-6)[0]
-        fy = grad(p, (0, 1), 1e-6)[0]
-        return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
-                0.5 * D * fx, 0.5 * D * fy]
+    def rhs(s, state):
+        v, x, y, vd, xd, yd = np.asarray(state, dtype=float).reshape(6, -1)
+        D, Dp = rho.pulse_at(s)
+        p = np.stack([x, y], axis=-1)
+        f = value(p)[:, 0]
+        fx = grad(p, (1, 0), 1e-6)[:, 0]
+        fy = grad(p, (0, 1), 1e-6)[:, 0]
+        return np.concatenate([
+            eps * vd, eps * xd, eps * yd,
+            Dp * f / eps + 2.0 * D * (fx * xd + fy * yd), 0.5 * D * fx, 0.5 * D * fy,
+        ])
 
     return rhs
 
@@ -128,37 +142,47 @@ def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps: flo
 # integration
 
 
+def _line(state, anchor, us):
+    """States on the straight line through ``state`` at u = anchor."""
+    out = np.tile(state, (us.size, 1))
+    out[:, :3] += state[3:] * (us - anchor)[:, None]
+    return out
+
+
 @dataclass
 class GeodesicSlice:
-    """One eps-slice: exact straight lines off the pulse, an adaptive
-    integration across it."""
+    """One eps-slice: exact straight lines off the pulse [-radius, radius],
+    through ``init`` at u_span[0] before it and through ``exit_state`` at
+    the edge where the traversal leaves it; across it, the rows ``rows`` of
+    ``pulse``, the dense output in s = u/eps of the stack it was solved in."""
 
     eps: float
     u_span: tuple
-    pieces: list
+    init: np.ndarray
+    exit_state: np.ndarray
+    radius: float
+    pulse: Callable
+    rows: np.ndarray
     energy_drift: float
 
     def states(self, us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
+        u0, u1 = self.u_span
         lo, hi = sorted(self.u_span)
         if np.any(us < lo - 1e-12) or np.any(us > hi + 1e-12):
             raise OutsideDomain("query outside the integrated u-interval")
+        # w runs along the traversal: the incoming line, the pulse, then
+        # the outgoing line from the pulse edge where the traversal leaves
+        sgn = 1.0 if u1 > u0 else -1.0
+        w = sgn * us
+        ahead = w < -self.radius
+        behind = w >= self.radius
+        inside = ~(ahead | behind)
         out = np.empty(us.shape + (6,))
-        for a, b, kind, data in self.pieces:
-            p_lo, p_hi = min(a, b), max(a, b)
-            mask = (us >= p_lo - 1e-12) & (us <= p_hi + 1e-12)
-            if not np.any(mask):
-                continue
-            uu = us[mask]
-            if kind == "line":
-                s0 = data
-                vals = np.tile(s0, (uu.size, 1))
-                vals[:, 0] += s0[3] * (uu - a)
-                vals[:, 1] += s0[4] * (uu - a)
-                vals[:, 2] += s0[5] * (uu - a)
-                out[mask] = vals
-            else:
-                out[mask] = data.sol(uu).T
+        out[ahead] = _line(self.init, u0, us[ahead])
+        out[behind] = _line(self.exit_state, sgn * self.radius, us[behind])
+        if np.any(inside):
+            out[inside] = self.pulse(us[inside] / self.eps)[self.rows].T
         return out
 
     def component(self, us, name):
@@ -169,14 +193,22 @@ class GeodesicSlice:
 def solve_geodesic(
     profile: PPWaveProfile,
     rho: Mollifier,
-    eps: float,
+    eps_values: Sequence[float],
     init: Sequence[float],
     u_span: tuple,
-) -> GeodesicSlice:
-    """Integrate one slice of the geodesic system across the pulse.
+) -> list:
+    """Integrate the geodesic system across the pulse for every eps at once,
+    and return one slice per eps, in order.
 
-    ``init`` is (v, x, y, v', x', y') at u_span[0].  The step cap inside
-    the pulse is its width over sixteen.
+    ``init`` is (v, x, y, v', x', y') at u_span[0], traversal may run in
+    either u-direction, and every pulse [-R eps, R eps], R the support
+    radius, must lie inside the u-interval.  Each slice's incoming line
+    runs from u_span[0] to its pulse edge.  Across the pulse all slices are
+    one DOP853 system in s = u/eps on [-R, R], with the step cap R/16.  Its
+    rtol is _RTOL/sqrt(6n): scipy's error norm is a root mean square over
+    the 6n stacked components, and the factor restores the per-component
+    bound.  Each outgoing line starts at the pulse edge from the stack's
+    end state.
     """
     u0, u1 = float(u_span[0]), float(u_span[1])
     if u1 == u0:
@@ -184,59 +216,52 @@ def solve_geodesic(
     state = np.asarray(init, dtype=float).copy()
     if state.shape != (6,):
         raise ConfigError("initial data is (v, x, y, v', x', y')")
-    r = rho.support_radius * eps
-    rhs = regularized_geodesic_system(profile, rho, eps)
+    rhs = regularized_geodesic_system(profile, rho, eps_values)
+    eps = np.atleast_1d(np.asarray(eps_values, dtype=float))
+    n = eps.size
+    R = rho.support_radius
+    r = R * eps
+    if not (min(u0, u1) < -r.max() and r.max() < max(u0, u1)):
+        raise ConfigError("largest pulse does not fit inside the u-interval")
+    sgn = 1.0 if u1 > u0 else -1.0
 
-    # traversal may run in either u-direction; crossings of the pulse
-    # edges split the interval into exact-line and integrated pieces
-    forward = u1 > u0
-    inner = [c for c in (-r, r) if min(u0, u1) < c < max(u0, u1)]
-    cuts = [u0] + sorted(inner, reverse=not forward) + [u1]
-    pieces = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        p_lo, p_hi = min(a, b), max(a, b)
-        outside = p_hi <= -r + 1e-300 or p_lo >= r - 1e-300
-        if outside:
-            pieces.append((a, b, "line", state.copy()))
-            nxt = state.copy()
-            nxt[0] += state[3] * (b - a)
-            nxt[1] += state[4] * (b - a)
-            nxt[2] += state[5] * (b - a)
-            state = nxt
-        else:
-            sol = solve_ivp(
-                rhs,
-                (a, b),
-                state,
-                method="DOP853",
-                rtol=_RTOL,
-                atol=_ATOL,
-                max_step=max(r / 16.0, 1e-12),
-                dense_output=True,
-            )
-            if not sol.success:
-                raise NonFiniteValue(f"integrator failed on [{a}, {b}]: {sol.message}")
-            pieces.append((a, b, "ode", sol))
-            state = sol.y[:, -1].copy()
+    # every slice's incoming line, from u_span[0] to its pulse edge
+    entry = np.repeat(state[:, None], n, axis=1)
+    entry[:3] += state[3:, None] * (-sgn * r - u0)
+    sol = solve_ivp(
+        rhs,
+        (-sgn * R, sgn * R),
+        entry.ravel(),
+        method="DOP853",
+        rtol=_RTOL / np.sqrt(6 * n),
+        atol=_ATOL,
+        max_step=R / 16.0,
+        dense_output=True,
+    )
+    if not sol.success:
+        raise NonFiniteValue(f"integrator failed across the pulse: {sol.message}")
+    exit_states = sol.y[:, -1].reshape(6, n)
 
-    # drift of g(X', X') from its initial value, over probes on the whole
-    # interval and across the pulse
-    probe = np.linspace(u0, u1, 33)
-    lo, hi = min(u0, u1), max(u0, u1)
-    if lo < r and hi > -r:
-        probe = np.concatenate([probe, np.linspace(max(lo, -r), min(hi, r), 65)])
-    slice_ = GeodesicSlice(eps, (u0, u1), pieces, 0.0)
-    us = np.concatenate([[u0], probe])
-    st = np.concatenate([np.asarray(init, dtype=float)[None], slice_.states(probe)])
-    energy = (pulse(rho, eps, us) * profile.value(st[:, 1:3])
-              - st[:, 3] + st[:, 4] ** 2 + st[:, 5] ** 2)
-    slice_.energy_drift = float(np.max(np.abs(energy[1:] - energy[0])))
-    return slice_
+    # drift of g(X', X') from its value off the pulse, over probes across it
+    ss = np.linspace(-R, R, 65)
+    st = sol.sol(ss).reshape(6, n, ss.size)
+    D = rho.profile(ss[:, None])[:, 0] / eps[:, None]
+    energy = (D * profile.value(np.stack([st[1], st[2]], axis=-1))
+              - st[3] + st[4] ** 2 + st[5] ** 2)
+    e0 = -state[3] + state[4] ** 2 + state[5] ** 2
+    drift = np.max(np.abs(energy - e0), axis=1)
+
+    return [
+        GeodesicSlice(float(e), (u0, u1), state, exit_states[:, i].copy(), float(r[i]),
+                      sol.sol, i + n * np.arange(6), float(drift[i]))
+        for i, e in enumerate(eps)
+    ]
 
 
 @dataclass
 class GeodesicNet:
-    """eps-parametrized family of geodesic slices for fixed initial data."""
+    """eps-parametrized family of geodesic slices for fixed initial data;
+    a slice, once solved, is kept."""
 
     profile: PPWaveProfile
     rho: Mollifier
@@ -244,14 +269,18 @@ class GeodesicNet:
     u_span: tuple
     _slices: dict = field(default_factory=dict, repr=False)
 
+    def slices(self, eps_values: Sequence[float]) -> list:
+        """The slices at ``eps_values``; the missing ones are solved as one
+        stack."""
+        missing = [e for e in dict.fromkeys(eps_values) if e not in self._slices]
+        if missing:
+            self._slices.update(zip(missing, solve_geodesic(
+                self.profile, self.rho, missing, self.init, self.u_span,
+            )))
+        return [self._slices[e] for e in eps_values]
+
     def slice(self, eps: float) -> GeodesicSlice:
-        s = self._slices.get(eps)
-        if s is None:
-            s = solve_geodesic(
-                self.profile, self.rho, eps, self.init, self.u_span,
-            )
-            self._slices[eps] = s
-        return s
+        return self.slices([eps])[0]
 
     def component_net(self, name: str) -> Net:
         """The named state component as a net over the u-interval; its
@@ -300,6 +329,7 @@ class KinkReport:
     assoc_routes: tuple
     vdot_growth: str
     flags: list
+    energy_drift: float
     net: GeodesicNet
 
     def __bool__(self):
@@ -320,6 +350,7 @@ class KinkReport:
             f"vdot_sup_growth: {self.vdot_growth}",
         ]
         out += [f"flag: {f}" for f in self.flags]
+        out.append(f"energy_drift: {self.energy_drift:.3e}")
         return out
 
 
@@ -344,19 +375,17 @@ def kink_limit_study(
 ) -> KinkReport:
     """Convergence of the transverse geodesic component to a broken line.
 
-    Solves every slice on the grid, measures the Cauchy sup-distances
+    Solves every slice on the grid as one stack, measures the Cauchy sup-distances
     between consecutive slices on the compact window, fits the limiting
     kink from the smallest slice, and runs the 0-association check of the
     component net against the constant-in-eps kink net.
     """
     window = window or (0.8 * u_span[0], 0.8 * u_span[1])
     eps_values = list(grid)
-    if eps_values[0] * rho.support_radius >= min(-u_span[0], u_span[1]):
-        raise ConfigError("largest pulse does not fit inside the u-interval")
-
     gnet = GeodesicNet(profile, rho, tuple(float(s) for s in init), u_span)
+    slices = gnet.slices(eps_values)
     us = np.linspace(window[0], window[1], 801)
-    xs = {e: gnet.slice(e).component(us, "x") for e in eps_values}
+    xs = {e: s.component(us, "x") for e, s in zip(eps_values, slices)}
 
     cauchy = [
         float(np.max(np.abs(xs[a] - xs[b])))
@@ -429,6 +458,7 @@ def kink_limit_study(
         assoc_routes=(assoc.route_distance, assoc.route_bank),
         vdot_growth=vdot_growth,
         flags=flags,
+        energy_drift=max(s.energy_drift for s in slices),
         net=gnet,
     )
 

@@ -8,6 +8,7 @@ import pytest
 from colombeau.asymptotics import EpsGrid
 from colombeau.association import sharp_mollifier, standard_mollifier
 from colombeau.errors import ConfigError, NonFiniteValue, OutsideDomain
+from colombeau import ppwave
 from colombeau.geometry import make_handle
 from colombeau.ppwave import (
     GeodesicNet,
@@ -63,26 +64,29 @@ class TestProfile:
 
 class TestGeodesicSystem:
     def test_flat_profile_gives_zero_forcing(self):
-        rhs = regularized_geodesic_system(flat_profile(), RHO, 0.1)
+        rhs = regularized_geodesic_system(flat_profile(), RHO, [0.1])
         out = rhs(0.0, [0.0, 1.0, -1.0, 0.3, 0.5, -0.2])
-        assert out[:3] == pytest.approx([0.3, 0.5, -0.2])
+        # d/ds = eps d/du
+        assert out[:3] == pytest.approx([0.03, 0.05, -0.02])
         assert out[3:] == pytest.approx([0.0, 0.0, 0.0])
 
     def test_forcing_vanishes_ahead_of_the_pulse(self):
-        rhs = regularized_geodesic_system(SADDLE, RHO, 0.05)
-        out = rhs(-0.2, [0.0, 1.0, 0.5, 0.1, 0.2, 0.3])
+        # u = -0.2 with eps = 0.05 is s = -4, outside the support [-1, 1]
+        rhs = regularized_geodesic_system(SADDLE, RHO, [0.05])
+        out = rhs(-4.0, [0.0, 1.0, 0.5, 0.1, 0.2, 0.3])
         assert out[3:] == pytest.approx([0.0, 0.0, 0.0])
 
     @staticmethod
     def _rhs_matches_fd_symbols(seed, epsilons):
-        # the solver's right-hand side is -Gamma^k_ij X'^i X'^j with u' = 1,
-        # X = (u, v, x, y); compare it with symbols from central differences
-        # of the metric at states whose u lies inside the pulse
+        # the solver's right-hand side is eps times -Gamma^k_ij X'^i X'^j
+        # with u' = 1, X = (u, v, x, y), at s = u/eps; compare it with
+        # symbols from central differences of the metric at states whose u
+        # lies inside the pulse
         rng = np.random.default_rng(seed)
         for rho in (standard_mollifier(), sharp_mollifier()):
             metric = ppwave_metric(SADDLE, rho)
             for eps in epsilons:
-                rhs = regularized_geodesic_system(SADDLE, rho, eps)
+                rhs = regularized_geodesic_system(SADDLE, rho, [eps])
                 for _ in range(6):
                     u = rng.uniform(-0.9, 0.9) * eps * rho.support_radius
                     v, vd = rng.uniform(-1.0, 1.0, 2)
@@ -90,7 +94,7 @@ class TestGeodesicSystem:
                     G = christoffel_fd(metric, eps, np.array([u, v, x, y]), h=1e-4 * eps)
                     Xd = np.array([1.0, vd, xd, yd])
                     want = -np.einsum("kij,i,j->k", G, Xd, Xd)
-                    got = np.asarray(rhs(u, [v, x, y, vd, xd, yd])[3:])
+                    got = np.asarray(rhs(u / eps, [v, x, y, vd, xd, yd])[3:]) / eps
                     scale = np.max(np.abs(want))
                     assert abs(want[0]) <= 1e-8 * scale
                     assert np.max(np.abs(got - want[1:])) <= 1e-8 * scale
@@ -116,9 +120,10 @@ def _pulse_shapes():
 
 
 class TestRhsBits:
-    """The right-hand side, bit for bit, against the geodesic equations
-    written out from the pulse profile's value and first jet and the wave
-    profile's gradient, each evaluated as an array of one point."""
+    """The right-hand side in s = u/eps, bit for bit, against eps times the
+    geodesic equations in u, written out from the pulse profile's value and
+    first jet and the wave profile's gradient, each evaluated as an array
+    of one point."""
 
     @staticmethod
     def _formula(profile, rho, eps, u, state):
@@ -133,31 +138,53 @@ class TestRhsBits:
         return [vd, xd, yd, Dp * f + 2.0 * D * (fx * xd + fy * yd),
                 0.5 * D * fx, 0.5 * D * fy]
 
+    @staticmethod
+    def _s_formula(profile, rho, eps, s, state):
+        # eps times _formula at u = eps s, with D = rho(s)/eps and
+        # D' = rho'(s)/eps^2 cancelled by hand
+        v, x, y, vd, xd, yd = state
+        D = rho.profile(np.array([[s]]))[0, 0]
+        Dp = rho.profile.jet(np.array([[s]]), (1,))[0, 0]
+        p = np.array([[x, y]])
+        f = profile.f(p)[0, 0]
+        fx = profile.f.jet(p, (1, 0))[0, 0]
+        fy = profile.f.jet(p, (0, 1))[0, 0]
+        return [eps * vd, eps * xd, eps * yd,
+                Dp * f / eps + 2.0 * D * (fx * xd + fy * yd), 0.5 * D * fx, 0.5 * D * fy]
+
     def test_rhs_equals_the_formula(self):
         rng = np.random.default_rng(11)
+        epsilons = (2.0**-6, 2.0**-11, 0.1)
         for rho, _, _ in _pulse_shapes():
-            for eps in (2.0**-6, 2.0**-11, 0.1):
-                rhs = regularized_geodesic_system(SADDLE, rho, eps)
-                r = rho.support_radius * eps
-                # centre, interior, both support edges (where 1 - t^2 is
-                # at most 1e-12 and the pulse is exactly zero), outside
-                us = [0.0, *rng.uniform(-r, r, 12), -r, r, 1.5 * r, -0.3]
-                for u in us:
-                    state = np.concatenate(
-                        [rng.uniform(-1.0, 1.0, 3), rng.uniform(-2.0, 2.0, 3)]
-                    )
-                    got = rhs(u, state)
-                    want = self._formula(SADDLE, rho, eps, u, state)
-                    assert all(g == w for g, w in zip(got, want)), (rho.id, eps, u)
+            R = rho.support_radius
+            stack = regularized_geodesic_system(SADDLE, rho, epsilons)
+            # centre, interior, both support edges (where 1 - t^2 is at
+            # most 1e-12 and the pulse is exactly zero), outside
+            for s in [0.0, *rng.uniform(-R, R, 12), -R, R, 1.5 * R, -5.0]:
+                states = np.concatenate(
+                    [rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-2.0, 2.0, (3, 3))]
+                )
+                # the stacked state is component-major: column i is slice i
+                got_stack = stack(s, states.ravel()).reshape(6, 3)
+                for i, eps in enumerate(epsilons):
+                    state = states[:, i]
+                    got = regularized_geodesic_system(SADDLE, rho, [eps])(s, state)
                     assert len(got) == 6
+                    assert _same_bits(got, got_stack[:, i]), (rho.id, eps, s)
+                    want = self._s_formula(SADDLE, rho, eps, s, state)
+                    assert _same_bits(got, want), (rho.id, eps, s)
+                    if eps != 0.1:
+                        # scaling by a power of two is exact
+                        u_rhs = self._formula(SADDLE, rho, eps, eps * s, state)
+                        assert _same_bits(got, [eps * w for w in u_rhs]), (rho.id, eps, s)
 
     def test_edges_take_the_zero_branch(self):
         for rho, _, _ in _pulse_shapes():
-            eps = 2.0**-6
-            r = rho.support_radius * eps
-            rhs = regularized_geodesic_system(SADDLE, rho, eps)
-            for u in (-r, r):
-                assert rhs(u, np.array([0.0, 1.0, 0.5, 0.1, 0.2, 0.3]))[3:] == [0.0] * 3
+            R = rho.support_radius
+            rhs = regularized_geodesic_system(SADDLE, rho, [2.0**-6])
+            for s in (-R, R):
+                out = rhs(s, np.array([0.0, 1.0, 0.5, 0.1, 0.2, 0.3]))
+                assert list(out[3:]) == [0.0] * 3
 
     def test_widened_profile_is_the_scaled_profile(self):
         x = np.linspace(-2.2, 2.2, 1001)[:, None]
@@ -170,8 +197,7 @@ class TestRhsBits:
 
 def _stacked(rho, eps_values, init, span):
     """The slices of one study's grid, as a study solves them."""
-    net = GeodesicNet(SADDLE, rho, init, span)
-    return [net.slice(e) for e in eps_values]
+    return solve_geodesic(SADDLE, rho, eps_values, init, span)
 
 
 class TestStackedAgainstPerSlice:
@@ -221,33 +247,37 @@ class TestStackedAgainstPerSlice:
 
 class TestSolver:
     def test_free_motion_is_exact(self):
-        s = solve_geodesic(flat_profile(), RHO, 0.1, (0.0, 0.3, 0.0, 0.0, 1.0, 0.0), SPAN)
+        s, = solve_geodesic(flat_profile(), RHO, [0.1], (0.0, 0.3, 0.0, 0.0, 1.0, 0.0), SPAN)
         us = np.linspace(-0.5, 0.5, 17)
         x = s.component(us, "x")
         assert np.max(np.abs(x - (0.3 + (us + 0.5)))) < 1e-12
         assert s.energy_drift == 0.0
 
     def test_tangent_norm_is_conserved_across_the_pulse(self):
-        s = solve_geodesic(SADDLE, RHO, 1e-2, REST_AT_X1, SPAN)
+        s, = solve_geodesic(SADDLE, RHO, [1e-2], REST_AT_X1, SPAN)
         assert s.energy_drift < 1e-7
 
     def test_back_integration_recovers_initial_data(self):
-        s = solve_geodesic(SADDLE, RHO, 1e-2, REST_AT_X1, SPAN)
+        s, = solve_geodesic(SADDLE, RHO, [1e-2], REST_AT_X1, SPAN)
         final = s.states(np.array([0.5]))[0]
-        back = solve_geodesic(SADDLE, RHO, 1e-2, tuple(final), (0.5, -0.5))
+        back, = solve_geodesic(SADDLE, RHO, [1e-2], tuple(final), (0.5, -0.5))
         rec = back.states(np.array([-0.5]))[0]
         assert np.max(np.abs(rec - np.array(REST_AT_X1))) < 1e-7
 
     def test_queries_outside_the_interval_are_rejected(self):
-        s = solve_geodesic(SADDLE, RHO, 0.1, REST_AT_X1, SPAN)
+        s, = solve_geodesic(SADDLE, RHO, [0.1], REST_AT_X1, SPAN)
         with pytest.raises(OutsideDomain):
             s.states(np.array([0.7]))
 
     def test_bad_initial_data_is_rejected(self):
         with pytest.raises(ConfigError):
-            solve_geodesic(SADDLE, RHO, 0.1, (0.0, 1.0), SPAN)
+            solve_geodesic(SADDLE, RHO, [0.1], (0.0, 1.0), SPAN)
         with pytest.raises(ConfigError):
-            solve_geodesic(SADDLE, RHO, 0.1, REST_AT_X1, (0.2, 0.2))
+            solve_geodesic(SADDLE, RHO, [0.1], REST_AT_X1, (0.2, 0.2))
+        for eps_values in ([], [0.1, -0.1], [0.1, 0.6]):
+            # no slice, a non-positive eps, a pulse wider than the interval
+            with pytest.raises(ConfigError):
+                solve_geodesic(SADDLE, RHO, eps_values, REST_AT_X1, SPAN)
 
 
 class TestKinkStudy:
@@ -294,18 +324,49 @@ class TestKinkStudy:
         text = "\n".join(rep.lines())
         for key in ("velocity_jump", "cauchy", "c_bounded", "kink_break_value"):
             assert key in text
+        # the worst drift over the slices closes the report
+        assert rep.energy_drift == max(rep.net.slice(e).energy_drift for e in self.GRID)
+        assert 0.0 < rep.energy_drift < 1e-6
+        assert rep.lines()[-1] == f"energy_drift: {rep.energy_drift:.3e}"
 
 
 class TestTrajectoryDump:
-    def test_study_net_reuses_its_slices(self, tmp_path):
+    def test_study_net_reuses_its_slices(self, tmp_path, monkeypatch):
         rep = kink_limit_study(SADDLE, RHO, REST_AT_X1, TestKinkStudy.GRID)
         eps_values = [2.0**-6, 2.0**-9]
+        calls = []
+        factory = ppwave.regularized_geodesic_system
+
+        def counting(*args):
+            rhs = factory(*args)
+
+            def counted(s, state):
+                calls.append(s)
+                return rhs(s, state)
+
+            return counted
+
+        monkeypatch.setattr(ppwave, "regularized_geodesic_system", counting)
         # the study has solved both slices; the dump reads them back
-        assert all(e in rep.net._slices for e in eps_values)
         trajectory_csv(rep.net, eps_values, tmp_path / "study.csv")
+        assert calls == []
         trajectory_csv(GeodesicNet(SADDLE, RHO, REST_AT_X1, SPAN), eps_values,
                        tmp_path / "fresh.csv")
-        assert (tmp_path / "study.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert calls
+        # a stack of two against the study's stack of seven: the bounds of
+        # TestStackedAgainstPerSlice
+        study, fresh = (
+            np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1)
+            for name in ("study", "fresh")
+        )
+        assert _same_bits(study[:, :2], fresh[:, :2])
+        for e in eps_values:
+            block = study[:, 0] == e
+            r = RHO.support_radius * e
+            peak = np.max(np.abs(rep.net.slice(e).component(np.linspace(-r, r, 129), "vdot")))
+            gap = np.max(np.abs(study[block] - fresh[block]), axis=0)
+            assert np.max(gap[3:]) <= 1e-11, (e, gap)
+            assert gap[2] <= 5e-10 * peak, (e, gap, peak)
 
     def test_csv_layout(self, tmp_path):
         gnet = GeodesicNet(SADDLE, RHO, REST_AT_X1, SPAN)
@@ -342,7 +403,7 @@ class TestImpulsiveLimit:
     def _errors(rho, init, span, eps):
         """|numerical - exact| of (dx', dv, dv', x jump), the jumps read off
         the straight lines on both sides of the pulse, extended to u = 0."""
-        s = solve_geodesic(SADDLE, rho, eps, init, span)
+        s, = solve_geodesic(SADDLE, rho, [eps], init, span)
         r = rho.support_radius * eps
         pre, post = s.states(np.array([-r, r]))
         init = np.asarray(init)
