@@ -95,6 +95,9 @@ def _optimize_polyline(atlas, chart_id, vertices, box):
     return verts, float(res.fun)
 
 
+_DISTANCE_FLOOR = 1e-11
+
+
 def _single_chart_distance(atlas, chart_id, xp, xq, rel_tol, max_segments):
     if np.array_equal(xp, xq):
         return 0.0
@@ -106,7 +109,9 @@ def _single_chart_distance(atlas, chart_id, xp, xq, rel_tol, max_segments):
     while 2 * (len(verts) - 1) <= max_segments:
         verts2 = _refine_polyline(verts)
         verts2, length2 = _optimize_polyline(atlas, chart_id, verts2, box)
-        done = abs(length2 - length) <= rel_tol * max(length2, 1e-300)
+        # the absolute floor sits above the optimizer's ~1e-12 noise, which
+        # a relative rule cannot get under for nearly coincident points
+        done = abs(length2 - length) <= max(rel_tol * length2, _DISTANCE_FLOOR)
         verts, length = verts2, length2
         if done:
             break
@@ -118,9 +123,10 @@ def riemannian_distance(atlas, p, q, rel_tol=1e-3, max_segments=64):
 
     This is an upper bound on the metric distance that converges under
     refinement; segments are doubled until the optimized length changes by
-    less than ``rel_tol`` relatively.  For constant metrics the straight
-    line is optimal, but the optimizer's finite-difference gradient steps
-    leave an absolute error of about 1e-12 near coincident points.  Points
+    less than ``rel_tol`` relatively, or by less than 1e-11.  For constant
+    metrics the straight line is optimal, but the optimizer's finite-
+    difference gradient steps leave an absolute error of about 1e-12 near
+    coincident points.  Points
     in different charts are routed through waypoints on the declared overlap.
     """
     if not atlas.has_metric:

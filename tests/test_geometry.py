@@ -39,6 +39,7 @@ from colombeau.geometry import (
 )
 from colombeau.nets import identity_handle, make_handle
 from colombeau.ppwave import default_profile, kink_limit_study
+import oracles
 from oracles import (
     bank_tests,
     locate,
@@ -166,6 +167,21 @@ class TestRiemannianDistance:
 
     def test_coincident_points(self):
         assert riemannian_distance(PLANE, [1.2, -0.3], [1.2, -0.3]) == 0.0
+
+    def test_nearly_coincident_points_stop_at_the_first_refinement(self, monkeypatch):
+        # the optimizer leaves about 1e-12 for points 1e-300 apart; the
+        # stop rule's absolute floor ends the doubling after one refinement
+        # instead of at 64 segments
+        calls = []
+        optimize = oracles._optimize_polyline
+
+        def counted(atlas, chart_id, vertices, box):
+            calls.append(len(vertices) - 1)
+            return optimize(atlas, chart_id, vertices, box)
+
+        monkeypatch.setattr(oracles, "_optimize_polyline", counted)
+        assert riemannian_distance(PLANE, [0.0, 0.0], [1e-300, 0.0]) < 1e-11
+        assert calls == [4, 8]
 
     def test_constant_diag_metric(self):
         atlas = Atlas(
