@@ -195,11 +195,6 @@ class TestRhsBits:
             )
 
 
-def _stacked(rho, eps_values, init, span):
-    """The slices of one study's grid, as a study solves them."""
-    return solve_geodesic(SADDLE, rho, eps_values, init, span)
-
-
 class TestStackedAgainstPerSlice:
     """The slices of a study against the per-slice solve in u of
     ``oracles.solve_geodesic_per_slice``, at the window points and the end
@@ -221,7 +216,7 @@ class TestStackedAgainstPerSlice:
         eps_values = list(EpsGrid.dyadic(*grid))
         us = np.append(np.linspace(0.8 * span[0], 0.8 * span[1], 801), span[1])
         drift, drift_ref = [], []
-        for e, got in zip(eps_values, _stacked(rho, eps_values, init, span)):
+        for e, got in zip(eps_values, solve_geodesic(SADDLE, rho, eps_values, init, span)):
             ref = solve_geodesic_per_slice(SADDLE, rho, e, init, span)
             gap = np.max(np.abs(got.states(us) - ref.states(us)), axis=0)
             r = rho.support_radius * e
