@@ -5,10 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+from colombeau import ppwave
 from colombeau.asymptotics import EpsGrid
 from colombeau.association import sharp_mollifier, standard_mollifier
 from colombeau.errors import ConfigError, NonFiniteValue, OutsideDomain
-from colombeau import ppwave
 from colombeau.geometry import make_handle
 from colombeau.ppwave import (
     GeodesicNet,
