@@ -3,7 +3,12 @@ polyline Riemannian distance (for ``geometry.chord_distance``), finite-
 difference Christoffel symbols of the pp-wave metric (for the right-hand
 side of ``ppwave.regularized_geodesic_system``), a polar transition pair
 (for the atlas invariant checks), the test bank's tests as separate
-handles (for ``geometry.TestBank.eval`` and the bank route), the
+handles (for ``geometry.TestBank.eval`` and the bank route), the box
+bump and the partition-of-unity members built from the handle algebra
+of sums, Leibniz products and reciprocals (for the value-only
+``geometry.make_box_bump`` and ``geometry.partition_of_unity``), the
+mollifier profile's analytic derivatives (for the pulse's D' in
+``ppwave``), the
 per-offset finite-difference loop (for ``nets.finite_difference_jet``),
 the test-hom curve of a fiber net (for the order-0 fiber row of
 ``bundle_maps.check_vb_moderate``), and the per-slice geodesic solver in
@@ -26,7 +31,9 @@ from colombeau.errors import (
 )
 from colombeau.geometry import (
     _BANK_SIZE,
+    _as_box,
     _lattice,
+    _radial_profile_handle,
     box_contains,
     make_box_bump,
     make_bump,
@@ -34,7 +41,13 @@ from colombeau.geometry import (
     sample_box,
 )
 from colombeau.manifold_maps import _check_points, _sup_abs, check_cbounded
-from colombeau.nets import _FD_NOISE_C, _RICHARDSON_LEVELS, handle_product, order
+from colombeau.nets import (
+    _FD_NOISE_C,
+    _RICHARDSON_LEVELS,
+    SmoothMapHandle,
+    handle_compose,
+    order,
+)
 
 
 def locate(atlas, p):
@@ -240,6 +253,134 @@ def coordinate_handle(dim, index):
     return make_handle(
         lambda x: x[..., index : index + 1], dim, 1, jet_fn=jf, name=f"x{index}"
     )
+
+
+# ---------------------------------------------------------------------------
+# the handle algebra: sums, Leibniz products and reciprocals with jets
+
+
+def handle_sum(handles):
+    """Pointwise sum; jets term by term."""
+
+    def ev(x):
+        acc = handles[0].eval_fn(x)
+        for h in handles[1:]:
+            acc = acc + h.eval_fn(x)
+        return acc
+
+    def ji(x, alpha, step):
+        acc = handles[0].jet(x, alpha, step)
+        for h in handles[1:]:
+            acc = acc + h.jet(x, alpha, step)
+        return acc
+
+    return SmoothMapHandle(handles[0].dim_in, handles[0].dim_out, ev, ji, "sum")
+
+
+def handle_product(f, g):
+    """Componentwise product; jets by the Leibniz rule, a binomial sum over
+    the multi-indices beta <= alpha."""
+
+    def ev(x):
+        return f.eval_fn(x) * g.eval_fn(x)
+
+    def ji(x, alpha, step):
+        acc = 0.0
+        for beta in itertools.product(*[range(a + 1) for a in alpha]):
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            binom = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            acc = acc + binom * f.jet(x, beta, step) * g.jet(x, gamma, step)
+        return acc
+
+    return SmoothMapHandle(f.dim_in, f.dim_out, ev, ji, "prod")
+
+
+def reciprocal_handle():
+    """y -> 1/y with analytic jets at all orders, for y away from zero."""
+
+    def jf(y, alpha):
+        k = alpha[0]
+        return (-1.0) ** k * math.factorial(k) * y ** (-(k + 1))
+
+    return make_handle(lambda y: 1.0 / y, 1, 1, jet_fn=jf, name="recip")
+
+
+def box_bump_reference(inner_box, outer_box):
+    """The box bump as the Leibniz product of per-axis radial profiles
+    composed with x -> (x_i - c_i)^2, each with its analytic jets."""
+    inner = _as_box(inner_box)
+    outer = _as_box(outer_box, inner.shape[0])
+    n = inner.shape[0]
+    factors = []
+    for i in range(n):
+        c = 0.5 * (inner[i, 0] + inner[i, 1])
+        r_in = 0.5 * (inner[i, 1] - inner[i, 0])
+        r_out = min(c - outer[i, 0], outer[i, 1] - c)
+
+        def coord_sq(x, _i=i, _c=c):
+            return ((x[..., _i] - _c) ** 2)[..., None]
+
+        def coord_sq_jet(x, alpha, _i=i, _c=c):
+            k = sum(alpha)
+            if k == 1 and alpha[_i] == 1:
+                return (2.0 * (x[..., _i] - _c))[..., None]
+            if k == 2 and alpha[_i] == 2:
+                return np.full(x.shape[:-1] + (1,), 2.0)
+            return np.zeros(x.shape[:-1] + (1,))
+
+        qh = make_handle(coord_sq, n, 1, jet_fn=coord_sq_jet, name=f"q{i}")
+        factors.append(handle_compose(_radial_profile_handle(r_in, r_out), qh))
+    h = factors[0]
+    for f in factors[1:]:
+        h = handle_product(h, f)
+    return h
+
+
+def partition_reference(atlas, cores):
+    """(chart id, member) per core: b_j * reciprocal(sum_k b_k), the bumps
+    ``box_bump_reference`` by the padding rule of
+    ``geometry.partition_of_unity``, the sum read in chart j through the
+    declared transitions."""
+    bumps = []
+    for core in cores:
+        gap = core.validate_inside(atlas.chart(core.chart_id))
+        widths = core.box[:, 1] - core.box[:, 0]
+        pad = np.minimum(0.5 * widths, 0.9 * gap)
+        outer = np.stack([core.box[:, 0] - pad, core.box[:, 1] + pad], axis=-1)
+        bumps.append((core.chart_id, box_bump_reference(core.box, outer)))
+    members = []
+    for cid, b in bumps:
+        terms = [
+            c if other == cid
+            else handle_compose(c, atlas.transition_handle(cid, other))
+            for other, c in bumps
+        ]
+        total = handle_sum(terms) if len(terms) > 1 else terms[0]
+        members.append(
+            (cid, handle_product(b, handle_compose(reciprocal_handle(), total)))
+        )
+    return members
+
+
+def mollifier_profile_jet(rho, x, k):
+    """The k-th derivative, k = 1 or 2, of the mollifier profile at the
+    points ``x`` (..., 1): the analytic rule of exp(-a/(1 - t^2)), t = x/r,
+    scaled by the unit-mass norm and r^(1 + k)."""
+    a, r = rho.sharpness, rho.support_radius
+    t = np.asarray(x[..., 0] / r, dtype=float)
+    s = 1.0 - t * t
+    live = s > 1e-12
+    ss = np.where(live, s, 1.0)
+    val = np.where(live, np.exp(-a / ss), 0.0)
+    g1 = -2.0 * a * t / ss**2
+    if k == 1:
+        raw = np.where(live, val * g1, 0.0)
+    elif k == 2:
+        g2 = -2.0 * a * (ss + 4.0 * t * t) / ss**3
+        raw = np.where(live, val * (g2 + g1 * g1), 0.0)
+    else:
+        raise ValueError(f"order {k} is not 1 or 2")
+    return raw[..., None] / rho._norm / r ** (1 + k)
 
 
 def bank_tests(atlas, region):

@@ -405,6 +405,105 @@ class TestBumps:
         assert 0.0 < b(np.array([0.9, 0.9]))[0] < 0.01
 
 
+def _band_points(inner, outer, extra):
+    """Points on every axis's band edges (inner and outer faces, one ulp to
+    each side), the box centre, outside the support, and ``extra``: the
+    product of the per-axis values, with the ``extra`` rows appended."""
+    inner, outer = np.asarray(inner, float), np.asarray(outer, float)
+    axes = []
+    for (a, b), (lo, hi) in zip(inner, outer):
+        edges = [a, b, lo, hi]
+        axes.append(np.array(
+            edges + [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+            + [0.5 * (a + b), lo - 0.3, hi + 0.3]
+        ))
+    if len(axes) == 3:
+        # keep the 3-D product small: every edge on axis 0, fewer beyond
+        axes = [axes[0], axes[1][::3], axes[2][::3]]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.concatenate([grid, extra])
+
+
+def _two_chart_line():
+    """Charts a and b = a + 1 of the line, glued by affine transitions."""
+    return Atlas(
+        [Chart("a", [(-3.0, 3.0)]), Chart("b", [(-2.0, 4.0)])],
+        transitions={
+            ("a", "b"): affine_transition([[1.0]], [1.0]),
+            ("b", "a"): affine_transition([[1.0]], [-1.0]),
+        },
+    )
+
+
+def _two_chart_plane():
+    """Charts a and b of the plane, b stretching a's first axis by 2."""
+    return Atlas(
+        [Chart("a", [(-3.0, 3.0), (-3.0, 3.0)]),
+         Chart("b", [(-4.0, 8.0), (-2.0, 4.0)])],
+        transitions={
+            ("a", "b"): affine_transition([[2.0, 0.0], [0.0, 1.0]], [1.0, 0.5]),
+            ("b", "a"): affine_transition([[0.5, 0.0], [0.0, 1.0]], [-0.5, -0.5]),
+        },
+    )
+
+
+class TestBumpsAgainstTheHandleAlgebra:
+    """The box bump and the partition-of-unity members, bit for bit, against
+    their construction from composed, summed, multiplied and inverted
+    handles in ``oracles``."""
+
+    BOXES = {
+        1: ([(-0.5, 0.4)], [(-1.0, 1.0)]),
+        2: ([(-0.5, 0.5), (0.1, 0.3)], [(-1.0, 1.0), (-0.2, 0.9)]),
+        3: ([(-0.5, 0.4), (0.0, 1.0), (2.0, 2.5)],
+            [(-1.0, 1.0), (-0.5, 1.2), (1.9, 3.0)]),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_bump(self, dim):
+        inner, outer = self.BOXES[dim]
+        rng = np.random.default_rng(dim)
+        lo, hi = np.asarray(outer).T
+        x = _band_points(inner, outer, rng.uniform(lo - 0.2, hi + 0.2, (300, dim)))
+        got = make_box_bump(inner, outer)
+        want = oracles.box_bump_reference(inner, outer)
+        assert _same_bits(got(x), want(x))
+        assert _same_bits(got.eval_fn(x), want.eval_fn(x))
+        assert np.all(got(x)[np.any((x < lo) | (x > hi), axis=-1)] == 0.0)
+
+    @pytest.mark.parametrize("atlas, cores", [
+        (euclidean_atlas(1, 5.0), [CompactSet("main", [(-2.0, 2.0)])]),
+        (euclidean_atlas(2, 5.0), [CompactSet("main", [(-2.0, 1.0), (0.0, 0.5)])]),
+        (euclidean_atlas(1, 5.0),
+         [CompactSet("main", [(-2.0, 0.5)]), CompactSet("main", [(-0.5, 2.0)])]),
+        (euclidean_atlas(3, 5.0),
+         [CompactSet("main", [(-2.0, 0.5)] * 3), CompactSet("main", [(-0.5, 2.0)] * 3)]),
+        (_two_chart_line(),
+         [CompactSet("a", [(-2.0, 0.5)]), CompactSet("b", [(1.0, 3.0)])]),
+        (_two_chart_plane(),
+         [CompactSet("a", [(-2.0, 0.5), (-1.0, 1.0)]),
+          CompactSet("b", [(0.0, 4.0), (0.0, 2.0)])]),
+    ], ids=["one-core-1d", "one-core-2d", "two-cores-1d", "two-cores-3d",
+            "two-charts-1d", "two-charts-2d"])
+    def test_partition_members(self, atlas, cores):
+        members = partition_of_unity(atlas, cores)
+        want = oracles.partition_reference(atlas, cores)
+        assert [m.chart_id for m in members] == [cid for cid, _ in want]
+        rng = np.random.default_rng(len(cores))
+        for m, core, (_, ref) in zip(members, cores, want):
+            box = atlas.chart(m.chart_id).box
+            x = _band_points(
+                core.box, m.support_box,
+                rng.uniform(box[:, 0], box[:, 1], (300, atlas.dim)),
+            )
+            x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
+            # where every bump is 0, both read 0 * (1/0) = nan
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert _same_bits(m.handle(x), ref(x))
+                assert _same_bits(m.handle.eval_fn(x), ref.eval_fn(x))
+
+
 class TestPartitionOfUnity:
     def test_single_core_is_one(self):
         atlas = euclidean_atlas(1, 5.0)

@@ -16,12 +16,11 @@ from colombeau.nets import (
     fd_step,
     finite_difference_jet,
     handle_compose,
-    handle_product,
     identity_handle,
     make_handle,
     net_from_function,
 )
-from oracles import fd_jet_reference
+from oracles import fd_jet_reference, handle_product
 
 
 def slice_jet(net, eps, x, alpha):

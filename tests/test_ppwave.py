@@ -21,7 +21,12 @@ from colombeau.ppwave import (
     trajectory_csv,
     widened,
 )
-from oracles import christoffel_fd, ppwave_metric, solve_geodesic_per_slice
+from oracles import (
+    christoffel_fd,
+    mollifier_profile_jet,
+    ppwave_metric,
+    solve_geodesic_per_slice,
+)
 
 RHO = standard_mollifier()
 SADDLE = default_profile()
@@ -121,16 +126,16 @@ def _pulse_shapes():
 
 class TestRhsBits:
     """The right-hand side in s = u/eps, bit for bit, against eps times the
-    geodesic equations in u, written out from the pulse profile's value and
-    first jet and the wave profile's gradient, each evaluated as an array
-    of one point."""
+    geodesic equations in u, written out from the pulse profile's value,
+    its analytic first derivative in ``oracles`` and the wave profile's
+    gradient, each evaluated as an array of one point."""
 
     @staticmethod
     def _formula(profile, rho, eps, u, state):
         v, x, y, vd, xd, yd = state
         t = np.array([[u]]) / eps
         D = rho.profile(t)[0, 0] / eps
-        Dp = rho.profile.jet(t, (1,))[0, 0] / eps**2
+        Dp = mollifier_profile_jet(rho, t, 1)[0, 0] / eps**2
         p = np.array([[x, y]])
         f = profile.f(p)[0, 0]
         fx = profile.f.jet(p, (1, 0))[0, 0]
@@ -144,7 +149,7 @@ class TestRhsBits:
         # D' = rho'(s)/eps^2 cancelled by hand
         v, x, y, vd, xd, yd = state
         D = rho.profile(np.array([[s]]))[0, 0]
-        Dp = rho.profile.jet(np.array([[s]]), (1,))[0, 0]
+        Dp = mollifier_profile_jet(rho, np.array([[s]]), 1)[0, 0]
         p = np.array([[x, y]])
         f = profile.f(p)[0, 0]
         fx = profile.f.jet(p, (1, 0))[0, 0]
@@ -191,7 +196,8 @@ class TestRhsBits:
         for wide, rho, s in _pulse_shapes():
             assert _same_bits(wide.profile(x), rho.profile(x / s) / s)
             assert _same_bits(
-                wide.profile.jet(x, (1,)), rho.profile.jet(x / s, (1,)) / s**2
+                mollifier_profile_jet(wide, x, 1),
+                mollifier_profile_jet(rho, x / s, 1) / s**2,
             )
 
 
