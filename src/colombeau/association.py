@@ -418,7 +418,7 @@ def check_k_associated(
 
 
 def _bump_profile(sharpness: float):
-    """exp(-sharpness/(1-x^2)) on (-1, 1), with two analytic derivatives."""
+    """exp(-sharpness/(1-x^2)) on (-1, 1), 0 outside."""
 
     def raw(x):
         x = np.asarray(x, dtype=float)
@@ -427,30 +427,14 @@ def _bump_profile(sharpness: float):
         ss = np.where(live, s, 1.0)
         return np.where(live, np.exp(-sharpness / ss), 0.0)
 
-    def jet(x, alpha):
-        k = alpha[0]
-        x = np.asarray(x, dtype=float)
-        s = 1.0 - x * x
-        live = s > 1e-12
-        ss = np.where(live, s, 1.0)
-        val = np.where(live, np.exp(-sharpness / ss), 0.0)
-        if k == 0:
-            return val
-        g1 = -2.0 * sharpness * x / ss**2
-        if k == 1:
-            return np.where(live, val * g1, 0.0)
-        if k == 2:
-            g2 = -2.0 * sharpness * (ss + 4.0 * x * x) / ss**3
-            return np.where(live, val * (g2 + g1 * g1), 0.0)
-        raise NotImplementedError
-
-    return raw, jet
+    return raw
 
 
 @dataclass
 class Mollifier:
     """Unit-mass bump exp(-sharpness/(1-(x/r)^2)) on [-r, r], r the support
-    radius, with its scaling rule rho_eps(x) = rho(x/eps)/eps."""
+    radius, with its scaling rule rho_eps(x) = rho(x/eps)/eps.  ``profile``
+    is values only; :meth:`pulse_at` gives rho and rho' in closed form."""
 
     sharpness: float
     support_radius: float = 1.0
@@ -461,18 +445,14 @@ class Mollifier:
         if not self.sharpness > 0:
             raise ConfigError(f"mollifier {self.id!r} needs a positive sharpness")
         r = self.support_radius
-        raw, raw_jet = _bump_profile(self.sharpness)
+        raw = _bump_profile(self.sharpness)
         norm = adaptive_simpson(lambda x: raw(x[..., 0])[..., None], -1.0, 1.0, tol=1e-12)
         self._norm = norm
 
         def ev(x):
             return raw(x[..., 0] / r)[..., None] / norm / r
 
-        def jf(x, alpha):
-            k = alpha[0]
-            return raw_jet(x[..., 0] / r, (k,))[..., None] / norm / r ** (1 + k)
-
-        self.profile = make_handle(ev, 1, 1, jet_fn=jf, k_max=2, name=self.id)
+        self.profile = make_handle(ev, 1, 1, name=self.id)
         mass = adaptive_simpson(self.profile, -r, r, tol=1e-12)
         if abs(mass - 1.0) > 1e-10:
             raise ConfigError(

@@ -7,9 +7,12 @@ boxes strictly inside a chart, and distances are midpoint-metric chords,
 bi-Lipschitz to the Riemannian distance on compact sets.
 
 The module also builds the finite test objects that every characterization
-check quantifies over: smooth bump functions with analytic jets to order 3
-(the cutoffs of the fiber-linear bundle test maps among them), partitions
-of unity subordinate to a box cover, and compactly supported one-densities.
+check quantifies over: radial bump functions with analytic jets to order 3
+(the cutoffs of the fiber-linear bundle test maps among them), box bumps
+and partitions of unity subordinate to a box cover, and compactly
+supported one-densities.  Box bumps and partition members are values
+only, as the characterizations read test functions through their values;
+their jets, when asked for, are finite differences.
 """
 
 from __future__ import annotations
@@ -30,14 +33,7 @@ from .errors import (
     NoMetric,
     OutsideDomain,
 )
-from .nets import (
-    SmoothMapHandle,
-    handle_compose,
-    handle_product,
-    handle_sum,
-    identity_handle,
-    make_handle,
-)
+from .nets import SmoothMapHandle, handle_compose, identity_handle, make_handle
 
 _INVARIANT_TOL = 1e-9
 
@@ -507,52 +503,31 @@ def make_bump(center, inner_radius, outer_radius, box=None) -> SmoothMapHandle:
 
 
 def make_box_bump(inner_box, outer_box) -> SmoothMapHandle:
-    """Product of per-axis bumps: 1 on inner_box, 0 outside outer_box."""
+    """Product of per-axis bumps: 1 on inner_box, 0 outside outer_box.
+
+    Values only: jets are finite differences of the values."""
     inner = _as_box(inner_box)
     outer = _as_box(outer_box, inner.shape[0])
     if np.any(inner[:, 0] <= outer[:, 0]) or np.any(inner[:, 1] >= outer[:, 1]):
         raise BallEscapesChart("inner box must sit strictly inside outer box")
-    n = inner.shape[0]
-    factors = []
-    for i in range(n):
+    axes = []
+    for i in range(inner.shape[0]):
         c = 0.5 * (inner[i, 0] + inner[i, 1])
         r_in = 0.5 * (inner[i, 1] - inner[i, 0])
         r_out = min(c - outer[i, 0], outer[i, 1] - c)
-        prof = _radial_profile_handle(r_in, r_out)
+        # Python's float pow, as the radial bumps square their radii
+        axes.append((i, c, float(r_in) ** 2, float(r_out) ** 2))
 
-        def coord_sq(x, _i=i, _c=c):
-            return ((x[..., _i] - _c) ** 2)[..., None]
+    def ev(x):
+        h = None
+        for i, c, r0_sq, r1_sq in axes:
+            f = _profile_value((x[..., i] - c) ** 2, r0_sq, r1_sq)[..., None]
+            h = f if h is None else h * f
+        return h
 
-        def coord_sq_jet(x, alpha, _i=i, _c=c):
-            k = sum(alpha)
-            if k == 1 and alpha[_i] == 1:
-                return (2.0 * (x[..., _i] - _c))[..., None]
-            if k == 2 and alpha[_i] == 2:
-                return np.full(x.shape[:-1] + (1,), 2.0)
-            return np.zeros(x.shape[:-1] + (1,))
-
-        qh = make_handle(coord_sq, n, 1, jet_fn=coord_sq_jet, name=f"q{i}")
-        factors.append(handle_compose(prof, qh))
-    h = factors[0]
-    for f in factors[1:]:
-        h = handle_product(h, f)
-    h.name = "box-bump"
+    h = make_handle(ev, inner.shape[0], 1, name="box-bump")
     h.support_box = outer
     return h
-
-
-def reciprocal_handle():
-    """y -> 1/y with analytic jets at all orders; valid for y bounded away
-    from zero (callers guarantee this on their evaluation region)."""
-
-    def ev(y):
-        return 1.0 / y
-
-    def jf(y, alpha):
-        k = alpha[0]
-        return (-1.0) ** k * math.factorial(k) * y ** (-(k + 1))
-
-    return make_handle(ev, 1, 1, jet_fn=jf, name="recip")
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +544,12 @@ class PartitionMember:
 def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
     """Bump-based partition subordinate to the cores' charts.
 
-    Each member is ``b_j / sum_k b_k`` where b_j is a box bump equal to 1
-    on core j and padded by half the core's width (less near the chart edge).  The normalized sum is exactly 1 wherever some b_k > 0; a
-    sampled point of some core where all bumps vanish raises cover-gap.
-    Members of a multi-chart cover are normalized through the declared
-    transitions.
+    Each member is ``b_j * (1 / sum_k b_k)``, values only, where b_j is a
+    box bump equal to 1 on core j and padded by half the core's width
+    (less near the chart edge).  The normalized sum is exactly 1 wherever
+    some b_k > 0; a sampled point of some core where all bumps vanish
+    raises cover-gap.  Members of a multi-chart cover are normalized
+    through the declared transitions.
     """
     if not cores:
         raise CoverGap("empty cover")
@@ -586,27 +562,26 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
         outer = np.stack([core.box[:, 0] - pad, core.box[:, 1] + pad], axis=-1)
         bumps.append((core.chart_id, make_box_bump(core.box, outer)))
 
-    def total_handle(eval_chart):
-        terms = []
+    def total(eval_chart, x):
+        acc = None
         for cid, b in bumps:
-            if cid == eval_chart:
-                terms.append(b)
-            else:
-                terms.append(handle_compose(b, atlas.transition_handle(eval_chart, cid)))
-        return handle_sum(terms) if len(terms) > 1 else terms[0]
+            y = x if cid == eval_chart else (
+                atlas.transition_handle(eval_chart, cid).eval_fn(x))
+            acc = b.eval_fn(y) if acc is None else acc + b.eval_fn(y)
+        return acc
 
     members = []
     for cid, b in bumps:
-        total = total_handle(cid)
-        member = handle_product(b, handle_compose(reciprocal_handle(), total))
-        member.name = "partition-member"
-        members.append(PartitionMember(cid, member, getattr(b, "support_box")))
+        member = make_handle(
+            lambda x, b=b, cid=cid: b.eval_fn(x) * (1.0 / total(cid, x)),
+            atlas.dim, 1, name="partition-member",
+        )
+        members.append(PartitionMember(cid, member, b.support_box))
 
     # cover check: every sampled core point must see positive bump mass
     for core in cores:
         pts = core.sample_points()
-        total = total_handle(core.chart_id)(pts)
-        if np.any(total <= 1e-12):
+        if np.any(total(core.chart_id, pts) <= 1e-12):
             raise CoverGap("sampled core point not covered by any bump")
         s = sum(
             (m.handle(pts) if m.chart_id == core.chart_id else
@@ -632,34 +607,6 @@ class DensityTest:
     support_box: np.ndarray
     id: str = ""
 
-
-@dataclass
-class TestBank:
-    """The scalar tests of a bank, held as values, not handles.
-
-    ``labels`` names the tests in row order: ``cutoff`` (the ``plateau``
-    box bump), ``x{i}*cutoff`` per chart coordinate i, then the radial
-    bumps ``bump-big-*`` and ``bump-small-*``, one row of ``centers`` and
-    of the squared radii columns ``r0_sq`` (inner) and ``r1_sq`` (outer)
-    each.  ``eval(y)`` returns all tests at the points ``y`` (n_pts, n) as
-    one (n_tests, n_pts) array: one plateau evaluation, its products with
-    the coordinates, and one profile evaluation of all bumps.
-    """
-
-    labels: list
-    plateau: SmoothMapHandle
-    centers: np.ndarray
-    r0_sq: np.ndarray
-    r1_sq: np.ndarray
-
-    def __len__(self):
-        return len(self.labels)
-
-    def eval(self, y):
-        cut = self.plateau.eval_fn(y)
-        q = np.sum((y - self.centers[:, None, :]) ** 2, axis=-1)
-        bumps = _profile_value(q, self.r0_sq, self.r1_sq)
-        return np.vstack([cut.T, (cut * y).T, bumps])
 
 
 _BANK_SIZE = 16

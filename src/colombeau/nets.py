@@ -4,9 +4,9 @@ A :class:`Net` is a family ``eps -> smooth map`` on a domain box; every map
 is a :class:`SmoothMapHandle` that evaluates points and partial-derivative
 jets.  Each handle has one jet rule.  :func:`make_handle` builds it from an
 analytic rule up to an order ``k_max`` and central finite differences with
-two Richardson extrapolation levels above it; the sum, product and
-composition combinators build it from their operands' jets.  Checkers take
-the jets of the eps-slice with ``net.at(eps).jet(x, alpha, fd_step(eps))``:
+two Richardson extrapolation levels above it; composition, the one
+combinator, builds it from its operands' jets by the chain rule.  Checkers
+take the jets of the eps-slice with ``net.at(eps).jet(x, alpha, fd_step(eps))``:
 the finite-difference step shrinks with eps,
 ``h = max(eps**1.5, 1e-7) * (1 + |x|)``, because interesting nets oscillate
 at scale eps.  A finite-difference jet is one evaluation of every stencil
@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,16 +57,6 @@ def _unit(n, i):
     e = [0] * n
     e[i] = 1
     return tuple(e)
-
-
-def sub_indices(alpha):
-    """All multi-indices beta <= alpha (componentwise), including bounds."""
-    ranges = [range(a + 1) for a in alpha]
-    return itertools.product(*ranges)
-
-
-def index_binom(alpha, beta) -> int:
-    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
 
 
 def _as_points(x, dim):
@@ -209,51 +199,7 @@ def identity_handle(dim):
     return make_handle(lambda x: x.copy(), dim, dim, jet_fn=jf, name="id")
 
 
-# -- algebraic combinators ---------------------------------------------------
-
-
-def handle_sum(handles: Sequence[SmoothMapHandle]):
-    """Pointwise sum; jets term by term."""
-    if not handles:
-        raise DimensionMismatch("empty handle list")
-    dim_in, dim_out = handles[0].dim_in, handles[0].dim_out
-    for h in handles:
-        if (h.dim_in, h.dim_out) != (dim_in, dim_out):
-            raise DimensionMismatch("handles disagree in dimensions")
-
-    def ev(x):
-        acc = handles[0].eval_fn(x)
-        for h in handles[1:]:
-            acc = acc + h.eval_fn(x)
-        return acc
-
-    def ji(x, alpha, step):
-        acc = handles[0].jet(x, alpha, step)
-        for h in handles[1:]:
-            acc = acc + h.jet(x, alpha, step)
-        return acc
-
-    return SmoothMapHandle(dim_in, dim_out, ev, ji, "sum")
-
-
-def handle_product(f: SmoothMapHandle, g: SmoothMapHandle):
-    """Componentwise product; jets by the Leibniz rule."""
-    if f.dim_in != g.dim_in or f.dim_out != g.dim_out:
-        raise DimensionMismatch("product operands disagree in dimensions")
-
-    def ev(x):
-        return f.eval_fn(x) * g.eval_fn(x)
-
-    def ji(x, alpha, step):
-        acc = 0.0
-        for beta in sub_indices(alpha):
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            acc = acc + index_binom(alpha, beta) * f.jet(x, beta, step) * g.jet(
-                x, gamma, step
-            )
-        return acc
-
-    return SmoothMapHandle(f.dim_in, f.dim_out, ev, ji, "prod")
+# -- composition, the one combinator ------------------------------------------
 
 
 def _set_partitions(items):
