@@ -34,13 +34,7 @@ from .bundle_maps import (
     section_net,
     single_chart_hom,
 )
-from .geometry import (
-    CompactSet,
-    DensityTest,
-    euclidean_atlas,
-    make_bump,
-    trivial_bundle,
-)
+from .geometry import CompactSet, default_densities, euclidean_atlas, trivial_bundle
 from .manifold_maps import (
     check_equivalent,
     check_pointvalue_equality,
@@ -164,11 +158,7 @@ def criterion_step_powers() -> CriterionResult:
         label="step-defect",
         feature_scale=heavi.feature_scale,
     )
-    densities = [
-        DensityTest("main", make_bump(np.zeros(1), 0.05, 0.5), np.array([[-0.5, 0.5]]), "d0"),
-        DensityTest("main", make_bump(np.array([0.15]), 0.1, 0.4), np.array([[-0.25, 0.55]]), "d1"),
-    ]
-    assoc = check_associated_zero(diff, densities)
+    assoc = check_associated_zero(diff, default_densities())
     finals_ok = all(abs(r.final) < 1e-3 for r in assoc.rows)
     # the defect at the half-way point of the step is order one forever
     sup_diffs = []
@@ -188,9 +178,7 @@ def criterion_mollifier_sensitivity() -> CriterionResult:
     rho1, rho2 = standard_mollifier(), sharp_mollifier()
     c1, c2 = rho1.squared_mass(), rho2.squared_mass()
     sep = abs(c1 - c2) / c1
-    nu = DensityTest(
-        "main", make_bump(np.zeros(1), 0.05, 0.5), np.array([[-0.5, 0.5]]), "nu"
-    )
+    nu = default_densities()[0]
     nu0 = float(nu.handle(np.zeros((1, 1)))[0, 0])
     grid = EpsGrid.dyadic(2, 14)
     d1 = embed_distribution("delta", rho1, LINE)
@@ -434,11 +422,5 @@ CRITERIA = [
 ]
 
 
-def run_all(echo=False):
-    results = []
-    for fn in CRITERIA:
-        res = fn()
-        results.append(res)
-        if echo:
-            print(res.line(), flush=True)
-    return results
+def run_all():
+    return [fn() for fn in CRITERIA]

@@ -56,13 +56,13 @@ from .bundle_maps import (
 )
 from .errors import ColombeauError, ConfigError, GridTooShort, UnknownNet
 from .expressions import compile_expression
-from .geometry import CompactSet, DensityTest, euclidean_atlas, make_bump, trivial_bundle
+from .geometry import CompactSet, default_densities, euclidean_atlas, trivial_bundle
 from .manifold_maps import (
+    ManifoldNet,
     check_equivalent,
     check_pointvalue_equality,
     identity_map,
     random_gpoints,
-    single_chart_map,
 )
 from .nets import Net, net_from_function
 from .ppwave import default_profile, kink_limit_study, trajectory_csv
@@ -234,29 +234,14 @@ class RunConfig:
             fn, 1, 1, box=[(-self.half_width, self.half_width)], label=name
         )
 
-    def map_net(self, name: str):
-        net = self.scalar_net(name)
-        return single_chart_map(
-            self.atlas, self.atlas,
-            lambda e, x: net.at(e)(x),
-            label=name, feature_scale=net.feature_scale,
+    def map_net(self, name: str) -> ManifoldNet:
+        return ManifoldNet(
+            self.atlas, self.atlas, "main", "main", self.scalar_net(name), name
         )
 
     def fiber_fn(self, name: str):
         net = self.scalar_net(name)
         return lambda e, x: net.at(e)(x)[..., 0]
-
-    def densities(self):
-        return [
-            DensityTest(
-                "main", make_bump(np.zeros(1), 0.05, 0.5),
-                np.array([[-0.5, 0.5]]), "nu0",
-            ),
-            DensityTest(
-                "main", make_bump(np.array([0.15]), 0.1, 0.4),
-                np.array([[-0.25, 0.55]]), "nu1",
-            ),
-        ]
 
 
 def _parse_list(raw: str):
@@ -553,7 +538,7 @@ def run_associate(cfg: RunConfig, out_dir) -> list:
     k = int(section.get("k", 0))
     if k < 0:
         raise ConfigError(f"[associate] k must be >= 0, got {k}")
-    densities = cfg.densities()
+    densities = default_densities()
     records = []
     for entry in _parse_list(section.get("zeros", "")):
         names, expect = _parse_entry(entry, _ASSOC_TAGS, "associate zero")

@@ -608,6 +608,45 @@ class DensityTest:
     id: str = ""
 
 
+def default_densities():
+    """The two densities of the built-in association checks on the line
+    chart ``main``: bumps centred at 0 and 0.15, ids ``nu0`` and ``nu1``."""
+    return [
+        DensityTest("main", make_bump(np.zeros(1), 0.05, 0.5),
+                    np.array([[-0.5, 0.5]]), "nu0"),
+        DensityTest("main", make_bump(np.array([0.15]), 0.1, 0.4),
+                    np.array([[-0.25, 0.55]]), "nu1"),
+    ]
+
+
+@dataclass
+class TestBank:
+    """The scalar tests of a bank, held as values, not handles.
+
+    ``labels`` names the tests in row order: ``cutoff`` (the ``plateau``
+    box bump), ``x{i}*cutoff`` per chart coordinate i, then the radial
+    bumps ``bump-big-*`` and ``bump-small-*``, one row of ``centers`` and
+    of the squared radii columns ``r0_sq`` (inner) and ``r1_sq`` (outer)
+    each.  ``eval(y)`` returns all tests at the points ``y`` (n_pts, n) as
+    one (n_tests, n_pts) array: one plateau evaluation, its products with
+    the coordinates, and one profile evaluation of all bumps.
+    """
+
+    labels: list
+    plateau: SmoothMapHandle
+    centers: np.ndarray
+    r0_sq: np.ndarray
+    r1_sq: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+    def eval(self, y):
+        cut = self.plateau.eval_fn(y)
+        q = np.sum((y - self.centers[:, None, :]) ** 2, axis=-1)
+        bumps = _profile_value(q, self.r0_sq, self.r1_sq)
+        return np.vstack([cut.T, (cut * y).T, bumps])
+
 
 _BANK_SIZE = 16
 

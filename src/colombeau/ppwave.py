@@ -37,12 +37,7 @@ from scipy.integrate import solve_ivp
 
 from .asymptotics import EpsGrid, estimate_growth_order
 from .association import ASSOC_TOL, Mollifier, check_k_associated
-from .errors import (
-    ConfigError,
-    NonFiniteValue,
-    NotCBounded,
-    OutsideDomain,
-)
+from .errors import ConfigError, NonFiniteValue, OutsideDomain
 from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
 from .manifold_maps import check_cbounded, single_chart_map
 from .nets import Net, SmoothMapHandle, net_from_function
@@ -420,11 +415,7 @@ def kink_limit_study(
         u_atlas, u_atlas, lambda e, u: kink(u[..., 0])[..., None], label="kink"
     )
 
-    try:
-        cb = check_cbounded(x_map, K, grid)
-        x_cbounded = bool(cb.ok)
-    except NotCBounded:
-        x_cbounded = False
+    x_cbounded = bool(check_cbounded(x_map, K, grid).ok)
     x_sup = float(max(np.max(np.abs(xs[e])) for e in eps_values))
 
     assoc = check_k_associated(x_map, kink_map, 0, K, grid=grid, assoc_tol=assoc_tol)

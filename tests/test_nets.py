@@ -15,7 +15,6 @@ from colombeau.nets import (
     constant_net,
     fd_step,
     finite_difference_jet,
-    handle_compose,
     identity_handle,
     make_handle,
     net_from_function,
