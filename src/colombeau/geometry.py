@@ -516,11 +516,11 @@ def make_box_bump(inner_box, outer_box) -> SmoothMapHandle:
         r_in = 0.5 * (inner[i, 1] - inner[i, 0])
         r_out = min(c - outer[i, 0], outer[i, 1] - c)
         # Python's float pow, as the radial bumps square their radii
-        axes.append((i, c, float(r_in) ** 2, float(r_out) ** 2))
+        axes.append((c, float(r_in) ** 2, float(r_out) ** 2))
 
     def ev(x):
         h = None
-        for i, c, r0_sq, r1_sq in axes:
+        for i, (c, r0_sq, r1_sq) in enumerate(axes):
             f = _profile_value((x[..., i] - c) ** 2, r0_sq, r1_sq)[..., None]
             h = f if h is None else h * f
         return h
@@ -565,8 +565,9 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
     def total(eval_chart, x):
         acc = None
         for cid, b in bumps:
-            y = x if cid == eval_chart else (
-                atlas.transition_handle(eval_chart, cid).eval_fn(x))
+            y = x
+            if cid != eval_chart:
+                y = atlas.transition_handle(eval_chart, cid).eval_fn(x)
             acc = b.eval_fn(y) if acc is None else acc + b.eval_fn(y)
         return acc
 
