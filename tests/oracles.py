@@ -11,8 +11,11 @@ mollifier profile's analytic derivatives (for the pulse's D' in
 ``ppwave``), the
 per-offset finite-difference loop (for ``nets.finite_difference_jet``),
 the test-hom curve of a fiber net (for the order-0 fiber row of
-``bundle_maps.check_vb_moderate``), and the per-slice geodesic solver in
-the wave's own parameter u (for the stacked ``ppwave.solve_geodesic``)."""
+``bundle_maps.check_vb_moderate``), the per-slice geodesic solver in
+the wave's own parameter u (for the stacked ``ppwave.solve_geodesic``),
+and adaptive Simpson refined one integral at a time, with the weak
+pairing built on it (for the pairings of
+``association.check_associated_zero`` and ``association.shadow``)."""
 
 import itertools
 import math
@@ -25,9 +28,11 @@ from colombeau.bundle_maps import _as_matrix, _fiber_cutoff, fiber_values
 from colombeau.errors import (
     AtlasMismatch,
     ConfigError,
+    DimensionMismatch,
     NoMetric,
     NonFiniteValue,
     OutsideDomain,
+    QuadratureError,
 )
 from colombeau.geometry import (
     _BANK_SIZE,
@@ -630,3 +635,86 @@ def solve_geodesic_per_slice(profile, rho, eps, init, u_span):
               - st[:, 3] + st[:, 4] ** 2 + st[:, 5] ** 2)
     slice_.energy_drift = float(np.max(np.abs(energy[1:] - energy[0])))
     return slice_
+
+
+# ---------------------------------------------------------------------------
+# adaptive Simpson, one integral at a time
+
+
+def adaptive_simpson_reference(fn, a, b, tol=1e-10, min_width=None, pre_split=()):
+    """Adaptive Simpson of one vectorized integrand, refined on its own:
+    ``fn`` maps (N, 1) arrays to (N, 1) values, one call per level."""
+    a, b = float(a), float(b)
+    if not b > a:
+        return 0.0
+    if min_width is None:
+        min_width = (b - a) * 1e-12
+    edges = [a] + sorted(float(e) for e in pre_split if a < e < b) + [b]
+    lo = np.asarray(edges[:-1])
+    hi = np.asarray(edges[1:])
+
+    def feval(x):
+        return np.asarray(fn(x[:, None]), dtype=float).reshape(-1)
+
+    total = 0.0
+    leftover = 0.0
+    width_all = b - a
+    for _ in range(64):
+        if lo.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        lq = 0.5 * (lo + mid)
+        rq = 0.5 * (mid + hi)
+        vals = feval(np.concatenate([lo, lq, mid, rq, hi]))
+        n = lo.size
+        f0, f1, f2, f3, f4 = (vals[i * n : (i + 1) * n] for i in range(5))
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValue("integrand is not finite on the support")
+        h = hi - lo
+        coarse = h / 6.0 * (f0 + 4.0 * f2 + f4)
+        fine = h / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
+        err = np.abs(fine - coarse) / 15.0
+        budget = tol * (h / width_all)
+        done = err <= budget
+        floor = h < 2.0 * min_width
+        accept = done | floor
+        total += float(np.sum((fine + (fine - coarse) / 15.0)[accept]))
+        leftover += float(np.sum(err[floor & ~done]))
+        keep = ~accept
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+    else:
+        raise QuadratureError("adaptive quadrature exceeded its depth limit")
+    if leftover > tol:
+        raise QuadratureError(
+            f"quadrature left {leftover:.2e} unresolved error at the "
+            f"subdivision floor {min_width:.2e}"
+        )
+    return total
+
+
+def weak_integral_reference(u, nu, eps):
+    """Pairing of the eps-slice of ``u`` with the density ``nu``, by
+    :func:`adaptive_simpson_reference` with the library's tolerance, floor
+    and feature pre-splits."""
+    if u.dim_in != 1 or u.dim_out != 1:
+        raise DimensionMismatch("weak integrals are for scalar nets on a line")
+    box = np.asarray(nu.support_box, dtype=float).reshape(-1, 2)
+    a, b = float(box[0, 0]), float(box[0, 1])
+    splits = []
+    if u.feature_scale is not None:
+        for w_lo, w_hi in u.feature_scale(eps):
+            splits.extend((float(w_lo), float(w_hi)))
+    handle = u.at(eps)
+
+    def integrand(x):
+        return handle(x) * nu.handle(x)
+
+    return adaptive_simpson_reference(
+        integrand,
+        a,
+        b,
+        tol=1e-10,
+        min_width=min(eps / 8.0, b - a) * 2.0**-30,
+        pre_split=splits,
+    )

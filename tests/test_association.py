@@ -4,11 +4,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colombeau.asymptotics import EpsGrid
 from colombeau.association import (
     ASSOC_TOL,
     Mollifier,
+    _extrapolate_limit,
     adaptive_simpson,
     association_grid,
     check_associated_zero,
@@ -26,15 +29,18 @@ from colombeau.errors import (
     DimensionMismatch,
     NonFiniteValue,
     NotModerate,
+    QuadratureError,
 )
 from colombeau.geometry import (
     CompactSet,
     DensityTest,
+    default_densities,
     euclidean_atlas,
     make_bump,
 )
 from colombeau.manifold_maps import check_equivalent, single_chart_map
 from colombeau.nets import net_from_function
+from oracles import weak_integral_reference
 
 LINE = euclidean_atlas(1)
 K1 = CompactSet("main", [(-1.0, 1.0)])
@@ -49,6 +55,7 @@ C2 = 0.7937999006570768
 DELTA1 = embed_distribution("delta", RHO1, LINE)
 DELTA2 = embed_distribution("delta", RHO2, LINE)
 HEAVI = embed_distribution("heaviside", RHO1, LINE)
+HEAVI2 = embed_distribution("heaviside", RHO2, LINE)
 
 
 def plateau_density(value_one_at=0.0):
@@ -401,3 +408,172 @@ class TestAssociationIsCoarserThanEquality:
         rep2 = shadow(sq2, [NU0], candidate=lambda nu: C1 * nu_at_zero(nu))
         assert rep1.max_residual < 1e-9
         assert rep2.max_residual > 0.9 * abs(C2 - C1)
+
+
+# ---------------------------------------------------------------------------
+# pairings against the per-integral oracle
+
+
+def slot_nets(rho_id, a):
+    """The nine nets of the weak-limits benchmark's quadrature slots, built
+    as the benchmark builds them."""
+    d, h = (DELTA1, HEAVI) if rho_id == "rho1" else (DELTA2, HEAVI2)
+
+    def net(fn, label):
+        return net_from_function(
+            fn, 1, 1, box=[(-10.0, 10.0)], feature_scale=DELTA1.feature_scale,
+            label=label,
+        )
+
+    return {
+        "shadow-delta": d,
+        "shadow-step": h,
+        "shadow-square": net(lambda e, x: a * e * d.at(e)(x) ** 2, "eps*delta^2"),
+        "zero-defect": net(lambda e, x: h.at(e)(x) ** 2 - h.at(e)(x), "H^2-H"),
+        "zero-gap": net(
+            lambda e, x: a * (DELTA1.at(e)(x) - DELTA2.at(e)(x)), "delta-gap"
+        ),
+        "zero-scaled": net(lambda e, x: a * e * d.at(e)(x), "eps*delta"),
+        "zero-spike": net(lambda e, x: a * d.at(e)(x), "delta"),
+        "zero-stepgap": net(
+            lambda e, x: HEAVI.at(e)(x) - HEAVI2.at(e)(x), "step-gap"
+        ),
+        "zero-step": h,
+    }
+
+
+def bump_densities(params):
+    """Densities as the weak-limits benchmark draws them: (centre, plateau
+    radius, support radius) per density."""
+    return [
+        DensityTest("main", make_bump(np.array([c]), r_in, r_out),
+                    np.array([[c - r_out, c + r_out]]), f"nu{j}")
+        for j, (c, r_in, r_out) in enumerate(params)
+    ]
+
+
+WORKLOAD_DENSITIES = bump_densities(
+    [(-0.1, 0.22, 0.5), (0.04, 0.29, 0.46), (0.13, 0.25, 0.58)]
+)
+FADE = net_from_function(
+    lambda e, x: e**2 * np.exp(-(x**2)), 1, 1, box=[(-3, 3)], label="fade"
+)
+WOB = net_from_function(
+    lambda e, x: e**2 * (1.5 + np.sin(3.0 * np.log2(1.0 / e))) * np.exp(-(x**2)),
+    1, 1, box=[(-3, 3)], label="wob",
+)
+OSC = net_from_function(lambda e, x: np.sin(x / e), 1, 1, box=[(-3, 3)], label="osc")
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_rows_match_the_oracle(net, densities, grid=None):
+    """Every row of check_associated_zero and shadow equals, bit for bit,
+    the one built from per-integral oracle pairings."""
+    grid = grid or association_grid()
+    want = [[weak_integral_reference(net, nu, e) for e in grid] for nu in densities]
+    zero = check_associated_zero(net, densities, grid)
+    shad = shadow(net, densities, grid=grid)
+    assert len(zero.rows) == len(shad.rows) == len(densities)
+    for row, srow, values in zip(zero.rows, shad.rows, want):
+        assert _hex(row.values) == _hex(values)
+        assert _hex(srow.pairings) == _hex(values)
+        limit, order, flag = _extrapolate_limit(values)
+        assert _hex([srow.extrapolated, srow.order]) == _hex([limit, order])
+        assert srow.flag == flag
+
+
+def sequential_error(check, net, densities, grid=None):
+    """The exception the per-integral loop raises: density by density, eps
+    by eps, and for ``shadow`` each density's extrapolation right after its
+    pairings."""
+    grid = grid or association_grid()
+    try:
+        for nu in densities:
+            values = [weak_integral_reference(net, nu, e) for e in grid]
+            if check is shadow:
+                _extrapolate_limit(values)
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the datum
+        return exc
+    return None
+
+
+class TestPairingsAgainstTheOracle:
+    @pytest.mark.parametrize("rho_id", ["rho1", "rho2"])
+    @pytest.mark.parametrize("slot", list(slot_nets("rho1", 1.0)))
+    def test_weak_limit_slot_nets(self, slot, rho_id):
+        assert_rows_match_the_oracle(slot_nets(rho_id, 1.37)[slot], WORKLOAD_DENSITIES)
+
+    @pytest.mark.parametrize("net", [FADE, WOB, OSC], ids=lambda n: n.label)
+    def test_smooth_nets(self, net):
+        assert_rows_match_the_oracle(net, DENSITIES)
+
+    @pytest.mark.parametrize("net", [DELTA1, HEAVI, OSC], ids=lambda n: n.label)
+    def test_default_densities(self, net):
+        assert_rows_match_the_oracle(net, default_densities())
+
+    def test_short_grid_and_one_density(self):
+        assert_rows_match_the_oracle(DELTA2, [NU_OFF], EpsGrid.dyadic(2, 9))
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        slot=st.sampled_from(list(slot_nets("rho1", 1.0))),
+        rho_id=st.sampled_from(["rho1", "rho2"]),
+        a=st.floats(0.5, 2.0),
+        params=st.lists(
+            st.tuples(st.floats(-0.15, 0.15), st.floats(0.2, 0.3),
+                      st.floats(0.45, 0.6)),
+            min_size=3, max_size=3,
+        ),
+    )
+    def test_drawn_workload_banks(self, slot, rho_id, a, params):
+        assert_rows_match_the_oracle(
+            slot_nets(rho_id, a)[slot], bump_densities(params)
+        )
+
+
+# a density on [-0.6, 0.6] and one on [1.6, 2.4]
+NEAR_DENSITY, FAR_DENSITY = bump_densities([(0.0, 0.3, 0.6), (2.0, 0.1, 0.4)])
+
+
+class TestPairingErrorOrder:
+    def _assert_sequential_error(self, check, net, densities):
+        want = sequential_error(check, net, densities)
+        assert want is not None
+        with pytest.raises(type(want)) as got:
+            check(net, densities)
+        assert str(got.value) == str(want)
+        return got.value
+
+    def test_raw_square_shadow_raises_non_finite(self):
+        sq = net_from_function(
+            lambda e, x: DELTA1.at(e)(x) ** 2, 1, 1, box=[(-10, 10)],
+            label="raw-square", feature_scale=DELTA1.feature_scale,
+        )
+        err = self._assert_sequential_error(shadow, sq, [NU0])
+        assert isinstance(err, NonFiniteValue)
+
+    def test_extrapolation_error_comes_before_a_later_density(self):
+        # density 0's pairings grow like 1/eps; the net is nan on density 1
+        net = net_from_function(
+            lambda e, x: np.where(x < 1.0, np.exp(-(x**2)) / e, np.nan),
+            1, 1, box=[(-3, 3)], label="grow-then-nan",
+        )
+        err = self._assert_sequential_error(shadow, net, [NEAR_DENSITY, FAR_DENSITY])
+        assert "sustained growth" in str(err)
+
+    def test_first_failing_density_wins_over_an_earlier_level(self):
+        # density 0 meets a non-integrable singularity from eps = 2^-7 on;
+        # density 1 is non-finite at the first level of every eps
+        def fn(e, x):
+            spike = np.abs(x - 0.1234567) ** -0.9 if e < 0.01 else 0.0 * x
+            return np.where(x < 1.0, spike, np.nan)
+
+        net = net_from_function(fn, 1, 1, box=[(-3, 3)], label="spike-then-nan")
+        for check in (check_associated_zero, shadow):
+            err = self._assert_sequential_error(
+                check, net, [NEAR_DENSITY, FAR_DENSITY]
+            )
+            assert isinstance(err, QuadratureError)
