@@ -55,12 +55,159 @@ _STAB_TOL = 1e-9
 
 def association_grid() -> EpsGrid:
     """Default grid for association verdicts; coarser than the asymptotic
-    default because every point costs a quadrature per density."""
+    default because every point adds a weak integral per density to the
+    verdict's quadrature, and a slice call to each of its levels."""
     return EpsGrid.dyadic(2, 12)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
+
+# numpy's pairwise summation (``pairwise_sum`` in its ufunc loops): runs
+# below 8 terms add in order from -0.0, runs up to 128 terms in eight
+# interleaved accumulators, longer runs split in halves at a multiple of 8;
+# tests pin _run_sums against np.sum
+_PW_UNROLL = 8
+_PW_BLOCK = 128
+
+
+def _add_in_order(values, starts, lengths, init):
+    """``init`` plus each run's terms, added one by one; short runs are
+    padded with -0.0, which leaves every sum unchanged."""
+    res = np.array(init, dtype=float)
+    for t in range(int(lengths.max(initial=0))):
+        live = t < lengths
+        res = res + np.where(live, values[np.where(live, starts + t, 0)], -0.0)
+    return res
+
+
+def _run_sums(values, starts, lengths):
+    """``np.sum(values[s:s + n])`` for every run (s, n), bit for bit, in one
+    pass over all runs: numpy's own pairwise rule, vectorized across runs."""
+    out = np.empty(starts.size)
+    big = lengths > _PW_BLOCK
+    if big.any():
+        s, n = starts[big], lengths[big]
+        half = n // 2
+        half -= half % _PW_UNROLL
+        halves = _run_sums(values, np.r_[s, s + half], np.r_[half, n - half])
+        out[big] = halves[: s.size] + halves[s.size :]
+    short = lengths < _PW_UNROLL
+    out[short] = _add_in_order(
+        values, starts[short], lengths[short], np.full(short.sum(), -0.0)
+    )
+    block = ~big & ~short
+    if block.any():
+        s, n = starts[block], lengths[block]
+        whole = n - n % _PW_UNROLL
+        lanes = np.arange(_PW_UNROLL)
+        acc = values[s[:, None] + lanes]
+        for c in range(_PW_UNROLL, int(whole.max()), _PW_UNROLL):
+            live = (c < whole)[:, None]
+            idx = np.where(live, s[:, None] + c + lanes, 0)
+            acc = acc + np.where(live, values[idx], -0.0)
+        head = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
+            (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+        )
+        out[block] = _add_in_order(values, s + whole, n - whole, head)
+    return out
+
+
+def _add_runs(acc, values, owner):
+    """``acc[k] += np.sum(values[owner == k])`` for every owner k present;
+    ``owner`` is sorted."""
+    if owner.size == 0:
+        return
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    lengths = np.diff(np.r_[starts, owner.size])
+    acc[owner[starts]] += _run_sums(values, starts, lengths)
+
+
+def _simpson_level(lo, hi, owner, feval, width, tol, min_width, total, leftover):
+    """One level of :func:`_simpson_runs`, in a frame of its own so that its
+    temporaries are gone before the next level's integrand call.
+
+    Adds the accepted segments' sums to ``total`` and ``leftover`` and
+    returns ``(lo, hi, alive, owner, bad)``: the halves of the other
+    segments, the owners this level refined, the halves' owners, and the
+    first owner whose integrand was not finite (it and all after it are
+    dropped), or None.
+    """
+    mid = 0.5 * (lo + hi)
+    vals = feval(np.stack([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]), owner)
+    finite = np.isfinite(vals).all(axis=0)
+    bad = None
+    if not finite.all():
+        bad = int(owner[np.argmin(finite)])
+        live = owner < bad
+        lo, hi, mid, owner, vals = lo[live], hi[live], mid[live], owner[live], vals[:, live]
+    f0, f1, f2, f3, f4 = vals
+    h = hi - lo
+    coarse = h / 6.0 * (f0 + 4.0 * f2 + f4)
+    fine = h / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
+    err = np.abs(fine - coarse) / 15.0
+    budget = tol[owner] * (h / width[owner])
+    done = err <= budget
+    floor = h < 2.0 * min_width[owner]
+    accept = done | floor
+    _add_runs(total, (fine + (fine - coarse) / 15.0)[accept], owner[accept])
+    unresolved = floor & ~done
+    _add_runs(leftover, err[unresolved], owner[unresolved])
+    keep = ~accept
+    halves = np.concatenate([owner[keep], owner[keep]])
+    order = np.argsort(halves, kind="stable")
+    return (
+        np.concatenate([lo[keep], mid[keep]])[order],
+        np.concatenate([mid[keep], hi[keep]])[order],
+        owner,
+        halves[order],
+        bad,
+    )
+
+
+def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
+    """Adaptive Simpson of many integrals, refined together.
+
+    Integral k spans ``width[k]`` and starts as the segments ``(lo, hi)``
+    of owner k; segments are sorted by owner, each integral's in its own
+    order.  ``feval(x, owner)`` returns the integrands at the (5, n)
+    abscissae ``x``, a column per segment (its ends, quarter points and
+    midpoint) and ``owner`` its owners, so each level is one ``feval`` call
+    for all integrals.  Each integral is refined as if it were alone: its
+    segments keep their order (``[lo[keep], mid[keep]]`` per level), its
+    level sums are ``np.sum`` over its own accepted segments, and it stops
+    on its own ``tol``, ``min_width``, depth cap and unresolved error at the
+    floor.
+
+    Returns ``(totals, failure)``.  ``failure`` is ``(k, exc)`` for the
+    first integral k that would raise on its own, or None; the integrals
+    after k are dropped once k fails, so only ``totals[:k]`` hold values.
+    """
+    m = width.size
+    total = np.zeros(m)
+    leftover = np.zeros(m)
+    failed, error = m, None
+    for _ in range(64):
+        if lo.size == 0:
+            break
+        lo, hi, alive, owner, bad = _simpson_level(
+            lo, hi, owner, feval, width, tol, min_width, total, leftover
+        )
+        if bad is not None:
+            failed = bad
+            error = NonFiniteValue("integrand is not finite on the support")
+    else:
+        if alive.size:
+            failed = int(alive[0])
+            error = QuadratureError("adaptive quadrature exceeded its depth limit")
+    over = np.flatnonzero(leftover[:failed] > tol[:failed])
+    if over.size:
+        k = int(over[0])
+        failed, error = k, QuadratureError(
+            f"quadrature left {leftover[k]:.2e} unresolved error at the "
+            f"subdivision floor {min_width[k]:.2e}"
+        )
+    return total, (None if error is None else (failed, error))
 
 
 def adaptive_simpson(
@@ -76,55 +223,104 @@ def adaptive_simpson(
     ``fn`` maps (N, 1) arrays to (N, 1) values.  Refinement stops once a
     segment's Richardson error estimate fits its share of ``tol`` or the
     segment is narrower than ``min_width``; if unresolved error remains at
-    the floor the quadrature has not converged and raises.
+    the floor the quadrature has not converged and raises.  This is the
+    one-integral case of the shared kernel that refines all weak integrals
+    of an association verdict together, one integrand call per level.
     """
     a, b = float(a), float(b)
     if not b > a:
         return 0.0
     if min_width is None:
         min_width = (b - a) * 1e-12
-    edges = [a] + sorted(float(e) for e in pre_split if a < e < b) + [b]
-    lo = np.asarray(edges[:-1])
-    hi = np.asarray(edges[1:])
+    edges = np.asarray([a] + sorted(float(e) for e in pre_split if a < e < b) + [b])
+    total, failure = _simpson_runs(
+        edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=np.intp),
+        np.array([b - a]), np.array([float(tol)]), np.array([float(min_width)]),
+        lambda x, owner: np.asarray(fn(x.reshape(-1, 1)), dtype=float).reshape(5, -1),
+    )
+    if failure is not None:
+        raise failure[1]
+    return float(total[0])
 
-    def feval(x):
-        return np.asarray(fn(x[:, None]), dtype=float).reshape(-1)
 
-    total = 0.0
-    leftover = 0.0
-    width_all = b - a
-    for _ in range(64):
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        lq = 0.5 * (lo + mid)
-        rq = 0.5 * (mid + hi)
-        vals = feval(np.concatenate([lo, lq, mid, rq, hi]))
-        n = lo.size
-        f0, f1, f2, f3, f4 = (vals[i * n : (i + 1) * n] for i in range(5))
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("integrand is not finite on the support")
-        h = hi - lo
-        coarse = h / 6.0 * (f0 + 4.0 * f2 + f4)
-        fine = h / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
-        err = np.abs(fine - coarse) / 15.0
-        budget = tol * (h / width_all)
-        done = err <= budget
-        floor = h < 2.0 * min_width
-        accept = done | floor
-        total += float(np.sum((fine + (fine - coarse) / 15.0)[accept]))
-        leftover += float(np.sum(err[floor & ~done]))
-        keep = ~accept
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-    else:
-        raise QuadratureError("adaptive quadrature exceeded its depth limit")
-    if leftover > tol:
-        raise QuadratureError(
-            f"quadrature left {leftover:.2e} unresolved error at the "
-            f"subdivision floor {min_width:.2e}"
-        )
-    return total
+def _groups(keys):
+    """(key, indices) for every key present, indices in their order."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    ends = np.cumsum(counts)
+    return [(g, order[ends[g] - counts[g]:ends[g]]) for g in np.flatnonzero(counts)]
+
+
+def _call_on_columns(handle, x):
+    """A scalar handle at the (5, k) abscissae ``x``, as (5, k) values."""
+    flat = x.reshape(-1, 1)
+    return np.broadcast_to(handle(flat), flat.shape).reshape(x.shape)
+
+
+def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
+    """Weak integrals of ``u``'s slices at ``eps_values`` against every
+    density, refined together: at each level every live slice is called
+    once, on the abscissae of all densities, and every live density once,
+    on the abscissae of all eps.
+
+    Returns ``(values, failure)``: values has shape (densities, eps), and
+    failure is as for :func:`_simpson_runs`, with integral
+    ``j * len(eps_values) + i`` the pairing of density j at eps i.
+    """
+    n_d, n_e = len(densities), len(eps_values)
+    if not n_d:
+        return np.zeros((0, n_e)), None
+    if u.dim_in != 1 or u.dim_out != 1:
+        raise DimensionMismatch("weak integrals are for scalar nets on a line")
+    eps = np.asarray(eps_values, dtype=float)
+    box = np.array([
+        np.asarray(nu.support_box, dtype=float).reshape(-1, 2)[0] for nu in densities
+    ])
+    a, b = box[:, 0], box[:, 1]
+    windows = [
+        [float(w) for pair in u.feature_scale(e) for w in pair]
+        if u.feature_scale is not None else []
+        for e in eps_values
+    ]
+    slices = [u.at(e) for e in eps_values]
+    # each eps's window ends as a row, padded with nan
+    n_splits = max(map(len, windows))
+    splits = np.array(
+        [w + [np.nan] * (n_splits - len(w)) for w in windows]
+    ).reshape(n_e, n_splits)
+    # edges per (density, eps): a, the splits inside (a, b) in order, b
+    inside = (a[:, None, None] < splits) & (splits < b[:, None, None])
+    edges = np.sort(np.concatenate([
+        np.broadcast_to(a[:, None, None], (n_d, n_e, 1)),
+        np.where(inside, splits, np.nan),
+        np.broadcast_to(b[:, None, None], (n_d, n_e, 1)),
+    ], axis=-1), axis=-1, kind="stable")
+    seg = ~np.isnan(edges[..., 1:]) & (b > a)[:, None, None]
+    owner = np.broadcast_to(
+        np.arange(n_d * n_e).reshape(n_d, n_e, 1), seg.shape
+    )[seg]
+    # the floor sits far below eps/8 so eps-scale features always stay
+    # refinable; it only guards against runaway subdivision
+    floor = np.minimum(eps / 8.0, (b - a)[:, None]) * 2.0**-30
+    handles = [nu.handle for nu in densities]
+
+    def feval(x, own):
+        out = np.empty_like(x)
+        for i, cols in _groups(own % n_e):
+            out[:, cols] = _call_on_columns(slices[i], x[:, cols])
+        # owners run density by density, so each density's columns are a block
+        bounds = np.searchsorted(own, np.arange(n_d + 1) * n_e)
+        for j in np.flatnonzero(np.diff(bounds)):
+            cols = slice(bounds[j], bounds[j + 1])
+            out[:, cols] *= _call_on_columns(handles[j], x[:, cols])
+        return out
+
+    total, failure = _simpson_runs(
+        edges[..., :-1][seg], edges[..., 1:][seg], owner,
+        np.repeat(b - a, n_e), np.full(n_d * n_e, _QUAD_TOL), floor.reshape(-1),
+        feval,
+    )
+    return total.reshape(n_d, n_e), failure
 
 
 def weak_integral(u: Net, nu: DensityTest, eps: float) -> float:
@@ -134,29 +330,10 @@ def weak_integral(u: Net, nu: DensityTest, eps: float) -> float:
     slice stay resolvable; the net's declared feature windows pre-split
     the support so narrow spikes cannot hide between coarse samples.
     """
-    if u.dim_in != 1 or u.dim_out != 1:
-        raise DimensionMismatch("weak integrals are for scalar nets on a line")
-    box = np.asarray(nu.support_box, dtype=float).reshape(-1, 2)
-    a, b = float(box[0, 0]), float(box[0, 1])
-    splits = []
-    if u.feature_scale is not None:
-        for w_lo, w_hi in u.feature_scale(eps):
-            splits.extend((float(w_lo), float(w_hi)))
-    handle = u.at(eps)
-
-    def integrand(x):
-        return handle(x) * nu.handle(x)
-
-    # the floor sits far below eps/8 so eps-scale features always stay
-    # refinable; it only guards against runaway subdivision
-    return adaptive_simpson(
-        integrand,
-        a,
-        b,
-        tol=_QUAD_TOL,
-        min_width=min(eps / 8.0, b - a) * 2.0**-30,
-        pre_split=splits,
-    )
+    values, failure = _pairings(u, [nu], [eps])
+    if failure is not None:
+        raise failure[1]
+    return float(values[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +381,11 @@ def check_associated_zero(
 ) -> AssociationReport:
     """Do the pairings with every bank density tend to zero?"""
     grid = grid or association_grid()
+    pairings, failure = _pairings(u, densities, list(grid))
+    if failure is not None:
+        raise failure[1]
     rows = []
-    for nu in densities:
-        values = [weak_integral(u, nu, eps) for eps in grid]
+    for nu, values in zip(densities, pairings.tolist()):
         ok, dec, final = _tends_to_zero(values, grid, assoc_tol)
         flag = ""
         if not ok and final < assoc_tol and not dec:
@@ -291,15 +470,19 @@ def shadow(
     the extrapolated limits against it are reported when supplied.
     """
     grid = grid or association_grid()
+    values, failure = _pairings(u, densities, list(grid))
+    # densities before the first failing pairing keep their own errors first
+    n_ok = len(densities) if failure is None else failure[0] // len(grid)
     rows = []
-    for nu in densities:
-        pairings = [weak_integral(u, nu, eps) for eps in grid]
+    for nu, pairings in zip(densities, values.tolist()[:n_ok]):
         limit, order, flag = _extrapolate_limit(pairings)
         cand = res = None
         if candidate is not None:
             cand = float(candidate(nu))
             res = abs(limit - cand) if math.isfinite(limit) else float("inf")
         rows.append(ShadowRow(nu.id, pairings, limit, order, cand, res, flag))
+    if failure is not None:
+        raise failure[1]
     converged = all(not r.flag for r in rows)
     residuals = [r.residual for r in rows if r.residual is not None]
     return ShadowReport(rows, grid, converged, max(residuals) if residuals else None)

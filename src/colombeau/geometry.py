@@ -546,9 +546,9 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
 
     Each member is ``b_j * (1 / sum_k b_k)``, values only, where b_j is a
     box bump equal to 1 on core j and padded by half the core's width
-    (less near the chart edge).  The normalized sum is exactly 1 wherever
-    some b_k > 0; a sampled point of some core where all bumps vanish
-    raises cover-gap.  Members of a multi-chart cover are normalized
+    (less near the chart edge), and 0 where every bump vanishes.  The
+    normalized sum is exactly 1 wherever some b_k > 0; a sampled point of
+    some core where all bumps vanish raises cover-gap.  Members of a multi-chart cover are normalized
     through the declared transitions.
     """
     if not cores:
@@ -571,10 +571,15 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
             acc = b.eval_fn(y) if acc is None else acc + b.eval_fn(y)
         return acc
 
+    def member_value(b, cid, x):
+        value, t = b.eval_fn(x), total(cid, x)
+        # where every bump is 0 the member is 0, not 0 * (1/0)
+        return value * np.divide(1.0, t, out=np.zeros_like(t), where=t > 0.0)
+
     members = []
     for cid, b in bumps:
         member = make_handle(
-            lambda x, b=b, cid=cid: b.eval_fn(x) * (1.0 / total(cid, x)),
+            lambda x, b=b, cid=cid: member_value(b, cid, x),
             atlas.dim, 1, name="partition-member",
         )
         members.append(PartitionMember(cid, member, b.support_box))

@@ -39,7 +39,7 @@ from .asymptotics import EpsGrid, estimate_growth_order
 from .association import ASSOC_TOL, Mollifier, check_k_associated
 from .errors import ConfigError, NonFiniteValue, OutsideDomain
 from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
-from .manifold_maps import check_cbounded, single_chart_map
+from .manifold_maps import ManifoldNet, check_cbounded, single_chart_map
 from .nets import Net, SmoothMapHandle, net_from_function
 
 # DOP853 tolerances of every slice solve
@@ -277,15 +277,17 @@ class GeodesicNet:
     def slice(self, eps: float) -> GeodesicSlice:
         return self.slices([eps])[0]
 
-    def component_net(self, name: str) -> Net:
+    def component_net(self, name: str, feature_scale=None) -> Net:
         """The named state component as a net over the u-interval; its
-        values only, with finite-difference jets."""
+        values only, with finite-difference jets.  ``feature_scale`` is the
+        net's feature windows per eps (see :class:`Net`)."""
 
         def ev(e, u):
             return self.slice(e).component(u[..., 0], name)[..., None]
 
         return net_from_function(
-            ev, 1, 1, box=[self.u_span], label=f"geodesic-{name}"
+            ev, 1, 1, box=[self.u_span], label=f"geodesic-{name}",
+            feature_scale=feature_scale,
         )
 
 
@@ -406,11 +408,11 @@ def kink_limit_study(
     # manifold wrapping for the c-boundedness and association checks
     u_atlas = euclidean_atlas(1)
     K = CompactSet("main", [window])
-    x_net = gnet.component_net("x")
-    x_map = single_chart_map(
-        u_atlas, u_atlas, lambda e, u: x_net.at(e)(u), label="geodesic-x",
+    x_net = gnet.component_net(
+        "x",
         feature_scale=lambda e: [(-rho.support_radius * e, rho.support_radius * e)],
     )
+    x_map = ManifoldNet(u_atlas, u_atlas, "main", "main", x_net, "geodesic-x")
     kink_map = single_chart_map(
         u_atlas, u_atlas, lambda e, u: kink(u[..., 0])[..., None], label="kink"
     )

@@ -1,6 +1,7 @@
 """Weak pairings, association verdicts, shadows, and mollifier embedding."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from colombeau.association import (
     ASSOC_TOL,
     Mollifier,
     _extrapolate_limit,
+    _run_sums,
     adaptive_simpson,
     association_grid,
     check_associated_zero,
@@ -130,8 +132,13 @@ class TestMollifier:
 
 class TestWeakIntegral:
     def test_delta_pairs_to_density_value_at_zero(self):
+        # the plateau [-0.3, 0.3] covers the delta's support [-eps, eps]
+        nu = DensityTest(
+            "main", make_bump(np.zeros(1), 0.3, 0.6), np.array([[-0.6, 0.6]]),
+            "wide-plateau",
+        )
         for eps in (0.25, 2.0**-6, 2.0**-10):
-            assert weak_integral(DELTA1, NU0, eps) == pytest.approx(1.0, abs=1e-9)
+            assert weak_integral(DELTA1, nu, eps) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_net_pairs_to_zero(self):
         zero = net_from_function(
@@ -565,10 +572,10 @@ class TestPairingErrorOrder:
         assert "sustained growth" in str(err)
 
     def test_first_failing_density_wins_over_an_earlier_level(self):
-        # density 0 meets a non-integrable singularity from eps = 2^-7 on;
+        # density 0 meets a non-integrable singularity at the last eps only;
         # density 1 is non-finite at the first level of every eps
         def fn(e, x):
-            spike = np.abs(x - 0.1234567) ** -0.9 if e < 0.01 else 0.0 * x
+            spike = np.abs(x - 0.1234567) ** -0.5 if e < 2.0**-11.5 else 0.0 * x
             return np.where(x < 1.0, spike, np.nan)
 
         net = net_from_function(fn, 1, 1, box=[(-3, 3)], label="spike-then-nan")
@@ -577,3 +584,60 @@ class TestPairingErrorOrder:
                 check, net, [NEAR_DENSITY, FAR_DENSITY]
             )
             assert isinstance(err, QuadratureError)
+
+
+def _counted(handle, counter, key):
+    """A copy of ``handle`` whose value calls add to ``counter[key]``."""
+    fn = handle.eval_fn
+
+    def eval_fn(x):
+        counter[key] += 1
+        return fn(x)
+
+    return dataclasses.replace(handle, eval_fn=eval_fn)
+
+
+class TestQuadratureCalls:
+    def test_one_slice_call_per_eps_and_one_density_call_per_level(self):
+        grid = association_grid()
+        calls = {"net": 0, "density": 0}
+        net = dataclasses.replace(
+            DELTA1, at_fn=lambda e: _counted(DELTA1.at_fn(e), calls, "net"),
+            _cache={},
+        )
+        densities = [
+            dataclasses.replace(nu, handle=_counted(nu.handle, calls, "density"))
+            for nu in WORKLOAD_DENSITIES
+        ]
+        # the deepest integral's level count: one density call per level
+        # when each integral is refined on its own
+        levels = 0
+        for nu in densities:
+            for eps in grid:
+                calls["density"] = 0
+                weak_integral_reference(net, nu, eps)
+                levels = max(levels, calls["density"])
+        calls.update(net=0, density=0)
+        check_associated_zero(net, densities, grid)
+        assert 0 < calls["net"] <= len(grid) * levels
+        assert 0 < calls["density"] <= len(densities) * levels
+
+
+class TestRunSums:
+    """The kernel's segmented sums are np.sum of each run, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_of_every_length_class(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.r_[rng.integers(0, 9, 40), rng.integers(8, 130, 20),
+                        rng.integers(129, 2000, 6), [0, 1, 7, 8, 128, 129]]
+        rng.shuffle(lengths)
+        starts = np.r_[0, np.cumsum(lengths)[:-1]]
+        values = rng.standard_normal(lengths.sum()) * 10.0 ** rng.integers(
+            -8, 8, lengths.sum()
+        )
+        got = _run_sums(values, starts, lengths)
+        want = [np.sum(values[s : s + n]) for s, n in zip(starts, lengths)]
+        # an empty run gives -0.0, which adds like np.sum's 0.0 to a total
+        want = [w if n else -0.0 for w, n in zip(want, lengths)]
+        assert _hex(got) == _hex(want)

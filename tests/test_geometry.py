@@ -498,10 +498,14 @@ class TestBumpsAgainstTheHandleAlgebra:
                 rng.uniform(box[:, 0], box[:, 1], (300, atlas.dim)),
             )
             x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
-            # where every bump is 0, both read 0 * (1/0) = nan
+            # where every bump is 0 the reference reads 0 * (1/0) = nan and
+            # the member 0
             with np.errstate(divide="ignore", invalid="ignore"):
-                assert _same_bits(m.handle(x), ref(x))
-                assert _same_bits(m.handle.eval_fn(x), ref.eval_fn(x))
+                want = ref(x)
+            gap = np.isnan(want)
+            assert _same_bits(m.handle(x)[~gap], want[~gap])
+            assert _same_bits(m.handle.eval_fn(x)[~gap], want[~gap])
+            assert np.all(m.handle(x)[gap] == 0.0)
 
 
 class TestPartitionOfUnity:
@@ -535,6 +539,14 @@ class TestPartitionOfUnity:
         members = partition_of_unity(atlas, cores)
         # disjoint cores are each fully covered by their own bump
         assert members[0].handle(np.array([-29.5]))[0] == pytest.approx(1.0)
+
+    def test_members_are_zero_where_every_bump_vanishes(self):
+        atlas = euclidean_atlas(1, 50.0)
+        cores = [CompactSet("main", [(-30.0, -29.0)]), CompactSet("main", [(29.0, 30.0)])]
+        members = partition_of_unity(atlas, cores)
+        with np.errstate(all="raise"):
+            values = [m.handle(np.array([[0.0]]))[0, 0] for m in members]
+        assert [v.hex() for v in values] == [(0.0).hex()] * 2
 
 
 class TestBankEval:
