@@ -63,54 +63,14 @@ def association_grid() -> EpsGrid:
 # ---------------------------------------------------------------------------
 # quadrature
 
-# numpy's pairwise summation (``pairwise_sum`` in its ufunc loops): runs
-# below 8 terms add in order from -0.0, runs up to 128 terms in eight
-# interleaved accumulators, longer runs split in halves at a multiple of 8;
-# tests pin _run_sums against np.sum
-_PW_UNROLL = 8
-_PW_BLOCK = 128
-
-
-def _add_in_order(values, starts, lengths, init):
-    """``init`` plus each run's terms, added one by one; short runs are
-    padded with -0.0, which leaves every sum unchanged."""
-    res = np.array(init, dtype=float)
-    for t in range(int(lengths.max(initial=0))):
-        live = t < lengths
-        res = res + np.where(live, values[np.where(live, starts + t, 0)], -0.0)
-    return res
-
-
-def _run_sums(values, starts, lengths):
-    """``np.sum(values[s:s + n])`` for every run (s, n), bit for bit, in one
-    pass over all runs: numpy's own pairwise rule, vectorized across runs."""
-    out = np.empty(starts.size)
-    big = lengths > _PW_BLOCK
-    if big.any():
-        s, n = starts[big], lengths[big]
-        half = n // 2
-        half -= half % _PW_UNROLL
-        halves = _run_sums(values, np.r_[s, s + half], np.r_[half, n - half])
-        out[big] = halves[: s.size] + halves[s.size :]
-    short = lengths < _PW_UNROLL
-    out[short] = _add_in_order(
-        values, starts[short], lengths[short], np.full(short.sum(), -0.0)
+def _run_sums(values, starts):
+    """``np.sum`` of each run of ``values`` that starts at ``starts``, bit
+    for bit, in one call: ``np.add.reduceat`` keeps a run's first term and
+    adds the rest by np.sum's pairwise rule, so every run is led by -0.0,
+    which adds nothing."""
+    return np.add.reduceat(
+        np.insert(values, starts, -0.0), starts + np.arange(starts.size)
     )
-    block = ~big & ~short
-    if block.any():
-        s, n = starts[block], lengths[block]
-        whole = n - n % _PW_UNROLL
-        lanes = np.arange(_PW_UNROLL)
-        acc = values[s[:, None] + lanes]
-        for c in range(_PW_UNROLL, int(whole.max()), _PW_UNROLL):
-            live = (c < whole)[:, None]
-            idx = np.where(live, s[:, None] + c + lanes, 0)
-            acc = acc + np.where(live, values[idx], -0.0)
-        head = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
-            (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
-        )
-        out[block] = _add_in_order(values, s + whole, n - whole, head)
-    return out
 
 
 def _add_runs(acc, values, owner):
@@ -119,8 +79,7 @@ def _add_runs(acc, values, owner):
     if owner.size == 0:
         return
     starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    lengths = np.diff(np.r_[starts, owner.size])
-    acc[owner[starts]] += _run_sums(values, starts, lengths)
+    acc[owner[starts]] += _run_sums(values, starts)
 
 
 def _simpson_level(lo, hi, owner, feval, width, tol, min_width, total, leftover):
