@@ -63,23 +63,17 @@ def association_grid() -> EpsGrid:
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _run_sums(values, starts):
-    """``np.sum`` of each run of ``values`` that starts at ``starts``, bit
-    for bit, in one call: ``np.add.reduceat`` keeps a run's first term and
-    adds the rest by np.sum's pairwise rule, so every run is led by -0.0,
-    which adds nothing."""
-    return np.add.reduceat(
-        np.insert(values, starts, -0.0), starts + np.arange(starts.size)
-    )
-
-
 def _add_runs(acc, values, owner):
-    """``acc[k] += np.sum(values[owner == k])`` for every owner k present;
-    ``owner`` is sorted."""
+    """``acc[k] += np.sum(values[owner == k])``, bit for bit, for every
+    owner k present; ``owner`` is sorted.  ``np.add.reduceat`` keeps a
+    run's first term and adds the rest by np.sum's pairwise rule, so every
+    run is led by -0.0, which adds nothing."""
     if owner.size == 0:
         return
     starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    acc[owner[starts]] += _run_sums(values, starts)
+    acc[owner[starts]] += np.add.reduceat(
+        np.insert(values, starts, -0.0), starts + np.arange(starts.size)
+    )
 
 
 def _simpson_level(lo, hi, owner, feval, width, tol, min_width, total, leftover):
@@ -202,14 +196,6 @@ def adaptive_simpson(
     return float(total[0])
 
 
-def _groups(keys):
-    """(key, indices) for every key present, indices in their order."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys)
-    ends = np.cumsum(counts)
-    return [(g, order[ends[g] - counts[g]:ends[g]]) for g in np.flatnonzero(counts)]
-
-
 def _call_on_columns(handle, x):
     """A scalar handle at the (5, k) abscissae ``x``, as (5, k) values."""
     flat = x.reshape(-1, 1)
@@ -265,8 +251,11 @@ def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
 
     def feval(x, own):
         out = np.empty_like(x)
-        for i, cols in _groups(own % n_e):
-            out[:, cols] = _call_on_columns(slices[i], x[:, cols])
+        eps_of = own % n_e
+        ends = np.cumsum(np.bincount(eps_of, minlength=n_e))
+        for i, cols in enumerate(np.split(np.argsort(eps_of, kind="stable"), ends[:-1])):
+            if cols.size:
+                out[:, cols] = _call_on_columns(slices[i], x[:, cols])
         # owners run density by density, so each density's columns are a block
         bounds = np.searchsorted(own, np.arange(n_d + 1) * n_e)
         for j in np.flatnonzero(np.diff(bounds)):
