@@ -149,17 +149,23 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
         if bad is not None:
             failed = bad
             error = NonFiniteValue("integrand is not finite on the support")
+        # an integral with no segments left has its final error at the floor
+        over = leftover[:failed] > tol[:failed]
+        if over.any():
+            over[owner] = False
+            if over.any():
+                failed = int(np.argmax(over))
+                error = QuadratureError(
+                    f"quadrature left {leftover[failed]:.2e} unresolved error "
+                    f"at the subdivision floor {min_width[failed]:.2e}"
+                )
+                live = owner < failed
+                lo, hi, owner = lo[live], hi[live], owner[live]
     else:
+        # refining at the last level: the depth cap comes before the floor
         if alive.size:
             failed = int(alive[0])
             error = QuadratureError("adaptive quadrature exceeded its depth limit")
-    over = np.flatnonzero(leftover[:failed] > tol[:failed])
-    if over.size:
-        k = int(over[0])
-        failed, error = k, QuadratureError(
-            f"quadrature left {leftover[k]:.2e} unresolved error at the "
-            f"subdivision floor {min_width[k]:.2e}"
-        )
     return total, (None if error is None else (failed, error))
 
 

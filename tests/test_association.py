@@ -42,7 +42,7 @@ from colombeau.geometry import (
 )
 from colombeau.manifold_maps import check_equivalent, single_chart_map
 from colombeau.nets import net_from_function
-from oracles import weak_integral_reference
+from oracles import adaptive_simpson_reference, weak_integral_reference
 
 LINE = euclidean_atlas(1)
 K1 = CompactSet("main", [(-1.0, 1.0)])
@@ -108,6 +108,15 @@ class TestQuadrature:
         with np.errstate(divide="ignore"):
             with pytest.raises(NonFiniteValue):
                 adaptive_simpson(lambda x: 1.0 / x[:, :1], -0.5, 0.5)
+
+    def test_depth_cap_raises_like_the_oracle(self):
+        # with no floor, the segment at the (finite) spike never settles
+        def spike(x):
+            return (np.abs(x - 0.3) + 1e-300) ** -0.5
+
+        for quad in (adaptive_simpson_reference, adaptive_simpson):
+            with pytest.raises(QuadratureError, match="depth limit"):
+                quad(spike, 0.0, 1.0, min_width=0.0)
 
 
 class TestMollifier:
@@ -204,6 +213,12 @@ class TestAssociatedZero:
 
 
 class TestShadow:
+    def test_no_densities_give_empty_reports(self):
+        zero = check_associated_zero(DELTA1, [])
+        assert (zero.ok, zero.rows) == (True, [])
+        shad = shadow(DELTA1, [])
+        assert (shad.converged, shad.rows, shad.max_residual) == (True, [], None)
+
     def test_delta_shadow_matches_density_values(self):
         rep = shadow(DELTA1, DENSITIES, candidate=nu_at_zero)
         assert rep.converged
@@ -584,6 +599,24 @@ class TestPairingErrorOrder:
                 check, net, [NEAR_DENSITY, FAR_DENSITY]
             )
             assert isinstance(err, QuadratureError)
+
+
+    def test_an_earlier_integral_that_fails_later_wins(self):
+        # density 0 leaves error at its floor at the last eps, density 1 at
+        # the first eps, whose coarser floor it reaches levels earlier
+        def fn(e, x):
+            if e < 2.0**-11.5:
+                return np.abs(x - 0.1234567) ** -0.5
+            if e > 0.2:
+                return np.abs(x - 2.0123457) ** -0.5
+            return 0.0 * x
+
+        net = net_from_function(fn, 1, 1, box=[(-3, 3)], label="two-spikes")
+        for check in (check_associated_zero, shadow):
+            err = self._assert_sequential_error(
+                check, net, [NEAR_DENSITY, FAR_DENSITY]
+            )
+            assert "subdivision floor" in str(err)
 
 
 def _counted(handle, counter, key):
