@@ -548,8 +548,8 @@ def partition_of_unity(atlas: Atlas, cores: Sequence[CompactSet]):
     box bump equal to 1 on core j and padded by half the core's width
     (less near the chart edge), and 0 where every bump vanishes.  The
     normalized sum is exactly 1 wherever some b_k > 0; a sampled point of
-    some core where all bumps vanish raises cover-gap.  Members of a multi-chart cover are normalized
-    through the declared transitions.
+    some core where all bumps vanish raises cover-gap.  Members of a
+    multi-chart cover are normalized through the declared transitions.
     """
     if not cores:
         raise CoverGap("empty cover")
