@@ -277,17 +277,18 @@ class GeodesicNet:
     def slice(self, eps: float) -> GeodesicSlice:
         return self.slices([eps])[0]
 
-    def component_net(self, name: str, feature_scale=None) -> Net:
+    def component_net(self, name: str) -> Net:
         """The named state component as a net over the u-interval; its
-        values only, with finite-difference jets.  ``feature_scale`` is the
-        net's feature windows per eps (see :class:`Net`)."""
+        values only, with finite-difference jets.  Its feature window at eps
+        is the pulse [-R eps, R eps], R the support radius."""
+        R = self.rho.support_radius
 
         def ev(e, u):
             return self.slice(e).component(u[..., 0], name)[..., None]
 
         return net_from_function(
             ev, 1, 1, box=[self.u_span], label=f"geodesic-{name}",
-            feature_scale=feature_scale,
+            feature_scale=lambda e: [(-R * e, R * e)],
         )
 
 
@@ -408,11 +409,9 @@ def kink_limit_study(
     # manifold wrapping for the c-boundedness and association checks
     u_atlas = euclidean_atlas(1)
     K = CompactSet("main", [window])
-    x_net = gnet.component_net(
-        "x",
-        feature_scale=lambda e: [(-rho.support_radius * e, rho.support_radius * e)],
+    x_map = ManifoldNet(
+        u_atlas, u_atlas, "main", "main", gnet.component_net("x"), "geodesic-x"
     )
-    x_map = ManifoldNet(u_atlas, u_atlas, "main", "main", x_net, "geodesic-x")
     kink_map = single_chart_map(
         u_atlas, u_atlas, lambda e, u: kink(u[..., 0])[..., None], label="kink"
     )
