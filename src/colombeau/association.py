@@ -149,18 +149,20 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
         if bad is not None:
             failed = bad
             error = NonFiniteValue("integrand is not finite on the support")
-        # an integral with no segments left has its final error at the floor
-        over = leftover[:failed] > tol[:failed]
-        if over.any():
-            over[owner] = False
-            if over.any():
-                failed = int(np.argmax(over))
+        over = np.flatnonzero(leftover[:failed] > tol[:failed])
+        if over.size:
+            # leftover never shrinks, so integral k is bound to raise and
+            # the integrals after it are not needed; once k has no segments
+            # left, its error at the floor is final
+            k = int(over[0])
+            live = owner <= k
+            lo, hi, owner = lo[live], hi[live], owner[live]
+            if not owner.size or owner[-1] < k:
+                failed = k
                 error = QuadratureError(
-                    f"quadrature left {leftover[failed]:.2e} unresolved error "
-                    f"at the subdivision floor {min_width[failed]:.2e}"
+                    f"quadrature left {leftover[k]:.2e} unresolved error "
+                    f"at the subdivision floor {min_width[k]:.2e}"
                 )
-                live = owner < failed
-                lo, hi, owner = lo[live], hi[live], owner[live]
     else:
         # refining at the last level: the depth cap comes before the floor
         if alive.size:

@@ -587,10 +587,10 @@ class TestPairingErrorOrder:
         assert "sustained growth" in str(err)
 
     def test_first_failing_density_wins_over_an_earlier_level(self):
-        # density 0 meets a non-integrable singularity at the last eps only;
+        # density 0 leaves error unresolved at the floor from eps = 2^-7 on;
         # density 1 is non-finite at the first level of every eps
         def fn(e, x):
-            spike = np.abs(x - 0.1234567) ** -0.5 if e < 2.0**-11.5 else 0.0 * x
+            spike = np.abs(x - 0.1234567) ** -0.9 if e < 0.01 else 0.0 * x
             return np.where(x < 1.0, spike, np.nan)
 
         net = net_from_function(fn, 1, 1, box=[(-3, 3)], label="spike-then-nan")
@@ -600,6 +600,22 @@ class TestPairingErrorOrder:
             )
             assert isinstance(err, QuadratureError)
 
+    def test_a_doomed_integral_still_refining_keeps_its_error(self):
+        # from eps = 2^-7 on, the spike inside the feature window reaches
+        # the floor levels before the one outside it, so the integral is
+        # over its tolerance while it still has segments to refine
+        def fn(e, x):
+            if e > 0.01:
+                return 0.0 * x
+            return np.abs(x - 0.3 * e) ** -0.5 + np.abs(x - 0.4) ** -0.5
+
+        net = net_from_function(
+            fn, 1, 1, box=[(-3, 3)], label="two-spikes-in-one",
+            feature_scale=lambda e: [(-e, e)],
+        )
+        for check in (check_associated_zero, shadow):
+            err = self._assert_sequential_error(check, net, [NEAR_DENSITY])
+            assert "subdivision floor" in str(err)
 
     def test_an_earlier_integral_that_fails_later_wins(self):
         # density 0 leaves error at its floor at the last eps, density 1 at
