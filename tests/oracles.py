@@ -13,7 +13,10 @@ per-offset finite-difference loop (for ``nets.finite_difference_jet``),
 the test-hom curve of a fiber net (for the order-0 fiber row of
 ``bundle_maps.check_vb_moderate``), the per-slice geodesic solver in
 the wave's own parameter u (for the stacked ``ppwave.solve_geodesic``),
-and adaptive Simpson refined one integral at a time, with the weak
+a slice's states read from scipy's dense output of its stack and the
+stacked right-hand side built by ``np.stack`` (for the dense-output
+kernel of ``ppwave.GeodesicSlice.states`` and the rhs of
+``ppwave.regularized_geodesic_system``), and adaptive Simpson refined one integral at a time, with the weak
 pairing built on it (for the pairings of
 ``association.check_associated_zero`` and ``association.shadow``)."""
 
@@ -635,6 +638,55 @@ def solve_geodesic_per_slice(profile, rho, eps, init, u_span):
               - st[:, 3] + st[:, 4] ** 2 + st[:, 5] ** 2)
     slice_.energy_drift = float(np.max(np.abs(energy[1:] - energy[0])))
     return slice_
+
+
+def slice_states_reference(slice_, sol, i, n, us):
+    """States of slice ``i`` of a stack of ``n`` slices at ``us``, read as
+    ``ppwave.GeodesicSlice.states`` read them from the stack's scipy
+    ``OdeSolution`` ``sol``: straight lines off the pulse, ``sol`` at
+    s = u/eps across it."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    u0, u1 = slice_.u_span
+    lo, hi = sorted(slice_.u_span)
+    if np.any(us < lo - 1e-12) or np.any(us > hi + 1e-12):
+        raise OutsideDomain("query outside the integrated u-interval")
+    sgn = 1.0 if u1 > u0 else -1.0
+    w = sgn * us
+    ahead = w < -slice_.radius
+    behind = w >= slice_.radius
+    inside = ~(ahead | behind)
+    out = np.empty(us.shape + (6,))
+    for mask, state, anchor in ((ahead, slice_.init, u0),
+                                (behind, slice_.exit_state, sgn * slice_.radius)):
+        line = np.tile(state, (mask.sum(), 1))
+        line[:, :3] += state[3:] * (us[mask] - anchor)[:, None]
+        out[mask] = line
+    if np.any(inside):
+        out[inside] = sol(us[inside] / slice_.eps)[i + n * np.arange(6)].T
+    return out
+
+
+def geodesic_rhs_stacked_reference(profile, rho, eps_values):
+    """The stacked right-hand side d/ds of ``ppwave.regularized_geodesic_system``
+    with the transverse points built by ``np.stack`` and the three
+    position rows scaled one by one."""
+    eps = np.atleast_1d(np.asarray(eps_values, dtype=float))
+    value = profile.f.eval_fn
+    grad = profile.f.jet_impl
+
+    def rhs(s, state):
+        v, x, y, vd, xd, yd = np.asarray(state, dtype=float).reshape(6, -1)
+        D, Dp = rho.pulse_at(s)
+        p = np.stack([x, y], axis=-1)
+        f = value(p)[:, 0]
+        fx = grad(p, (1, 0), 1e-6)[:, 0]
+        fy = grad(p, (0, 1), 1e-6)[:, 0]
+        return np.concatenate([
+            eps * vd, eps * xd, eps * yd,
+            Dp * f / eps + 2.0 * D * (fx * xd + fy * yd), 0.5 * D * fx, 0.5 * D * fy,
+        ])
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from colombeau import ppwave
 from colombeau.asymptotics import EpsGrid
 from colombeau.association import sharp_mollifier, standard_mollifier
@@ -23,8 +25,10 @@ from colombeau.ppwave import (
 )
 from oracles import (
     christoffel_fd,
+    geodesic_rhs_stacked_reference,
     mollifier_profile_jet,
     ppwave_metric,
+    slice_states_reference,
     solve_geodesic_per_slice,
 )
 
@@ -183,6 +187,30 @@ class TestRhsBits:
                         u_rhs = self._formula(SADDLE, rho, eps, eps * s, state)
                         assert _same_bits(got, [eps * w for w in u_rhs]), (rho.id, eps, s)
 
+    def test_rhs_equals_the_stacked_reference(self):
+        # against the rhs that stacked the transverse points with np.stack
+        # and scaled the position rows one by one; the profile without a
+        # jet rule takes its gradient by finite_difference_jet on the points
+        def ev(p):
+            return (np.sin(p[..., 0]) * p[..., 1] + 0.3 * p[..., 0] ** 2)[..., None]
+
+        fd_profile = PPWaveProfile(make_handle(ev, 2, 1, name="wavy"))
+        rng = np.random.default_rng(5)
+        for profile in (SADDLE, fd_profile):
+            for rho, _, _ in _pulse_shapes():
+                R = rho.support_radius
+                for epsilons in ([2.0**-7], list(EpsGrid.dyadic(6, 12))):
+                    n = len(epsilons)
+                    got = regularized_geodesic_system(profile, rho, epsilons)
+                    want = geodesic_rhs_stacked_reference(profile, rho, epsilons)
+                    # inside the support, and outside it, where pulse_at
+                    # returns (0.0, 0.0)
+                    for s in [0.0, *rng.uniform(-R, R, 6), 1.5 * R, -R]:
+                        state = np.concatenate([
+                            rng.uniform(-1.0, 1.0, 3 * n), rng.uniform(-2.0, 2.0, 3 * n)
+                        ])
+                        assert _same_bits(got(s, state), want(s, state)), (rho.id, n, s)
+
     def test_edges_take_the_zero_branch(self):
         for rho, _, _ in _pulse_shapes():
             R = rho.support_radius
@@ -244,6 +272,57 @@ class TestStackedAgainstPerSlice:
         # than the per-slice solve's
         worst = [self._compare(*self.CASES[wide.id]) for wide, _, _ in _pulse_shapes()]
         assert max(d for d, _ in worst) <= max(d for _, d in worst)
+
+
+class TestSliceKernel:
+    """``GeodesicSlice.states`` against the stack's scipy ``OdeSolution``
+    (``oracles.slice_states_reference``), bit for bit: every step point,
+    both pulse edges, the pulse centre, dense interior points and the
+    lines on both sides, in both traversal directions."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        sols = []
+
+        def capturing(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            sols.append(sol.sol)
+            return sol
+
+        monkeypatch.setattr(ppwave, "solve_ivp", capturing)
+        return sols
+
+    @staticmethod
+    def _assert_same(slices, sol, span):
+        n = len(slices)
+        for i, sl in enumerate(slices):
+            r = sl.radius
+            # the step points in u: exact step points of s for dyadic eps
+            us = np.concatenate([
+                sol.ts * sl.eps, [-r, 0.0, r], np.linspace(-r, r, 10001),
+                np.linspace(span[0], span[1], 101),
+            ])
+            got = sl.states(us)
+            want = slice_states_reference(sl, sol, i, n, us)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (sl.eps, i)
+
+    @pytest.mark.parametrize("span", [SPAN, SPAN[::-1]])
+    def test_kink_pulses_and_the_defect_datum(self, monkeypatch, span):
+        sols = self._capture(monkeypatch)
+        cases = [(wide, REST_AT_X1) for wide, _, _ in _pulse_shapes()]
+        cases.append((sharp_mollifier(), KD0))
+        for rho, init in cases:
+            slices = solve_geodesic(SADDLE, rho, list(TestKinkStudy.GRID), init, span)
+            self._assert_same(slices, sols[-1], span)
+        assert len(sols) == len(cases)
+
+    @pytest.mark.parametrize("span", [SPAN, SPAN[::-1]])
+    def test_one_slice_stack_off_the_grid(self, monkeypatch, span):
+        sols = self._capture(monkeypatch)
+        net = GeodesicNet(SADDLE, RHO, REST_AT_X1, span)
+        sl = net.slice(0.0123)
+        assert len(sols) == 1
+        self._assert_same([sl], sols[0], span)
 
 
 class TestSolver:
