@@ -119,14 +119,16 @@ def regularized_geodesic_system(profile: PPWaveProfile, rho: Mollifier, eps_valu
     grad = profile.f.jet_impl
 
     def rhs(s, state):
-        v, x, y, vd, xd, yd = np.asarray(state, dtype=float).reshape(6, -1)
+        st = np.asarray(state, dtype=float).reshape(6, -1)
+        xd, yd = st[4], st[5]
         D, Dp = rho.pulse_at(s)
-        p = np.stack([x, y], axis=-1)
+        # the transverse points (x, y) as a view, one row per eps
+        p = st[1:3].T
         f = value(p)[:, 0]
         fx = grad(p, (1, 0), 1e-6)[:, 0]
         fy = grad(p, (0, 1), 1e-6)[:, 0]
         return np.concatenate([
-            eps * vd, eps * xd, eps * yd,
+            (eps * st[3:]).ravel(),
             Dp * f / eps + 2.0 * D * (fx * xd + fy * yd), 0.5 * D * fx, 0.5 * D * fy,
         ])
 
@@ -144,20 +146,60 @@ def _line(state, anchor, us):
     return out
 
 
+@dataclass(frozen=True)
+class StepPolynomials:
+    """The DOP853 dense output of one solve as arrays: step points ``ts``,
+    the state ``y0`` at the start of each step, the steps ``h`` and the
+    7-term interpolant coefficients ``F`` of each step, of shapes
+    (n_seg + 1,), (n_seg, m), (n_seg,) and (n_seg, 7, m).
+
+    Called on points t, it evaluates every point in one pass, with the
+    segment choice of scipy's ``OdeSolution`` and the operations of
+    ``Dop853DenseOutput`` in their order, so the values are scipy's bit
+    for bit."""
+
+    ts: np.ndarray
+    y0: np.ndarray
+    h: np.ndarray
+    F: np.ndarray
+
+    def take(self, rows) -> "StepPolynomials":
+        """The polynomials of the state components ``rows`` alone."""
+        return StepPolynomials(self.ts, self.y0[:, rows], self.h, self.F[:, :, rows])
+
+    def __call__(self, t):
+        """States at the points t, shape (t.size, m)."""
+        n_seg = self.h.size
+        # a step point belongs to the step that ends there
+        if self.ts[-1] >= self.ts[0]:
+            seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, n_seg - 1)
+        else:
+            seg = np.clip(np.searchsorted(self.ts[::-1], t, side="right") - 1, 0, n_seg - 1)
+            seg = n_seg - 1 - seg
+        x = ((t - self.ts[seg]) / self.h[seg])[:, None]
+        F = self.F[seg]
+        y = np.zeros((t.size, F.shape[2]))
+        for i in range(F.shape[1]):
+            y += F[:, -1 - i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y0[seg]
+        return y
+
+
 @dataclass
 class GeodesicSlice:
     """One eps-slice: exact straight lines off the pulse [-radius, radius],
     through ``init`` at u_span[0] before it and through ``exit_state`` at
-    the edge where the traversal leaves it; across it, the rows ``rows`` of
-    ``pulse``, the dense output in s = u/eps of the stack it was solved in."""
+    the edge where the traversal leaves it; across it, ``pulse``, the
+    slice's six rows of the DOP853 step polynomials in s = u/eps of the
+    stack it was solved in."""
 
     eps: float
     u_span: tuple
     init: np.ndarray
     exit_state: np.ndarray
     radius: float
-    pulse: Callable
-    rows: np.ndarray
+    pulse: StepPolynomials
     energy_drift: float
 
     def states(self, us):
@@ -177,7 +219,7 @@ class GeodesicSlice:
         out[ahead] = _line(self.init, u0, us[ahead])
         out[behind] = _line(self.exit_state, sgn * self.radius, us[behind])
         if np.any(inside):
-            out[inside] = self.pulse(us[inside] / self.eps)[self.rows].T
+            out[inside] = self.pulse(us[inside] / self.eps)
         return out
 
     def component(self, us, name):
@@ -236,10 +278,15 @@ def solve_geodesic(
     if not sol.success:
         raise NonFiniteValue(f"integrator failed across the pulse: {sol.message}")
     exit_states = sol.y[:, -1].reshape(6, n)
+    polys = StepPolynomials(
+        sol.t, sol.y[:, :-1].T, np.diff(sol.t),
+        np.stack([step.F for step in sol.sol.interpolants]),
+    )
 
-    # drift of g(X', X') from its value off the pulse, over probes across it
+    # drift of g(X', X') on the dense output from its value off the pulse,
+    # over probes across it
     ss = np.linspace(-R, R, 65)
-    st = sol.sol(ss).reshape(6, n, ss.size)
+    st = polys(ss).T.reshape(6, n, ss.size)
     D = rho.profile(ss[:, None])[:, 0] / eps[:, None]
     energy = (D * profile.value(np.stack([st[1], st[2]], axis=-1))
               - st[3] + st[4] ** 2 + st[5] ** 2)
@@ -248,7 +295,7 @@ def solve_geodesic(
 
     return [
         GeodesicSlice(float(e), (u0, u1), state, exit_states[:, i].copy(), float(r[i]),
-                      sol.sol, i + n * np.arange(6), float(drift[i]))
+                      polys.take(i + n * np.arange(6)), float(drift[i]))
         for i, e in enumerate(eps)
     ]
 

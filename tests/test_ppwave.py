@@ -325,6 +325,24 @@ class TestSliceKernel:
         self._assert_same([sl], sols[0], span)
 
 
+class TestDenseOutputCalls:
+    def test_a_kink_study_makes_no_scipy_dense_output_call(self, monkeypatch):
+        # the slices evaluate the stored step polynomials themselves; scipy's
+        # per-step interpolant was called 949 times by this study
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        calls = []
+        call_impl = Dop853DenseOutput._call_impl
+
+        def counted(self, t):
+            calls.append(t)
+            return call_impl(self, t)
+
+        monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counted)
+        assert kink_limit_study(SADDLE, RHO, REST_AT_X1, EpsGrid.dyadic(6, 12))
+        assert calls == []
+
+
 class TestSolver:
     def test_free_motion_is_exact(self):
         s, = solve_geodesic(flat_profile(), RHO, [0.1], (0.0, 0.3, 0.0, 0.0, 1.0, 0.0), SPAN)
