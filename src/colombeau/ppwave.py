@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -169,13 +169,11 @@ class StepPolynomials:
 
     def __call__(self, t):
         """States at the points t, shape (t.size, m)."""
-        n_seg = self.h.size
-        # a step point belongs to the step that ends there
-        if self.ts[-1] >= self.ts[0]:
-            seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, n_seg - 1)
-        else:
-            seg = np.clip(np.searchsorted(self.ts[::-1], t, side="right") - 1, 0, n_seg - 1)
-            seg = n_seg - 1 - seg
+        # a step point belongs to the step that ends there; a descending
+        # solve is searched on the negated, ascending step points, which is
+        # OdeSolution's side="right" search on the reversed ones
+        d = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        seg = np.clip(np.searchsorted(d * self.ts, d * t, side="left") - 1, 0, self.h.size - 1)
         x = ((t - self.ts[seg]) / self.h[seg])[:, None]
         F = self.F[seg]
         y = np.zeros((t.size, F.shape[2]))
@@ -245,7 +243,9 @@ def solve_geodesic(
     rtol is _RTOL/sqrt(6n): scipy's error norm is a root mean square over
     the 6n stacked components, and the factor restores the per-component
     bound.  Each outgoing line starts at the pulse edge from the stack's
-    end state.
+    end state.  The stack's dense output is kept as ``StepPolynomials``,
+    its coefficients read from scipy's interpolants, and each slice keeps
+    its own six rows of them.
     """
     u0, u1 = float(u_span[0]), float(u_span[1])
     if u1 == u0:
@@ -375,6 +375,10 @@ class KinkReport:
     vdot_growth: str
     flags: list
     energy_drift: float
+    """The worst drift of g(X', X') from its value off the pulse over the
+    slices, read on the dense-output interpolant at 65 probes across the
+    pulse, not at the accepted steps: it measures the interpolant as much
+    as the integration."""
     net: GeodesicNet
 
     def __bool__(self):

@@ -306,6 +306,29 @@ class TestSliceKernel:
             want = slice_states_reference(sl, sol, i, n, us)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (sl.eps, i)
 
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_segment_choice_on_polynomials_that_jump_at_every_step(self, direction):
+        # random coefficients and start states: neighbouring steps disagree
+        # at their common point, so only scipy's segment choice gives its bits
+        from scipy.integrate._ivp.common import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        rng = np.random.default_rng(3)
+        ts = direction * np.cumsum(np.r_[-1.0, rng.uniform(0.05, 0.3, 12)])
+        y0 = rng.standard_normal((12, 5))
+        F = rng.standard_normal((12, 7, 5))
+        scipy_sol = OdeSolution(ts, [
+            Dop853DenseOutput(ts[i], ts[i + 1], y0[i], F[i]) for i in range(12)
+        ])
+        polys = ppwave.StepPolynomials(ts, y0, np.diff(ts), F)
+        t = np.concatenate([ts, rng.uniform(ts.min(), ts.max(), 200),
+                            [ts.min() - 0.1, ts.max() + 0.1]])
+        want = np.ascontiguousarray(scipy_sol(t).T)
+        assert np.array_equal(polys(t).view(np.int64), want.view(np.int64))
+        rows = [4, 0, 2]
+        assert np.array_equal(polys.take(rows)(t).view(np.int64),
+                              want[:, rows].view(np.int64))
+
     @pytest.mark.parametrize("span", [SPAN, SPAN[::-1]])
     def test_kink_pulses_and_the_defect_datum(self, monkeypatch, span):
         sols = self._capture(monkeypatch)
