@@ -18,7 +18,7 @@ It then prints every line of ``src/colombeau`` that holds code and was never
 entered, as ``file:line: source``, grouped by the function it sits in.  Such
 a line guards no verdict of any caller: delete it, give it a caller, or say
 why it stays.  All output files go to a temporary directory.  A run took
-about 17 s on a shared 2-CPU x86_64 host.
+about 9.5 s on a shared 2-CPU x86_64 host.
 """
 
 import contextlib
