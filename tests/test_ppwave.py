@@ -4,7 +4,6 @@ import csv
 
 import numpy as np
 import pytest
-
 from scipy.integrate import solve_ivp
 
 from colombeau import ppwave
@@ -278,7 +277,8 @@ class TestSliceKernel:
     """``GeodesicSlice.states`` against the stack's scipy ``OdeSolution``
     (``oracles.slice_states_reference``), bit for bit: every step point,
     both pulse edges, the pulse centre, dense interior points and the
-    lines on both sides, in both traversal directions."""
+    lines on both sides, in both traversal directions; and the segment
+    choice on steps whose polynomials jump where they meet."""
 
     @staticmethod
     def _capture(monkeypatch):
