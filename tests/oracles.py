@@ -18,7 +18,11 @@ stacked right-hand side built by ``np.stack`` (for the dense-output
 kernel of ``ppwave.GeodesicSlice.states`` and the rhs of
 ``ppwave.regularized_geodesic_system``), and adaptive Simpson refined one integral at a time, with the weak
 pairing built on it (for the pairings of
-``association.check_associated_zero`` and ``association.shadow``)."""
+``association.check_associated_zero`` and ``association.shadow``), and
+the checkers' per-eps loops: the sup curve, the c-boundedness report, the
+distance and bank-difference curves and the fiber test-hom route (for the
+stacked evaluation over the eps grid in ``manifold_maps`` and
+``bundle_maps``)."""
 
 import itertools
 import math
@@ -32,6 +36,7 @@ from colombeau.errors import (
     AtlasMismatch,
     ConfigError,
     DimensionMismatch,
+    ImageEscapesAtlas,
     NoMetric,
     NonFiniteValue,
     OutsideDomain,
@@ -43,16 +48,25 @@ from colombeau.geometry import (
     _lattice,
     _radial_profile_handle,
     box_contains,
+    chord_distance,
+    inside_box,
     make_box_bump,
     make_bump,
     make_handle,
     sample_box,
 )
-from colombeau.manifold_maps import _check_points, _sup_abs, check_cbounded
+from colombeau.manifold_maps import (
+    CBoundedReport,
+    _check_points,
+    _sup_abs,
+    _witness_region,
+    check_cbounded,
+)
 from colombeau.nets import (
     _FD_NOISE_C,
     _RICHARDSON_LEVELS,
     SmoothMapHandle,
+    fd_step,
     handle_compose,
     order,
 )
@@ -770,3 +784,153 @@ def weak_integral_reference(u, nu, eps):
         min_width=min(eps / 8.0, b - a) * 2.0**-30,
         pre_split=splits,
     )
+
+
+# ---------------------------------------------------------------------------
+# the checker loops, one small numpy call per eps
+
+
+def sup_abs(vals) -> float:
+    """Sup of |vals|, with any non-finite entry collapsing to inf."""
+    a = np.abs(np.asarray(vals, dtype=float))
+    if a.size == 0:
+        return 0.0
+    if not np.all(np.isfinite(a)):
+        return float("inf")
+    return float(np.max(a))
+
+
+def sup_diff(a_vals, b_vals) -> float:
+    """Sup |a - b|, differences within 4 ulps of the operands' magnitude
+    counted as measured zeros; a non-finite entry gives inf."""
+    a = np.asarray(a_vals, dtype=float)
+    b = np.asarray(b_vals, dtype=float)
+    if a.size == 0:
+        return 0.0
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return float("inf")
+    d = float(np.max(np.abs(a - b)))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return 0.0 if d <= 4.0 * np.finfo(float).eps * scale else d
+
+
+def _index_tuples(dim, k):
+    if k == 0:
+        yield (0,) * dim
+        return
+    for combo in itertools.combinations_with_replacement(range(dim), k):
+        alpha = [0] * dim
+        for c in combo:
+            alpha[c] += 1
+        yield tuple(alpha)
+
+
+def sup_curve(grid, k, pts, slices, step=fd_step, diff=None):
+    """Order-k sup curve, eps by eps: ``slices(eps)`` is a tuple of one or
+    two slice handles, ``pts`` an array or a function eps -> points, the
+    jet step ``step(eps)``; a pair is measured by ``diff(a, b)`` (scalar)
+    when given, else by the sup of |a - b|."""
+    curve = []
+    for eps in grid:
+        x = pts(eps) if callable(pts) else pts
+        hs = slices(eps)
+        h = step(eps)
+        sup = 0.0
+        for alpha in _index_tuples(hs[0].dim_in, k):
+            j = [s.jet(x, alpha, h) for s in hs]
+            if diff is not None:
+                sup = max(sup, diff(*j))
+            else:
+                sup = max(sup, sup_abs(j[0] if len(j) == 1 else j[0] - j[1]))
+        curve.append(sup)
+    return curve
+
+
+def cbounded_report(u, K, grid):
+    """``check_cbounded``'s report, computed eps by eps."""
+    pts = _check_points(K)
+    tgt_chart = None
+    finite_rows = []
+    mags = []
+    escape_eps = None
+    for eps in grid:
+        tgt, y = u.eval(eps, pts, K.chart_id)
+        tgt_chart = tgt
+        finite = np.all(np.isfinite(y), axis=-1)
+        if np.any(finite):
+            finite_rows.append(y[finite])
+            mags.append(float(np.max(np.abs(y[finite]))))
+        else:
+            mags.append(math.inf)
+        inside = np.all(finite) and np.all(
+            inside_box(u.target.chart(tgt).box, y, 1e-9)
+        )
+        if not inside and escape_eps is None:
+            escape_eps = eps
+
+    if not finite_rows:
+        raise ImageEscapesAtlas(
+            f"{u.label or 'net'} produces no finite images on the grid"
+        )
+
+    diagnostics: dict = {"grid": grid, "samples": len(pts)}
+    if escape_eps is not None:
+        diagnostics["escape_eps"] = escape_eps
+
+    half = len(mags) // 2
+    growing = max(mags[half:]) > 100.0 * (max(mags[:half]) + 1.0)
+    ok = escape_eps is None and not growing
+    if growing:
+        diagnostics["growth_ratio"] = max(mags[half:]) / (max(mags[:half]) + 1.0)
+
+    witness = (
+        _witness_region(u.target, tgt_chart, np.vstack(finite_rows)) if ok else None
+    )
+    return CBoundedReport(ok, witness, diagnostics)
+
+
+def distance_curve(u, v, pts, src, grid):
+    """Per eps, the sup over the points (an array, or a function eps ->
+    points) of the chord distance between the images of u and v."""
+    curve = []
+    for eps in grid:
+        x = pts(eps) if callable(pts) else pts
+        t_u, yu = u.eval(eps, x, src)
+        yv = v.image_in(eps, x, t_u, src)
+        curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
+    return curve
+
+
+def bank_difference_curves(u, v, bank, src, grid, pts):
+    """(test label, 0, sup curve of |f(u_eps) - f(v_eps)|) per bank test f,
+    the bank evaluated on each net's image eps by eps."""
+    order0 = []
+    for eps in grid:
+        x = np.asarray(pts(eps) if callable(pts) else pts, dtype=float)
+        yu = u.handle(eps, src)[1].eval_fn(x)
+        yv = v.handle(eps, src)[1].eval_fn(x)
+        a = np.abs(bank.eval(yu) - bank.eval(yv))
+        finite = np.all(np.isfinite(a), axis=1)
+        order0.append(np.where(finite, np.max(a, axis=1, initial=0.0), np.inf))
+    curves = np.transpose(order0).tolist()
+    return [(label, 0, curve) for label, curve in zip(bank.labels, curves)]
+
+
+def fiber_test_hom_route_curve(u, v, cutoff, pts, src, grid):
+    """The test-hom route of fiber equivalence, eps by eps: the sup over
+    the points of the cutoff at each net's base image times its fiber,
+    differenced (``sup_diff``).  ``cutoff`` is the bump of
+    ``bundle_maps._fiber_cutoff`` and ``chart`` its witness chart."""
+    net_u, net_v = u.fiber, v.fiber
+    fiber_axes = (1,) * len(net_u.fiber_shape)
+    curve = []
+    for eps in grid:
+        chi_u = cutoff(u.base_net, eps)
+        chi_v = cutoff(v.base_net, eps)
+        Fu = fiber_values(net_u, eps, pts)
+        Fv = fiber_values(net_v, eps, pts)
+        curve.append(sup_diff(
+            chi_u.reshape(chi_u.shape + fiber_axes) * Fu,
+            chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
+        ))
+    return curve
