@@ -37,6 +37,7 @@ from .manifold_maps import (
     _check_points,
     _coordinate_curves,
     _distance_curve,
+    _stack_points,
     _witness_union,
     check_cbounded,
     check_moderate,
@@ -515,7 +516,8 @@ def check_k_associated(
     rows = []
 
     # features that concentrate as eps shrinks slip between fixed sample
-    # points; each net's declared feature windows are sampled per eps
+    # points; each net's declared feature windows are sampled per eps, and
+    # the point sets stacked over the grid
     lo_K, hi_K = K.box[:, 0], K.box[:, 1]
 
     def pts_at(eps):
@@ -533,16 +535,17 @@ def check_k_associated(
     cbu, cbv = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
     bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
 
+    pts = _stack_points(grid, pts_at)
     for label, order, curve in _bank_difference_curves(
-        u, v, bank, src, grid, pts_at
-    ) + _coordinate_curves((u, v), range(1, k + 1), src, grid, pts_at):
+        u, v, bank, src, grid, pts
+    ) + _coordinate_curves((u, v), range(1, k + 1), src, grid, pts):
         ok, _, final = _tends_to_zero(curve, grid, assoc_tol)
         rows.append((label, order, ok, final))
     route_bank = all(ok for _, _, ok, _ in rows)
 
     route_distance = None
     if k == 0:
-        curve = _distance_curve(u, v, pts_at, src, grid)
+        curve = _distance_curve(u, v, pts, src, grid)
         route_distance = _tends_to_zero(curve, grid, assoc_tol)[0]
         if route_distance != route_bank:
             raise InconsistentRoutes(

@@ -59,6 +59,8 @@ from .manifold_maps import (
     _check_points,
     _combine_verdicts,
     _distance_curve,
+    _memo,
+    _stack_points,
     _sup_curve,
     _sup_diff,
     _witness_union,
@@ -123,6 +125,10 @@ class FiberNet:
     chart: str
     fiber: Net
     label: str = ""
+    # _fiber_moderate reports; see manifold_maps._memo
+    _reports: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         m_out = self.target.fiber_dim
@@ -290,14 +296,16 @@ def vb_points_equivalent(
     """Base distance negligible and, where the bases co-locate, fiber
     difference negligible."""
     grid = grid or EpsGrid.default()
-    base_curve, fiber_curve = [], []
+    base_curve, fibers_p, fibers_q = [], [], []
     for eps in grid:
         cp, xp, fp = p.at(eps)
         cq, xq, fq = q.at(eps)
         if cp != cq:
             fq = vb.fiber_transition(cq, cp, xq) @ fq
         base_curve.append(point_distance(vb.base, cp, xp, cq, xq))
-        fiber_curve.append(_sup_diff(fp, fq))
+        fibers_p.append(fp)
+        fibers_q.append(fq)
+    fiber_curve = _sup_diff(fibers_p, fibers_q).tolist()
     return negligible_to_resolution(base_curve, grid) and negligible_to_resolution(
         fiber_curve, grid
     )
@@ -342,13 +350,13 @@ def _fiber_step(eps, k):
     return h
 
 
-def _fiber_cutoff(atlas, witness: CompactSet, pts, src):
+def _fiber_cutoff(atlas, witness: CompactSet):
     """Cutoff of the compactly supported test homs, a test hom being the
     cutoff at the base image times the chart trivialization.
 
     The cutoff is a bump centred on the witness box, 1 on a ball around it
-    and supported inside the witness chart of ``atlas``.  Returns
-    ``(base_net, eps) -> cutoff`` at the base images of ``pts``."""
+    and supported inside the witness chart of ``atlas``; it is returned as
+    a handle on that chart's coordinates."""
     chart = atlas.chart(witness.chart_id)
     gap = witness.validate_inside(chart)
     box = witness.box
@@ -356,16 +364,12 @@ def _fiber_cutoff(atlas, witness: CompactSet, pts, src):
     pad = min(0.45 * gap, 0.25 * scale)
     r_out = min(0.5 * scale + pad, 0.9 * gap + 0.5 * scale)
     center = 0.5 * (box[:, 0] + box[:, 1])
-    bump = geometry.make_bump(center, 0.6 * r_out, r_out, box=chart.box)
-
-    def at_base(base_net, eps):
-        return bump(base_net.image_in(eps, pts, witness.chart_id, src))[..., 0]
-
-    return at_base
+    return geometry.make_bump(center, 0.6 * r_out, r_out, box=chart.box)
 
 
 def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
-    """Base moderateness plus fiber classification.
+    """Base moderateness plus fiber classification, memoized on ``u`` per
+    (L, grid, k_max) as ``check_moderate`` is.
 
     The fiber has one row ``(k, verdict)`` per order k <= ``k_max``, from
     the sup over L of the entrywise jets of the chart fibers; the combined
@@ -375,16 +379,18 @@ def _fiber_moderate(u: FiberNet, L, k_max, grid) -> VBModerateReport:
     the base's c-boundedness witness, where the cutoff is 1, it is that row
     in an equivalent norm.
     """
-    grid = grid or EpsGrid.default()
+    return _memo(u, _fiber_moderate_report, L, grid or EpsGrid.default(), k_max)
+
+
+def _fiber_moderate_report(u: FiberNet, L, grid, k_max) -> VBModerateReport:
     base_report = check_moderate(u.base_net, L, k_max=k_max, grid=grid)
     pts = _check_points(L)
-    net = u.fiber
+    fiber = (u.fiber.at_grid(grid),)
 
     fiber_verdicts = []
     for k in range(k_max + 1):
         curve = _sup_curve(
-            grid, k, pts, lambda eps: (net.at(eps),),
-            step=lambda eps: _fiber_step(eps, k),
+            grid, k, pts, fiber, step=lambda eps: _fiber_step(eps, k),
         )
         fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
 
@@ -462,28 +468,18 @@ def _fiber_equivalent(
     witness = _witness_union(mu.witness, mv.witness)
     pts = _check_points(L)
     src = L.chart_id
-    net_u, net_v = u.fiber, v.fiber
+    fibers = (u.fiber.at_grid(grid), v.fiber.at_grid(grid))
 
     route_chart = all([
         negligible_to_resolution(_sup_curve(
-            grid, k, pts, lambda eps: (net_u.at(eps), net_v.at(eps)),
+            grid, k, pts, fibers,
             step=lambda eps: _fiber_step(eps, k), diff=_sup_diff,
         ), grid)
         for k in range(derivative_order + 1)
     ])
 
-    cutoff = _fiber_cutoff(u.target.base, witness, pts, src)
-    fiber_axes = (1,) * len(net_u.fiber_shape)
-    curve = []
-    for eps in grid:
-        chi_u = cutoff(u.base_net, eps)
-        chi_v = cutoff(v.base_net, eps)
-        Fu = fiber_values(net_u, eps, pts)
-        Fv = fiber_values(net_v, eps, pts)
-        curve.append(_sup_diff(
-            chi_u.reshape(chi_u.shape + fiber_axes) * Fu,
-            chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
-        ))
+    cutoff = _fiber_cutoff(u.target.base, witness)
+    curve = _test_hom_curve(u, v, cutoff, witness.chart_id, pts, src, grid)
     route_bank = negligible_to_resolution(curve, grid)
 
     if route_chart != route_bank:
@@ -494,6 +490,20 @@ def _fiber_equivalent(
     return VBEquivalenceReport(
         route_chart, base_report, route_chart, route_bank, diagnostics=diagnostics
     )
+
+
+def _test_hom_curve(u: FiberNet, v: FiberNet, cutoff, chart, pts, src, grid):
+    """Per eps, the sup over the points of the difference of the two test
+    homs: the ``cutoff`` at each net's base image (in ``chart``) times its
+    fiber, measured by :func:`_sup_diff`."""
+    x = _stack_points(grid, pts)
+    fiber_axes = (1,) * len(u.fiber.fiber_shape)
+    tested = []
+    for w in (u, v):
+        chi = cutoff(w.base_net.images_in(grid, x, chart, src))[..., 0]
+        F = w.fiber.at_grid(grid)(x).reshape(chi.shape + w.fiber.fiber_shape)
+        tested.append(chi.reshape(chi.shape + fiber_axes) * F)
+    return _sup_diff(*tested).tolist()
 
 
 def check_vb_equivalent(
@@ -530,7 +540,7 @@ def _quick_moderate_guard(net: Net, box, label: str):
     mid = 0.5 * (box[:, :1] + box[:, 1:])
     pts = sample_box(mid + 0.8 * (box - mid), 4)
     grid = EpsGrid.dyadic(4, 9)
-    curve = _sup_curve(grid, 0, pts, lambda eps: (net.at(eps),))
+    curve = _sup_curve(grid, 0, pts, (net.at_grid(grid),))
     verdict = estimate_growth_order(curve, grid)
     if verdict.classification == NEITHER:
         raise NotModerate(f"composed fiber net {label!r} fails moderateness")
@@ -633,17 +643,13 @@ def check_hybrid_pointvalues(
 def _adversarial_hybrid_point(u, v, L, grid) -> GeneralizedManifoldPoint:
     """Point chasing the per-eps worst base-plus-fiber gap over sampled L."""
     pts = _check_points(L)
-    src = L.chart_id
-    net_u, net_v = u.fiber, v.fiber
-    gaps = {}
-    for eps in grid:
-        su = fiber_values(net_u, eps, pts)
-        sv = fiber_values(net_v, eps, pts)
-        gap = _base_gap(u.base_net, v.base_net, pts, src, eps) + np.max(
-            np.abs(su - sv).reshape(len(pts), -1), axis=-1
-        )
-        gaps[eps] = np.where(np.isfinite(gap), gap, np.inf)
-    return _argmax_point(gaps, pts, L)
+    x = _stack_points(grid, pts)
+    su = u.fiber.at_grid(grid)(x)
+    sv = v.fiber.at_grid(grid)(x)
+    gap = _base_gap(u.base_net, v.base_net, pts, L.chart_id, grid) + np.max(
+        np.abs(su - sv), axis=-1
+    )
+    return _argmax_point(np.where(np.isfinite(gap), gap, np.inf), grid, pts, L)
 
 
 # ---------------------------------------------------------------------------

@@ -633,8 +633,8 @@ class TestBank:
     box bump), ``x{i}*cutoff`` per chart coordinate i, then the radial
     bumps ``bump-big-*`` and ``bump-small-*``, one row of ``centers`` and
     of the squared radii columns ``r0_sq`` (inner) and ``r1_sq`` (outer)
-    each.  ``eval(y)`` returns all tests at the points ``y`` (n_pts, n) as
-    one (n_tests, n_pts) array: one plateau evaluation, its products with
+    each.  ``eval(y)`` returns all tests at the points ``y`` (..., n) as
+    one (n_tests, ...) array: one plateau evaluation, its products with
     the coordinates, and one profile evaluation of all bumps.
     """
 
@@ -649,9 +649,12 @@ class TestBank:
 
     def eval(self, y):
         cut = self.plateau.eval_fn(y)
-        q = np.sum((y - self.centers[:, None, :]) ** 2, axis=-1)
-        bumps = _profile_value(q, self.r0_sq, self.r1_sq)
-        return np.vstack([cut.T, (cut * y).T, bumps])
+        lead = (len(self.centers),) + (1,) * (y.ndim - 1)
+        q = np.sum((y - self.centers.reshape(lead + y.shape[-1:])) ** 2, axis=-1)
+        bumps = _profile_value(q, self.r0_sq.reshape(lead), self.r1_sq.reshape(lead))
+        return np.concatenate(
+            [np.moveaxis(cut, -1, 0), np.moveaxis(cut * y, -1, 0), bumps]
+        )
 
 
 _BANK_SIZE = 16

@@ -81,23 +81,27 @@ def _check_points(K: "CompactSet", extra: int = 48, seed: int = 0) -> np.ndarray
     return np.vstack([pts, jitter])
 
 
-def _sup_abs(vals) -> float:
-    """Sup of |vals|, with any non-finite entry collapsing to inf.
+def _rows(vals) -> np.ndarray:
+    """``vals`` as floats, one row per entry of axis 0 (per eps)."""
+    a = np.asarray(vals, dtype=float)
+    return a.reshape(len(a), -1)
+
+
+def _sup_abs(vals) -> np.ndarray:
+    """Per row of axis 0, the sup of |vals|, with any non-finite entry
+    collapsing its row to inf.
 
     inf - inf in a chain-rule term yields nan; both mean the magnitude
     left float range, and a plain max would silently discard nan and
-    report spurious decay.
+    report spurious decay.  An empty row reads 0.
     """
-    a = np.abs(np.asarray(vals, dtype=float))
-    if a.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(a)):
-        return float("inf")
-    return float(np.max(a))
+    a = np.abs(_rows(vals))
+    return np.where(np.all(np.isfinite(a), axis=1), np.max(a, axis=1, initial=0.0), np.inf)
 
 
-def _sup_diff(a_vals, b_vals) -> float:
-    """Sup |a - b| with sub-roundoff differences counted as measured zeros.
+def _sup_diff(a_vals, b_vals) -> np.ndarray:
+    """Per row of axis 0, the sup of |a - b| with sub-roundoff differences
+    counted as measured zeros, and inf where either operand is not finite.
 
     Two O(1) values agreeing to machine precision differ by arithmetic
     noise, not by a residual scale; a flat eps_mach curve would otherwise
@@ -105,15 +109,32 @@ def _sup_diff(a_vals, b_vals) -> float:
     could refute.  The floor is relative to the operands' own magnitude,
     so genuinely small quantities keep their genuinely small differences.
     """
-    a = np.asarray(a_vals, dtype=float)
-    b = np.asarray(b_vals, dtype=float)
-    if a.size == 0:
-        return 0.0
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        return float("inf")
-    d = float(np.max(np.abs(a - b)))
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return 0.0 if d <= _DIFF_NOISE_C * np.finfo(float).eps * scale else d
+    a, b = _rows(a_vals), _rows(b_vals)
+    finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.max(np.abs(a - b), axis=1, initial=0.0)
+    scale = np.maximum(
+        np.max(np.abs(a), axis=1, initial=0.0), np.max(np.abs(b), axis=1, initial=0.0)
+    )
+    noise = d <= _DIFF_NOISE_C * np.finfo(float).eps * scale
+    return np.where(finite, np.where(noise, 0.0, d), np.inf)
+
+
+def _stack_points(grid, pts) -> np.ndarray:
+    """Sample points as one contiguous (n_eps, N, d) stack: an (N, d) array
+    repeated per eps, an (n_eps, N, d) stack as it is, or a function eps ->
+    points stacked row by row.  Rows of different lengths are padded with
+    their own first point, which changes no sup over the row."""
+    if not callable(pts):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 3:
+            return pts
+        return np.ascontiguousarray(np.broadcast_to(pts, (len(grid),) + pts.shape))
+    rows = [np.asarray(pts(eps), dtype=float) for eps in grid]
+    n = max(len(r) for r in rows)
+    return np.stack([
+        np.concatenate([r, np.repeat(r[:1], n - len(r), axis=0)]) for r in rows
+    ])
 
 
 def _index_tuples(dim, order):
@@ -129,29 +150,28 @@ def _index_tuples(dim, order):
         yield tuple(alpha)
 
 
-def _sup_curve(grid, k, pts, slices, step=fd_step, diff=None):
+def _sup_curve(grid, k, pts, handles, step=fd_step, diff=None):
     """Order-k sup curve: per eps, the max over |alpha| = k of the sup over
-    every sample point of the alpha-jet of one slice, or of two slices' jet
+    every sample point of the alpha-jet of one net, or of two nets' jet
     difference.
 
-    ``pts`` is an array or a function eps -> points; ``slices(eps)`` is a
-    tuple of one or two handles.  The jet step is ``step(eps)``.  A pair is
-    measured by ``diff(a, b)`` when given, else by the sup of |a - b|.
+    ``handles`` are the grid handles (``Net.at_grid(grid)``) of one or two
+    nets; ``pts`` is an array or a function eps -> points
+    (:func:`_stack_points`).  Each multi-index takes one jet of the whole
+    stack per handle, at the steps ``step(eps)``, and its sups are taken
+    row by row: by ``diff(a, b)`` for a pair when given, else of |a - b|.
     """
-    curve = []
-    for eps in grid:
-        x = pts(eps) if callable(pts) else pts
-        hs = slices(eps)
-        h = step(eps)
-        sup = 0.0
-        for alpha in _index_tuples(hs[0].dim_in, k):
-            j = [s.jet(x, alpha, h) for s in hs]
-            if diff is not None:
-                sup = max(sup, diff(*j))
-            else:
-                sup = max(sup, _sup_abs(j[0] if len(j) == 1 else j[0] - j[1]))
-        curve.append(sup)
-    return curve
+    x = _stack_points(grid, pts)
+    steps = np.array([step(eps) for eps in grid]).reshape(-1, 1, 1)
+    sup = np.zeros(len(grid))
+    for alpha in _index_tuples(handles[0].dim_in, k):
+        j = [h.jet(x, alpha, steps) for h in handles]
+        if diff is not None:
+            rows = diff(*j)
+        else:
+            rows = _sup_abs(j[0] if len(j) == 1 else j[0] - j[1])
+        sup = np.maximum(sup, rows)
+    return sup.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +218,11 @@ class ManifoldNet:
         self._own_chart(src_chart)
         return self.tgt_chart, self.net.at(eps)
 
+    def grid_handle(self, grid, src_chart: str = None):
+        """(target chart, grid handle) for coordinates in ``src_chart``."""
+        self._own_chart(src_chart)
+        return self.tgt_chart, self.net.at_grid(grid)
+
     def eval(self, eps: float, x, src_chart: str = None):
         """Evaluate the eps-slice at points x (coords in src_chart)."""
         tgt, h = self.handle(eps, src_chart)
@@ -206,6 +231,13 @@ class ManifoldNet:
     def image_in(self, eps: float, x, chart: str, src_chart: str = None):
         """The eps-slice at points x, written in target chart ``chart``."""
         tgt, y = self.eval(eps, x, src_chart)
+        return y if tgt == chart else self.target.to_chart(y, tgt, chart)
+
+    def images_in(self, grid, x, chart: str, src_chart: str = None):
+        """Every slice of ``grid`` at its row of the stacked points x
+        (n_eps, N, d), written in target chart ``chart``."""
+        tgt, h = self.grid_handle(grid, src_chart)
+        y = h(x)
         return y if tgt == chart else self.target.to_chart(y, tgt, chart)
 
 
@@ -353,9 +385,10 @@ def check_cbounded(
     return _memo(u, _cbounded_report, K, grid)
 
 
-def _memo(u: ManifoldNet, compute, K: CompactSet, grid: EpsGrid, *args):
-    """``compute(u, K, grid, *args)``, stored on u per (compute, K, grid,
-    *args); a call that raises stores nothing."""
+def _memo(u, compute, K: CompactSet, grid: EpsGrid, *args):
+    """``compute(u, K, grid, *args)``, stored on u (a net with a
+    ``_reports`` dict) per (compute, K, grid, *args); a call that raises
+    stores nothing."""
     key = (compute.__name__, K.chart_id, K.box.tobytes(), K.resolution, grid.values, *args)
     if key not in u._reports:
         u._reports[key] = compute(u, K, grid, *args)
@@ -364,31 +397,20 @@ def _memo(u: ManifoldNet, compute, K: CompactSet, grid: EpsGrid, *args):
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
     pts = _check_points(K)
-    tgt_chart = None
-    finite_rows = []
-    mags = []
-    escape_eps = None
-    for eps in grid:
-        tgt, y = u.eval(eps, pts, K.chart_id)
-        tgt_chart = tgt
-        finite = np.all(np.isfinite(y), axis=-1)
-        if np.any(finite):
-            finite_rows.append(y[finite])
-            mags.append(float(np.max(np.abs(y[finite]))))
-        else:
-            mags.append(math.inf)
-        inside = np.all(finite) and np.all(
-            inside_box(u.target.chart(tgt).box, y, 1e-9)
-        )
-        if not inside and escape_eps is None:
-            escape_eps = eps
-
-    if not finite_rows:
+    tgt_chart, y = u.tgt_chart, u.images_in(grid, _stack_points(grid, pts),
+                                            u.tgt_chart, K.chart_id)
+    finite = np.all(np.isfinite(y), axis=-1)
+    if not np.any(finite):
         raise ImageEscapesAtlas(
             f"{u.label or 'net'} produces no finite images on the grid"
         )
+    # per eps: the largest finite image coordinate, inf with none finite
+    mags = np.max(np.where(finite[..., None], np.abs(y), -np.inf), axis=(1, 2))
+    mags = np.where(np.any(finite, axis=1), mags, math.inf).tolist()
+    inside = np.all(finite & inside_box(u.target.chart(tgt_chart).box, y, 1e-9), axis=1)
 
     diagnostics: dict = {"grid": grid, "samples": len(pts)}
+    escape_eps = None if np.all(inside) else grid.values[int(np.argmin(inside))]
     if escape_eps is not None:
         diagnostics["escape_eps"] = escape_eps
 
@@ -398,9 +420,7 @@ def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedRe
     if growing:
         diagnostics["growth_ratio"] = max(mags[half:]) / (max(mags[:half]) + 1.0)
 
-    witness = (
-        _witness_region(u.target, tgt_chart, np.vstack(finite_rows)) if ok else None
-    )
+    witness = _witness_region(u.target, tgt_chart, y[finite]) if ok else None
     return CBoundedReport(ok, witness, diagnostics)
 
 
@@ -442,10 +462,9 @@ def _coordinate_curves(nets, orders, src: str, grid, pts):
     """(f"x{i}", k, sup curve) per target chart coordinate i and order k in
     ``orders``: the order-k jets of the i-th chart coordinate of the one net
     in ``nets``, or of the difference of the two nets'."""
+    handles = [w.grid_handle(grid, src)[1] for w in nets]
     return [
-        (f"x{i}", k, _sup_curve(grid, k, pts, lambda eps, i=i: tuple(
-            _coordinate(w.handle(eps, src)[1], i) for w in nets
-        )))
+        (f"x{i}", k, _sup_curve(grid, k, pts, tuple(_coordinate(h, i) for h in handles)))
         for i in range(nets[0].target.dim)
         for k in orders
     ]
@@ -510,38 +529,33 @@ class EquivalenceReport:
         return self.equivalent
 
 
-def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
-    """(u's target chart, u_eps(pts), v_eps(pts)), both images in that chart."""
-    t_u, yu = u.eval(eps, pts, src)
-    return t_u, yu, v.image_in(eps, pts, t_u, src)
+def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
+    """(u's target chart, u(pts), v(pts)) over the grid, both images in
+    that chart, eps on axis 0 (``pts`` as in :func:`_stack_points`)."""
+    x = _stack_points(grid, pts)
+    t_u = u.tgt_chart
+    return t_u, u.images_in(grid, x, t_u, src), v.images_in(grid, x, t_u, src)
 
 
 def _distance_curve(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
     """Per eps, the sup over the sample points (an array, or a function
     eps -> points) of the chord distance between the images of u and v."""
-    curve = []
-    for eps in grid:
-        x = pts(eps) if callable(pts) else pts
-        t_u, yu, yv = _images(u, v, x, src, eps)
-        curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
-    return curve
+    t_u, yu, yv = _images(u, v, pts, src, grid)
+    return np.max(chord_distance(u.target, t_u, yu, yv), axis=-1).tolist()
 
 
 def _bank_difference_curves(u, v, bank: TestBank, src: str, grid, pts):
     """(test label, 0, sup curve of |f(u_eps) - f(v_eps)|) per bank test f:
-    order 0 only, as the paper's characterization needs.  Each net's image
-    is taken once per eps and the bank evaluated on it in one
+    order 0 only, as the paper's characterization needs.  Each net's images
+    over the grid are one stack, and the bank is evaluated on it in one
     ``TestBank.eval`` call per net; a row with a non-finite entry reads inf,
     as in ``_sup_abs``."""
-    order0 = []
-    for eps in grid:
-        x = np.asarray(pts(eps) if callable(pts) else pts, dtype=float)
-        yu = u.handle(eps, src)[1].eval_fn(x)
-        yv = v.handle(eps, src)[1].eval_fn(x)
-        a = np.abs(bank.eval(yu) - bank.eval(yv))
-        finite = np.all(np.isfinite(a), axis=1)
-        order0.append(np.where(finite, np.max(a, axis=1, initial=0.0), np.inf))
-    curves = np.transpose(order0).tolist()
+    x = _stack_points(grid, pts)
+    yu = u.grid_handle(grid, src)[1].eval_fn(x)
+    yv = v.grid_handle(grid, src)[1].eval_fn(x)
+    a = np.abs(bank.eval(yu) - bank.eval(yv))
+    finite = np.all(np.isfinite(a), axis=-1)
+    curves = np.where(finite, np.max(a, axis=-1, initial=0.0), np.inf).tolist()
     return [(label, 0, curve) for label, curve in zip(bank.labels, curves)]
 
 
@@ -594,9 +608,7 @@ def check_equivalent(
     route_b = all(bank_curves.values())
 
     # route C: chart differences at every sample point
-    def pair(eps):
-        return u.handle(eps, src)[1], v.handle(eps, src)[1]
-
+    pair = (u.grid_handle(grid, src)[1], v.grid_handle(grid, src)[1])
     route_c = all([
         negligible_to_resolution(_sup_curve(grid, k, pts, pair), grid)
         for k in range(derivative_order + 1)
@@ -687,10 +699,11 @@ def gpoints_equivalent(
     return negligible_to_resolution(gpoint_distance_curve(atlas, p, q, grid), grid)
 
 
-def _argmax_point(gaps: dict, pts, K: CompactSet) -> GeneralizedManifoldPoint:
-    """Piecewise-constant point at the per-eps argmax of ``gaps`` (eps -> one
-    gap per sample point); ties break to the lowest sample index."""
-    chosen = {eps: pts[int(np.argmax(gap))] for eps, gap in gaps.items()}
+def _argmax_point(gaps, grid, pts, K: CompactSet) -> GeneralizedManifoldPoint:
+    """Piecewise-constant point at the per-eps argmax of ``gaps`` (one row
+    of gaps per eps of ``grid``, one gap per sample point); ties break to
+    the lowest sample index."""
+    chosen = dict(zip(grid.values, pts[np.argmax(gaps, axis=-1)]))
     eps_sorted = sorted(chosen, reverse=True)  # decreasing eps
 
     def at(eps):
@@ -702,9 +715,10 @@ def _argmax_point(gaps: dict, pts, K: CompactSet) -> GeneralizedManifoldPoint:
     return GeneralizedManifoldPoint(at, K, label="adversarial")
 
 
-def _base_gap(u: ManifoldNet, v: ManifoldNet, pts, src: str, eps: float):
-    """Per-point max-norm difference of the images, both in u's target chart."""
-    _, yu, yv = _images(u, v, pts, src, eps)
+def _base_gap(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
+    """Per eps and point, the max-norm difference of the images, both in
+    u's target chart."""
+    _, yu, yv = _images(u, v, pts, src, grid)
     return np.max(np.abs(yu - yv), axis=-1)
 
 
@@ -714,9 +728,7 @@ def adversarial_gpoint(
     """Piecewise-constant point tracking the per-eps argmax of the chart
     difference over sampled K."""
     pts = _check_points(K)
-    return _argmax_point(
-        {eps: _base_gap(u, v, pts, K.chart_id, eps) for eps in grid}, pts, K
-    )
+    return _argmax_point(_base_gap(u, v, pts, K.chart_id, grid), grid, pts, K)
 
 
 def check_pointvalue_equality(

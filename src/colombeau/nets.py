@@ -5,12 +5,23 @@ is a :class:`SmoothMapHandle` that evaluates points and partial-derivative
 jets.  Each handle has one jet rule.  :func:`make_handle` builds it from an
 analytic rule up to an order ``k_max`` and central finite differences with
 two Richardson extrapolation levels above it; composition, the one
-combinator, builds it from its operands' jets by the chain rule.  Checkers
-take the jets of the eps-slice with ``net.at(eps).jet(x, alpha, fd_step(eps))``:
-the finite-difference step shrinks with eps,
-``h = max(eps**1.5, 1e-7) * (1 + |x|)``, because interesting nets oscillate
-at scale eps.  A finite-difference jet is one evaluation of every stencil
-point of every level, stacked on two leading axes.
+combinator, builds it from its operands' jets by the chain rule.  The
+finite-difference step of the eps-slice shrinks with eps,
+``h = fd_step(eps) * (1 + |x|)`` with ``fd_step(eps) = max(eps**1.5, 1e-7)``,
+because interesting nets oscillate at scale eps.  A finite-difference jet
+is one evaluation of every stencil point of every level, stacked on two
+leading axes.
+
+Checkers measure a net over a whole :class:`~colombeau.asymptotics.EpsGrid`
+at once, through its grid handle ``net.at_grid(grid)``: a handle whose
+points carry eps on axis -3, ``(..., n_eps, N, d)``, and whose step is an
+array ``(n_eps, 1, 1)`` of the slices' steps.  Above the leaves every rule
+runs on the whole stack: finite differences, the chain rule of a
+composition, a constant net's one handle.  A leaf, such as a
+:func:`net_from_function` net, is still called slice by slice: row i of
+the stack goes to the eps_i slice as the contiguous ``(..., N, d)`` array a
+single slice would get, so ``fn(eps, x)`` never has to broadcast over eps.
+A row's values are bitwise those of its slice alone.
 
 Points are numpy arrays whose last axis is the input dimension; evaluation
 broadcasts over leading axes, and every ``eval_fn`` must.  Multi-indices
@@ -146,6 +157,8 @@ class SmoothMapHandle:
     ``|alpha| >= 1``; order zero is evaluation.  ``step`` is the base step
     of any finite differences the rule takes.  ``eval_fn`` must accept
     points with extra leading axes, as finite differences stack them.
+    ``fd_order`` is the lowest order at which the rule is finite
+    differences of ``eval_fn`` (inf: at none that is known).
     """
 
     dim_in: int
@@ -153,6 +166,7 @@ class SmoothMapHandle:
     eval_fn: Callable
     jet_impl: Callable
     name: str = ""
+    fd_order: float = math.inf
 
     def __call__(self, x):
         x = _as_points(x, self.dim_in)
@@ -184,7 +198,8 @@ def make_handle(eval_fn, dim_in, dim_out, jet_fn=None, k_max=math.inf, name=""):
             return jet_fn(x, alpha)
         return finite_difference_jet(eval_fn, x, alpha, step)
 
-    return SmoothMapHandle(dim_in, dim_out, eval_fn, ji, name)
+    fd_order = 1 if jet_fn is None else k_max + 1
+    return SmoothMapHandle(dim_in, dim_out, eval_fn, ji, name, fd_order)
 
 
 def identity_handle(dim):
@@ -264,7 +279,36 @@ def handle_compose(outer: SmoothMapHandle, inner: SmoothMapHandle):
             return _chain_jet(outer, inner, x, alpha, step)
         return finite_difference_jet(ev, x, alpha, step)
 
-    return SmoothMapHandle(inner.dim_in, outer.dim_out, ev, ji, "compose")
+    return SmoothMapHandle(
+        inner.dim_in, outer.dim_out, ev, ji, "compose", CHAIN_ORDER_CAP + 1
+    )
+
+
+def _grid_of_slices(slices) -> SmoothMapHandle:
+    """Handle of the slices of one grid, eps on axis -3: each slice is
+    called on its own contiguous row.  Jets from the order at which every
+    slice takes finite differences are finite differences of the stack;
+    below it each slice takes its own jet at its own step."""
+    fd_from = max(s.fd_order for s in slices)
+
+    def rows(x, fn):
+        return np.stack(
+            [fn(s, np.ascontiguousarray(x[..., i, :, :])) for i, s in enumerate(slices)],
+            axis=-3,
+        )
+
+    def ev(x):
+        return rows(x, lambda s, xi: s.eval_fn(xi))
+
+    def ji(x, alpha, step):
+        if order(alpha) >= fd_from:
+            return finite_difference_jet(ev, x, alpha, step)
+        steps = np.broadcast_to(step, (len(slices), 1, 1))
+        it = iter(steps[:, 0, 0].tolist())
+        return rows(x, lambda s, xi: s.jet(xi, alpha, next(it)))
+
+    s0 = slices[0]
+    return SmoothMapHandle(s0.dim_in, s0.dim_out, ev, ji, "grid", fd_from)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +324,9 @@ class Net:
     finite-difference stencils probe a step beyond its faces.
     ``feature_scale``, when set, maps eps to a list of (lo, hi) windows per
     axis-0 coordinate where the slice has eps-scale features (quadrature
-    uses it to place subdivisions).
+    uses it to place subdivisions).  ``grid_fn(grid)``, when set, builds
+    the grid handle of :meth:`at_grid` from the operands' grid handles;
+    without it the net is a leaf, called slice by slice.
     """
 
     dim_in: int
@@ -289,6 +335,7 @@ class Net:
     box: Optional[np.ndarray] = None
     label: str = ""
     feature_scale: Optional[Callable] = None
+    grid_fn: Optional[Callable] = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -304,6 +351,19 @@ class Net:
             if (h.dim_in, h.dim_out) != (self.dim_in, self.dim_out):
                 raise DimensionMismatch("slice handle dimensions disagree with net")
             self._cache[eps] = h
+        return h
+
+    def at_grid(self, grid) -> SmoothMapHandle:
+        """The handle of every slice of ``grid`` at once: points
+        ``(..., n_eps, N, d)`` with eps on axis -3, steps ``(n_eps, 1, 1)``.
+        Built once per grid and cached beside the slices."""
+        h = self._cache.get(grid)
+        if h is None:
+            if self.grid_fn is not None:
+                h = self.grid_fn(grid)
+            else:
+                h = _grid_of_slices([self.at(eps) for eps in grid])
+            self._cache[grid] = h
         return h
 
     def __repr__(self):
@@ -330,7 +390,10 @@ def net_from_function(
 
 def constant_net(handle: SmoothMapHandle, box=None, label=""):
     """Net whose slices are all the same smooth map (constant in eps)."""
-    return Net(handle.dim_in, handle.dim_out, lambda eps: handle, box, label)
+    return Net(
+        handle.dim_in, handle.dim_out, lambda eps: handle, box, label,
+        grid_fn=lambda grid: handle,
+    )
 
 
 def compose_nets(outer: Net, inner: Net) -> Net:
@@ -346,4 +409,5 @@ def compose_nets(outer: Net, inner: Net) -> Net:
         inner.box,
         label=f"({outer.label or 'outer'})o({inner.label or 'inner'})",
         feature_scale=inner.feature_scale,
+        grid_fn=lambda grid: handle_compose(outer.at_grid(grid), inner.at_grid(grid)),
     )

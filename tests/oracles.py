@@ -58,7 +58,6 @@ from colombeau.geometry import (
 from colombeau.manifold_maps import (
     CBoundedReport,
     _check_points,
-    _sup_abs,
     _witness_region,
     check_cbounded,
 )
@@ -509,12 +508,12 @@ def fiber_test_hom_curve(u, L, grid):
     c-boundedness witness."""
     witness = check_cbounded(u.base_net, L, grid).witness
     pts = _check_points(L)
-    cutoff = _fiber_cutoff(u.target.base, witness, pts, L.chart_id)
+    cutoff = _fiber_cutoff(u.target.base, witness)
     curve, cutoffs = [], []
     for eps in grid:
-        chi = cutoff(u.base_net, eps)
+        chi = cutoff(u.base_net.image_in(eps, pts, witness.chart_id, L.chart_id))[..., 0]
         M = _as_matrix(fiber_values(u.fiber, eps, pts), u.fiber.fiber_shape)
-        curve.append(_sup_abs(chi * opnorm_max(M)))
+        curve.append(sup_abs(chi * opnorm_max(M)))
         cutoffs.append(chi)
     return curve, cutoffs
 
@@ -919,8 +918,8 @@ def bank_difference_curves(u, v, bank, src, grid, pts):
 def fiber_test_hom_route_curve(u, v, cutoff, pts, src, grid):
     """The test-hom route of fiber equivalence, eps by eps: the sup over
     the points of the cutoff at each net's base image times its fiber,
-    differenced (``sup_diff``).  ``cutoff`` is the bump of
-    ``bundle_maps._fiber_cutoff`` and ``chart`` its witness chart."""
+    differenced (``sup_diff``).  ``cutoff(base_net, eps)`` is the cutoff
+    at the base images of ``pts``."""
     net_u, net_v = u.fiber, v.fiber
     fiber_axes = (1,) * len(net_u.fiber_shape)
     curve = []

@@ -25,6 +25,7 @@ from colombeau.geometry import (
 )
 from colombeau.manifold_maps import (
     ManifoldNet,
+    _check_points,
     compose,
     constant_gpoint,
     random_gpoints,
@@ -203,6 +204,81 @@ class TestVBModerate:
         assert r0.verdict.classification == r2.verdict.classification
 
 
+class TestFiberModerateMemo:
+    """``_fiber_moderate`` computes each (fiber net, L, grid, k_max) once:
+    equivalence checks of one pair at orders 0 and 2 share both reports."""
+
+    @staticmethod
+    def counted_hom(calls):
+        def mat(e, x):
+            calls.append(e)
+            return (1.0 + e * np.sin(x / e))[..., None]
+
+        return single_chart_hom(TX, TX, base_identity(), mat, label="1+e sin(x/e)")
+
+    def test_repeat_call_returns_the_cached_report(self):
+        calls = []
+        u = self.counted_hom(calls)
+        first = check_vb_moderate(u, K1)
+        n = len(calls)
+        assert n > 0
+        assert check_vb_moderate(u, K1) is first
+        # equal L and grid built anew hit the same entry, through either
+        # public checker
+        again = check_hybrid_moderate(
+            u, CompactSet("main", [(-1.0, 1.0)]), grid=EpsGrid.default()
+        )
+        assert again is first
+        assert len(calls) == n
+
+    def test_equivalence_at_two_orders_reuses_the_reports(self):
+        calls = []
+        u = self.counted_hom(calls)
+        v = self.counted_hom(calls)
+        check_vb_equivalent(u, v, K1, derivative_order=0)
+        n = len(calls)
+        reports = dict(u._reports)
+        check_vb_equivalent(u, v, K1, derivative_order=2)
+        # the moderateness reports are reused: only the fiber routes
+        # evaluate each fiber again, once per eps in the chart route at
+        # orders 0, 1 and 2 and once in the test-hom route
+        assert u._reports == reports
+        assert len(calls) - n == 2 * 4 * len(EpsGrid.default())
+
+    def test_l_k_max_and_grid_each_get_their_own_report(self):
+        u = self.counted_hom([])
+        base = check_vb_moderate(u, K1)
+        others = [
+            check_vb_moderate(u, CompactSet("main", [(-1.0, 0.5)])),
+            check_vb_moderate(u, K1, grid=SHORT_GRID),
+            check_vb_moderate(u, K1, k_max=1),
+        ]
+        for report in others:
+            assert report is not base
+        assert len({id(r) for r in others}) == 3
+        assert others[1].base_report.witness is not None
+        # a fresh hom starts with an empty memo
+        assert check_vb_moderate(self.counted_hom([]), K1) is not base
+
+
+class TestFiberJetCalls:
+    def test_fiber_rows_take_one_stacked_jet_per_order(self, monkeypatch):
+        # over identity bases the base rows take exact jets, so every
+        # finite-difference jet is a fiber row's: one per order above 0 for
+        # the whole grid, where one per eps made 2 * 17 = 34
+        u = compose_homs(scaled_hom(lambda e: 1.0 + e), scaled_hom(lambda e: 2.0 - e))
+        calls = []
+        fd = nets.finite_difference_jet
+        monkeypatch.setattr(
+            nets, "finite_difference_jet",
+            lambda fn, x, alpha, step: calls.append(x.shape) or fd(fn, x, alpha, step),
+        )
+        rep = bundle_maps._fiber_moderate(u, K1, 2, EpsGrid.default())
+        assert rep.verdict.classification == "moderate"
+        n = len(EpsGrid.default())
+        assert calls == [(n, len(_check_points(K1)), 1)] * 2
+
+
 class TestVBEquivalence:
     def test_negligible_perturbation_is_equivalent(self):
         h = identity_hom(TX)
@@ -300,15 +376,16 @@ class TestFiberCutoff:
         # witness [-1, 1]: the bump is 1 within 0.9 of 0 and 0 beyond 1.5
         witness = CompactSet("main", [(-1.0, 1.0)])
         pts = np.array([[-0.5], [0.0], [0.8], [1.6], [3.0]])
-        cutoff = _fiber_cutoff(LINE, witness, pts, "main")
-        assert cutoff(base_identity(), 0.5).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+        cutoff = _fiber_cutoff(LINE, witness)
+        images = base_identity().image_in(0.5, pts, "main")
+        assert cutoff(images)[..., 0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
     def test_support_escaping_the_chart_is_rejected(self):
         # the ball around the widest axis does not fit the narrow one
         flat = Atlas([Chart("main", [(-2.0, 2.0), (-0.5, 0.5)])])
         witness = CompactSet("main", [(-1.0, 1.0), (-0.1, 0.1)])
         with pytest.raises(BallEscapesChart):
-            _fiber_cutoff(flat, witness, witness.sample_points(), "main")
+            _fiber_cutoff(flat, witness)
 
 
 class TestTestHomCurve:

@@ -32,7 +32,6 @@ from colombeau.manifold_maps import (
     _bank_difference_curves,
     _check_points,
     _coordinate_curves,
-    _sup_abs,
     _sup_curve,
     _witness_union,
     adversarial_gpoint,
@@ -53,7 +52,7 @@ from colombeau.nets import (
     handle_compose,
     net_from_function,
 )
-from oracles import bank_tests
+from oracles import bank_tests, sup_abs, sup_curve
 
 LINE = euclidean_atlas(1, 10.0)
 PLANE = euclidean_atlas(2, 10.0)
@@ -365,7 +364,7 @@ class TestSupCurve:
 
     def test_order_two_takes_the_max_over_every_multi_index(self):
         net = self.quadratic()
-        curve = _sup_curve(self.GRID, 2, self.PTS, lambda eps: (net.at(eps),))
+        curve = _sup_curve(self.GRID, 2, self.PTS, (net.at_grid(self.GRID),))
         assert curve == [6.0] * len(self.GRID)
 
     def test_nan_jet_gives_inf(self):
@@ -373,16 +372,16 @@ class TestSupCurve:
             lambda e, x: np.where(x[..., :1] > 0.75, np.nan, x[..., :1]), 2, 1
         )
         net = self.quadratic()
-        single = _sup_curve(self.GRID, 0, self.PTS, lambda eps: (nan_net.at(eps),))
+        single = _sup_curve(self.GRID, 0, self.PTS, (nan_net.at_grid(self.GRID),))
         pair = _sup_curve(
-            self.GRID, 0, self.PTS, lambda eps: (net.at(eps), nan_net.at(eps))
+            self.GRID, 0, self.PTS, (net.at_grid(self.GRID), nan_net.at_grid(self.GRID))
         )
         assert single == pair == [float("inf")] * len(self.GRID)
 
 
 class TestBankImage:
-    """The bank route's rows take each net's image once per eps and apply
-    every test to it; they equal the sup curves of the composites
+    """The bank route's rows take each net's images over the grid once and
+    apply every test to them; they equal the sup curves of the composites
     f(u_eps) - f(v_eps) of the tests' own handles.  Above order 0 the
     composites of the plateau tests are the chart-coordinate rows."""
 
@@ -391,7 +390,7 @@ class TestBankImage:
     @staticmethod
     def _compose_rows(u, v, tests, order, grid, pts):
         return [
-            (label, order, _sup_curve(grid, order, pts, lambda eps, f=f: (
+            (label, order, sup_curve(grid, order, pts, lambda eps, f=f: (
                 handle_compose(f, u.handle(eps, "main")[1]),
                 handle_compose(f, v.handle(eps, "main")[1]),
             )))
@@ -452,7 +451,7 @@ class TestBankImage:
         assert check_k_associated(u, v, 0, K1, grid=grid)
         assert calls["u"] == calls["v"] == {eps: 1 for eps in grid}
 
-    def test_order_zero_evaluates_the_bank_twice_per_eps(self, monkeypatch):
+    def test_order_zero_evaluates_the_bank_once_per_net(self, monkeypatch):
         evals = []
         stacked = geometry.TestBank.eval
         monkeypatch.setattr(
@@ -467,7 +466,8 @@ class TestBankImage:
         want = self._compose_rows(u, v, bank_tests(LINE, region), 0, self.GRID, pts)
         got = _bank_difference_curves(u, v, bank, "main", self.GRID, pts)
         assert got == want
-        assert len(evals) == 2 * len(self.GRID)
+        # each net's images over the whole grid are one stack
+        assert [y.shape for y in evals] == [(len(self.GRID),) + pts.shape] * 2
 
     def test_non_finite_images_read_as_the_per_test_sups(self):
         # u is nan at one eps and +-inf at another; a nan entry makes its row
@@ -494,7 +494,7 @@ class TestBankImage:
         tests = bank_tests(LINE, region)
         for label, h in tests:
             want = [
-                max(0.0, _sup_abs(
+                max(0.0, sup_abs(
                     h.eval_fn(u.handle(eps, "main")[1].eval_fn(pts))
                     - h.eval_fn(v.handle(eps, "main")[1].eval_fn(pts))
                 ))
@@ -588,7 +588,7 @@ class TestModerateCoordinateRows:
         tests = bank_tests(u.target, check_cbounded(u, K, grid).witness)
         pts = _check_points(K)
         return {
-            (label, k): _sup_curve(grid, k, pts, lambda eps, f=f: (
+            (label, k): sup_curve(grid, k, pts, lambda eps, f=f: (
                 handle_compose(f, u.handle(eps, K.chart_id)[1]),
             ))
             for label, f in tests[:1 + u.target.dim]
@@ -603,7 +603,7 @@ class TestModerateCoordinateRows:
         pts = _check_points(K)
         for i in range(u.target.dim):
             for k in range(4):
-                chart = _sup_curve(grid, k, pts, lambda eps: (
+                chart = sup_curve(grid, k, pts, lambda eps: (
                     _coordinate(u.handle(eps, K.chart_id)[1], i),
                 ))
                 assert composite[(f"x{i}*cutoff", k)] == chart, (i, k)
@@ -657,7 +657,7 @@ class TestBankRouteCoordinateRows:
                 )
             })
         for k in range(3):
-            chart = _sup_curve(
+            chart = sup_curve(
                 grid, k, pts,
                 lambda eps: (u.handle(eps, "main")[1], v.handle(eps, "main")[1]),
             )
@@ -720,14 +720,15 @@ class TestKAssociationCoordinateRows:
         rep = check_k_associated(u, v, 2, K)
         assert len(curves) == len(rep.rows)
         rows = {(label, k): c for (label, k, _, _), c in zip(rep.rows, curves)}
-        (pts,) = sample
+        (stack,) = sample
         grid = association.association_grid()
+        pts = dict(zip(grid.values, stack)).__getitem__
         assert [key for key in rows if key[1] >= 1] == [
             (f"x{i}", k) for i in range(u.target.dim) for k in (1, 2)
         ]
         for i in range(u.target.dim):
             for k in (1, 2):
-                want = _sup_curve(grid, k, pts, lambda eps: (
+                want = sup_curve(grid, k, pts, lambda eps: (
                     _coordinate(u.handle(eps, K.chart_id)[1], i),
                     _coordinate(v.handle(eps, K.chart_id)[1], i),
                 ))

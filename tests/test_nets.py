@@ -490,3 +490,94 @@ class TestLeadingAxes:
                 ),
             ):
                 self.assert_stacks(h.eval_fn, slabs)
+
+    # -- grid handles: eps on axis -3 ------------------------------------
+
+    GRID_EPS = (0.5, 0.125, 2.0**-5, 2.0**-9)
+
+    @staticmethod
+    def grid_nets(dim):
+        from colombeau.asymptotics import EpsGrid
+        from colombeau.bundle_maps import matrix_net
+
+        def wave(e, x):
+            return np.sin(x / e) + e * x**2
+
+        def wave_jet(e, x, alpha):
+            # d^k/dx_i^k only along one axis; mixed partials are 0
+            k = sum(alpha)
+            if k == 0:
+                return wave(e, x)
+            i = next(j for j, a in enumerate(alpha) if a)
+            out = np.zeros_like(x)
+            if k == alpha[i]:
+                out[..., i] = np.sin(x[..., i] / e + k * np.pi / 2) / e**k + (
+                    2.0 * e * x[..., i] if k == 1 else 2.0 * e if k == 2 else 0.0
+                )
+            return out
+
+        squash = make_handle(lambda y: np.tanh(y) + 0.1 * y**3, dim, dim)
+        plain = net_from_function(wave, dim, dim)
+        exact = net_from_function(wave, dim, dim, jet=wave_jet)
+        nets = {
+            "net_from_function": plain,
+            "net_from_function with analytic jets": exact,
+            "compose_nets": compose_nets(constant_net(squash), plain),
+            "compose_nets of analytic jets": compose_nets(exact, exact),
+            "constant_net": constant_net(squash),
+            "matrix_net": matrix_net(
+                lambda e, x: np.cos(x[..., :1, None] / e) * np.ones(x.shape[:-1] + (2, 2)),
+                dim, (2, 2),
+            ),
+        }
+        return nets, EpsGrid(TestLeadingAxes.GRID_EPS + (2.0**-11, 2.0**-13))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", [
+        "net_from_function", "net_from_function with analytic jets",
+        "compose_nets", "compose_nets of analytic jets", "constant_net", "matrix_net",
+    ])
+    def test_grid_handles_equal_their_slices(self, case, dim):
+        nets, grid = self.grid_nets(dim)
+        net = nets[case]
+        h = net.at_grid(grid)
+        assert net.at_grid(grid) is h
+        n = len(grid)
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-1.0, 1.0, size=(n, 5, dim))
+        steps = np.array([fd_step(e) for e in grid]).reshape(-1, 1, 1)
+        alphas = [(0,) * dim] + [
+            a for k in range(1, CHAIN_ORDER_CAP + 2)
+            for a in itertools.product(range(k + 1), repeat=dim) if sum(a) == k
+        ]
+        with np.errstate(all="ignore"):
+            for alpha in alphas:
+                got = h.jet(x, alpha, steps)
+                want = np.stack([
+                    slice_jet(net, eps, x[i], alpha) for i, eps in enumerate(grid)
+                ])
+                assert_same_bits(got, want)
+                # an extra leading axis, as finite differences stack points
+                two = np.stack([x, x[::-1]])
+                assert_same_bits(
+                    h.jet(two, alpha, steps), np.stack([want, h.jet(x[::-1], alpha, steps)])
+                )
+
+    def test_leaves_are_called_per_eps_on_contiguous_rows(self):
+        from colombeau.asymptotics import EpsGrid
+
+        seen = []
+
+        def fn(e, x):
+            seen.append((e, x.shape, x.flags.c_contiguous))
+            return np.sin(x)
+
+        grid = EpsGrid.dyadic(2, 7)
+        h = net_from_function(fn, 1, 1).at_grid(grid)
+        x = np.zeros((len(grid), 4, 1))
+        h(x)
+        assert seen == [(e, (4, 1), True) for e in grid]
+        seen.clear()
+        h.jet(x, (2,), np.full((len(grid), 1, 1), 1e-3))
+        stacked = (_RICHARDSON_LEVELS + 1, 3, 4, 1)
+        assert seen == [(e, stacked, True) for e in grid]
