@@ -397,8 +397,8 @@ def _memo(u, compute, K: CompactSet, grid: EpsGrid, *args):
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
     pts = _check_points(K)
-    tgt_chart, y = u.tgt_chart, u.images_in(grid, _stack_points(grid, pts),
-                                            u.tgt_chart, K.chart_id)
+    tgt_chart, h = u.grid_handle(grid, K.chart_id)
+    y = h(_stack_points(grid, pts))
     finite = np.all(np.isfinite(y), axis=-1)
     if not np.any(finite):
         raise ImageEscapesAtlas(

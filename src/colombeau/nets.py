@@ -293,19 +293,18 @@ def _grid_of_slices(slices) -> SmoothMapHandle:
 
     def rows(x, fn):
         return np.stack(
-            [fn(s, np.ascontiguousarray(x[..., i, :, :])) for i, s in enumerate(slices)],
+            [fn(i, np.ascontiguousarray(x[..., i, :, :])) for i in range(len(slices))],
             axis=-3,
         )
 
     def ev(x):
-        return rows(x, lambda s, xi: s.eval_fn(xi))
+        return rows(x, lambda i, xi: slices[i].eval_fn(xi))
 
     def ji(x, alpha, step):
         if order(alpha) >= fd_from:
             return finite_difference_jet(ev, x, alpha, step)
-        steps = np.broadcast_to(step, (len(slices), 1, 1))
-        it = iter(steps[:, 0, 0].tolist())
-        return rows(x, lambda s, xi: s.jet(xi, alpha, next(it)))
+        steps = np.broadcast_to(step, (len(slices), 1, 1))[:, 0, 0].tolist()
+        return rows(x, lambda i, xi: slices[i].jet(xi, alpha, steps[i]))
 
     s0 = slices[0]
     return SmoothMapHandle(s0.dim_in, s0.dim_out, ev, ji, "grid", fd_from)

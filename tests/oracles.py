@@ -933,3 +933,21 @@ def fiber_test_hom_route_curve(u, v, cutoff, pts, src, grid):
             chi_v.reshape(chi_v.shape + fiber_axes) * Fv,
         ))
     return curve
+
+
+def adversarial_choices(u, v, pts, src, grid, fibers=None):
+    """The sample point an adversarial point takes at each eps, eps by
+    eps: the argmax over ``pts`` of the max-norm image gap (plus the fiber
+    gap of the fiber nets ``fibers`` when given, a non-finite gap reading
+    inf), ties to the lowest index."""
+    chosen = []
+    for eps in grid:
+        t_u, yu = u.eval(eps, pts, src)
+        yv = v.image_in(eps, pts, t_u, src)
+        gap = np.max(np.abs(yu - yv), axis=-1)
+        if fibers is not None:
+            su, sv = (fiber_values(f, eps, pts) for f in fibers)
+            gap = gap + np.max(np.abs(su - sv).reshape(len(pts), -1), axis=-1)
+            gap = np.where(np.isfinite(gap), gap, np.inf)
+        chosen.append(pts[int(np.argmax(gap))])
+    return chosen

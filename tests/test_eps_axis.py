@@ -335,3 +335,22 @@ class TestRowReductions:
         pts = sample_box(mid + 0.8 * (box - mid), 4)
         want = oracles.sup_curve(grid, 0, pts, lambda eps: (fiber.at(eps),))
         assert _same_bits(curve, want)
+
+    def test_adversarial_points_take_the_per_eps_argmax(self):
+        from colombeau.bundle_maps import _adversarial_hybrid_point, section_net
+
+        u = self.nan_at_one_eps(shift=1.0)
+        v = single_chart_map(
+            LINE, LINE, lambda e, x: np.sin(x) + e * np.cos(x / e), label="wiggle"
+        )
+        pts = _check_points(K1)
+        p = manifold_maps.adversarial_gpoint(u, v, K1, GRID)
+        want = oracles.adversarial_choices(u, v, pts, "main", GRID)
+        assert all(_same_bits(p.at(eps)[1], w) for eps, w in zip(GRID, want))
+        su = section_net(TX, lambda e, x: np.cos(x / e), label="s")
+        sv = section_net(TX, lambda e, x: np.where(x > 0.9, np.inf, e * x), label="t")
+        p = _adversarial_hybrid_point(su, sv, K1, GRID)
+        want = oracles.adversarial_choices(
+            su.base_net, sv.base_net, pts, "main", GRID, (su.fiber, sv.fiber)
+        )
+        assert all(_same_bits(p.at(eps)[1], w) for eps, w in zip(GRID, want))
