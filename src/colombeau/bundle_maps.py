@@ -478,8 +478,7 @@ def _fiber_equivalent(
         for k in range(derivative_order + 1)
     ])
 
-    cutoff = _fiber_cutoff(u.target.base, witness)
-    curve = _test_hom_curve(u, v, cutoff, witness.chart_id, pts, src, grid)
+    curve = _test_hom_curve(u, v, witness, pts, src, grid)
     route_bank = negligible_to_resolution(curve, grid)
 
     if route_chart != route_bank:
@@ -492,15 +491,16 @@ def _fiber_equivalent(
     )
 
 
-def _test_hom_curve(u: FiberNet, v: FiberNet, cutoff, chart, pts, src, grid):
+def _test_hom_curve(u: FiberNet, v: FiberNet, witness, pts, src, grid):
     """Per eps, the sup over the points of the difference of the two test
-    homs: the ``cutoff`` at each net's base image (in ``chart``) times its
+    homs: the cutoff on ``witness`` at each net's base image times its
     fiber, measured by :func:`_sup_diff`."""
+    cutoff = _fiber_cutoff(u.target.base, witness)
     x = _stack_points(grid, pts)
     fiber_axes = (1,) * len(u.fiber.fiber_shape)
     tested = []
     for w in (u, v):
-        chi = cutoff(w.base_net.images_in(grid, x, chart, src))[..., 0]
+        chi = cutoff(w.base_net.images_in(grid, x, witness.chart_id, src))[..., 0]
         F = w.fiber.at_grid(grid)(x).reshape(chi.shape + w.fiber.fiber_shape)
         tested.append(chi.reshape(chi.shape + fiber_axes) * F)
     return _sup_diff(*tested).tolist()

@@ -106,11 +106,13 @@ def _install_oracles(monkeypatch):
             step, None if diff is None else oracles.sup_diff,
         )
 
-    def test_hom_curve(u, v, cutoff, chart, pts, src, grid):
-        return oracles.fiber_test_hom_route_curve(
-            u, v, lambda base, eps: cutoff(base.image_in(eps, pts, chart, src))[..., 0],
-            pts, src, grid,
-        )
+    def test_hom_curve(u, v, witness, pts, src, grid):
+        bump = bundle_maps._fiber_cutoff(u.target.base, witness)
+
+        def cutoff(base, eps):
+            return bump(base.image_in(eps, pts, witness.chart_id, src))[..., 0]
+
+        return oracles.fiber_test_hom_route_curve(u, v, cutoff, pts, src, grid)
 
     monkeypatch.setattr(Net, "at_grid", tagged_at_grid)
     monkeypatch.setattr(manifold_maps, "_coordinate", tagged_coordinate)
