@@ -121,14 +121,14 @@ def _install_oracles(monkeypatch):
     monkeypatch.setattr(bundle_maps, "_test_hom_curve", test_hom_curve)
     monkeypatch.setattr(manifold_maps, "_cbounded_report", oracles.cbounded_report)
     for mod in (manifold_maps, bundle_maps, association):
-        monkeypatch.setattr(mod, "_distance_curve", stacked(oracles.distance_curve))
+        monkeypatch.setattr(mod, "_distance_curve", _stacked(oracles.distance_curve))
     for mod in (manifold_maps, association):
         monkeypatch.setattr(
-            mod, "_bank_difference_curves", stacked(oracles.bank_difference_curves)
+            mod, "_bank_difference_curves", _stacked(oracles.bank_difference_curves)
         )
 
 
-def stacked(loop):
+def _stacked(loop):
     """The loop with a stack of per-eps points, as the checkers now pass
     it, read row by row."""
 
