@@ -18,7 +18,7 @@ two base nets agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +71,7 @@ from .manifold_maps import (
     identity_map,
     point_distance,
 )
-from .nets import Net, fd_step, net_from_function
+from .nets import Net, fd_step, make_handle, net_from_function
 
 
 def matrix_net(fn, dim_in, shape, box=None, label="") -> Net:
@@ -94,14 +94,29 @@ def matrix_net(fn, dim_in, shape, box=None, label="") -> Net:
 
 def fiber_values(net: Net, eps, x) -> np.ndarray:
     """Evaluate a matrix net and fold the flat output back to fiber shape."""
-    x = np.asarray(x, dtype=float)
-    flat = net.at(eps)(x)
-    return flat.reshape(x.shape[:-1] + net.fiber_shape)
+    return net.at(eps)(x).reshape(np.shape(x)[:-1] + net.fiber_shape)
 
 
 def _as_matrix(vals, shape) -> np.ndarray:
     """Fiber values as matrices: a fiber vector becomes one column."""
     return vals if len(shape) == 2 else vals[..., None]
+
+
+def _fibers_on(net: Net, rows, x) -> np.ndarray:
+    """A matrix net's fiber values at stacked points, one row per eps of ``rows``."""
+    return net.at_grid(rows)(x).reshape(x.shape[:-1] + net.fiber_shape)
+
+
+def _stacked_fiber_net(body, dim_in, shape, box, label) -> Net:
+    """Matrix net of a fiber combinator.  ``body(rows, x)`` gives the fiber
+    values at points x (..., n_eps, N, d), one row per eps of ``rows``, from
+    the operands' grid handles; the grid handle is the body on the grid, the
+    slice at eps its one-row case, and jets are finite differences."""
+    net = matrix_net(lambda e, x: body((e,), np.atleast_2d(x)[..., None, :, :]),
+                     dim_in, shape, box, label)
+    net.grid_fn = lambda rows: make_handle(
+        lambda x: body(rows, x).reshape(x.shape[:-1] + (net.dim_out,)), dim_in, net.dim_out)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +214,16 @@ def identity_hom(vb: VBAtlas, chart="main", label="id") -> FiberNet:
 
 
 def tangent_map(u: ManifoldNet, label="") -> FiberNet:
-    """The hom net of Jacobians of u's chart representation."""
+    """The hom net of Jacobians of u's chart representation, in one stacked body."""
     source = trivial_bundle(u.source, u.source.dim)
     target = trivial_bundle(u.target, u.target.dim)
 
-    def mat(e, x):
-        return u.net.at(e).jacobian(x, step=fd_step(e))
+    def mat(rows, x):
+        steps = np.array([fd_step(e) for e in rows]).reshape(-1, 1, 1)
+        return u.net.at_grid(rows).jacobian(x, step=steps)
 
-    fiber = matrix_net(
-        mat, u.source.dim, (u.target.dim, u.source.dim),
-        box=u.net.box, label=f"D({u.net.label or 'net'})",
-    )
+    fiber = _stacked_fiber_net(mat, u.source.dim, (u.target.dim, u.source.dim),
+                               u.net.box, f"D({u.net.label or 'net'})")
     return FiberNet(source, target, u, u.tgt_chart, fiber, label or f"T({u.label})")
 
 
@@ -501,7 +515,7 @@ def _test_hom_curve(u: FiberNet, v: FiberNet, witness, pts, src, grid):
     tested = []
     for w in (u, v):
         chi = cutoff(w.base_net.images_in(grid, x, witness.chart_id, src))[..., 0]
-        F = w.fiber.at_grid(grid)(x).reshape(chi.shape + w.fiber.fiber_shape)
+        F = _fibers_on(w.fiber, grid, x)
         tested.append(chi.reshape(chi.shape + fiber_axes) * F)
     return _sup_diff(*tested).tolist()
 
@@ -547,8 +561,8 @@ def _quick_moderate_guard(net: Net, box, label: str):
 
 
 def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
-    """u (a hom or a hybrid) followed by the hom w: u's fiber matrices or
-    vectors multiply through w's matrices at u's base image.  The middle
+    """u (a hom or a hybrid) followed by the hom w, in one stacked body: u's
+    fibers multiply through w's matrices at u's base image.  The middle
     bundles must be one object, or trivial bundles alike over one base."""
     a, b = u.target, w.source
     if a is not b and not (
@@ -561,16 +575,13 @@ def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
         raise AtlasMismatch("no chart pair chains through the middle bundle")
     net_u, net_w = u.fiber, w.fiber
 
-    def fib(e, x):
-        F = _as_matrix(fiber_values(net_u, e, x), net_u.fiber_shape)
-        return fiber_values(net_w, e, u.base_net.image_in(e, x, u.chart)) @ F
+    def fib(rows, x):
+        F = _as_matrix(_fibers_on(net_u, rows, x), net_u.fiber_shape)
+        return _fibers_on(net_w, rows, u.base_net.images_in(rows, x, u.chart)) @ F
 
-    fiber = matrix_net(
-        fib,
-        net_u.dim_in,
-        (w.target.fiber_dim,) + net_u.fiber_shape[1:],
-        box=net_u.box,
-        label=f"{net_w.label}*{net_u.label}",
+    fiber = _stacked_fiber_net(
+        fib, net_u.dim_in, (w.target.fiber_dim,) + net_u.fiber_shape[1:],
+        net_u.box, f"{net_w.label}*{net_u.label}",
     )
     out = FiberNet(
         u.source, w.target, base, w.chart, fiber, label or f"{w.label}o{u.label}"
@@ -580,18 +591,16 @@ def compose_homs(u: FiberNet, w: FiberNet, label="") -> FiberNet:
 
 
 def compose_hybrid(u: ManifoldNet, v: FiberNet, label="") -> FiberNet:
-    """Hybrid after a manifold net: fiber part pulled back along u.  The
-    base composition rejects a middle atlas other than ``v.source``."""
+    """Hybrid after a manifold net, in one stacked body: fiber part pulled back
+    along u.  The base composition rejects a middle atlas other than ``v.source``."""
     base = compose(u, v.base_net, label=label)
     net_v = v.fiber
 
-    def vec(e, x):
-        return fiber_values(net_v, e, u.image_in(e, x, v.base_net.src_chart))
+    def vec(rows, x):
+        return _fibers_on(net_v, rows, u.images_in(rows, x, v.base_net.src_chart))
 
-    fiber = matrix_net(
-        vec, u.source.dim, (v.target.fiber_dim,),
-        box=u.net.box, label=f"{net_v.label}o{u.label}",
-    )
+    fiber = _stacked_fiber_net(vec, u.source.dim, (v.target.fiber_dim,), u.net.box,
+                               f"{net_v.label}o{u.label}")
     return FiberNet(
         u.source, v.target, base, v.chart, fiber, label or f"{v.label}o{u.label}"
     )
@@ -644,11 +653,8 @@ def _adversarial_hybrid_point(u, v, L, grid) -> GeneralizedManifoldPoint:
     """Point chasing the per-eps worst base-plus-fiber gap over sampled L."""
     pts = _check_points(L)
     x = _stack_points(grid, pts)
-    su = u.fiber.at_grid(grid)(x)
-    sv = v.fiber.at_grid(grid)(x)
-    gap = _base_gap(u.base_net, v.base_net, pts, L.chart_id, grid) + np.max(
-        np.abs(su - sv), axis=-1
-    )
+    fiber_gap = np.abs(u.fiber.at_grid(grid)(x) - v.fiber.at_grid(grid)(x))
+    gap = _base_gap(u.base_net, v.base_net, pts, L.chart_id, grid) + fiber_gap.max(axis=-1)
     return _argmax_point(np.where(np.isfinite(gap), gap, np.inf), grid, pts, L)
 
 
@@ -711,7 +717,9 @@ def align_representative(
     the default single-piece cover), weighted by a partition of unity.
     Below the recorded eps threshold the output's base evaluations are
     bitwise those of ``u_rep``; above it the original fiber values pass
-    through unchanged and the report says so.
+    through unchanged and the report says so.  The stacked body transports
+    the rows at or below the threshold, a suffix of the decreasing grid; with
+    a one-piece cover in one vb-chart the old fiber passes through as it is.
     """
     grid = grid or EpsGrid.default()
     target = v.target
@@ -744,21 +752,19 @@ def align_representative(
     members = partition_of_unity(atlas, list(cores) if cores else [region])
     t_in, old_net = v.chart, v.fiber
     shape = old_net.fiber_shape
-    trivial = (
-        len(members) == 1
-        and members[0].chart_id == t_in
-        and len(target.vb_chart_ids) == 1
-    )
+    trivial = (len(members) == 1 and members[0].chart_id == t_in
+               and len(target.vb_chart_ids) == 1)
 
-    def new_fiber(eps, x):
-        old = fiber_values(old_net, eps, x)
-        if trivial or eps > eps_threshold:
-            # one trivialization covers everything: transport between the
-            # old and new base points is the identity, fiber passes through
-            return old
-        y_new = u_rep.image_in(eps, x, t_in, src)
-        y_old = v.base_net.image_in(eps, x, t_in, src)
-        old = _as_matrix(old, shape)
+    def new_fiber(rows, x):
+        # rows above the threshold pass through; the grid decreases, so the
+        # transported rows are a suffix
+        cut = sum(e > eps_threshold for e in rows)
+        kept = _as_matrix(_fibers_on(old_net, rows, x), shape)
+        if cut == len(rows):
+            return kept
+        low, x, old = tuple(rows)[cut:], x[..., cut:, :, :], kept[..., cut:, :, :, :]
+        y_new = u_rep.images_in(low, x, t_in, src)
+        y_old = v.base_net.images_in(low, x, t_in, src)
         acc = np.zeros_like(old)
         for member in members:
             y_new_j = (
@@ -770,12 +776,12 @@ def align_representative(
             back = target.fiber_transition(member.chart_id, t_in, y_new_j)
             moved = np.einsum("...ij,...jk,...kl->...il", back, into, old)
             acc = acc + chi[..., None, None] * moved
-        return acc
+        return np.concatenate([kept[..., :cut, :, :, :], acc], axis=-4)
 
-    aligned = matrix_net(
-        new_fiber, old_net.dim_in, shape, box=old_net.box,
-        label=f"aligned({old_net.label})",
-    )
+    label = f"aligned({old_net.label})"
+    aligned = replace(old_net, label=label) if trivial else _stacked_fiber_net(
+        new_fiber, old_net.dim_in, shape, old_net.box, label)
+    aligned.fiber_shape = shape
     info = AlignmentInfo(
         eps_threshold, r, region, passthrough=eps_threshold < grid.values[0]
     )
@@ -787,18 +793,18 @@ def align_representative(
 
 def hom_u_add(v1: FiberNet, v2: FiberNet, u_rep: ManifoldNet, L: CompactSet,
               grid: Optional[EpsGrid] = None) -> FiberNet:
-    """Fiberwise sum after aligning both homs to the shared base."""
+    """Fiberwise sum, in one stacked body, after aligning both homs to the shared base."""
     a1 = align_representative(v1, u_rep, L, grid)
     a2 = align_representative(v2, u_rep, L, grid)
     n1, n2 = a1.fiber, a2.fiber
     if a1.chart != a2.chart:
         raise AlignmentError("aligned homs land in different vb charts")
 
-    def mat(e, x):
-        return fiber_values(n1, e, x) + fiber_values(n2, e, x)
+    def mat(rows, x):
+        return _fibers_on(n1, rows, x) + _fibers_on(n2, rows, x)
 
-    summed = matrix_net(mat, n1.dim_in, n1.fiber_shape, box=n1.box,
-                        label=f"{v1.label}+{v2.label}")
+    summed = _stacked_fiber_net(mat, n1.dim_in, n1.fiber_shape, n1.box,
+                                f"{v1.label}+{v2.label}")
     out = FiberNet(v1.source, v1.target, u_rep, a1.chart, summed,
                    label=f"{v1.label}+{v2.label}")
     out.alignment = a1.alignment
@@ -808,7 +814,7 @@ def hom_u_add(v1: FiberNet, v2: FiberNet, u_rep: ManifoldNet, L: CompactSet,
 def hom_u_scale(c: float, v: FiberNet, u_rep: Optional[ManifoldNet] = None,
                 L: Optional[CompactSet] = None,
                 grid: Optional[EpsGrid] = None) -> FiberNet:
-    """Fiberwise scaling; aligns first when a shared base is requested."""
+    """Fiberwise scaling in one stacked body; aligns first for a shared base."""
     if u_rep is not None:
         if L is None:
             raise AlignmentError("scaling with alignment needs the working region")
@@ -816,11 +822,11 @@ def hom_u_scale(c: float, v: FiberNet, u_rep: Optional[ManifoldNet] = None,
     c = float(c)
     net = v.fiber
 
-    def mat(e, x):
-        return c * fiber_values(net, e, x)
+    def mat(rows, x):
+        return c * _fibers_on(net, rows, x)
 
-    fiber = matrix_net(mat, net.dim_in, net.fiber_shape, box=net.box,
-                       label=f"{c}*{net.label}")
+    fiber = _stacked_fiber_net(mat, net.dim_in, net.fiber_shape, net.box,
+                               f"{c}*{net.label}")
     out = FiberNet(v.source, v.target, v.base_net, v.chart, fiber, label=f"{c}*{v.label}")
     if hasattr(v, "alignment"):
         out.alignment = v.alignment

@@ -18,6 +18,7 @@ realized by finite samples, so a passing check is evidence, not proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -51,6 +52,7 @@ from .geometry import (
     chord_distance,
     default_test_bank,
     inside_box,
+    sample_box,
 )
 from .nets import (
     Net,
@@ -73,12 +75,20 @@ def _check_points(K: "CompactSet", extra: int = 48, seed: int = 0) -> np.ndarray
     Sups of eps-oscillatory quantities need sample phases spread over the
     oscillation; a coarse lattice alone can miss the extremes at small eps
     and wreck the growth fit.  The seed is fixed so verdicts reproduce.
+    Built once per (box, resolution, extra, seed), and read-only.
     """
-    pts = K.sample_points()
+    return _lattice_and_jitter(K.box.tobytes(), K.resolution, extra, seed)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_and_jitter(box_bytes, resolution, extra, seed) -> np.ndarray:
+    box = np.frombuffer(box_bytes).reshape(-1, 2)
     rng = np.random.default_rng(seed)
-    lo, hi = K.box[:, 0], K.box[:, 1]
+    lo, hi = box[:, 0], box[:, 1]
     jitter = lo + rng.uniform(size=(extra, lo.shape[0])) * (hi - lo)
-    return np.vstack([pts, jitter])
+    pts = np.vstack([sample_box(box, resolution), jitter])
+    pts.flags.writeable = False
+    return pts
 
 
 def _rows(vals) -> np.ndarray:

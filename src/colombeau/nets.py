@@ -17,11 +17,12 @@ at once, through its grid handle ``net.at_grid(grid)``: a handle whose
 points carry eps on axis -3, ``(..., n_eps, N, d)``, and whose step is an
 array ``(n_eps, 1, 1)`` of the slices' steps.  Above the leaves every rule
 runs on the whole stack: finite differences, the chain rule of a
-composition, a constant net's one handle.  A leaf, such as a
-:func:`net_from_function` net, is still called slice by slice: row i of
-the stack goes to the eps_i slice as the contiguous ``(..., N, d)`` array a
+composition, a constant net's one handle, a ``grid_fn`` body.  A leaf, such
+as a :func:`net_from_function` net, is called slice by slice: row i of the
+stack goes to the eps_i slice as the contiguous ``(..., N, d)`` array a
 single slice would get, so ``fn(eps, x)`` never has to broadcast over eps.
-A row's values are bitwise those of its slice alone.
+A row's values are bitwise those of its slice alone.  A grid handle keeps
+the values and jets of its last few point stacks, read-only.
 
 Points are numpy arrays whose last axis is the input dimension; evaluation
 broadcasts over leading axes, and every ``eval_fn`` must.  Multi-indices
@@ -31,6 +32,7 @@ are integer tuples of length ``dim_in``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -233,17 +235,8 @@ def _chain_jet(outer, inner, x, alpha, step):
     dirs = [i for i, a in enumerate(alpha) for _ in range(a)]
     y = inner(x)
     m = inner.dim_out
-    inner_cache, outer_cache = {}, {}
-
-    def inner_jet(beta):
-        if beta not in inner_cache:
-            inner_cache[beta] = inner.jet(x, beta, step)
-        return inner_cache[beta]
-
-    def outer_jet(gamma):
-        if gamma not in outer_cache:
-            outer_cache[gamma] = outer.jet(y, gamma, step)
-        return outer_cache[gamma]
+    inner_jet = functools.cache(lambda beta: inner.jet(x, beta, step))
+    outer_jet = functools.cache(lambda gamma: outer.jet(y, gamma, step))
 
     total = 0.0
     for part in _set_partitions(dirs):
@@ -310,6 +303,36 @@ def _grid_of_slices(slices) -> SmoothMapHandle:
     return SmoothMapHandle(s0.dim_in, s0.dim_out, ev, ji, "grid", fd_from)
 
 
+def _memoized(h: SmoothMapHandle) -> SmoothMapHandle:
+    """``h`` computing the values and each (alpha, step) jet of a plain
+    ``(n_eps, N, d)`` stack once: its last four stacks, known by shape, dtype and
+    blake2b digest, keep their arrays read-only.  Stencil stacks pass through."""
+    stacks = {}  # least recently used first
+
+    def recall(x, key, compute):
+        if np.ndim(x) != 3:
+            return compute()
+        xc = np.ascontiguousarray(x)
+        xkey = (xc.shape, xc.dtype.str, hashlib.blake2b(xc, digest_size=16).digest())
+        memo = stacks[xkey] = stacks.pop(xkey, {})
+        if len(stacks) > 4:
+            del stacks[next(iter(stacks))]
+        if key not in memo:
+            out = np.asarray(compute())
+            memo[key] = out = out.copy() if np.may_share_memory(out, x) else out.view()
+            out.flags.writeable = False
+        return memo[key]
+
+    def ev(x):
+        return recall(x, None, lambda: h.eval_fn(x))
+
+    def ji(x, alpha, step):
+        key = (alpha, np.shape(step), np.asarray(step, dtype=float).tobytes())
+        return recall(x, key, lambda: h.jet_impl(x, alpha, step))
+
+    return SmoothMapHandle(h.dim_in, h.dim_out, ev, ji, h.name, h.fd_order)
+
+
 # ---------------------------------------------------------------------------
 # nets
 
@@ -325,7 +348,7 @@ class Net:
     axis-0 coordinate where the slice has eps-scale features (quadrature
     uses it to place subdivisions).  ``grid_fn(grid)``, when set, builds
     the grid handle of :meth:`at_grid` from the operands' grid handles;
-    without it the net is a leaf, called slice by slice.
+    without it the net is a leaf, whose grid handle calls it row by row.
     """
 
     dim_in: int
@@ -353,16 +376,16 @@ class Net:
         return h
 
     def at_grid(self, grid) -> SmoothMapHandle:
-        """The handle of every slice of ``grid`` at once: points
-        ``(..., n_eps, N, d)`` with eps on axis -3, steps ``(n_eps, 1, 1)``.
-        Built once per grid and cached beside the slices."""
+        """The handle of every slice of ``grid`` (an eps grid or a tuple of
+        eps) at once: points ``(..., n_eps, N, d)`` with eps on axis -3, steps
+        ``(n_eps, 1, 1)``.  Built once per grid, :func:`_memoized`, cached."""
         h = self._cache.get(grid)
         if h is None:
             if self.grid_fn is not None:
                 h = self.grid_fn(grid)
             else:
                 h = _grid_of_slices([self.at(eps) for eps in grid])
-            self._cache[grid] = h
+            h = self._cache[grid] = _memoized(h)
         return h
 
     def __repr__(self):

@@ -425,13 +425,15 @@ class TestBankImage:
         assert cutoff[2] == [0.0] * len(self.GRID)
 
     def test_each_net_is_evaluated_once_per_eps(self, monkeypatch):
-        calls = {"u": Counter(), "v": Counter()}
+        # over the whole verdict each slice is called once, on its row of
+        # the one point stack; the bank route finds the images in the grid
+        # handles and calls no slice
+        calls = {"u": [], "v": []}
         in_bank_route = [False]
 
         def counted(name, fn):
             def wrapped(e, x):
-                if in_bank_route[0]:
-                    calls[name][e] += 1
+                calls[name].append((e, in_bank_route[0]))
                 return fn(e, x)
             return wrapped
 
@@ -449,7 +451,9 @@ class TestBankImage:
         monkeypatch.setattr(association, "_bank_difference_curves", spy)
         grid = association.association_grid()
         assert check_k_associated(u, v, 0, K1, grid=grid)
-        assert calls["u"] == calls["v"] == {eps: 1 for eps in grid}
+        for c in calls.values():
+            assert Counter(e for e, _ in c) == {eps: 1 for eps in grid}
+            assert not any(bank for _, bank in c)
 
     def test_order_zero_evaluates_the_bank_once_per_net(self, monkeypatch):
         evals = []
@@ -914,16 +918,17 @@ class TestPointValues:
         assert ok
         assert not info["failed_points"]
 
-    def test_each_net_is_sampled_on_k_twice_per_eps(self):
-        # once for c-boundedness, once for the adversarial point; every
-        # further point insertion reuses the memoized c-boundedness report
+    def test_each_net_is_sampled_on_k_once_per_eps(self):
+        # for c-boundedness; the adversarial point finds the same stack in
+        # the grid handle, and every further point insertion reuses the
+        # memoized c-boundedness report
         k_pts = _check_points(K1)
-        counts = {"u": 0, "v": 0}
+        counts = {"u": Counter(), "v": Counter()}
 
         def counting(name, fn):
             def counted(e, x):
                 if np.array_equal(x, k_pts):
-                    counts[name] += 1
+                    counts[name][e] += 1
                 return fn(e, x)
 
             return counted
@@ -936,8 +941,8 @@ class TestPointValues:
             u, v, random_gpoints(K1, 5, seed=0), K=K1
         )
         assert ok and info["tested"] == 6
-        n_grid = len(EpsGrid.default())
-        assert counts == {"u": 2 * n_grid, "v": 2 * n_grid}
+        once = {eps: 1 for eps in EpsGrid.default()}
+        assert counts == {"u": once, "v": once}
 
     def test_equal_nets_in_two_target_charts_have_equal_point_values(self):
         # the same map written into charts a and b = a + 10: the transition
