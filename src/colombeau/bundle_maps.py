@@ -114,8 +114,9 @@ def _stacked_fiber_net(body, dim_in, shape, box, label) -> Net:
     slice at eps its one-row case, and jets are finite differences."""
     net = matrix_net(lambda e, x: body((e,), np.atleast_2d(x)[..., None, :, :]),
                      dim_in, shape, box, label)
+    size = net.dim_out  # the closure below must not hold the net
     net.grid_fn = lambda rows: make_handle(
-        lambda x: body(rows, x).reshape(x.shape[:-1] + (net.dim_out,)), dim_in, net.dim_out)
+        lambda x: body(rows, x).reshape(x.shape[:-1] + (size,)), dim_in, size)
     return net
 
 

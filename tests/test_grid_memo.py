@@ -9,6 +9,8 @@ The fiber combinators of ``bundle_maps`` evaluate on the whole stack; their
 slice at eps is the one-row case of the same body, and no checker calls it.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -261,3 +263,18 @@ class TestSingleBody:
             repeated = [k for k, n in Counter(jets).items() if n > 1]
             assert not repeated, (name, len(repeated))
         assert nets_with_bodies == []
+
+    def test_combinator_nets_are_freed_without_the_cycle_collector(self):
+        # nets are rebuilt per benchmark pass; a reference cycle would hold
+        # every memoized stack of the last pass until the collector runs
+        gc.disable()
+        try:
+            built = combinators()
+            for name, f in built.items():
+                check = check_hybrid_equivalent if name == "compose_hybrid" else check_vb_equivalent
+                assert check(f, f, K1, derivative_order=2), name
+            refs = {name: weakref.ref(f.fiber) for name, f in built.items()}
+            del built, f
+            assert [name for name, r in refs.items() if r() is not None] == []
+        finally:
+            gc.enable()
