@@ -33,15 +33,7 @@ from colombeau.bundle_maps import (
     single_chart_hom,
     tangent_map,
 )
-from colombeau.geometry import (
-    Atlas,
-    Chart,
-    CompactSet,
-    VBAtlas,
-    affine_transition,
-    euclidean_atlas,
-    trivial_bundle,
-)
+from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
 from colombeau.manifold_maps import (
     ManifoldNet,
     _check_points,
@@ -53,6 +45,7 @@ from colombeau.manifold_maps import (
     single_chart_map,
 )
 from colombeau.nets import fd_step, net_from_function
+from test_bundle_maps import two_chart_bundle
 
 LINE = euclidean_atlas(1, 10.0)
 TX = trivial_bundle(LINE, 1)
@@ -147,26 +140,6 @@ class TestCacheState:
         assert _check_points(K1, seed=1) is not pts
         with pytest.raises(ValueError):
             pts[0, 0] = 5.0
-
-
-def two_chart_bundle():
-    """Line covered by two shifted charts; the fiber rescales by 2 across."""
-    def flat(x):
-        return np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)).copy()
-
-    base = Atlas(
-        [Chart("A", [(-4.0, 2.0)]), Chart("B", [(-2.0, 4.0)])],
-        transitions={
-            ("A", "B"): affine_transition(np.eye(1), [-1.0]),
-            ("B", "A"): affine_transition(np.eye(1), [1.0]),
-        },
-        metric={"A": flat, "B": flat},
-    )
-
-    def scale(c):
-        return lambda x: np.broadcast_to(c * np.eye(1), x.shape[:-1] + (1, 1)).copy()
-
-    return base, VBAtlas(base, 1, fiber_transitions={("A", "B"): scale(2.0), ("B", "A"): scale(0.5)})
 
 
 def transported():
