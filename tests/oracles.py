@@ -22,7 +22,9 @@ pairing built on it (for the pairings of
 the checkers' per-eps loops: the sup curve, the c-boundedness report, the
 distance and bank-difference curves and the fiber test-hom route (for the
 stacked evaluation over the eps grid in ``manifold_maps`` and
-``bundle_maps``)."""
+``bundle_maps``), and the generalized points taken one eps at a time:
+point values, hybrid point values, the point distance and the point
+curves (for the stacked point-value verdicts)."""
 
 import itertools
 import math
@@ -31,7 +33,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from colombeau.bundle_maps import _as_matrix, _fiber_cutoff, fiber_values
+from colombeau import bundle_maps
+from colombeau.asymptotics import EpsGrid
+from colombeau.bundle_maps import (
+    VBGeneralizedPoint,
+    _as_matrix,
+    _fiber_cutoff,
+    fiber_values,
+)
 from colombeau.errors import (
     AtlasMismatch,
     ConfigError,
@@ -39,6 +48,7 @@ from colombeau.errors import (
     ImageEscapesAtlas,
     NoMetric,
     NonFiniteValue,
+    NotCBounded,
     OutsideDomain,
     QuadratureError,
 )
@@ -57,6 +67,7 @@ from colombeau.geometry import (
 )
 from colombeau.manifold_maps import (
     CBoundedReport,
+    GeneralizedManifoldPoint,
     _check_points,
     _witness_region,
     check_cbounded,
@@ -951,3 +962,95 @@ def adversarial_choices(u, v, pts, src, grid, fibers=None):
             gap = np.where(np.isfinite(gap), gap, np.inf)
         chosen.append(pts[int(np.argmax(gap))])
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# generalized points, one eps at a time
+
+
+def point_value(u, p, grid=None):
+    """The point eps -> u_eps(p_eps), its value taken eps by eps: p's
+    coordinates checked against their chart's box, then u's eps-slice at
+    them (``manifold_maps.point_value``)."""
+    grid = grid or EpsGrid.default()
+    cb = check_cbounded(u, p.support, grid)
+    if not cb.ok:
+        raise NotCBounded("point insertion needs a c-bounded net on the support")
+
+    def at(eps):
+        cid, x = p.at(eps)
+        if not box_contains(u.source.chart(cid).box, x, slack=1e-9):
+            raise OutsideDomain("generalized point leaves the source chart")
+        tgt, y = u.eval(eps, x[None, :], cid)
+        return tgt, y[0]
+
+    return GeneralizedManifoldPoint(
+        at, cb.witness, label=f"{u.label or 'u'}({p.label or 'p'})"
+    )
+
+
+def point_distance(atlas, cp, xp, cq, xq):
+    """Chord distance between one pair of points (cp, xp) and (cq, xq), in
+    chart cp; a gap within 4 ulps of the larger coordinate on either side
+    of the chart change is a measured zero."""
+    xp = np.asarray(xp, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    if xp.shape != xq.shape:
+        raise DimensionMismatch(f"points of shapes {xp.shape} and {xq.shape}")
+    scale = max(float(np.max(np.abs(xp))), float(np.max(np.abs(xq))))
+    if cp != cq:
+        xq = atlas.to_chart(xq, cq, cp)
+        scale = max(scale, float(np.max(np.abs(xq))))
+    gap = float(np.max(np.abs(xp - xq)))
+    if math.isfinite(gap) and gap <= 4.0 * np.finfo(float).eps * scale:
+        return 0.0
+    return chord_distance(atlas, cp, xp, xq)
+
+
+def gpoint_distance_curve(atlas, p, q, grid):
+    """Per eps, the point distance between p and q."""
+    curve = []
+    for eps in grid:
+        cp, xp = p.at(eps)
+        cq, xq = q.at(eps)
+        curve.append(point_distance(atlas, cp, xp, cq, xq))
+    return curve
+
+
+def hybrid_point_value(u, p):
+    """The bundle point eps -> u_eps(p_eps) of a hybrid net, eps by eps
+    through ``FiberNet.apply`` (``bundle_maps.hybrid_point_value``)."""
+    cb = check_cbounded(u.base_net, p.support)
+    if not cb.ok:
+        raise NotCBounded("hybrid point value needs a c-bounded base net")
+
+    def at(eps):
+        cid, x = p.at(eps)
+        tgt, y, vec = u.apply(eps, x[None, :], src_chart=cid)
+        return tgt, y[0], vec[0]
+
+    return VBGeneralizedPoint(at, cb.witness, label=f"{u.label}({p.label})")
+
+
+def vb_point_curves(vb, p, q, grid):
+    """(base distance curve, fiber difference curve) of two bundle points,
+    eps by eps: q's fiber is moved into p's chart where their charts
+    differ, and the fiber difference is ``sup_diff``."""
+    base_curve, fiber_curve = [], []
+    for eps in grid:
+        cp, xp, fp = p.at(eps)
+        cq, xq, fq = q.at(eps)
+        if cp != cq:
+            fq = vb.fiber_transition(cq, cp, xq) @ fq
+        base_curve.append(point_distance(vb.base, cp, xp, cq, xq))
+        fiber_curve.append(sup_diff(fp, fq))
+    return base_curve, fiber_curve
+
+
+def vb_points_equivalent(vb, p, q, grid=None):
+    """``bundle_maps.vb_points_equivalent`` on the curves of
+    ``vb_point_curves``, classified by ``bundle_maps``' classifier."""
+    grid = grid or EpsGrid.default()
+    base_curve, fiber_curve = vb_point_curves(vb, p, q, grid)
+    tends = bundle_maps.negligible_to_resolution
+    return tends(base_curve, grid) and tends(fiber_curve, grid)

@@ -83,7 +83,8 @@ def _install_oracles(monkeypatch):
 
     The loops take slices, and the checkers hand ``_sup_curve`` grid
     handles: each grid handle a net or a coordinate projection hands out
-    is tagged with the function eps -> slice it stands for."""
+    is tagged with the function eps -> slice it stands for.  Point values
+    and their distances are taken one point and one eps at a time."""
     slice_of = {}
     at_grid, coordinate = Net.at_grid, manifold_maps._coordinate
 
@@ -126,6 +127,10 @@ def _install_oracles(monkeypatch):
         monkeypatch.setattr(
             mod, "_bank_difference_curves", _stacked(oracles.bank_difference_curves)
         )
+    for name in ("point_value", "gpoint_distance_curve", "point_distance"):
+        monkeypatch.setattr(manifold_maps, name, getattr(oracles, name))
+    for name in ("hybrid_point_value", "vb_points_equivalent", "point_distance"):
+        monkeypatch.setattr(bundle_maps, name, getattr(oracles, name))
 
 
 def _stacked(loop):
@@ -198,10 +203,27 @@ class TestCatalogCurves:
                 acceptance.criterion_alignment,
                 acceptance.criterion_order_collapse,
                 acceptance.criterion_kink,
-            )]
+            )] + [_section_point_values()]
 
         got = _compare(monkeypatch, run)
         assert {"_tends_to_zero", "estimate_growth_order"} <= {k for k, _ in got}
+
+
+def _section_point_values():
+    """Demo 03's section s = eps sin(x/eps) against s + exp(-1/eps) and
+    against the O(eps) perturbation s + eps, at six seeded generalized points
+    and the adversarial one."""
+    from colombeau.bundle_maps import check_hybrid_pointvalues, section_net
+    from colombeau.manifold_maps import random_gpoints
+
+    s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+    out = []
+    for label, extra in (("s+tail", lambda e: np.exp(-1.0 / e)), ("s+eps", lambda e: e)):
+        t = section_net(TX, lambda e, x, f=extra: e * np.sin(x / e) + f(e), label=label)
+        same, info = check_hybrid_pointvalues(s, t, random_gpoints(K1, 6), L=K1)
+        out.append((same, len(info["failed_points"])))
+    assert out[0] == (True, 0) and not out[1][0]
+    return out
 
 
 LINE = euclidean_atlas(1, 10.0)
