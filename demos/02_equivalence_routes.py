@@ -22,8 +22,11 @@ from colombeau.geometry import (
     euclidean_atlas,
 )
 from colombeau.manifold_maps import (
+    GeneralizedManifoldPoint,
     check_equivalent,
     check_pointvalue_equality,
+    gpoints_equivalent,
+    point_value,
     random_gpoints,
     single_chart_map,
 )
@@ -68,3 +71,6 @@ in_b = single_chart_map(LINE, TWO_CHARTS, lambda e, x: 0.5 * np.sin(x) + 10.0,
                         tgt_chart="b", label="in b")
 same, info = check_pointvalue_equality(in_a, in_b, random_gpoints(K, 5), K=K)
 print(f"    equal point values at {info['tested']} generalized points: {same}")
+moving = GeneralizedManifoldPoint(lambda e: np.array([0.3 + e]), K, label="0.3+eps")
+print("    and at the moving point 0.3 + eps:", gpoints_equivalent(
+    TWO_CHARTS, point_value(in_a, moving), point_value(in_b, moving)))

@@ -21,15 +21,18 @@ from colombeau.bundle_maps import (
     compose_homs,
     constant_vb_point,
     hom_u_add,
+    hybrid_point_value,
     hom_u_scale,
     section_net,
     single_chart_hom,
     tangent_map,
     vb_point_insert,
+    vb_points_equivalent,
 )
 from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
 from colombeau.manifold_maps import (
     compose,
+    constant_gpoint,
     identity_map,
     random_gpoints,
     single_chart_map,
@@ -61,9 +64,9 @@ s = hom_u_add(v, w, base, K)
 s_flip = hom_u_add(w, v, base, K)
 print("    v + w  ~  w + v :", check_vb_equivalent(s, s_flip, K).equivalent)
 tw = hom_u_scale(2.0, w)
-print("    2*(w) has doubled fiber:",
-      np.allclose(tw.fiber_matrix(0.25, np.array([[0.3]]), "main")[1],
-                  2 * w.fiber_matrix(0.25, np.array([[0.3]]), "main")[1]))
+x, xi = np.array([[0.3]]), np.array([[1.0]])
+print("    2*(w) doubles what w does to a fiber vector:",
+      np.allclose(tw.apply(0.25, x, xi, "main")[2], 2 * w.apply(0.25, x, xi, "main")[2]))
 
 print("\nderivative-order collapse: order-0 and order-2 verdicts agree")
 for label, other in [
@@ -91,6 +94,8 @@ wp = vb_point_insert(w, p)
 _, x, xi = wp.at(0.01)
 print(f"    w(p) = ({x[0]:.3f}; {xi[0]:.3f}), fiber 3 * (1 + 0.5 * 0.5) = 3.75")
 print("    w(p) is a bundle point with moderate fiber:", wp.check())
+print("    w(p) ~ (0.5; 3.75):",
+      vb_points_equivalent(TX, wp, constant_vb_point(K, [0.5], [3.75])))
 
 print("\nsections are determined by their point values")
 s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
@@ -99,3 +104,6 @@ s_tail = section_net(
 same, info = check_hybrid_pointvalues(s, s_tail, random_gpoints(K, 6), L=K)
 print(f"    s and s + exp(-1/eps) agree at {info['tested']} generalized points: "
       f"{same}")
+p0 = constant_gpoint(K, [0.25], label="0.25")
+print("    s(0.25) ~ (s + exp(-1/eps))(0.25):", vb_points_equivalent(
+    TX, hybrid_point_value(s, p0), hybrid_point_value(s_tail, p0)))

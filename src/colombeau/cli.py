@@ -431,10 +431,9 @@ def run_classify(cfg: RunConfig, out_dir) -> list:
     records = []
     for name in names:
         net = cfg.scalar_net(name)
-        curve = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for e in cfg.grid:
-                curve.append(float(np.max(np.abs(net.at(e)(pts)))))
+            y = net.at_grid(cfg.grid)(np.broadcast_to(pts, (len(cfg.grid),) + pts.shape))
+            curve = np.max(np.abs(y), axis=(1, 2)).tolist()
         verdict = estimate_growth_order(
             curve, cfg.grid, m_max=cfg.m_max, fit_tolerance=cfg.fit_tolerance
         )

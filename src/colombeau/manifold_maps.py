@@ -291,35 +291,47 @@ def identity_map(atlas: Atlas, chart="main", label="id") -> ManifoldNet:
 
 @dataclass
 class GeneralizedManifoldPoint:
-    """Compactly supported generalized point: eps -> (chart id, coords)."""
+    """Compactly supported generalized point: eps -> (chart id, coords).
+    Its grid form ``on_grid(grid)`` is the chart ids and an (n_eps, d)
+    coordinate array, ``at(eps)`` its one-row case: ``grid_fn(grid)`` if
+    set, else ``at_fn(eps)`` (coords or (chart id, coords)) row by row."""
 
-    at_fn: Callable
+    at_fn: Optional[Callable]
     support: CompactSet
     label: str = ""
+    grid_fn: Optional[Callable] = field(default=None, repr=False)
+
+    def _row(self, v):
+        return v if isinstance(v, tuple) else (self.support.chart_id, v)
 
     def at(self, eps: float):
-        v = self.at_fn(eps)
-        if isinstance(v, tuple):
-            cid, x = v
-        else:
-            cid, x = self.support.chart_id, v
-        return cid, np.atleast_1d(np.asarray(x, dtype=float))
+        return tuple(part[0] for part in self.on_grid((eps,)))
+
+    def on_grid(self, grid):
+        if self.grid_fn is not None:
+            return self.grid_fn(grid)
+        cids, *parts = zip(*(self._row(self.at_fn(eps)) for eps in grid))
+        return [list(cids)] + [np.stack([np.atleast_1d(a) for a in part]).astype(float)
+                               for part in parts]
+
+    def _supported_form(self, grid, what):
+        """The grid form, its rows in the support's chart checked against its box."""
+        form = self.on_grid(grid)
+        out = (np.asarray(form[0], dtype=object) == self.support.chart_id) & ~inside_box(
+            self.support.box, form[1], 1e-9)
+        for i in np.flatnonzero(out)[:1]:
+            raise OutsideDomain(f"{what} leaves its support at eps={tuple(grid)[i]}")
+        return form
 
     def check_support(self):
-        for eps in _EVAL_EPS_SAMPLES:
-            cid, x = self.at(eps)
-            if cid == self.support.chart_id and not box_contains(
-                self.support.box, x, slack=1e-9
-            ):
-                raise OutsideDomain(
-                    f"generalized point leaves its support at eps={eps}"
-                )
+        self._supported_form(_EVAL_EPS_SAMPLES, "generalized point")
         return True
 
 
 def constant_gpoint(support: CompactSet, coords, label="") -> GeneralizedManifoldPoint:
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    p = GeneralizedManifoldPoint(lambda eps: coords, support, label=label)
+    p = GeneralizedManifoldPoint(None, support, label, lambda g: (
+        [support.chart_id] * len(g), np.broadcast_to(coords, (len(g),) + coords.shape)))
     p.check_support()
     return p
 
@@ -644,30 +656,54 @@ def check_equivalent(
 # point values
 
 
+def _insertion_witness(u: ManifoldNet, support: CompactSet, grid):
+    cb = check_cbounded(u, support, grid)
+    if not cb.ok:
+        raise NotCBounded("point insertion needs a c-bounded net on the support")
+    return cb.witness
+
+
+def _checked_stack(nets, points, grid, domain, witness_grid=False):
+    """The grid forms of ``points`` side by side: chart ids (n_eps, P),
+    coordinates (n_eps, P, d), then any further part.  They are checked as
+    inserting each point into each ManifoldNet of ``nets`` would check them,
+    point by point (c-boundedness on ``witness_grid`` first, None meaning
+    the default grid, unless it is False), then eps by eps and net by net:
+    the chart's box (with ``domain``), then the chart."""
+    cids, *parts = zip(*(p.on_grid(grid) for p in points))
+    cids = np.array(cids, dtype=object).T
+    x, *rest = [np.stack(part, axis=1) for part in parts]
+    refused = np.array([(cids != u.src_chart) | (domain & ~inside_box(
+        u.source.chart(u.src_chart).box, x, 1e-9)) for u in nets])
+    for j, p in enumerate(points):
+        for u in nets if witness_grid is not False else ():
+            _insertion_witness(u, p.support, witness_grid)
+        for i in np.flatnonzero(np.any(refused[:, :, j], axis=0))[:1]:
+            u = nets[int(np.argmax(refused[:, i, j]))]
+            if not domain or box_contains(u.source.chart(cids[i, j]).box, x[i, j], 1e-9):
+                u._own_chart(cids[i, j])
+            raise OutsideDomain("generalized point leaves the source chart")
+    return [cids, x, *rest]
+
+
 def point_value(
     u: ManifoldNet, p: GeneralizedManifoldPoint, grid: Optional[EpsGrid] = None
 ) -> GeneralizedManifoldPoint:
-    """The generalized point eps -> u_eps(p_eps) in the target."""
+    """The generalized point eps -> u_eps(p_eps) in the target, on u's grid handle."""
     grid = grid or EpsGrid.default()
-    cb = check_cbounded(u, p.support, grid)
-    if not cb.ok:
-        raise NotCBounded("point insertion needs a c-bounded net on the support")
+    witness = _insertion_witness(u, p.support, grid)
 
-    def at(eps):
-        cid, x = p.at(eps)
-        if not box_contains(u.source.chart(cid).box, x, slack=1e-9):
-            raise OutsideDomain("generalized point leaves the source chart")
-        tgt, y = u.eval(eps, x[None, :], cid)
-        return tgt, y[0]
+    def on_grid(g):
+        _, x = _checked_stack((u,), [p], g, True)
+        return [u.tgt_chart] * len(g), u.grid_handle(g)[1](x)[:, 0]
 
-    return GeneralizedManifoldPoint(
-        at, cb.witness,
-        label=f"{u.label or 'u'}({p.label or 'p'})",
-    )
+    return GeneralizedManifoldPoint(None, witness, f"{u.label or 'u'}({p.label or 'p'})", on_grid)
 
 
-def point_distance(atlas: Atlas, cp: str, xp, cq: str, xq) -> float:
-    """Chord distance between (cp, xp) and (cq, xq), measured in chart cp.
+def point_distance(atlas: Atlas, cp, xp, cq, xq):
+    """Chord distance between (cp, xp) and (cq, xq), measured in chart cp,
+    row by row: cp and cq are one chart id or one per row of the (..., d)
+    points.  One pair of points gives a float.
 
     A coordinate gap within roundoff of the coordinates on either side of
     the chart change is a measured zero: the same point written into two
@@ -679,26 +715,27 @@ def point_distance(atlas: Atlas, cp: str, xp, cq: str, xq) -> float:
     xq = np.asarray(xq, dtype=float)
     if xp.shape != xq.shape:
         raise DimensionMismatch(f"points of shapes {xp.shape} and {xq.shape}")
-    scale = max(float(np.max(np.abs(xp))), float(np.max(np.abs(xq))))
-    if cp != cq:
-        xq = atlas.to_chart(xq, cq, cp)
-        scale = max(scale, float(np.max(np.abs(xq))))
-    gap = float(np.max(np.abs(xp - xq)))
-    if math.isfinite(gap) and gap <= _DIFF_NOISE_C * np.finfo(float).eps * scale:
-        return 0.0
-    return chord_distance(atlas, cp, xp, xq)
+    lead = xp.shape[:-1]
+    cp, cq = (np.broadcast_to(np.asarray(c, dtype=object), lead).ravel() for c in (cp, cq))
+    xp, xq = xp.reshape(len(cp), -1), xq.reshape(len(cp), -1)
+    out = np.zeros(len(cp))
+    for a, b in set(zip(cp, cq)):
+        rows = np.flatnonzero((cp == a) & (cq == b))
+        p, q = xp[rows], atlas.to_chart(xq[rows], b, a)
+        scale = np.fmax.reduce([np.max(np.abs(y), axis=-1) for y in (p, xq[rows], q)])
+        gap = np.max(np.abs(p - q), axis=-1)
+        far = ~(np.isfinite(gap) & (gap <= _DIFF_NOISE_C * np.finfo(float).eps * scale))
+        if far.any():
+            out[rows[far]] = chord_distance(atlas, a, p[far], q[far])
+    return out.reshape(lead) if lead else float(out[0])
 
 
 def gpoint_distance_curve(
     atlas: Atlas, p: GeneralizedManifoldPoint, q: GeneralizedManifoldPoint,
     grid: EpsGrid,
 ):
-    curve = []
-    for eps in grid:
-        cp, xp = p.at(eps)
-        cq, xq = q.at(eps)
-        curve.append(point_distance(atlas, cp, xp, cq, xq))
-    return curve
+    """Per eps of ``grid``, the point distance of p and q's grid forms."""
+    return point_distance(atlas, *p.on_grid(grid), *q.on_grid(grid)).tolist()
 
 
 def gpoints_equivalent(
@@ -711,18 +748,16 @@ def gpoints_equivalent(
 
 def _argmax_point(gaps, grid, pts, K: CompactSet) -> GeneralizedManifoldPoint:
     """Piecewise-constant point at the per-eps argmax of ``gaps`` (one row
-    of gaps per eps of ``grid``, one gap per sample point); ties break to
-    the lowest sample index."""
-    chosen = dict(zip(grid.values, pts[np.argmax(gaps, axis=-1)]))
-    eps_sorted = sorted(chosen, reverse=True)  # decreasing eps
+    of gaps per eps of ``grid``, one gap per sample point), ties to the
+    lowest sample index, held from each grid eps up to the next one."""
+    eps = grid.as_array()[::-1]  # increasing
+    chosen = pts[np.argmax(gaps, axis=-1)][::-1]
 
-    def at(eps):
-        for e in eps_sorted:
-            if eps >= e:
-                return chosen[e]
-        return chosen[eps_sorted[-1]]
+    def on_grid(g):
+        i = np.maximum(np.searchsorted(eps, list(g), side="right") - 1, 0)
+        return [K.chart_id] * len(i), chosen[i]
 
-    return GeneralizedManifoldPoint(at, K, label="adversarial")
+    return GeneralizedManifoldPoint(None, K, "adversarial", on_grid)
 
 
 def _base_gap(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
@@ -759,13 +794,20 @@ def check_pointvalue_equality(
     points = list(sample_points)
     if K is not None:
         points.append(adversarial_gpoint(u, v, K, grid))
-    failures = []
-    for p in points:
-        pu = point_value(u, p, grid)
-        pv = point_value(v, p, grid)
-        if not gpoints_equivalent(u.target, pu, pv, grid):
-            failures.append(p.label or "unnamed")
+    failures = [
+        p.label or "unnamed"
+        for p, curve in zip(points, _pointvalue_curves(u, v, points, grid) if points else ())
+        if not negligible_to_resolution(curve, grid)
+    ]
     return not failures, {"failed_points": failures, "tested": len(points)}
+
+
+def _pointvalue_curves(u: ManifoldNet, v: ManifoldNet, points, grid):
+    """Per point, the distance curve of u's and v's values there: one
+    evaluation of each net's grid handle on all the points, one column each."""
+    _, x = _checked_stack((u, v), points, grid, True, grid)
+    yu, yv = u.grid_handle(grid)[1](x), v.grid_handle(grid)[1](x)
+    return point_distance(u.target, u.tgt_chart, yu, v.tgt_chart, yv).T.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ pairing built on it (for the pairings of
 the checkers' per-eps loops: the sup curve, the c-boundedness report, the
 distance and bank-difference curves and the fiber test-hom route (for the
 stacked evaluation over the eps grid in ``manifold_maps`` and
-``bundle_maps``), and the generalized points taken one eps at a time:
-point values, hybrid point values, the point distance and the point
-curves (for the stacked point-value verdicts)."""
+``bundle_maps``), and the generalized points taken one point and one eps
+at a time: point values, hybrid point values, the point distance and the
+point-value curves (for the stacked grid forms of ``manifold_maps`` and
+``bundle_maps`` points and their verdicts)."""
 
 import itertools
 import math
@@ -1054,3 +1055,23 @@ def vb_points_equivalent(vb, p, q, grid=None):
     base_curve, fiber_curve = vb_point_curves(vb, p, q, grid)
     tends = bundle_maps.negligible_to_resolution
     return tends(base_curve, grid) and tends(fiber_curve, grid)
+
+
+def pointvalue_curves(u, v, points, grid):
+    """Per point, the distance curve of u's and v's point values, one
+    point and one eps at a time."""
+    return [
+        gpoint_distance_curve(
+            u.target, point_value(u, p, grid), point_value(v, p, grid), grid
+        )
+        for p in points
+    ]
+
+
+def hybrid_pointvalue_curves(u, v, points, grid):
+    """Per point, the (base, fiber) curves of u's and v's hybrid point
+    values, one point and one eps at a time."""
+    return [
+        vb_point_curves(u.target, hybrid_point_value(u, p), hybrid_point_value(v, p), grid)
+        for p in points
+    ]

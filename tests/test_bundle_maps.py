@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from colombeau.errors import (
     AlignmentError,
     AtlasMismatch,
     BallEscapesChart,
+    ColombeauError,
     ConfigError,
     DimensionMismatch,
+    NotCBounded,
     NotModerate,
     OutsideDomain,
 )
@@ -23,9 +26,11 @@ from colombeau.geometry import (
     affine_transition,
     constant_metric,
     euclidean_atlas,
+    make_bump,
     trivial_bundle,
 )
 from colombeau.manifold_maps import (
+    GeneralizedManifoldPoint,
     ManifoldNet,
     _check_points,
     compose,
@@ -61,6 +66,7 @@ from colombeau.bundle_maps import (
 )
 from colombeau import bundle_maps, nets
 from colombeau.nets import net_from_function
+import oracles
 from oracles import fiber_test_hom_curve
 
 LINE = euclidean_atlas(1, 10.0)
@@ -761,6 +767,139 @@ class TestHybridPointValues:
         assert ok
         assert info["tested"] == 7
 
+
+
+def _raised(fn):
+    """The type name of the library error ``fn()`` raises, or None."""
+    try:
+        fn()
+    except ColombeauError as exc:
+        return type(exc).__name__
+    return None
+
+
+class TestStackedHybridPointValues:
+    """A hybrid point-value verdict stacks all its points into one
+    evaluation per net; each point must come out as it does alone and as
+    the per-eps oracle loop has it."""
+
+    def test_each_point_in_a_batch_is_its_verdict_alone(self):
+        g = make_bump(np.array([0.7]), 0.05, 0.2)
+        s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+        t = section_net(TX, lambda e, x: e * np.sin(x / e) + e * g(x), label="t")
+        points = [constant_gpoint(K1, [c], label=f"at {c}") for c in (0.0, 0.7, 0.3, 0.72)]
+        points.insert(2, GeneralizedManifoldPoint(
+            lambda e: np.array([0.6 + e]), K1, label="moving"))
+        points += random_gpoints(K1, 3, seed=2)
+        ok, info = check_hybrid_pointvalues(s, t, points, L=K1)
+        alone = [check_hybrid_pointvalues(s, t, [p]) for p in points]
+        want = [p for p, (same, _) in zip(points, alone) if not same]
+        assert [p.label for p in want] == ["at 0.7", "moving", "at 0.72"]
+        assert info["failed_points"][:-1] == want and not ok
+        grid = EpsGrid.default()
+        curves = bundle_maps._hybrid_pointvalue_curves(s, t, points, grid)
+        oracle = oracles.hybrid_pointvalue_curves(s, t, points, grid)
+        for p, pair, want_pair in zip(points, curves, oracle):
+            (single,) = bundle_maps._hybrid_pointvalue_curves(s, t, [p], grid)
+            assert np.array(pair).tobytes() == np.array(single).tobytes()
+            assert np.array(pair).tobytes() == np.array(want_pair).tobytes()
+
+    def test_mixed_failures_raise_as_the_per_point_loop(self):
+        # the base is written from chart a of a two-chart line and escapes
+        # past 1.5
+        unit = constant_metric([[1.0]])
+        src = Atlas(
+            [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+            transitions={
+                ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+                ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+            },
+            metric={"a": unit, "b": unit},
+        )
+        box = src.chart("a").box
+        escaping = ManifoldNet(src, LINE, "a", "main", net_from_function(
+            lambda e, x: x + np.maximum(x - 1.5, 0.0) / e, 1, 1, box=box))
+        u = single_chart_hybrid(src, TX, escaping, lambda e, x: np.cos(x), label="u")
+        v = single_chart_hybrid(src, TX, escaping, lambda e, x: np.cos(x) + e, label="v")
+        K_a = CompactSet("a", [(-1.0, 1.0)])
+        kinds = {
+            None: constant_gpoint(K_a, [0.3], label="inside"),
+            "AtlasMismatch": GeneralizedManifoldPoint(
+                lambda e: ("b", np.array([10.5])), K_a, "chart b"),
+            "NotCBounded": constant_gpoint(
+                CompactSet("a", [(1.6, 2.4)]), [2.0], label="escaping"),
+        }
+        grid = EpsGrid.default()
+        for order in permutations(kinds):
+            points = [kinds[k] for k in order]
+            got = _raised(lambda: check_hybrid_pointvalues(u, v, points, grid=grid))
+            want = _raised(lambda: oracles.hybrid_pointvalue_curves(u, v, points, grid))
+            assert got == want == next(k for k in order if k is not None), order
+        with pytest.raises(NotCBounded):
+            hybrid_point_value(u, kinds["NotCBounded"])
+
+    def test_each_fiber_leaf_sees_two_point_stacks_per_verdict(self):
+        k_pts = _check_points(K1)
+        calls = {"s": [], "t": []}
+
+        def recording(name, fn):
+            def recorded(e, x):
+                calls[name].append((e, x.copy()))
+                return fn(e, x)
+
+            return recorded
+
+        s = section_net(TX, recording("s", lambda e, x: np.sin(x)), label="s")
+        t = section_net(TX, recording("t", lambda e, x: np.sin(x) + e), label="t")
+        points = random_gpoints(K1, 5, seed=0)
+        ok, info = check_hybrid_pointvalues(s, t, points, L=K1)
+        assert not ok and info["tested"] == 6
+        grid = EpsGrid.default()
+        n = len(grid)
+        for name, seen in calls.items():
+            assert [e for e, _ in seen] == 2 * list(grid), name
+            for eps, (_, x_k), (_, x_p) in zip(grid, seen[:n], seen[n:]):
+                assert np.array_equal(x_k, k_pts)
+                want = [p.at(eps)[1] for p in points]
+                assert x_p.shape == (6, 1) and np.array_equal(x_p[:5], want)
+
+    def test_fiber_transitions_move_the_rows_whose_charts_differ(self):
+        # fibers of R^2 over charts a and b = a + 10, rotated by 0.3 x
+        # across; q changes chart below eps = 2^-8
+        unit = constant_metric([[1.0]])
+        base = Atlas(
+            [Chart("a", [(-3.0, 3.0)]), Chart("b", [(7.0, 13.0)])],
+            transitions={
+                ("a", "b"): affine_transition(np.eye(1), np.array([10.0])),
+                ("b", "a"): affine_transition(np.eye(1), np.array([-10.0])),
+            },
+            metric={"a": unit, "b": unit},
+        )
+
+        def rotation(t):
+            c, s = np.cos(t), np.sin(t)
+            return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+        vb = VBAtlas(base, 2, fiber_transitions={
+            ("a", "b"): lambda x: rotation(0.3 * x[..., 0]),
+            ("b", "a"): lambda y: rotation(-0.3 * (y[..., 0] - 10.0)),
+        })
+        L = CompactSet("a", [(-1.0, 1.0)])
+        p = VBGeneralizedPoint(lambda e: ("a", [0.4 + e], [1.0 + e, -e]), L)
+        fiber_b = rotation(0.3 * 0.4) @ np.array([1.0, 0.0])
+
+        def q_at(e):
+            if e > 2.0**-8:
+                return ("a", [0.4], [1.0, 0.0])
+            return ("b", [10.4 + e**3], fiber_b + np.exp(-1.0 / e))
+
+        q = VBGeneralizedPoint(q_at, L)
+        grid = EpsGrid.default()
+        base_curve, fiber_curve = bundle_maps._vb_curves(vb, *p.on_grid(grid), *q.on_grid(grid))
+        want = oracles.vb_point_curves(vb, p, q, grid)
+        assert base_curve.tobytes() == np.array(want[0]).tobytes()
+        assert fiber_curve.tobytes() == np.array(want[1]).tobytes()
+        assert vb_points_equivalent(vb, p, q) == oracles.vb_points_equivalent(vb, p, q)
 
 class TestAlignment:
     def test_single_chart_rebase_is_bitwise(self):

@@ -127,10 +127,15 @@ def _install_oracles(monkeypatch):
         monkeypatch.setattr(
             mod, "_bank_difference_curves", _stacked(oracles.bank_difference_curves)
         )
-    for name in ("point_value", "gpoint_distance_curve", "point_distance"):
-        monkeypatch.setattr(manifold_maps, name, getattr(oracles, name))
-    for name in ("hybrid_point_value", "vb_points_equivalent", "point_distance"):
-        monkeypatch.setattr(bundle_maps, name, getattr(oracles, name))
+    for mod, name, loop in (
+        (manifold_maps, "point_value", oracles.point_value),
+        (manifold_maps, "gpoint_distance_curve", oracles.gpoint_distance_curve),
+        (manifold_maps, "_pointvalue_curves", oracles.pointvalue_curves),
+        (bundle_maps, "hybrid_point_value", oracles.hybrid_point_value),
+        (bundle_maps, "vb_points_equivalent", oracles.vb_points_equivalent),
+        (bundle_maps, "_hybrid_pointvalue_curves", oracles.hybrid_pointvalue_curves),
+    ):
+        monkeypatch.setattr(mod, name, loop)
 
 
 def _stacked(loop):

@@ -1,16 +1,19 @@
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colombeau import association, geometry
+import oracles
+from colombeau import association, geometry, manifold_maps
 from colombeau.association import check_k_associated
 from colombeau.asymptotics import EpsGrid, estimate_growth_order, is_negligible
 from colombeau.bundle_maps import check_vb_moderate, single_chart_hom
 from colombeau.errors import (
     AtlasMismatch,
+    ColombeauError,
     ConfigError,
     NotCBounded,
     OutsideDomain,
@@ -43,6 +46,7 @@ from colombeau.manifold_maps import (
     constant_gpoint,
     gpoints_equivalent,
     identity_map as chart_identity,
+    point_distance,
     point_value,
     random_gpoints,
     single_chart_map,
@@ -992,6 +996,135 @@ class TestPointValues:
             _, x = adv.at(eps)
             assert 0.5 <= x[0] <= 0.9
 
+
+
+def _raised(fn):
+    """The type name of the library error ``fn()`` raises, or None."""
+    try:
+        fn()
+    except ColombeauError as exc:
+        return type(exc).__name__
+    return None
+
+
+class TestStackedPointValues:
+    """A point-value verdict stacks all its points into one evaluation per
+    net; each point must come out as it does alone and as the per-eps
+    oracle loop has it."""
+
+    def bumped(self):
+        """u = x and v = x + eps * bump on [0.5, 0.9]: the point values
+        differ exactly where a point sits in the bump."""
+        g = make_bump(np.array([0.7]), 0.05, 0.2)
+        return identity_map(), single_chart_map(
+            LINE, LINE, lambda e, x: x + e * g(x), label="x+e*bump")
+
+    def test_each_point_in_a_batch_is_its_verdict_alone(self):
+        u, v = self.bumped()
+        grid = EpsGrid.default()
+        points = [constant_gpoint(K1, [c], label=f"at {c}")
+                  for c in (0.0, 0.7, 0.3, 0.72, -0.9)]
+        points.insert(2, GeneralizedManifoldPoint(
+            lambda e: np.array([0.6 + e]), K1, label="moving"))
+        points += random_gpoints(K1, 3, seed=2)
+        ok, info = check_pointvalue_equality(u, v, points, K=K1, grid=grid)
+        alone = [check_pointvalue_equality(u, v, [p], grid=grid) for p in points]
+        want = [p.label for p, (same, _) in zip(points, alone) if not same]
+        assert info["failed_points"][:-1] == want == ["at 0.7", "moving", "at 0.72"]
+        assert info["failed_points"][-1] == "adversarial" and not ok
+        curves = manifold_maps._pointvalue_curves(u, v, points, grid)
+        oracle = oracles.pointvalue_curves(u, v, points, grid)
+        for p, curve, want_curve in zip(points, curves, oracle):
+            (single,) = manifold_maps._pointvalue_curves(u, v, [p], grid)
+            assert np.array(curve).tobytes() == np.array(single).tobytes()
+            assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+
+    def test_mixed_failures_raise_as_the_per_point_loop(self):
+        # u is written from chart a of a two-chart line and escapes past 1.5
+        src = two_chart_line()
+        box = src.chart("a").box
+        u = ManifoldNet(src, LINE, "a", "main", net_from_function(
+            lambda e, x: x + np.maximum(x - 1.5, 0.0) / e, 1, 1, box=box), "u")
+        v = ManifoldNet(src, LINE, "a", "main", net_from_function(
+            lambda e, x: x + e**2, 1, 1, box=box), "v")
+        K_a = CompactSet("a", [(-1.0, 1.0)])
+        kinds = {
+            None: constant_gpoint(K_a, [0.3], label="inside"),
+            "OutsideDomain": GeneralizedManifoldPoint(
+                lambda e: np.array([0.5 if e > 2.0**-10 else 5.0]), K_a, "leaves"),
+            "AtlasMismatch": GeneralizedManifoldPoint(
+                lambda e: ("b", np.array([10.5])), K_a, "chart b"),
+            "NotCBounded": constant_gpoint(
+                CompactSet("a", [(1.6, 2.4)]), [2.0], label="escaping"),
+        }
+        grid = EpsGrid.default()
+        for order in permutations(kinds):
+            points = [kinds[k] for k in order]
+            got = _raised(lambda: check_pointvalue_equality(u, v, points, grid=grid))
+            want = _raised(lambda: oracles.pointvalue_curves(u, v, points, grid))
+            assert got == want == next(k for k in order if k is not None), order
+
+    def test_each_leaf_sees_two_point_stacks_per_verdict(self):
+        # K's check points (c-boundedness and the adversarial point) and
+        # all the sample points, the adversarial one included, at once
+        k_pts = _check_points(K1)
+        calls = {"u": [], "v": []}
+
+        def recording(name, fn):
+            def recorded(e, x):
+                calls[name].append((e, x.copy()))
+                return fn(e, x)
+
+            return recorded
+
+        u = single_chart_map(LINE, LINE, recording("u", lambda e, x: x**2))
+        v = single_chart_map(LINE, LINE, recording("v", lambda e, x: x**2 + e))
+        points = random_gpoints(K1, 5, seed=0)
+        ok, info = check_pointvalue_equality(u, v, points, K=K1)
+        assert not ok and info["tested"] == 6
+        grid = EpsGrid.default()
+        n = len(grid)
+        for name, seen in calls.items():
+            # one stack after the other, each a row per eps
+            assert [e for e, _ in seen] == 2 * list(grid), name
+            for eps, (_, x_k), (_, x_p) in zip(grid, seen[:n], seen[n:]):
+                assert np.array_equal(x_k, k_pts)
+                want = [p.at(eps)[1] for p in points]
+                assert x_p.shape == (6, 1) and np.array_equal(x_p[:5], want)
+
+
+class TestPointDistanceRows:
+    def test_stacked_rows_equal_the_scalar_calls_bitwise(self):
+        # chart b = a + 10; rows at and just above the 4-ulp floor, rows
+        # across the chart change, and rows with nan or inf coordinates
+        atlas = two_chart_line()
+        ulp = np.finfo(float).eps
+        rows = []
+        for k in range(9):
+            rows += [("a", [1.0], "a", [1.0 + k * ulp]),
+                     ("a", [1.0], "a", [1.0 - (k + 1) * ulp / 2]),
+                     ("a", [0.1], "b", [10.1 + 16 * (k - 4) * ulp]),
+                     ("b", [10.1 + 16 * (k - 4) * ulp], "a", [0.1])]
+        for bad in (np.nan, np.inf, -np.inf):
+            rows += [("a", [bad], "a", [1.0]), ("a", [1.0], "b", [bad]),
+                     ("b", [bad], "a", [bad]), ("b", [0.0], "b", [bad])]
+        cp, xp, cq, xq = (np.array(part, dtype=object if i % 2 == 0 else float)
+                          for i, part in enumerate(zip(*rows)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.array([oracles.point_distance(atlas, *r) for r in rows])
+            scalar = [point_distance(atlas, *r) for r in rows]
+            got = point_distance(atlas, cp, xp, cq, xq)
+            square = point_distance(atlas, cp.reshape(-1, 4), xp.reshape(-1, 4, 1),
+                                    cq.reshape(-1, 4), xq.reshape(-1, 4, 1))
+        assert all(type(d) is float for d in scalar)
+        assert np.array(scalar).tobytes() == got.tobytes() == want.tobytes()
+        assert square.tobytes() == want.tobytes()
+        # the floor is crossed within each kind of row
+        for kind in range(4):
+            assert 0.0 in want[kind:36:4] and np.any(want[kind:36:4] > 0.0)
+        # 1 - 4 eps_mach is exactly at the floor of scale 1, 1 - 4.5 eps_mach above
+        assert want[1 + 4 * 7] == 0.0 and want[1 + 4 * 8] > 0.0
+        assert np.isnan(want[36:]).any() and np.isinf(want[36:]).any()
 
 class TestIdentityMap:
     def test_line_matches_the_inline_jet_bitwise(self):
