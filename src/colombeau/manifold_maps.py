@@ -680,9 +680,9 @@ def _checked_stack(nets, points, grid, domain, witness_grid=False):
             _insertion_witness(u, p.support, witness_grid)
         for i in np.flatnonzero(np.any(refused[:, :, j], axis=0))[:1]:
             u = nets[int(np.argmax(refused[:, i, j]))]
-            if not domain or box_contains(u.source.chart(cids[i, j]).box, x[i, j], 1e-9):
-                u._own_chart(cids[i, j])
-            raise OutsideDomain("generalized point leaves the source chart")
+            if domain and not box_contains(u.source.chart(cids[i, j]).box, x[i, j], 1e-9):
+                raise OutsideDomain("generalized point leaves the source chart")
+            u._own_chart(cids[i, j])  # a refused row in the box is in another chart
     return [cids, x, *rest]
 
 
