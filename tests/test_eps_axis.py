@@ -218,14 +218,13 @@ def _section_point_values():
     """Demo 03's section s = eps sin(x/eps) against s + exp(-1/eps) and
     against the O(eps) perturbation s + eps, at six seeded generalized points
     and the adversarial one."""
-    from colombeau.bundle_maps import check_hybrid_pointvalues, section_net
-    from colombeau.manifold_maps import random_gpoints
-
-    s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+    s = bundle_maps.section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
     out = []
     for label, extra in (("s+tail", lambda e: np.exp(-1.0 / e)), ("s+eps", lambda e: e)):
-        t = section_net(TX, lambda e, x, f=extra: e * np.sin(x / e) + f(e), label=label)
-        same, info = check_hybrid_pointvalues(s, t, random_gpoints(K1, 6), L=K1)
+        t = bundle_maps.section_net(
+            TX, lambda e, x, f=extra: e * np.sin(x / e) + f(e), label=label)
+        same, info = bundle_maps.check_hybrid_pointvalues(
+            s, t, manifold_maps.random_gpoints(K1, 6), L=K1)
         out.append((same, len(info["failed_points"])))
     assert out[0] == (True, 0) and not out[1][0]
     return out
