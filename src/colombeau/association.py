@@ -77,19 +77,32 @@ def _add_runs(acc, values, owner):
     )
 
 
-def _simpson_level(lo, hi, owner, feval, width, tol, min_width, total, leftover):
+def _simpson_level(lo, hi, owner, known, feval, width, tol, min_width, total, leftover):
     """One level of :func:`_simpson_runs`, in a frame of its own so that its
     temporaries are gone before the next level's integrand call.
 
-    Adds the accepted segments' sums to ``total`` and ``leftover`` and
-    returns ``(lo, hi, alive, owner, bad)``: the halves of the other
-    segments, the owners this level refined, the halves' owners, and the
-    first owner whose integrand was not finite (it and all after it are
-    dropped), or None.
+    ``known`` holds the (3, n) integrands at each segment's (lo, mid, hi),
+    carried from the level that split it, or is None on the first level:
+    then ``feval`` gets the (5, n) abscissae lo to hi, later only the (2, n)
+    quarter points, which is exact only if the integrand's value at a point
+    does not depend on the other points of the call.  Adds the accepted segments' sums to ``total`` and
+    ``leftover`` and returns ``(lo, hi, known, alive, owner, bad)``: the
+    halves of the other segments with their known values (the left half's
+    are the parent's (f0, f1, f2), the right half's its (f2, f3, f4)), the
+    owners this level refined, the halves' owners, and the first owner
+    whose integrand was not finite (it and all after it are dropped), or
+    None.
     """
     mid = 0.5 * (lo + hi)
-    vals = feval(np.stack([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]), owner)
-    finite = np.isfinite(vals).all(axis=0)
+    quarters = [0.5 * (lo + mid), 0.5 * (mid + hi)]
+    if known is None:
+        vals = new = feval(np.stack([lo, quarters[0], mid, quarters[1], hi]), owner)
+    else:
+        new = feval(np.stack(quarters), owner)
+        vals = np.empty((5, lo.size))
+        vals[0::2], vals[1::2] = known, new
+    # known values passed this check on the level that computed them
+    finite = np.isfinite(new).all(axis=0)
     bad = None
     if not finite.all():
         bad = int(owner[np.argmin(finite)])
@@ -113,6 +126,7 @@ def _simpson_level(lo, hi, owner, feval, width, tol, min_width, total, leftover)
     return (
         np.concatenate([lo[keep], mid[keep]])[order],
         np.concatenate([mid[keep], hi[keep]])[order],
+        np.concatenate([vals[:3, keep], vals[2:, keep]], axis=1)[:, order],
         owner,
         halves[order],
         bad,
@@ -124,14 +138,18 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
 
     Integral k spans ``width[k]`` and starts as the segments ``(lo, hi)``
     of owner k; segments are sorted by owner, each integral's in its own
-    order.  ``feval(x, owner)`` returns the integrands at the (5, n)
-    abscissae ``x``, a column per segment (its ends, quarter points and
-    midpoint) and ``owner`` its owners, so each level is one ``feval`` call
-    for all integrals.  Each integral is refined as if it were alone: its
-    segments keep their order (``[lo[keep], mid[keep]]`` per level), its
-    level sums are ``np.sum`` over its own accepted segments, and it stops
-    on its own ``tol``, ``min_width``, depth cap and unresolved error at the
-    floor.
+    order.  ``feval(x, owner)`` returns the integrands at the (r, n)
+    abscissae ``x``, a column per segment and ``owner`` its owners, so each
+    level is one ``feval`` call for all integrals.  On the first level a
+    column holds a segment's five points in order, lo to hi (r = 5); after
+    it only the two quarter points (r = 2), since a half's ends and
+    midpoint are points its parent evaluated, whose values are carried
+    from level to level.  So the integrand's value at a point must not
+    depend on the other points of the same call.  Each integral is refined
+    as if it were alone: its segments keep their order
+    (``[lo[keep], mid[keep]]`` per level), its level sums are ``np.sum``
+    over its own accepted segments, and it stops on its own ``tol``,
+    ``min_width``, depth cap and unresolved error at the floor.
 
     Returns ``(totals, failure)``.  ``failure`` is ``(k, exc)`` for the
     first integral k that would raise on its own, or None; the integrals
@@ -141,11 +159,12 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
     total = np.zeros(m)
     leftover = np.zeros(m)
     failed, error = m, None
+    known = None
     for _ in range(64):
         if lo.size == 0:
             break
-        lo, hi, alive, owner, bad = _simpson_level(
-            lo, hi, owner, feval, width, tol, min_width, total, leftover
+        lo, hi, known, alive, owner, bad = _simpson_level(
+            lo, hi, owner, known, feval, width, tol, min_width, total, leftover
         )
         if bad is not None:
             failed = bad
@@ -157,7 +176,7 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
             # left, its error at the floor is final
             k = int(over[0])
             live = owner <= k
-            lo, hi, owner = lo[live], hi[live], owner[live]
+            lo, hi, owner, known = lo[live], hi[live], owner[live], known[:, live]
             if not owner.size or owner[-1] < k:
                 failed = k
                 error = QuadratureError(
@@ -182,12 +201,17 @@ def adaptive_simpson(
 ) -> float:
     """Adaptive Simpson quadrature of a vectorized scalar integrand.
 
-    ``fn`` maps (N, 1) arrays to (N, 1) values.  Refinement stops once a
-    segment's Richardson error estimate fits its share of ``tol`` or the
-    segment is narrower than ``min_width``; if unresolved error remains at
-    the floor the quadrature has not converged and raises.  This is the
-    one-integral case of the shared kernel that refines all weak integrals
-    of an association verdict together, one integrand call per level.
+    ``fn`` maps (N, 1) arrays to (N, 1) values, and its value at a point
+    must not depend on the other points of the same call: it is called
+    once per level, on the five abscissae of every segment (its ends,
+    quarter points and midpoint) at the first level and on the two new
+    quarter points of every segment after it, the values at a segment's
+    ends and midpoint being carried from the level that split it.
+    Refinement stops once a segment's Richardson error estimate fits its
+    share of ``tol`` or the segment is narrower than ``min_width``; if
+    unresolved error remains at the floor the quadrature has not converged
+    and raises.  This is the one-integral case of the shared kernel that
+    refines all weak integrals of an association verdict together.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -198,7 +222,7 @@ def adaptive_simpson(
     total, failure = _simpson_runs(
         edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=np.intp),
         np.array([b - a]), np.array([float(tol)]), np.array([float(min_width)]),
-        lambda x, owner: np.asarray(fn(x.reshape(-1, 1)), dtype=float).reshape(5, -1),
+        lambda x, owner: np.asarray(fn(x.reshape(-1, 1)), dtype=float).reshape(x.shape),
     )
     if failure is not None:
         raise failure[1]
@@ -206,9 +230,16 @@ def adaptive_simpson(
 
 
 def _call_on_columns(handle, x):
-    """A scalar handle at the (5, k) abscissae ``x``, as (5, k) values."""
+    """A scalar handle at the (r, k) abscissae ``x``, as (r, k) values; a
+    constant-valued handle's value is broadcast.  ``x`` holds a quadrature
+    level's new abscissae only (r = 5 on the first level, 2 after it), the
+    other values of a segment being carried, so the handle must act point
+    by point."""
     flat = x.reshape(-1, 1)
-    return np.broadcast_to(handle(flat), flat.shape).reshape(x.shape)
+    y = handle(flat)
+    if y.shape != flat.shape:
+        y = np.broadcast_to(y, flat.shape)
+    return y.reshape(x.shape)
 
 
 def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):

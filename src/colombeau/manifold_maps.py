@@ -790,6 +790,8 @@ def check_pointvalue_equality(
     the nets forces equality there too, and a difference that order-0 sups
     can see will be caught by it.
     """
+    if u.target is not v.target:
+        raise AtlasMismatch("nets map into different target atlases")
     grid = grid or EpsGrid.default()
     points = list(sample_points)
     if K is not None:

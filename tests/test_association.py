@@ -14,6 +14,7 @@ from colombeau.association import (
     Mollifier,
     _add_runs,
     _extrapolate_limit,
+    _pairings,
     adaptive_simpson,
     association_grid,
     check_associated_zero,
@@ -693,3 +694,53 @@ class TestRunSums:
         _add_runs(got, values, owner)
         want = [s + float(np.sum(values[owner == k])) for k, s in enumerate(start)]
         assert _hex(got) == _hex(want)
+
+
+class TestEachAbscissaOnce:
+    """A level evaluates only its segments' new quarter points: a half's
+    ends and midpoint carry the values its parent computed."""
+
+    @staticmethod
+    def _assert_each_once(seen):
+        x = np.concatenate(seen).reshape(-1)
+        assert x.size > 1000
+        assert np.unique(x).size == x.size
+
+    def test_adaptive_simpson(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return np.sin(40.0 * x) * np.exp(x)
+
+        got = adaptive_simpson(fn, -1.0, 2.0)
+        self._assert_each_once(seen)
+        want = adaptive_simpson_reference(
+            lambda x: np.sin(40.0 * x) * np.exp(x), -1.0, 2.0
+        )
+        assert _hex([got]) == _hex([want])
+
+    def test_pairing_of_one_eps_and_one_density(self):
+        eps = 2.0**-9
+        seen = {"net": [], "density": []}
+
+        def recording(handle, key):
+            fn = handle.eval_fn
+
+            def eval_fn(x):
+                seen[key].append(x.copy())
+                return fn(x)
+
+            return dataclasses.replace(handle, eval_fn=eval_fn)
+
+        net = dataclasses.replace(
+            OSC, at_fn=lambda e: recording(OSC.at_fn(e), "net"), _cache={}
+        )
+        nu = dataclasses.replace(NU_OFF, handle=recording(NU_OFF.handle, "density"))
+        values, failure = _pairings(net, [nu], [eps])
+        assert failure is None
+        self._assert_each_once(seen["net"])
+        assert _hex(np.concatenate(seen["net"]).ravel()) == _hex(
+            np.concatenate(seen["density"]).ravel()
+        )
+        assert _hex(values.ravel()) == _hex([weak_integral_reference(OSC, NU_OFF, eps)])
