@@ -744,3 +744,9 @@ class TestEachAbscissaOnce:
             np.concatenate(seen["density"]).ravel()
         )
         assert _hex(values.ravel()) == _hex([weak_integral_reference(OSC, NU_OFF, eps)])
+
+    def test_constant_valued_net(self):
+        # its slices return one 0-d value for any number of abscissae
+        const = net_from_function(lambda e, x: e, 1, 1, box=[(-3, 3)], label="eps")
+        assert const.at(0.5)(np.zeros((3, 1))).shape == ()
+        assert_rows_match_the_oracle(const, DENSITIES)
