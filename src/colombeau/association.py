@@ -85,20 +85,20 @@ def _simpson_level(lo, hi, owner, known, feval, width, tol, min_width, total, le
     carried from the level that split it, or is None on the first level:
     then ``feval`` gets the (5, n) abscissae lo to hi, later only the (2, n)
     quarter points, which is exact only if the integrand's value at a point
-    does not depend on the other points of the call.  Adds the accepted segments' sums to ``total`` and
-    ``leftover`` and returns ``(lo, hi, known, alive, owner, bad)``: the
-    halves of the other segments with their known values (the left half's
-    are the parent's (f0, f1, f2), the right half's its (f2, f3, f4)), the
-    owners this level refined, the halves' owners, and the first owner
-    whose integrand was not finite (it and all after it are dropped), or
-    None.
+    does not depend on the other points of the call.  Adds the accepted
+    segments' sums to ``total`` and ``leftover`` and returns
+    ``(lo, hi, known, alive, owner, bad)``: the halves of the other
+    segments with their known values (the left half's are the parent's
+    (f0, f1, f2), the right half's its (f2, f3, f4)), the owners this level
+    refined, the halves' owners, and the first owner whose integrand was
+    not finite (it and all after it are dropped), or None.
     """
     mid = 0.5 * (lo + hi)
-    quarters = [0.5 * (lo + mid), 0.5 * (mid + hi)]
+    q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
     if known is None:
-        vals = new = feval(np.stack([lo, quarters[0], mid, quarters[1], hi]), owner)
+        vals = new = feval(np.stack([lo, q1, mid, q3, hi]), owner)
     else:
-        new = feval(np.stack(quarters), owner)
+        new = feval(np.stack([q1, q3]), owner)
         vals = np.empty((5, lo.size))
         vals[0::2], vals[1::2] = known, new
     # known values passed this check on the level that computed them

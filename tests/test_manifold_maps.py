@@ -997,8 +997,8 @@ class TestPointValues:
             assert 0.5 <= x[0] <= 0.9
 
     def test_targets_of_equal_dimension_are_not_one_atlas(self):
-        # the same map into two atlases of equal dimension but different
-        # charts; before the check, every distance was read in u's target
+        # the same map into two atlases of equal dimension: u's charts
+        # cannot measure v's values
         u = single_chart_map(LINE, euclidean_atlas(1, 10.0), lambda e, x: np.sin(x))
         v = single_chart_map(LINE, euclidean_atlas(1, 5.0), lambda e, x: np.sin(x))
         with pytest.raises(AtlasMismatch, match="different target atlases"):
