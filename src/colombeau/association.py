@@ -82,16 +82,12 @@ def _simpson_level(lo, hi, owner, known, feval, width, tol, min_width, total, le
     temporaries are gone before the next level's integrand call.
 
     ``known`` holds the (3, n) integrands at each segment's (lo, mid, hi),
-    carried from the level that split it, or is None on the first level:
-    then ``feval`` gets the (5, n) abscissae lo to hi, later only the (2, n)
-    quarter points, which is exact only if the integrand's value at a point
-    does not depend on the other points of the call.  Adds the accepted
-    segments' sums to ``total`` and ``leftover`` and returns
-    ``(lo, hi, known, alive, owner, bad)``: the halves of the other
-    segments with their known values (the left half's are the parent's
-    (f0, f1, f2), the right half's its (f2, f3, f4)), the owners this level
-    refined, the halves' owners, and the first owner whose integrand was
-    not finite (it and all after it are dropped), or None.
+    or is None on the first level.  Adds the accepted segments' sums to
+    ``total`` and ``leftover`` and returns ``(lo, hi, known, alive, owner,
+    bad)``: the halves of the other segments with their known values, the
+    owners this level refined, the halves' owners, and the first owner
+    whose integrand was not finite (it and all after it are dropped), or
+    None.
     """
     mid = 0.5 * (lo + hi)
     q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
@@ -144,12 +140,15 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
     column holds a segment's five points in order, lo to hi (r = 5); after
     it only the two quarter points (r = 2), since a half's ends and
     midpoint are points its parent evaluated, whose values are carried
-    from level to level.  So the integrand's value at a point must not
-    depend on the other points of the same call.  Each integral is refined
-    as if it were alone: its segments keep their order
-    (``[lo[keep], mid[keep]]`` per level), its level sums are ``np.sum``
-    over its own accepted segments, and it stops on its own ``tol``,
-    ``min_width``, depth cap and unresolved error at the floor.
+    from level to level (the left half's are the parent's (f0, f1, f2),
+    the right half's its (f2, f3, f4)).  So the integrand's value at a
+    point must not depend on the other points of the same call.  Every
+    abscissa is evaluated once, except that first-level segments sharing
+    an edge (an integral that starts as several segments) each evaluate
+    it.  Each integral is refined as if it were alone: its segments keep
+    their order (``[lo[keep], mid[keep]]`` per level), its level sums are
+    ``np.sum`` over its own accepted segments, and it stops on its own
+    ``tol``, ``min_width``, depth cap and unresolved error at the floor.
 
     Returns ``(totals, failure)``.  ``failure`` is ``(k, exc)`` for the
     first integral k that would raise on its own, or None; the integrals
@@ -202,12 +201,7 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature of a vectorized scalar integrand.
 
     ``fn`` maps (N, 1) arrays to (N, 1) values, and its value at a point
-    must not depend on the other points of the same call: it is called
-    once per level, on the five abscissae of every segment (its ends,
-    quarter points and midpoint) at the first level and on the two new
-    quarter points of every segment after it, the values at a segment's
-    ends and midpoint being carried from the level that split it.
-    Refinement stops once a segment's Richardson error estimate fits its
+    must not depend on the other points of the same call.  Refinement stops once a segment's Richardson error estimate fits its
     share of ``tol`` or the segment is narrower than ``min_width``; if
     unresolved error remains at the floor the quadrature has not converged
     and raises.  This is the one-integral case of the shared kernel that
@@ -230,16 +224,9 @@ def adaptive_simpson(
 
 
 def _call_on_columns(handle, x):
-    """A scalar handle at the (r, k) abscissae ``x``, as (r, k) values; a
-    constant-valued handle's value is broadcast.  ``x`` holds a quadrature
-    level's new abscissae only (r = 5 on the first level, 2 after it), the
-    other values of a segment being carried, so the handle must act point
-    by point."""
+    """A scalar handle at the (r, k) abscissae ``x``, as (r, k) values."""
     flat = x.reshape(-1, 1)
-    y = handle(flat)
-    if y.shape != flat.shape:
-        y = np.broadcast_to(y, flat.shape)
-    return y.reshape(x.shape)
+    return np.broadcast_to(handle(flat), flat.shape).reshape(x.shape)
 
 
 def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):

@@ -720,6 +720,27 @@ class TestEachAbscissaOnce:
         self._assert_each_once(seen)
         assert _hex([got]) == _hex([adaptive_simpson_reference(fn, -1.0, 2.0)])
 
+    def test_pre_split_repeats_only_the_shared_edges(self):
+        # first-level segments that share an edge each evaluate it
+        seen = []
+
+        def fn(x):
+            return np.sin(40.0 * x) * np.exp(x)
+
+        def recorded(x):
+            seen.append(x.copy())
+            return fn(x)
+
+        splits = (-0.3, 0.5, 1.25)
+        got = adaptive_simpson(recorded, -1.0, 2.0, pre_split=splits)
+        x = np.concatenate(seen).reshape(-1)
+        assert x.size > 1000
+        values, counts = np.unique(x, return_counts=True)
+        assert values[counts > 1].tolist() == list(splits)
+        assert set(counts[counts > 1]) == {2}
+        want = adaptive_simpson_reference(fn, -1.0, 2.0, pre_split=splits)
+        assert _hex([got]) == _hex([want])
+
     def test_pairing_of_one_eps_and_one_density(self):
         eps = 2.0**-9
         seen = {"net": [], "density": []}
