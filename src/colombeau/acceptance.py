@@ -58,10 +58,6 @@ class CriterionResult:
     passed: bool
     detail: str
 
-    def line(self):
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] {self.index:2d} {self.name}: {self.detail}"
-
 
 def _amplitude_curve(amp, grid):
     with np.errstate(over="ignore", invalid="ignore"):

@@ -37,9 +37,9 @@ from .manifold_maps import (
     _check_points,
     _coordinate_curves,
     _distance_curve,
+    _one_target,
+    _pair_witness,
     _stack_points,
-    _witness_union,
-    check_cbounded,
     check_moderate,
 )
 from .nets import (
@@ -190,6 +190,11 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
     return total, (None if error is None else (failed, error))
 
 
+def _first_edges(a: float, b: float, splits) -> list:
+    """First-level edges over [a, b]: a, the splits inside (a, b) in order, b."""
+    return [a] + sorted(float(e) for e in splits if a < e < b) + [b]
+
+
 def adaptive_simpson(
     fn,
     a: float,
@@ -212,7 +217,7 @@ def adaptive_simpson(
         return 0.0
     if min_width is None:
         min_width = (b - a) * 1e-12
-    edges = np.asarray([a] + sorted(float(e) for e in pre_split if a < e < b) + [b])
+    edges = np.asarray(_first_edges(a, b, pre_split))
     total, failure = _simpson_runs(
         edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=np.intp),
         np.array([b - a]), np.array([float(tol)]), np.array([float(min_width)]),
@@ -233,7 +238,8 @@ def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
     """Weak integrals of ``u``'s slices at ``eps_values`` against every
     density, refined together: at each level every live slice is called
     once, on the abscissae of all densities, and every live density once,
-    on the abscissae of all eps.
+    on the abscissae of all eps.  Each pairing's first level is
+    :func:`_first_edges` of its density's support at the feature windows.
 
     Returns ``(values, failure)``: values has shape (densities, eps), and
     failure is as for :func:`_simpson_runs`, with integral
@@ -249,28 +255,17 @@ def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
         np.asarray(nu.support_box, dtype=float).reshape(-1, 2)[0] for nu in densities
     ])
     a, b = box[:, 0], box[:, 1]
-    windows = [
-        [float(w) for pair in u.feature_scale(e) for w in pair]
-        if u.feature_scale is not None else []
-        for e in eps_values
-    ]
+    scale = u.feature_scale or (lambda e: ())
+    windows = [[w for pair in scale(e) for w in pair] for e in eps_values]
     slices = [u.at(e) for e in eps_values]
-    # each eps's window ends as a row, padded with nan
-    n_splits = max(map(len, windows))
-    splits = np.array(
-        [w + [np.nan] * (n_splits - len(w)) for w in windows]
-    ).reshape(n_e, n_splits)
-    # edges per (density, eps): a, the splits inside (a, b) in order, b
-    inside = (a[:, None, None] < splits) & (splits < b[:, None, None])
-    edges = np.sort(np.concatenate([
-        np.broadcast_to(a[:, None, None], (n_d, n_e, 1)),
-        np.where(inside, splits, np.nan),
-        np.broadcast_to(b[:, None, None], (n_d, n_e, 1)),
-    ], axis=-1), axis=-1, kind="stable")
-    seg = ~np.isnan(edges[..., 1:]) & (b > a)[:, None, None]
-    owner = np.broadcast_to(
-        np.arange(n_d * n_e).reshape(n_d, n_e, 1), seg.shape
-    )[seg]
+    # segments per (density, eps), owner by owner
+    lo, hi, owner = [], [], []
+    for j, (a_j, b_j) in enumerate(box.tolist()):
+        for i, w in enumerate(windows) if b_j > a_j else ():
+            edges = _first_edges(a_j, b_j, w)
+            lo += edges[:-1]
+            hi += edges[1:]
+            owner += [j * n_e + i] * (len(edges) - 1)
     # the floor sits far below eps/8 so eps-scale features always stay
     # refinable; it only guards against runaway subdivision
     floor = np.minimum(eps / 8.0, (b - a)[:, None]) * 2.0**-30
@@ -291,7 +286,7 @@ def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
         return out
 
     total, failure = _simpson_runs(
-        edges[..., :-1][seg], edges[..., 1:][seg], owner,
+        np.array(lo), np.array(hi), np.array(owner, dtype=np.intp),
         np.repeat(b - a, n_e), np.full(n_d * n_e, _QUAD_TOL), floor.reshape(-1),
         feval,
     )
@@ -315,16 +310,16 @@ def weak_integral(u: Net, nu: DensityTest, eps: float) -> float:
 # the "tends to zero" proxy
 
 
+def _non_increasing(values) -> bool:
+    """The tail rule: each value is at most the one before it, within roundoff."""
+    return all(b <= a * (1.0 + 1e-9) + 1e-14 for a, b in zip(values, values[1:]))
+
+
 def _tends_to_zero(values, grid: EpsGrid, tol: float):
     """(ok, decreasing, final): magnitudes non-increasing over the small-eps
-    half and final magnitude under tol."""
+    half (:func:`_non_increasing`) and final magnitude under tol."""
     mags = [abs(float(v)) for v in values]
-    idx = list(grid.small_half())
-    dec = all(
-        mags[j + 1] <= mags[j] * (1.0 + 1e-9) + 1e-14
-        for j in idx
-        if j + 1 < len(mags)
-    )
+    dec = _non_increasing(mags[grid.small_half().start:])
     return dec and mags[-1] < tol, dec, mags[-1]
 
 
@@ -514,10 +509,12 @@ def check_k_associated(
     target chart coordinate i: there the bank's ``x_i*cutoff`` composites
     have the coordinates' jets bit for bit, and ``cutoff``'s are 0.  At
     k = 0 the sup-distance route characterizes the same property and both
-    routes must agree; a split is a numerics bug, not a verdict.
+    routes must agree; a split is a numerics bug, not a verdict.  The pair
+    gate's atlas check runs first; the bank is built on its witness union.
     """
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
+    _one_target(u, v)
     grid = grid or association_grid()
     for net, who in ((u, "first"), (v, "second")):
         try:
@@ -550,8 +547,7 @@ def check_k_associated(
                     chunks.append(np.linspace(a, b, 33)[:, None])
         return np.concatenate(chunks, axis=0)
 
-    cbu, cbv = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
-    bank = default_test_bank(u.target, _witness_union(cbu.witness, cbv.witness))
+    bank = default_test_bank(u.target, _pair_witness(u, v, K, grid, "association"))
 
     pts = _stack_points(grid, pts_at)
     for label, order, curve in _bank_difference_curves(

@@ -123,9 +123,8 @@ def _sample_array(samples, grid: EpsGrid) -> np.ndarray:
 
 
 def _fit_line(logx, logy):
-    """Least-squares slope/intercept/r^2 with a zero-variance guard."""
-    if len(logx) < 2:
-        return 0.0, float(logy[0]) if len(logy) else 0.0, 1.0
+    """Least-squares slope/intercept/r^2 with a zero-variance guard; every
+    fit has at least 3 points."""
     A = np.vstack([logx, np.ones_like(logx)]).T
     (slope, intercept), res, *_ = np.linalg.lstsq(A, logy, rcond=None)
     total = float(np.sum((logy - logy.mean()) ** 2))

@@ -38,9 +38,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     InconsistentRoutes,
-    NotCBounded,
     NotModerate,
-    OutsideDomain,
 )
 from . import geometry
 from .geometry import (
@@ -61,11 +59,11 @@ from .manifold_maps import (
     _distance_curve,
     _insertion_witness,
     _memo,
+    _one_target,
+    _pair_witness,
     _stack_points,
     _sup_curve,
     _sup_diff,
-    _witness_union,
-    check_cbounded,
     check_equivalent,
     check_moderate,
     compose,
@@ -321,12 +319,13 @@ def _applied(u: FiberNet, grid, x, xi=None):
 
 def vb_point_insert(u: FiberNet, e: GeneralizedManifoldPoint) -> VBGeneralizedPoint:
     """Apply u slicewise to a point: a hom to a bundle point, its matrices
-    applied to the fiber, or a hybrid to a manifold point.  The grid form is
-    one evaluation of u's base and fiber grid handles."""
-    witness = _insertion_witness(u.base_net, e.support, None)
+    applied to the fiber, or a hybrid to a manifold point.  The point goes
+    into u's base net as ``point_value`` puts it (``_checked_stack``), and
+    the grid form is one evaluation of u's base and fiber grid handles."""
+    witness = _insertion_witness(u.base_net, e.support, EpsGrid.default())
 
     def on_grid(g):
-        _, *parts = _checked_stack((u.base_net,), [e], g, False)
+        _, *parts = _checked_stack((u.base_net,), [e], g)
         y, F = _applied(u, g, *parts)
         return [u.chart] * len(g), y[:, 0], F[:, 0]
 
@@ -453,10 +452,11 @@ def _fiber_equivalent(
 ) -> VBEquivalenceReport:
     """Base equivalence, then order-0 fiber difference negligibility.
 
-    Both nets must be moderate.  The paper's equivalence is base
-    equivalence plus a fiber condition, and comparing fibers presumes that
-    the bases agree: a pair over bases that are not equivalent is not
-    equivalent, and its fiber routes are not run.  Over equivalent bases
+    The base nets pass the pair gate first, and both nets must be
+    moderate.  The paper's equivalence is base equivalence plus a fiber
+    condition, and comparing fibers presumes that the bases agree: a pair
+    over bases that are not equivalent is not equivalent, and its fiber
+    routes are not run.  Over equivalent bases
     the fiber difference runs a chart route (fiber differences at every
     sample point of L) and a test-hom route (cutoff at each base image
     times the fiber differences); the routes must agree.  Fiber jets up to
@@ -466,6 +466,7 @@ def _fiber_equivalent(
     if derivative_order < 0:
         raise ConfigError(f"derivative_order must be >= 0, got {derivative_order}")
     grid = grid or EpsGrid.default()
+    witness = _pair_witness(u.base_net, v.base_net, L, grid, "fiber equivalence")
     mu = _fiber_moderate(u, L, k_max=2, grid=grid)
     mv = _fiber_moderate(v, L, k_max=2, grid=grid)
     if not (bool(mu) and bool(mv)):
@@ -476,7 +477,6 @@ def _fiber_equivalent(
     if not base_report.equivalent:
         return VBEquivalenceReport(False, base_report, None, None, diagnostics=diagnostics)
 
-    witness = _witness_union(mu.witness, mv.witness)
     pts = _check_points(L)
     src = L.chart_id
     fibers = (u.fiber.at_grid(grid), v.fiber.at_grid(grid))
@@ -614,10 +614,11 @@ def check_hybrid_pointvalues(
     L: Optional[CompactSet] = None,
     grid: Optional[EpsGrid] = None,
 ) -> tuple[bool, dict]:
-    """Values-at-points characterization of hybrid equality.
-
-    When L is given, a point chasing the worst base-plus-fiber gap per eps
-    is appended to the sample."""
+    """Values-at-points characterization of hybrid equality: the base nets
+    pass the pair gate's atlas check, and each point is inserted as
+    ``_checked_stack`` checks it.  When L is given, a point chasing the
+    worst base-plus-fiber gap per eps is appended to the sample."""
+    _one_target(u.base_net, v.base_net)
     grid = grid or EpsGrid.default()
     points = list(sample_points)
     if L is not None:
@@ -633,7 +634,7 @@ def check_hybrid_pointvalues(
 def _hybrid_pointvalue_curves(u: FiberNet, v: FiberNet, points, grid):
     """Per point, the base distance and fiber difference curves of u's and
     v's values there, all the points through each net's grid handles once."""
-    _, x = _checked_stack((u.base_net, v.base_net), points, grid, False, None)
+    _, x = _checked_stack((u.base_net, v.base_net), points, grid, witnesses=True)
     base, fiber = _vb_curves(u.target, u.chart, *_applied(u, grid, x),
                              v.chart, *_applied(v, grid, x))
     return list(zip(base.T.tolist(), fiber.T.tolist()))
@@ -715,11 +716,7 @@ def align_representative(
     target = v.target
     atlas = target.base
 
-    cb_v = check_cbounded(v.base_net, L, grid)
-    cb_u = check_cbounded(u_rep, L, grid)
-    if not (cb_v.ok and cb_u.ok):
-        raise NotCBounded("alignment needs both base nets c-bounded on L")
-    region = _witness_union(cb_v.witness, cb_u.witness)
+    region = _pair_witness(v.base_net, u_rep, L, grid, "alignment")
     r = radius if radius is not None else _alignment_radius(atlas, region)
 
     # threshold: all smaller grid eps keep the two base images r-close

@@ -59,6 +59,7 @@ from .expressions import compile_expression
 from .geometry import CompactSet, default_densities, euclidean_atlas, trivial_bundle
 from .manifold_maps import (
     ManifoldNet,
+    _sup_curve,
     check_equivalent,
     check_pointvalue_equality,
     identity_map,
@@ -432,8 +433,7 @@ def run_classify(cfg: RunConfig, out_dir) -> list:
     for name in names:
         net = cfg.scalar_net(name)
         with np.errstate(over="ignore", invalid="ignore"):
-            y = net.at_grid(cfg.grid)(np.broadcast_to(pts, (len(cfg.grid),) + pts.shape))
-            curve = np.max(np.abs(y), axis=(1, 2)).tolist()
+            curve = _sup_curve(cfg.grid, 0, pts, (net.at_grid(cfg.grid),))
         verdict = estimate_growth_order(
             curve, cfg.grid, m_max=cfg.m_max, fit_tolerance=cfg.fit_tolerance
         )
@@ -699,3 +699,7 @@ def main(argv=None) -> int:
     for r in failures:
         print(f"check-failure: {r.command} {r.subject}: {r.verdict}", file=sys.stderr)
     return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

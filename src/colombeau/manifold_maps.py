@@ -364,6 +364,23 @@ class CBoundedReport:
         return self.ok
 
 
+def _one_target(u: ManifoldNet, v: ManifoldNet):
+    """The pair gate's atlas check: u and v map into one target atlas."""
+    if u.target is not v.target:
+        raise AtlasMismatch("nets map into different target atlases")
+
+
+def _pair_witness(u: ManifoldNet, v: ManifoldNet, K, grid, what) -> CompactSet:
+    """The pair gate of every two-net verdict: one target atlas, both nets
+    c-bounded on K (else ``NotCBounded`` naming ``what``); returns the union
+    of their witnesses, the box a bank or cover is built on."""
+    _one_target(u, v)
+    cb_u, cb_v = check_cbounded(u, K, grid), check_cbounded(v, K, grid)
+    if not (cb_u.ok and cb_v.ok):
+        raise NotCBounded(f"{what} needs both nets c-bounded on K")
+    return _witness_union(cb_u.witness, cb_v.witness)
+
+
 def _witness_union(a: CompactSet, b: CompactSet) -> CompactSet:
     """The smallest box holding two c-boundedness witnesses, which must lie
     in one target chart: boxes in different charts have no common frame."""
@@ -570,14 +587,13 @@ def _bank_difference_curves(u, v, bank: TestBank, src: str, grid, pts):
     """(test label, 0, sup curve of |f(u_eps) - f(v_eps)|) per bank test f:
     order 0 only, as the paper's characterization needs.  Each net's images
     over the grid are one stack, and the bank is evaluated on it in one
-    ``TestBank.eval`` call per net; a row with a non-finite entry reads inf,
-    as in ``_sup_abs``."""
+    ``TestBank.eval`` call per net; each (test, eps) row's sup is
+    ``_sup_abs``'s."""
     x = _stack_points(grid, pts)
     yu = u.grid_handle(grid, src)[1].eval_fn(x)
     yv = v.grid_handle(grid, src)[1].eval_fn(x)
-    a = np.abs(bank.eval(yu) - bank.eval(yv))
-    finite = np.all(np.isfinite(a), axis=-1)
-    curves = np.where(finite, np.max(a, axis=-1, initial=0.0), np.inf).tolist()
+    d = bank.eval(yu) - bank.eval(yv)
+    curves = _sup_abs(d.reshape(-1, d.shape[-1])).reshape(d.shape[:-1]).tolist()
     return [(label, 0, curve) for label, curve in zip(bank.labels, curves)]
 
 
@@ -604,19 +620,13 @@ def check_equivalent(
     """
     if derivative_order < 0:
         raise ConfigError(f"derivative_order must be >= 0, got {derivative_order}")
-    if u.target is not v.target:
-        raise AtlasMismatch("nets map into different target atlases")
+    _one_target(u, v)
     if not u.target.has_metric:
         raise NoMetric("equivalence route A needs a metric on the target")
     grid = grid or EpsGrid.default()
     pts = _check_points(K)
     src = K.chart_id
-    cb_u = check_cbounded(u, K, grid)
-    cb_v = check_cbounded(v, K, grid)
-    if not (cb_u.ok and cb_v.ok):
-        raise NotCBounded("equivalence needs both nets c-bounded on K")
-    witness = _witness_union(cb_u.witness, cb_v.witness)
-    bank = default_test_bank(u.target, witness)
+    bank = default_test_bank(u.target, _pair_witness(u, v, K, grid, "equivalence"))
 
     # route A: distance decay
     dist_curve = _distance_curve(u, v, pts, src, grid)
@@ -663,24 +673,24 @@ def _insertion_witness(u: ManifoldNet, support: CompactSet, grid):
     return cb.witness
 
 
-def _checked_stack(nets, points, grid, domain, witness_grid=False):
+def _checked_stack(nets, points, grid, witnesses=False):
     """The grid forms of ``points`` side by side: chart ids (n_eps, P),
-    coordinates (n_eps, P, d), then any further part.  They are checked as
-    inserting each point into each ManifoldNet of ``nets`` would check them,
-    point by point (c-boundedness on ``witness_grid`` first, None meaning
-    the default grid, unless it is False), then eps by eps and net by net:
-    the chart's box (with ``domain``), then the chart."""
+    coordinates (n_eps, P, d), then any further part.  The one insertion
+    check: each point as inserting it into each ManifoldNet of ``nets``
+    checks it, point by point (c-boundedness on ``grid`` first, with
+    ``witnesses``), then eps by eps and net by net: the source chart's box,
+    then the chart."""
     cids, *parts = zip(*(p.on_grid(grid) for p in points))
     cids = np.array(cids, dtype=object).T
     x, *rest = [np.stack(part, axis=1) for part in parts]
-    refused = np.array([(cids != u.src_chart) | (domain & ~inside_box(
-        u.source.chart(u.src_chart).box, x, 1e-9)) for u in nets])
+    refused = np.array([(cids != u.src_chart) | ~inside_box(
+        u.source.chart(u.src_chart).box, x, 1e-9) for u in nets])
     for j, p in enumerate(points):
-        for u in nets if witness_grid is not False else ():
-            _insertion_witness(u, p.support, witness_grid)
+        for u in nets if witnesses else ():
+            _insertion_witness(u, p.support, grid)
         for i in np.flatnonzero(np.any(refused[:, :, j], axis=0))[:1]:
             u = nets[int(np.argmax(refused[:, i, j]))]
-            if domain and not box_contains(u.source.chart(cids[i, j]).box, x[i, j], 1e-9):
+            if not box_contains(u.source.chart(cids[i, j]).box, x[i, j], 1e-9):
                 raise OutsideDomain("generalized point leaves the source chart")
             u._own_chart(cids[i, j])  # a refused row in the box is in another chart
     return [cids, x, *rest]
@@ -694,7 +704,7 @@ def point_value(
     witness = _insertion_witness(u, p.support, grid)
 
     def on_grid(g):
-        _, x = _checked_stack((u,), [p], g, True)
+        _, x = _checked_stack((u,), [p], g)
         return [u.tgt_chart] * len(g), u.grid_handle(g)[1](x)[:, 0]
 
     return GeneralizedManifoldPoint(None, witness, f"{u.label or 'u'}({p.label or 'p'})", on_grid)
@@ -790,8 +800,7 @@ def check_pointvalue_equality(
     the nets forces equality there too, and a difference that order-0 sups
     can see will be caught by it.
     """
-    if u.target is not v.target:
-        raise AtlasMismatch("nets map into different target atlases")
+    _one_target(u, v)
     grid = grid or EpsGrid.default()
     points = list(sample_points)
     if K is not None:
@@ -807,7 +816,7 @@ def check_pointvalue_equality(
 def _pointvalue_curves(u: ManifoldNet, v: ManifoldNet, points, grid):
     """Per point, the distance curve of u's and v's values there: one
     evaluation of each net's grid handle on all the points, one column each."""
-    _, x = _checked_stack((u, v), points, grid, True, grid)
+    _, x = _checked_stack((u, v), points, grid, witnesses=True)
     yu, yv = u.grid_handle(grid)[1](x), v.grid_handle(grid)[1](x)
     return point_distance(u.target, u.tgt_chart, yu, v.tgt_chart, yv).T.tolist()
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .asymptotics import EpsGrid, estimate_growth_order
-from .association import ASSOC_TOL, Mollifier, check_k_associated
+from .association import ASSOC_TOL, Mollifier, _non_increasing, check_k_associated
 from .errors import ConfigError, NonFiniteValue, OutsideDomain
 from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
 from .manifold_maps import ManifoldNet, check_cbounded, single_chart_map
@@ -440,8 +440,7 @@ def kink_limit_study(
         float(np.max(np.abs(xs[a] - xs[b])))
         for a, b in zip(eps_values[:-1], eps_values[1:])
     ]
-    dec = all(b <= a * (1.0 + 1e-9) + 1e-14 for a, b in zip(cauchy, cauchy[1:]))
-    cauchy_ok = dec and cauchy[-1] < assoc_tol
+    cauchy_ok = _non_increasing(cauchy) and cauchy[-1] < assoc_tol
 
     flags = []
     if not cauchy_ok:

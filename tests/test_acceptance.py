@@ -9,8 +9,8 @@ from colombeau import acceptance
 
 def _run(fn):
     res = fn()
-    print(res.line())
-    assert res.passed, res.line()
+    print(f"{res.index:2d} {res.name}: {res.detail}")
+    assert res.passed, res.detail
     return res
 
 

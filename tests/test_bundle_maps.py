@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau.association import check_k_associated
 from colombeau.asymptotics import EpsGrid, estimate_growth_order
 from colombeau.errors import (
     AlignmentError,
@@ -33,8 +34,12 @@ from colombeau.manifold_maps import (
     GeneralizedManifoldPoint,
     ManifoldNet,
     _check_points,
+    check_equivalent,
+    check_pointvalue_equality,
     compose,
     constant_gpoint,
+    identity_map,
+    point_value,
     random_gpoints,
     single_chart_map,
 )
@@ -767,6 +772,20 @@ class TestHybridPointValues:
         assert ok
         assert info["tested"] == 7
 
+    def test_a_point_leaving_the_source_box_raises_as_in_point_value(self):
+        # x = 12 eps leaves the source box [-2, 2] at eps = 0.25 (x = 3)
+        s = section_net(trivial_bundle(euclidean_atlas(1, 2.0), 1),
+                        lambda e, x: np.ones_like(x), label="one")
+        runaway = GeneralizedManifoldPoint(lambda e: np.array([12.0 * e]), K1, "runaway")
+        cid, x, xi = hybrid_point_value(s, runaway).at(0.125)
+        assert np.allclose(x, [1.5]) and np.allclose(xi, [1.0])
+        with pytest.raises(OutsideDomain):
+            point_value(s.base_net, runaway).at(0.25)
+        with pytest.raises(OutsideDomain):
+            hybrid_point_value(s, runaway).at(0.25)
+        with pytest.raises(OutsideDomain):
+            check_hybrid_pointvalues(s, s, [runaway], grid=EpsGrid.dyadic(2, 9))
+
 
 
 def _raised(fn):
@@ -1016,3 +1035,49 @@ class TestHomModule:
         )
         with pytest.raises(AlignmentError):
             hom_u_scale(2.0, v, base_identity())
+
+
+def _sine_into(target):
+    return single_chart_map(LINE, target, lambda e, x: np.sin(x), label="sin")
+
+
+def _mismatched(kind):
+    """A pair of nets of one kind into the targets over A10 and over A5."""
+    if kind == "map":
+        return _sine_into(A10), _sine_into(A5)
+    bundles = trivial_bundle(A10, 1), trivial_bundle(A5, 1)
+    if kind == "hom":
+        return tuple(identity_hom(vb) for vb in bundles)
+    return tuple(section_net(vb, lambda e, x: np.sin(x), label="s") for vb in bundles)
+
+
+A10, A5 = euclidean_atlas(1, 10.0), euclidean_atlas(1, 5.0)
+TWO_NET_VERDICTS = [
+    ("check_equivalent", "map", lambda u, v: check_equivalent(u, v, K1)),
+    ("check_pointvalue_equality", "map",
+     lambda u, v: check_pointvalue_equality(u, v, random_gpoints(K1, 4), K=K1)),
+    ("check_k_associated", "map", lambda u, v: check_k_associated(u, v, 0, K1)),
+    ("check_vb_equivalent", "hom", lambda u, v: check_vb_equivalent(u, v, K1)),
+    ("check_hybrid_equivalent", "section", lambda u, v: check_hybrid_equivalent(u, v, K1)),
+    ("check_hybrid_pointvalues", "section",
+     lambda u, v: check_hybrid_pointvalues(u, v, random_gpoints(K1, 4), L=K1)),
+    ("align_representative", "section",
+     lambda u, v: align_representative(u, v.base_net, K1)),
+]
+
+
+class TestMismatchedTargets:
+    """Every two-net verdict refuses a pair into different target atlases
+    (``euclidean_atlas(1, 10.0)`` and ``euclidean_atlas(1, 5.0)``) before it
+    checks or samples either net."""
+
+    @pytest.mark.parametrize(
+        "kind, verdict", [c[1:] for c in TWO_NET_VERDICTS], ids=[c[0] for c in TWO_NET_VERDICTS]
+    )
+    def test_is_refused_before_any_other_work(self, kind, verdict):
+        u, v = _mismatched(kind)
+        with pytest.raises(AtlasMismatch):
+            verdict(u, v)
+        for w in (u, v):
+            assert not w._reports
+            assert not getattr(w, "base_net", w)._reports

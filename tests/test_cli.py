@@ -1,11 +1,15 @@
 """Command-line driver: config parsing, subcommands, artifacts, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colombeau
 from colombeau.asymptotics import EpsGrid
 from colombeau.cli import DEFAULT_CONFIG, load_config, main
 from colombeau.errors import ConfigError, UnknownNet
@@ -169,6 +173,25 @@ class TestDeterminism:
             assert main(["pointvals", "--out", str(out), "--seed", str(seed)]) == 0
             outputs.append((capsys.readouterr().out, (out / "verdicts.csv").read_bytes()))
         assert all(o == outputs[0] for o in outputs[1:])
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(Path(root).rglob("*"))
+            if p.is_file()}
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_command_as_main_does(self, tmp_path, capsys):
+        src = str(Path(colombeau.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run(
+            [sys.executable, "-m", "colombeau.cli", "classify", "--out", str(tmp_path / "m")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        code = main(["classify", "--out", str(tmp_path / "main")])
+        assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
+        assert run.stdout and _tree(tmp_path / "m") == _tree(tmp_path / "main")
 
 
 class TestExitCodes:
