@@ -311,11 +311,13 @@ def _build_config(cp, overrides) -> RunConfig:
         )
     else:
         raise ConfigError(f"unknown grid kind {kind!r}")
-    if {"eps_min", "eps_max", "grid_points"} & set(overrides):
+    # a grid flag that is not given is None: the config's grid stands
+    flags = {k: overrides.get(k) for k in ("eps_max", "eps_min", "grid_points")}
+    if any(value is not None for value in flags.values()):
         grid = EpsGrid.geometric(
-            overrides.get("eps_max") or grid.values[0],
-            overrides.get("eps_min") or grid.values[-1],
-            overrides.get("grid_points") or len(grid),
+            flags["eps_max"] or grid.values[0],
+            flags["eps_min"] or grid.values[-1],
+            flags["grid_points"] or len(grid),
         )
 
     t = cp["tolerances"] if cp.has_section("tolerances") else {}
@@ -475,37 +477,34 @@ def run_equiv(cfg: RunConfig, out_dir) -> list:
     return records
 
 
-def run_vb_equiv(cfg: RunConfig, out_dir) -> list:
-    section = cfg.sections.get("vb-equiv", {})
+def _run_fiber_equiv(command, cfg: RunConfig, check, fiber_net) -> list:
+    """The ``vb-equiv`` and ``hybrid-equiv`` runner: each pair of fibers
+    becomes two nets ``fiber_net(vb, fiber, label=name)`` over the trivial
+    line bundle of the config's atlas, compared by ``check``."""
+    section = cfg.sections.get(command, {})
     vb = trivial_bundle(cfg.atlas, 1)
-    base = identity_map(cfg.atlas)
     records = []
-    for names, expect in _pairs(section, _EQUIV_TAGS, "vb-equiv pair"):
-        u = single_chart_hom(vb, vb, base, cfg.fiber_fn(names[0]), label=names[0])
-        v = single_chart_hom(vb, vb, base, cfg.fiber_fn(names[1]), label=names[1])
-        rep = check_vb_equivalent(u, v, cfg.region, grid=cfg.grid)
+    for names, expect in _pairs(section, _EQUIV_TAGS, f"{command} pair"):
+        u, v = (fiber_net(vb, cfg.fiber_fn(name), label=name) for name in names)
+        rep = check(u, v, cfg.region, grid=cfg.grid)
         verdict = "equivalent" if rep.equivalent else "not equivalent"
         records.append(_judged(
-            "vb-equiv", f"{names[0]}:{names[1]}", verdict, expect, rep.equivalent,
+            command, f"{names[0]}:{names[1]}", verdict, expect, rep.equivalent,
             detail=f"chart route {rep.route_chart}, bank route {rep.route_bank}",
         ))
     return records
+
+
+def run_vb_equiv(cfg: RunConfig, out_dir) -> list:
+    base = identity_map(cfg.atlas)  # one identity base shared by every hom
+    return _run_fiber_equiv(
+        "vb-equiv", cfg, check_vb_equivalent,
+        lambda vb, fiber, label: single_chart_hom(vb, vb, base, fiber, label=label),
+    )
 
 
 def run_hybrid_equiv(cfg: RunConfig, out_dir) -> list:
-    section = cfg.sections.get("hybrid-equiv", {})
-    vb = trivial_bundle(cfg.atlas, 1)
-    records = []
-    for names, expect in _pairs(section, _EQUIV_TAGS, "hybrid-equiv pair"):
-        u = section_net(vb, cfg.fiber_fn(names[0]), label=names[0])
-        v = section_net(vb, cfg.fiber_fn(names[1]), label=names[1])
-        rep = check_hybrid_equivalent(u, v, cfg.region, grid=cfg.grid)
-        verdict = "equivalent" if rep.equivalent else "not equivalent"
-        records.append(_judged(
-            "hybrid-equiv", f"{names[0]}:{names[1]}", verdict, expect, rep.equivalent,
-            detail=f"chart route {rep.route_chart}, bank route {rep.route_bank}",
-        ))
-    return records
+    return _run_fiber_equiv("hybrid-equiv", cfg, check_hybrid_equivalent, section_net)
 
 
 _POINT_TAGS = {"same": True, "separable": False}

@@ -7,12 +7,12 @@ boxes strictly inside a chart, and distances are midpoint-metric chords,
 bi-Lipschitz to the Riemannian distance on compact sets.
 
 The module also builds the finite test objects that every characterization
-check quantifies over: radial bump functions with analytic jets to order 3
-(the cutoffs of the fiber-linear bundle test maps among them), box bumps
-and partitions of unity subordinate to a box cover, and compactly
-supported one-densities.  Box bumps and partition members are values
-only, as the characterizations read test functions through their values;
-their jets, when asked for, are finite differences.
+check quantifies over: radial bump functions (the cutoffs of the
+fiber-linear bundle test maps among them), box bumps and partitions of
+unity subordinate to a box cover, and compactly supported one-densities.
+They are values only, as the characterizations read test functions through
+their values, and every bump takes its values from one radial rule,
+``_radial_value``; jets, when asked for, are finite differences.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NoMetric,
     OutsideDomain,
 )
-from .nets import SmoothMapHandle, handle_compose, identity_handle, make_handle
+from .nets import SmoothMapHandle, identity_handle, make_handle
 
 _INVARIANT_TOL = 1e-9
 
@@ -362,61 +362,11 @@ _PSI_CUTOFF = 1e-30
 
 
 def _psi(s):
-    """exp(-1/s) for s > 0 (0 otherwise), with the live mask and the safe
-    argument the derivatives are built from."""
+    """exp(-1/s) for s > 0, 0 otherwise."""
     s = np.asarray(s, dtype=float)
     live = s > _PSI_CUTOFF
-    ss = np.where(live, s, 1.0)
     with np.errstate(over="ignore", under="ignore"):
-        e = np.where(live, np.exp(-1.0 / ss), 0.0)
-    return e, live, ss
-
-
-def _psi_jets(s):
-    """exp(-1/s) for s > 0 (0 otherwise) and its first three derivatives."""
-    e, live, ss = _psi(s)
-    i1 = 1.0 / ss
-    p0 = e
-    p1 = np.where(live, e * i1**2, 0.0)
-    p2 = np.where(live, e * (i1**4 - 2.0 * i1**3), 0.0)
-    p3 = np.where(live, e * (i1**6 - 6.0 * i1**5 + 6.0 * i1**4), 0.0)
-    return p0, p1, p2, p3
-
-
-def _profile_jets(q, r0_sq, r1_sq):
-    """Smooth step in q = r^2: 1 for q <= r0_sq, 0 for q >= r1_sq.
-
-    Returns value and derivatives in q up to order 3.  The denominator
-    W = a + b is bounded below by psi of half the band width, which for
-    hairline bands can underflow to zero; those points get the limiting
-    step values (the transition is below float resolution there).
-    """
-    q = np.asarray(q, dtype=float)
-    a0, a1_, a2_, a3_ = _psi_jets(r1_sq - q)
-    b0, b1, b2, b3 = _psi_jets(q - r0_sq)
-    a1, a2, a3 = -a1_, a2_, -a3_
-    dead, Ws = _profile_denominator(a0, b0)
-    # every quantity is divided by W once before any product is formed:
-    # powers of a small W underflow long before W itself does, and the
-    # normalized ratios stay inside float range
-    with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
-        an0, an1, an2, an3 = a0 / Ws, a1 / Ws, a2 / Ws, a3 / Ws
-        bn0, bn1, bn2, bn3 = b0 / Ws, b1 / Ws, b2 / Ws, b3 / Ws
-        Wn1 = an1 + bn1
-        Wn2 = an2 + bn2
-        Nn = an1 * bn0 - an0 * bn1
-        Nn1 = an2 * bn0 - an0 * bn2
-        Nn2 = an3 * bn0 + an2 * bn1 - an1 * bn2 - an0 * bn3
-        beta0 = an0
-        beta1 = Nn
-        beta2 = Nn1 - 2.0 * Nn * Wn1
-        beta3 = Nn2 - 4.0 * Nn1 * Wn1 - 2.0 * Nn * Wn2 + 6.0 * Nn * Wn1**2
-    if np.any(dead):
-        beta0 = np.where(dead, _dead_step(q, r0_sq, r1_sq), beta0)
-        beta1 = np.where(dead, 0.0, beta1)
-        beta2 = np.where(dead, 0.0, beta2)
-        beta3 = np.where(dead, 0.0, beta3)
-    return beta0, beta1, beta2, beta3
+        return np.where(live, np.exp(-1.0 / np.where(live, s, 1.0)), 0.0)
 
 
 def _profile_denominator(a0, b0):
@@ -432,11 +382,16 @@ def _dead_step(q, r0_sq, r1_sq):
 
 
 def _profile_value(q, r0_sq, r1_sq):
-    """The value of :func:`_profile_jets`, bitwise, without the derivatives."""
+    """Smooth step in q = r^2: 1 for q <= r0_sq, 0 for q >= r1_sq.
+
+    The denominator W = a + b is bounded below by psi of half the band
+    width, which for hairline bands can underflow to zero; those points get
+    the limiting step values (the transition is below float resolution
+    there).
+    """
     q = np.asarray(q, dtype=float)
-    a0 = _psi(r1_sq - q)[0]
-    b0 = _psi(q - r0_sq)[0]
-    dead, Ws = _profile_denominator(a0, b0)
+    a0 = _psi(r1_sq - q)
+    dead, Ws = _profile_denominator(a0, _psi(q - r0_sq))
     with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
         beta0 = a0 / Ws
     if np.any(dead):
@@ -444,45 +399,17 @@ def _profile_value(q, r0_sq, r1_sq):
     return beta0
 
 
-def _radial_profile_handle(r0, r1):
-    r0_sq, r1_sq = float(r0) ** 2, float(r1) ** 2
-
-    def ev(q):
-        return _profile_value(q[..., 0], r0_sq, r1_sq)[..., None]
-
-    def jf(q, alpha):
-        return _profile_jets(q[..., 0], r0_sq, r1_sq)[alpha[0]][..., None]
-
-    return make_handle(ev, 1, 1, jet_fn=jf, k_max=3, name="profile")
-
-
-def _squared_distance_handle(center):
-    c = np.asarray(center, dtype=float)
-    n = c.shape[0]
-
-    def ev(x):
-        return np.sum((x - c) ** 2, axis=-1, keepdims=True)
-
-    def jf(x, alpha):
-        k = sum(alpha)
-        if k == 1:
-            i = alpha.index(1)
-            return (2.0 * (x[..., i] - c[i]))[..., None]
-        if k == 2:
-            if 2 in alpha:
-                return np.full(x.shape[:-1] + (1,), 2.0)
-            return np.zeros(x.shape[:-1] + (1,))
-        return np.zeros(x.shape[:-1] + (1,))
-
-    return make_handle(ev, n, 1, jet_fn=jf, name="sqdist")
+def _radial_value(y, center, r0_sq, r1_sq):
+    """The bump profile of |y - center|^2 at the points ``y`` (..., n): one
+    center, a stack of centers on leading axes, or one axis of a box bump."""
+    return _profile_value(np.sum((y - center) ** 2, axis=-1), r0_sq, r1_sq)
 
 
 def make_bump(center, inner_radius, outer_radius, box=None) -> SmoothMapHandle:
     """Radial C^inf bump: 1 on the inner ball, 0 outside the outer ball.
 
-    Jets are analytic to order 3 (profile derivatives composed with the
-    squared-distance map).  When ``box`` is given, the outer ball must fit
-    inside it.
+    Values only: jets are finite differences of the values.  When ``box``
+    is given, the outer ball must fit inside it.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if not 0.0 < inner_radius < outer_radius:
@@ -493,11 +420,11 @@ def make_bump(center, inner_radius, outer_radius, box=None) -> SmoothMapHandle:
             center + outer_radius > box[:, 1]
         ):
             raise BallEscapesChart("outer ball does not fit inside the chart box")
-    h = handle_compose(
-        _radial_profile_handle(inner_radius, outer_radius),
-        _squared_distance_handle(center),
+    r0_sq, r1_sq = float(inner_radius) ** 2, float(outer_radius) ** 2
+    h = make_handle(
+        lambda x: _radial_value(x, center, r0_sq, r1_sq)[..., None],
+        center.shape[0], 1, name="bump",
     )
-    h.name = "bump"
     h.support_box = np.stack([center - outer_radius, center + outer_radius], axis=-1)
     return h
 
@@ -521,7 +448,7 @@ def make_box_bump(inner_box, outer_box) -> SmoothMapHandle:
     def ev(x):
         h = None
         for i, (c, r0_sq, r1_sq) in enumerate(axes):
-            f = _profile_value((x[..., i] - c) ** 2, r0_sq, r1_sq)[..., None]
+            f = _radial_value(x[..., i : i + 1], c, r0_sq, r1_sq)[..., None]
             h = f if h is None else h * f
         return h
 
@@ -635,7 +562,7 @@ class TestBank:
     of the squared radii columns ``r0_sq`` (inner) and ``r1_sq`` (outer)
     each.  ``eval(y)`` returns all tests at the points ``y`` (..., n) as
     one (n_tests, ...) array: one plateau evaluation, its products with
-    the coordinates, and one profile evaluation of all bumps.
+    the coordinates, and one ``_radial_value`` call for all bumps.
     """
 
     labels: list
@@ -650,8 +577,10 @@ class TestBank:
     def eval(self, y):
         cut = self.plateau.eval_fn(y)
         lead = (len(self.centers),) + (1,) * (y.ndim - 1)
-        q = np.sum((y - self.centers.reshape(lead + y.shape[-1:])) ** 2, axis=-1)
-        bumps = _profile_value(q, self.r0_sq.reshape(lead), self.r1_sq.reshape(lead))
+        bumps = _radial_value(
+            y, self.centers.reshape(lead + y.shape[-1:]),
+            self.r0_sq.reshape(lead), self.r1_sq.reshape(lead),
+        )
         return np.concatenate(
             [np.moveaxis(cut, -1, 0), np.moveaxis(cut * y, -1, 0), bumps]
         )

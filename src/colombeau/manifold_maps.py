@@ -578,9 +578,10 @@ def _images(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
 
 def _distance_curve(u: ManifoldNet, v: ManifoldNet, pts, src: str, grid):
     """Per eps, the sup over the sample points (an array, or a function
-    eps -> points) of the chord distance between the images of u and v."""
+    eps -> points) of the chord distance between the images of u and v:
+    ``_sup_abs``'s, so a row with a non-finite image reads inf."""
     t_u, yu, yv = _images(u, v, pts, src, grid)
-    return np.max(chord_distance(u.target, t_u, yu, yv), axis=-1).tolist()
+    return _sup_abs(chord_distance(u.target, t_u, yu, yv)).tolist()
 
 
 def _bank_difference_curves(u, v, bank: TestBank, src: str, grid, pts):

@@ -57,7 +57,6 @@ from colombeau.geometry import (
     _BANK_SIZE,
     _as_box,
     _lattice,
-    _radial_profile_handle,
     box_contains,
     chord_distance,
     inside_box,
@@ -339,8 +338,8 @@ def reciprocal_handle():
 
 
 def box_bump_reference(inner_box, outer_box):
-    """The box bump as the Leibniz product of per-axis radial profiles
-    composed with x -> (x_i - c_i)^2, each with its analytic jets."""
+    """The box bump as the product of one-dimensional radial bumps, one per
+    axis, each composed with that axis's coordinate."""
     inner = _as_box(inner_box)
     outer = _as_box(outer_box, inner.shape[0])
     n = inner.shape[0]
@@ -349,20 +348,8 @@ def box_bump_reference(inner_box, outer_box):
         c = 0.5 * (inner[i, 0] + inner[i, 1])
         r_in = 0.5 * (inner[i, 1] - inner[i, 0])
         r_out = min(c - outer[i, 0], outer[i, 1] - c)
-
-        def coord_sq(x, _i=i, _c=c):
-            return ((x[..., _i] - _c) ** 2)[..., None]
-
-        def coord_sq_jet(x, alpha, _i=i, _c=c):
-            k = sum(alpha)
-            if k == 1 and alpha[_i] == 1:
-                return (2.0 * (x[..., _i] - _c))[..., None]
-            if k == 2 and alpha[_i] == 2:
-                return np.full(x.shape[:-1] + (1,), 2.0)
-            return np.zeros(x.shape[:-1] + (1,))
-
-        qh = make_handle(coord_sq, n, 1, jet_fn=coord_sq_jet, name=f"q{i}")
-        factors.append(handle_compose(_radial_profile_handle(r_in, r_out), qh))
+        bump = make_bump([c], r_in, r_out)
+        factors.append(handle_compose(bump, coordinate_handle(n, i)))
     h = factors[0]
     for f in factors[1:]:
         h = handle_product(h, f)
@@ -902,13 +889,14 @@ def cbounded_report(u, K, grid):
 
 def distance_curve(u, v, pts, src, grid):
     """Per eps, the sup over the points (an array, or a function eps ->
-    points) of the chord distance between the images of u and v."""
+    points) of the chord distance between the images of u and v, inf where
+    a distance is not finite."""
     curve = []
     for eps in grid:
         x = pts(eps) if callable(pts) else pts
         t_u, yu = u.eval(eps, x, src)
         yv = v.image_in(eps, x, t_u, src)
-        curve.append(float(np.max(chord_distance(u.target, t_u, yu, yv))))
+        curve.append(sup_abs(chord_distance(u.target, t_u, yu, yv)))
     return curve
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import colombeau
+from colombeau import cli
 from colombeau.asymptotics import EpsGrid
 from colombeau.cli import DEFAULT_CONFIG, load_config, main
 from colombeau.errors import ConfigError, UnknownNet
@@ -51,6 +52,17 @@ class TestConfig:
         assert len(cfg.grid) == 7
         assert np.isclose(cfg.grid.values[0], 0.5)
         assert np.isclose(cfg.grid.values[-1], 0.001)
+
+    def test_no_grid_flag_keeps_the_config_grid(self, tmp_path, monkeypatch):
+        # main passes every grid flag, None when not given; none is given
+        # here, so the command must run on the config's own grid, bit for bit
+        seen = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "classify", lambda cfg, out: seen.append(cfg.grid) or []
+        )
+        assert main(["classify", "--out", str(tmp_path)]) == 0
+        want = load_config(None).grid.values
+        assert [v.hex() for v in seen[0].values] == [v.hex() for v in want]
 
     def test_nets_of_one_config_share_its_atlas(self):
         cfg = load_config(None)

@@ -273,8 +273,10 @@ class TestRowReductions:
                 GRID, k, pts, lambda eps: (u.net.at(eps), v.net.at(eps))
             )
             assert _same_bits(got, want), k
+        # the chord distances take the same row sup: the nan row reads inf
         got = manifold_maps._distance_curve(u, v, pts, "main", GRID)
         assert _same_bits(got, oracles.distance_curve(u, v, pts, "main", GRID))
+        assert np.isinf(got).tolist() == [i == self.I_NAN for i in range(len(GRID))]
         rep = manifold_maps._cbounded_report(u, K1, GRID)
         want = oracles.cbounded_report(u, K1, GRID)
         assert not rep.ok and rep.diagnostics == want.diagnostics

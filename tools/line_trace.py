@@ -17,8 +17,10 @@ caller the library has outside its tests:
 It then prints every line of ``src/colombeau`` that holds code and was never
 entered, as ``file:line: source``, grouped by the function it sits in.  Such
 a line guards no verdict of any caller: delete it, give it a caller, or say
-why it stays.  All output files go to a temporary directory.  A run took
-about 9.5 s on a shared 2-CPU x86_64 host.
+why it stays.  Last it prints the functions of which no line was entered,
+one ``module.qualname`` a line; ``tests/test_line_trace.py`` holds that set
+to an allow-list.  All output files go to a temporary directory.  A run took
+about 6 s on a shared 2-CPU x86_64 host.
 """
 
 import contextlib
@@ -100,19 +102,21 @@ def _code_lines(code):
 
 
 def never_entered(entered):
-    """[(file, line, function, source)] of the package's code lines that
-    ``entered`` does not hold."""
-    rows = []
+    """([(file, line, function, source)] of the package's code lines that
+    ``entered`` does not hold, [module.function] of the functions of which
+    it holds no line)."""
+    rows, functions = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
-        code = compile(text, str(path), "exec")
+        lines = _code_lines(compile(text, str(path), "exec"))
         source = text.splitlines()
         seen = entered.get(str(path), set())
-        for line, where in sorted(_code_lines(code).items()):
-            if line not in seen:
-                rows.append((path.relative_to(ROOT), line, where,
-                             source[line - 1].strip()))
-    return rows
+        rows += [(path.relative_to(ROOT), line, where, source[line - 1].strip())
+                 for line, where in sorted(lines.items()) if line not in seen]
+        reached = {where for line, where in lines.items() if line in seen}
+        functions += [f"{path.stem}.{where}"
+                      for where in sorted(set(lines.values()) - reached)]
+    return rows, functions
 
 
 def main():
@@ -131,7 +135,7 @@ def main():
         finally:
             sys.settrace(None)
             os.chdir(cwd)
-    rows = never_entered(entered)
+    rows, functions = never_entered(entered)
     last = None
     for path, line, where, text in rows:
         if (path, where) != last:
@@ -139,6 +143,9 @@ def main():
             last = (path, where)
         print(f"  {path}:{line}: {text}")
     print(f"{len(rows)} code lines of {PACKAGE.relative_to(ROOT)} never entered")
+    print(f"{len(functions)} functions of {PACKAGE.relative_to(ROOT)} never entered:")
+    for name in functions:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":
