@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .errors import GridTooShort, NonFiniteValue
 
@@ -37,6 +38,7 @@ DEFAULT_FLOOR = 1e-300
 DEFAULT_FIT_TOLERANCE = 0.25
 DEFAULT_RATIO_BOUND = 1e3
 DRIFT_THRESHOLD = 1.0
+_MACH_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -109,29 +111,35 @@ class AsymptoticVerdict:
         return f"{body} slope={self.slope:+.3f} r2={self.r_squared:.4f}"
 
 
-def _sample_array(samples, grid: EpsGrid) -> np.ndarray:
+def _sample_array(samples, grid: EpsGrid, stacked=False) -> np.ndarray:
+    """The samples as floats: one curve aligned with the grid, or with
+    ``stacked`` also an (n_curves, n_eps) stack of them."""
     s = np.asarray(samples, dtype=float)
-    if s.shape != (len(grid),):
-        raise GridTooShort(
-            f"sample array has shape {s.shape}, grid has {len(grid)} points"
-        )
-    if np.any(np.isnan(s)):
+    if s.shape[-1:] != (len(grid),) or s.ndim > 1 + stacked:
+        raise GridTooShort(f"sample array has shape {s.shape}, grid has {len(grid)} points")
+    if np.isnan(s).any():
         raise NonFiniteValue("sample curve contains NaN")
-    if np.any(s[np.isfinite(s)] < 0):
+    if ((s < 0) & (s > -np.inf)).any():
         raise NonFiniteValue("sample curve contains negative values")
     return s
 
 
-def _fit_line(logx, logy):
-    """Least-squares slope/intercept/r^2 with a zero-variance guard; every
-    fit has at least 3 points."""
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    total = float(np.sum((logy - logy.mean()) ** 2))
-    if total < 1e-20:
-        return 0.0, float(logy.mean()), 1.0
-    ss_res = float(res[0]) if len(res) else float(np.sum((A @ [slope, intercept] - logy) ** 2))
-    return float(slope), float(intercept), max(0.0, 1.0 - ss_res / total)
+def _fit_lines(A, logy):
+    """Per row of ``logy`` (n_rows, m >= 3): least-squares slope, intercept
+    and r^2 on the design matrix ``A`` = [log eps, 1] (m, 2), with a
+    zero-variance guard.  Each row is one LAPACK gelsd solve of the gufunc
+    that ``np.linalg.lstsq`` calls, at its default rcond, so every row has
+    the bits of its own ``lstsq`` call."""
+    x, res, _, _ = _gelsd(A, logy[..., None], _MACH_EPS * len(A), signature="ddd->ddid")
+    mean = np.add.reduce(logy, -1) / len(A)
+    dev = logy - mean[:, None]
+    return [
+        (0.0, m, 1.0) if total < 1e-20 else (slope, intercept, max(0.0, 1.0 - r / total))
+        for (slope, intercept), r, total, m in zip(
+            x[..., 0].tolist(), res[:, 0].tolist(),
+            np.add.reduce(dev * dev, -1).tolist(), mean.tolist(),
+        )
+    ]
 
 
 def estimate_growth_order(
@@ -139,71 +147,78 @@ def estimate_growth_order(
     grid: EpsGrid,
     m_max: int = DEFAULT_M_MAX,
     fit_tolerance: float = DEFAULT_FIT_TOLERANCE,
-) -> AsymptoticVerdict:
+) -> AsymptoticVerdict | list[AsymptoticVerdict]:
     """Fit samples ~ C * eps^s on the small-eps half and classify.
 
-    ``samples`` is an array (or sequence) aligned with the grid.  Values
-    must be >= 0 and non-NaN; infinities classify as neither (overflow on
-    the way to eps = 0).  Moderateness is tested up to order DEFAULT_N_MAX
-    and negligibility up to ``m_max``.
+    ``samples`` is one curve aligned with the grid, giving one verdict, or
+    an (n_curves, n_eps) stack of curves, giving a list of verdicts in row
+    order.  A one-curve call is the one-row case of the stack, and each row
+    of a stack gets the verdict of its own one-row call, bit for bit: every
+    row is its own least-squares solve.  Values must be >= 0 and non-NaN;
+    infinities classify as neither (overflow on the way to eps = 0).
+    Moderateness is tested up to order DEFAULT_N_MAX and negligibility up
+    to ``m_max``.
     """
-    s = _sample_array(samples, grid)
-    eps = grid.as_array()
-    n_max, m_min, floor = DEFAULT_N_MAX, DEFAULT_M_MIN, DEFAULT_FLOOR
-    params = dict(
-        n_max=n_max, m_max=m_max, m_min=m_min, floor=floor,
-        fit_tolerance=fit_tolerance,
-    )
+    s = _sample_array(samples, grid, stacked=True)
+    rows = s.reshape(-1, len(grid))
+    lo, window = grid.small_half().start, len(grid.small_half())
+    overflow = np.isinf(rows).any(axis=1)
+    underflow = (rows[:, lo:] <= DEFAULT_FLOOR).all(axis=1)
+    fitted = rows[~(overflow | underflow)]
 
-    small = list(grid.small_half())
-    if np.any(np.isinf(s)):
-        return AsymptoticVerdict(
-            NEITHER, None, float("-inf"), 0.0, m_max, params,
-            {"overflow": True, "reason": "infinite samples on the grid"},
-        )
-
-    s_small, eps_small = s[small], eps[small]
-    if np.all(s_small <= floor):
-        return AsymptoticVerdict(
-            NEGLIGIBLE, m_max, float(m_max), 1.0, m_max, params,
-            {"underflow": True, "reason": "samples at or below the value floor"},
-        )
-
-    logx = np.log(eps_small)
-    logy = np.log(s_small + floor)
-    slope, intercept, r2 = _fit_line(logx, logy)
-
+    A = np.vander(np.log(grid.as_array()[lo:]), 2)
+    logy = np.log(fitted[:, lo:] + DEFAULT_FLOOR)
+    fits = _fit_lines(A, logy)
     # drift guard: compare slopes on the larger-eps and smaller-eps halves
     # of the fitting window; super-polynomial curves keep steepening
-    drift = 0.0
-    if len(small) >= 6:
-        mid = len(small) // 2
-        slope_a, _, _ = _fit_line(logx[:mid], logy[:mid])
-        slope_b, _, _ = _fit_line(logx[mid:], logy[mid:])
-        drift = slope_b - slope_a
-    diagnostics = {"drift": drift, "fit_window": len(small), "intercept": intercept}
-
+    drifts = [0.0] * len(fits)
+    if window >= 6:
+        mid = window // 2
+        drifts = [b[0] - a[0] for a, b in zip(
+            _fit_lines(A[:mid], logy[:, :mid]), _fit_lines(A[mid:], logy[:, mid:])
+        )]
     # the drift branches also demand the curve actually moves in the
     # drifted direction overall; a growing curve that saturates (an FD
     # step hitting its resolution ceiling does this) must not pass as
     # super-polynomial decay
-    grows = float(np.max(s_small)) > float(np.max(s[: small[0]])) if small[0] else True
-    if drift < -DRIFT_THRESHOLD and grows:
-        diagnostics["reason"] = "slope drifting down: super-polynomial growth"
-        return AsymptoticVerdict(NEITHER, None, slope, r2, m_max, params, diagnostics)
-    if drift > DRIFT_THRESHOLD and not grows:
-        diagnostics["reason"] = "slope drifting up: faster than any power"
-        return AsymptoticVerdict(NEGLIGIBLE, m_max, slope, r2, m_max, params, diagnostics)
+    grows = fitted[:, lo:].max(axis=1) > fitted[:, :lo].max(axis=1)
+    fitted_rows = zip(fits, drifts, grows.tolist())
 
-    if slope < -(n_max + fit_tolerance):
-        diagnostics["reason"] = f"slope below -N_max = -{n_max}"
-        return AsymptoticVerdict(NEITHER, None, slope, r2, m_max, params, diagnostics)
-    if slope < m_min:
+    verdicts = []
+    for over, under in zip(overflow.tolist(), underflow.tolist()):
+        if over:
+            fields = (NEITHER, None, float("-inf"), 0.0,
+                      {"overflow": True, "reason": "infinite samples on the grid"})
+        elif under:
+            fields = (NEGLIGIBLE, m_max, float(m_max), 1.0,
+                      {"underflow": True, "reason": "samples at or below the value floor"})
+        else:
+            fields = _classify(*next(fitted_rows), window, m_max, fit_tolerance)
+        params = dict(n_max=DEFAULT_N_MAX, m_max=m_max, m_min=DEFAULT_M_MIN,
+                      floor=DEFAULT_FLOOR, fit_tolerance=fit_tolerance)
+        verdicts.append(AsymptoticVerdict(*fields[:4], m_max, params, fields[4]))
+    return verdicts if s.ndim == 2 else verdicts[0]
+
+
+def _classify(fit, drift, grows, window, m_max, tol):
+    """(classification, order, slope, r^2, diagnostics) of one fitted curve."""
+    slope, intercept, r2 = fit
+    diagnostics = {"drift": drift, "fit_window": window, "intercept": intercept}
+    why = None
+    if drift < -DRIFT_THRESHOLD and grows:
+        cls, order, why = NEITHER, None, "slope drifting down: super-polynomial growth"
+    elif drift > DRIFT_THRESHOLD and not grows:
+        cls, order, why = NEGLIGIBLE, m_max, "slope drifting up: faster than any power"
+    elif slope < -(DEFAULT_N_MAX + tol):
+        cls, order, why = NEITHER, None, f"slope below -N_max = -{DEFAULT_N_MAX}"
+    elif slope < DEFAULT_M_MIN:
         # rounding guard keeps N stable under fit noise around integer slopes
-        n = max(0, math.ceil(-slope - fit_tolerance))
-        return AsymptoticVerdict(MODERATE, n, slope, r2, m_max, params, diagnostics)
-    m = min(math.floor(slope + fit_tolerance), m_max)
-    return AsymptoticVerdict(NEGLIGIBLE, m, slope, r2, m_max, params, diagnostics)
+        cls, order = MODERATE, max(0, math.ceil(-slope - tol))
+    else:
+        cls, order = NEGLIGIBLE, min(math.floor(slope + tol), m_max)
+    if why:
+        diagnostics["reason"] = why
+    return cls, order, slope, r2, diagnostics
 
 
 def is_negligible(
@@ -230,9 +245,8 @@ def is_negligible(
 
     positive = ratios > 0
     if ok and np.sum(positive) >= 3:
-        trend, _, _ = _fit_line(
-            np.log(eps[small])[positive], np.log(ratios[positive])
-        )
+        A = np.vander(np.log(eps[small])[positive], 2)
+        trend = _fit_lines(A, np.log(ratios[positive])[None])[0][0]
         # ratios growing as eps -> 0 show up as a negative log-log trend
         if trend < -0.05:
             diagnostics["borderline"] = True
@@ -240,11 +254,15 @@ def is_negligible(
     return ok, diagnostics
 
 
-def negligible_to_resolution(samples, grid: EpsGrid) -> bool:
+def negligible_to_resolution(samples, grid: EpsGrid) -> bool | list[bool]:
     """True iff the curve classifies Negligible(DEFAULT_M_MAX), the strongest
-    verdict a finite grid supports."""
-    verdict = estimate_growth_order(samples, grid)
-    return verdict.classification == NEGLIGIBLE and verdict.order == DEFAULT_M_MAX
+    verdict a finite grid supports; for a stack of curves, as
+    :func:`estimate_growth_order` takes them, a list of one bool per row."""
+    s = np.asarray(samples, dtype=float)
+    verdicts = estimate_growth_order(s, grid)
+    ok = [v.classification == NEGLIGIBLE and v.order == DEFAULT_M_MAX
+          for v in (verdicts if s.ndim == 2 else [verdicts])]
+    return ok if s.ndim == 2 else ok[0]
 
 
 def dump_fit_csv(samples, grid: EpsGrid, verdict: AsymptoticVerdict, path=None) -> str:

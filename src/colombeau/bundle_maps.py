@@ -397,12 +397,10 @@ def _fiber_moderate_report(u: FiberNet, L, grid, k_max) -> VBModerateReport:
     pts = _check_points(L)
     fiber = (u.fiber.at_grid(grid),)
 
-    fiber_verdicts = []
-    for k in range(k_max + 1):
-        curve = _sup_curve(
-            grid, k, pts, fiber, step=lambda eps: _fiber_step(eps, k),
-        )
-        fiber_verdicts.append((k, estimate_growth_order(curve, grid)))
+    fiber_verdicts = list(enumerate(estimate_growth_order([
+        _sup_curve(grid, k, pts, fiber, step=lambda eps: _fiber_step(eps, k))
+        for k in range(k_max + 1)
+    ], grid)))
 
     verdict = _combine_verdicts(
         [base_report.verdict] + [v for _, v in fiber_verdicts]
@@ -481,16 +479,11 @@ def _fiber_equivalent(
     src = L.chart_id
     fibers = (u.fiber.at_grid(grid), v.fiber.at_grid(grid))
 
-    route_chart = all([
-        negligible_to_resolution(_sup_curve(
-            grid, k, pts, fibers,
-            step=lambda eps: _fiber_step(eps, k), diff=_sup_diff,
-        ), grid)
+    *chart, route_bank = negligible_to_resolution([
+        _sup_curve(grid, k, pts, fibers, step=lambda eps: _fiber_step(eps, k), diff=_sup_diff)
         for k in range(derivative_order + 1)
-    ])
-
-    curve = _test_hom_curve(u, v, witness, pts, src, grid)
-    route_bank = negligible_to_resolution(curve, grid)
+    ] + [_test_hom_curve(u, v, witness, pts, src, grid)], grid)
+    route_chart = all(chart)
 
     if route_chart != route_bank:
         raise InconsistentRoutes(
@@ -623,11 +616,10 @@ def check_hybrid_pointvalues(
     points = list(sample_points)
     if L is not None:
         points.append(_adversarial_hybrid_point(u, v, L, grid))
-    curves = _hybrid_pointvalue_curves(u, v, points, grid) if points else ()
-    failed = [
-        p for p, (base, fiber) in zip(points, curves)
-        if not (negligible_to_resolution(base, grid) and negligible_to_resolution(fiber, grid))
-    ]
+    ok = negligible_to_resolution([
+        c for pair in _hybrid_pointvalue_curves(u, v, points, grid) for c in pair
+    ], grid) if points else ()
+    failed = [p for p, base, fiber in zip(points, ok[::2], ok[1::2]) if not (base and fiber)]
     return not failed, {"failed_points": failed, "tested": len(points)}
 
 

@@ -312,13 +312,13 @@ def _build_config(cp, overrides) -> RunConfig:
     else:
         raise ConfigError(f"unknown grid kind {kind!r}")
     # a grid flag that is not given is None: the config's grid stands
-    flags = {k: overrides.get(k) for k in ("eps_max", "eps_min", "grid_points")}
-    if any(value is not None for value in flags.values()):
-        grid = EpsGrid.geometric(
-            flags["eps_max"] or grid.values[0],
-            flags["eps_min"] or grid.values[-1],
-            flags["grid_points"] or len(grid),
-        )
+    current = {"eps_max": grid.values[0], "eps_min": grid.values[-1], "grid_points": len(grid)}
+    given = {k: overrides[k] for k in current if overrides.get(k) is not None}
+    for k in ("eps_max", "eps_min"):
+        if k in given and not given[k] > 0:
+            raise ConfigError(f"--{k.replace('_', '-')} must be > 0, got {given[k]}")
+    if given:
+        grid = EpsGrid.geometric(*{**current, **given}.values())
 
     t = cp["tolerances"] if cp.has_section("tolerances") else {}
     a = cp["atlas"] if cp.has_section("atlas") else {}

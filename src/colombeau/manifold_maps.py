@@ -537,12 +537,9 @@ def _moderate_report(u: ManifoldNet, K, grid, k_max) -> ModerateReport:
         raise NotCBounded(
             f"{u.label or 'net'} is not c-bounded on K: {cb.diagnostics}"
         )
-    rows = [
-        (label, k, estimate_growth_order(curve, grid))
-        for label, k, curve in _coordinate_curves(
-            (u,), range(k_max + 1), K.chart_id, grid, _check_points(K)
-        )
-    ]
+    curves = _coordinate_curves((u,), range(k_max + 1), K.chart_id, grid, _check_points(K))
+    verdicts = estimate_growth_order([curve for _, _, curve in curves], grid)
+    rows = [(label, k, v) for (label, k, _), v in zip(curves, verdicts)]
     verdict = _combine_verdicts([v for _, _, v in rows])
     # order 0 of a manifold-valued net is its c-boundedness, checked above;
     # a negligible label would depend on the chart: exp(-1/eps)cos x reads
@@ -629,23 +626,18 @@ def check_equivalent(
     src = K.chart_id
     bank = default_test_bank(u.target, _pair_witness(u, v, K, grid, "equivalence"))
 
-    # route A: distance decay
+    # route A: distance decay; route B: test-function differences; route
+    # C: chart differences at every sample point; one classifier stack
     dist_curve = _distance_curve(u, v, pts, src, grid)
-    route_a = negligible_to_resolution(dist_curve, grid)
-
-    # route B: test-function differences
-    bank_curves = {
-        (label, k): negligible_to_resolution(curve, grid)
-        for label, k, curve in _bank_difference_curves(u, v, bank, src, grid, pts)
-    }
-    route_b = all(bank_curves.values())
-
-    # route C: chart differences at every sample point
+    bank_rows = _bank_difference_curves(u, v, bank, src, grid, pts)
     pair = (u.grid_handle(grid, src)[1], v.grid_handle(grid, src)[1])
-    route_c = all([
-        negligible_to_resolution(_sup_curve(grid, k, pts, pair), grid)
-        for k in range(derivative_order + 1)
-    ])
+    route_a, *ok = negligible_to_resolution(
+        [dist_curve] + [curve for _, _, curve in bank_rows]
+        + [_sup_curve(grid, k, pts, pair) for k in range(derivative_order + 1)], grid,
+    )
+    bank_curves = {(label, k): b for (label, k, _), b in zip(bank_rows, ok)}
+    route_b = all(bank_curves.values())
+    route_c = all(ok[len(bank_rows):])
 
     diagnostics = {
         "distance_curve": dist_curve,
@@ -806,11 +798,8 @@ def check_pointvalue_equality(
     points = list(sample_points)
     if K is not None:
         points.append(adversarial_gpoint(u, v, K, grid))
-    failures = [
-        p.label or "unnamed"
-        for p, curve in zip(points, _pointvalue_curves(u, v, points, grid) if points else ())
-        if not negligible_to_resolution(curve, grid)
-    ]
+    ok = negligible_to_resolution(_pointvalue_curves(u, v, points, grid), grid) if points else ()
+    failures = [p.label or "unnamed" for p, good in zip(points, ok) if not good]
     return not failures, {"failed_points": failures, "tested": len(points)}
 
 

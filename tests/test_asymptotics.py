@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from colombeau.asymptotics import (
     estimate_growth_order,
     is_negligible,
     negligible_to_resolution,
+    _fit_lines,
 )
 from colombeau.errors import (
     DimensionMismatch,
@@ -144,6 +147,103 @@ class TestEstimateGrowthOrder:
     def test_pure_powers_recover_exponent(self, p):
         v = estimate_growth_order(curve(lambda e: e**p), GRID)
         assert v.slope == pytest.approx(p, abs=0.1)
+
+
+#: the fit windows of 7-, 11- and 17-point dyadic grids and a 23-point geometric one
+STACK_GRIDS = (
+    EpsGrid.dyadic(4, 10), EpsGrid.dyadic(2, 12), EpsGrid.default(),
+    EpsGrid.geometric(0.5, 1e-6, 23),
+)
+
+
+def stack_catalog(grid):
+    """Curves on ``grid`` that reach every branch of the classifier: powers,
+    log factors, exp(-c/eps), constants, exact zeros mixed with 1e-16
+    noise, inf rows, underflow rows and seeded random power-law rows."""
+    e = grid.as_array()
+    rng = np.random.default_rng(len(e))
+    rows = [e**p for p in np.arange(-14.0, 10.5, 0.5)]
+    rows += [e**p * np.abs(np.log(e)) ** q for p in (-3, 0, 2, 8) for q in (-2, 1, 3)]
+    rows += [np.exp(-c / e) for c in (0.05, 0.5, 1.0, 4.0)]
+    rows += [np.full(len(e), c) for c in (0.0, 1e-16, 1.0, 7.5)]
+    rows += list(np.where(rng.random((6, len(e))) < 0.5, 0.0, 1e-16))
+    with np.errstate(over="ignore"):
+        rows += [np.exp(1.0 / e), np.exp(0.02 / e)]
+    rows += [np.where(e < e[len(e) // 2], np.inf, 1.0), np.full(len(e), -np.inf)]
+    rows += [np.full(len(e), 1e-310), np.where(e < e[2], 0.0, 5.0)]
+    rows += list(np.abs(rng.standard_normal((20, len(e)))) * e ** rng.uniform(-6, 6, (20, 1)))
+    return np.array(rows)
+
+
+class TestStackedClassifier:
+    @pytest.mark.parametrize("grid", STACK_GRIDS, ids=len)
+    def test_each_row_of_a_stack_is_its_one_row_call(self, grid):
+        rows = stack_catalog(grid)
+        stacked = estimate_growth_order(rows, grid)
+        assert len(stacked) == len(rows)
+        for row, v in zip(rows, stacked):
+            assert repr(astuple(v)) == repr(astuple(estimate_growth_order(row.tolist(), grid)))
+        assert negligible_to_resolution(rows, grid) == [
+            negligible_to_resolution(row, grid) for row in rows
+        ]
+        reasons = {v.diagnostics.get("reason", v.classification) for v in stacked}
+        assert {MODERATE, NEGLIGIBLE, "infinite samples on the grid",
+                "samples at or below the value floor", "slope below -N_max = -12"} <= reasons
+        # a fit window of 6 or more points has the drift guard
+        drifts = len(grid.small_half()) >= 6
+        assert drifts == ("slope drifting up: faster than any power" in reasons)
+
+    @pytest.mark.parametrize("m", range(3, 21))
+    def test_stacked_fit_is_per_row_lstsq_bit_for_bit(self, m):
+        # pins the gufunc behind np.linalg.lstsq: a numpy whose per-row
+        # solves or default rcond change fails here, not in a digest
+        rng = np.random.default_rng(m)
+        logx = np.log(np.geomspace(0.5, 1e-6, m))
+        Y = rng.standard_normal((120, m)) * rng.uniform(0, 30, (120, 1))
+        Y += rng.uniform(-12, 12, (120, 1)) * logx + rng.uniform(-700, 700, (120, 1))
+        Y[:2] = [np.full(m, -690.7755), np.full(m, 2.5)]  # flat rows
+        A = np.vstack([logx, np.ones_like(logx)]).T
+        for row, fit in zip(Y, _fit_lines(np.vander(logx, 2), Y)):
+            (slope, intercept), res, *_ = np.linalg.lstsq(A, row, rcond=None)
+            total = float(np.sum((row - row.mean()) ** 2))
+            want = (0.0, float(row.mean()), 1.0) if total < 1e-20 else (
+                float(slope), float(intercept), max(0.0, 1.0 - float(res[0]) / total)
+            )
+            assert repr(fit) == repr(want)
+
+    def test_a_bad_row_raises_the_one_row_error(self):
+        good = np.array(curve(lambda e: e))
+        nan, negative = good.copy(), good.copy()
+        nan[3], negative[5] = float("nan"), -1e-3
+        for bad in (nan, negative):
+            with pytest.raises(NonFiniteValue) as one:
+                estimate_growth_order(bad, GRID)
+            for classify in (estimate_growth_order, negligible_to_resolution):
+                with pytest.raises(NonFiniteValue) as many:
+                    classify([good, bad, good], GRID)
+                assert str(many.value) == str(one.value)
+        for shape in ((2, 5), (1, 2, 17), (17, 2), ()):
+            with pytest.raises(GridTooShort, match=(
+                rf"sample array has shape {re_shape(shape)}, grid has 17 points"
+            )):
+                estimate_growth_order(np.ones(shape), GRID)
+
+    def test_flat_zero_and_inf_rows_warn_nothing(self):
+        e = GRID.as_array()
+        rows = [np.zeros(len(e)), np.full(len(e), 3.0), np.full(len(e), 1e-16),
+                np.full(len(e), np.inf), np.where(e < 1e-3, np.inf, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = estimate_growth_order(rows, GRID)
+            assert negligible_to_resolution(rows, GRID) == [True, False, False, False, False]
+            assert [v.classification for v in verdicts] == [
+                NEGLIGIBLE, MODERATE, MODERATE, NEITHER, NEITHER]
+            assert estimate_growth_order(np.empty((0, len(e))), GRID) == []
+
+
+def re_shape(shape):
+    """A shape as a regex matching its repr."""
+    return repr(shape).replace("(", r"\(").replace(")", r"\)")
 
 
 class TestIsNegligible:

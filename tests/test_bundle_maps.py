@@ -434,12 +434,14 @@ class TestTestHomCurve:
     @staticmethod
     def fiber_rows(u, L, grid, monkeypatch):
         """check_vb_moderate's report and the fiber curves it classified,
-        the order-0 chart row first."""
+        each row of a stacked call in row order, the order-0 chart row first."""
         curves = []
         fit = bundle_maps.estimate_growth_order
         monkeypatch.setattr(
             bundle_maps, "estimate_growth_order",
-            lambda curve, *a, **kw: curves.append(list(curve)) or fit(curve, *a, **kw),
+            lambda curve, *a, **kw: curves.extend(
+                np.atleast_2d(np.asarray(curve, dtype=float)).tolist()
+            ) or fit(curve, *a, **kw),
         )
         return check_vb_moderate(u, L, grid=grid), curves
 

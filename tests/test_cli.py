@@ -64,6 +64,17 @@ class TestConfig:
         want = load_config(None).grid.values
         assert [v.hex() for v in seen[0].values] == [v.hex() for v in want]
 
+    def test_zero_grid_flags_are_read_not_dropped(self, tmp_path, capsys):
+        # a flag given as 0 is given: 0 points is too short a grid, and a
+        # non-positive eps bound is refused by the flag's name
+        with pytest.raises(ConfigError, match="need at least 6"):
+            load_config(None, {"grid_points": 0})
+        for flag, value in (("eps_min", 0.0), ("eps_max", 0.0), ("eps_min", -1e-3)):
+            with pytest.raises(ConfigError, match=f"--{flag.replace('_', '-')} must be > 0"):
+                load_config(None, {flag: value})
+        assert main(["classify", "--eps-min", "0", "--out", str(tmp_path)]) == 2
+        assert "--eps-min must be > 0, got 0.0" in capsys.readouterr().err
+
     def test_nets_of_one_config_share_its_atlas(self):
         cfg = load_config(None)
         assert cfg.map_net("sine").target is cfg.map_net("linear").target

@@ -51,13 +51,15 @@ def _bits(values):
 
 def _record(monkeypatch, run):
     """(kind, bits) per classified curve and per c-boundedness report of
-    ``run()``, in call order; a raise ends the record with its type."""
+    ``run()``, in call order, each row of a stacked classifier call in row
+    order; a raise ends the record with its type."""
     record = []
     for mod, name in CLASSIFIERS:
         fn = getattr(mod, name)
 
         def wrapped(curve, *a, _fn=fn, _name=name, **kw):
-            record.append((_name, _bits(list(curve))))
+            rows = np.atleast_2d(np.asarray(curve, dtype=float))
+            record.extend((_name, _bits(row)) for row in rows)
             return _fn(curve, *a, **kw)
 
         monkeypatch.setattr(mod, name, wrapped)

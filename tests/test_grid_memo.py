@@ -7,6 +7,8 @@ depend on what the memo holds: the same check on fresh nets and on nets
 warmed by other verdicts gives the same curves and reports bit for bit.
 The fiber combinators of ``bundle_maps`` evaluate on the whole stack; their
 slice at eps is the one-row case of the same body, and no checker calls it.
+Each checker hands the classifier all the sup curves of one verdict on one
+grid as one stack, in one call.
 """
 
 import gc
@@ -16,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from colombeau import bundle_maps, manifold_maps, nets
+from colombeau import asymptotics, bundle_maps, manifold_maps, nets
 from colombeau.asymptotics import EpsGrid
 from colombeau.bundle_maps import (
     FiberNet,
@@ -80,13 +82,14 @@ def map_pair():
 
 
 def recorded(monkeypatch, run):
-    """(result repr, every curve that reached a classifier, as bytes)."""
+    """(result repr, every curve that reached a classifier, as bytes, each
+    row of a stacked call in row order)."""
     curves = []
     for mod, name in CLASSIFIERS:
         fn = getattr(mod, name)
 
         def wrapped(curve, *a, _fn=fn, **kw):
-            curves.append(np.asarray(list(curve), dtype=float).tobytes())
+            curves.extend(row.tobytes() for row in np.atleast_2d(np.asarray(curve, dtype=float)))
             return _fn(curve, *a, **kw)
 
         monkeypatch.setattr(mod, name, wrapped)
@@ -140,6 +143,61 @@ class TestCacheState:
         assert _check_points(K1, seed=1) is not pts
         with pytest.raises(ValueError):
             pts[0, 0] = 5.0
+
+
+class TestOneClassifierCallPerVerdict:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(stack shape, grid length) per classifier call, wherever it is
+        reached from: a checker module or ``negligible_to_resolution``."""
+        calls = []
+        fit = asymptotics.estimate_growth_order
+
+        def tap(samples, grid, *a, **kw):
+            calls.append((np.shape(samples), len(grid)))
+            return fit(samples, grid, *a, **kw)
+
+        for mod in (asymptotics, manifold_maps, bundle_maps):
+            monkeypatch.setattr(mod, "estimate_growth_order", tap)
+        return calls
+
+    def test_check_moderate(self, calls):
+        # the one chart coordinate at orders 0..3
+        check_moderate(map_pair()[0], K1, k_max=3)
+        assert calls == [((4, len(GRID)), len(GRID))]
+
+    def test_check_equivalent(self, calls):
+        # the distance curve, one row per bank test, chart orders 0..2
+        report = check_equivalent(*map_pair(), K1, derivative_order=2)
+        assert calls == [((4 + report.diagnostics["bank_size"], len(GRID)), len(GRID))]
+
+    def test_check_pointvalue_equality(self, calls):
+        u, v = map_pair()
+        ok, info = check_pointvalue_equality(u, v, random_gpoints(K1, 5), K=K1)
+        assert info["tested"] == 6
+        assert calls == [((6, len(GRID)), len(GRID))]
+
+    def test_fiber_moderate_and_fiber_routes(self, calls):
+        f, g = hom_pair()
+        assert calls == [((6,), 6)] * 2  # compose_homs's guards, one curve each
+        calls.clear()
+        for w in (f, g):
+            check_vb_moderate(w, K1)
+        # per net: the base coordinate at orders 0..2, then the fiber's
+        assert calls == [((3, len(GRID)), len(GRID))] * 4
+        calls.clear()
+        report = check_vb_equivalent(f, g, K1, derivative_order=2)
+        base_rows = 2 + report.base_report.diagnostics["bank_size"]
+        # the base equivalence, then chart orders 0..2 and the test-hom curve
+        assert calls == [((base_rows, len(GRID)), len(GRID)), ((4, len(GRID)), len(GRID))]
+
+    def test_check_hybrid_pointvalues(self, calls):
+        s = section_net(TX, lambda e, x: e * np.sin(x / e), label="s")
+        t = section_net(TX, lambda e, x: e * np.sin(x / e) + np.exp(-1.0 / e), label="t")
+        ok, info = bundle_maps.check_hybrid_pointvalues(s, t, random_gpoints(K1, 4), L=K1)
+        assert ok and info["tested"] == 5
+        # base and fiber curve per point
+        assert calls == [((10, len(GRID)), len(GRID))]
 
 
 def transported():
