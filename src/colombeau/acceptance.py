@@ -66,14 +66,12 @@ def _amplitude_curve(amp, grid):
 
 def criterion_order_calibration() -> CriterionResult:
     grid = EpsGrid.default()
-    v_pole = estimate_growth_order(_amplitude_curve(lambda e: e**-3, grid), grid)
-    v_sq = estimate_growth_order(_amplitude_curve(lambda e: e**2, grid), grid)
-    v_flat = estimate_growth_order(
-        _amplitude_curve(lambda e: np.exp(-1.0 / e), grid), grid
-    )
-    v_wild = estimate_growth_order(
-        _amplitude_curve(lambda e: np.exp(1.0 / e), grid), grid
-    )
+    v_pole, v_sq, v_flat, v_wild = estimate_growth_order([
+        _amplitude_curve(amp, grid) for amp in (
+            lambda e: e**-3, lambda e: e**2,
+            lambda e: np.exp(-1.0 / e), lambda e: np.exp(1.0 / e),
+        )
+    ], grid)
     checks = [
         v_pole.classification == "moderate" and v_pole.order == 3,
         abs(v_pole.slope + 3.0) <= 0.1,

@@ -30,14 +30,13 @@ from .errors import (
     NotModerate,
     QuadratureError,
 )
-from .geometry import CompactSet, DensityTest, default_test_bank
+from .geometry import CompactSet, DensityTest
 from .manifold_maps import (
     ManifoldNet,
-    _bank_difference_curves,
     _check_points,
     _coordinate_curves,
-    _distance_curve,
     _one_target,
+    _pair_curves,
     _pair_witness,
     _stack_points,
     check_moderate,
@@ -547,19 +546,20 @@ def check_k_associated(
                     chunks.append(np.linspace(a, b, 33)[:, None])
         return np.concatenate(chunks, axis=0)
 
-    bank = default_test_bank(u.target, _pair_witness(u, v, K, grid, "association"))
+    region = _pair_witness(u, v, K, grid, "association")
 
     pts = _stack_points(grid, pts_at)
-    for label, order, curve in _bank_difference_curves(
-        u, v, bank, src, grid, pts
-    ) + _coordinate_curves((u, v), range(1, k + 1), src, grid, pts):
+    for label, order, curve in [
+        *_pair_curves(u, v, src, grid, pts, region),
+        *_coordinate_curves((u, v), range(1, k + 1), src, grid, pts),
+    ]:
         ok, _, final = _tends_to_zero(curve, grid, assoc_tol)
         rows.append((label, order, ok, final))
     route_bank = all(ok for _, _, ok, _ in rows)
 
     route_distance = None
     if k == 0:
-        curve = _distance_curve(u, v, pts, src, grid)
+        curve = _pair_curves(u, v, src, grid, pts)
         route_distance = _tends_to_zero(curve, grid, assoc_tol)[0]
         if route_distance != route_bank:
             raise InconsistentRoutes(

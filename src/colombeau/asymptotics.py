@@ -119,7 +119,7 @@ def _sample_array(samples, grid: EpsGrid, stacked=False) -> np.ndarray:
         raise GridTooShort(f"sample array has shape {s.shape}, grid has {len(grid)} points")
     if np.isnan(s).any():
         raise NonFiniteValue("sample curve contains NaN")
-    if ((s < 0) & (s > -np.inf)).any():
+    if (s < 0).any():
         raise NonFiniteValue("sample curve contains negative values")
     return s
 

@@ -56,10 +56,10 @@ from .manifold_maps import (
     _check_points,
     _combine_verdicts,
     _checked_stack,
-    _distance_curve,
     _insertion_witness,
     _memo,
     _one_target,
+    _pair_curves,
     _pair_witness,
     _stack_points,
     _sup_curve,
@@ -300,12 +300,10 @@ def vb_points_equivalent(
     grid: Optional[EpsGrid] = None,
 ) -> bool:
     """Base distance negligible and, where the bases co-locate, fiber
-    difference negligible."""
+    difference negligible: both curves in one classifier stack."""
     grid = grid or EpsGrid.default()
     base, fiber = _vb_curves(vb, *p.on_grid(grid), *q.on_grid(grid))
-    return negligible_to_resolution(base.tolist(), grid) and negligible_to_resolution(
-        fiber.tolist(), grid
-    )
+    return all(negligible_to_resolution([base.tolist(), fiber.tolist()], grid))
 
 
 def _applied(u: FiberNet, grid, x, xi=None):
@@ -712,10 +710,10 @@ def align_representative(
     r = radius if radius is not None else _alignment_radius(atlas, region)
 
     # threshold: all smaller grid eps keep the two base images r-close
-    pts = _check_points(L)
     src = L.chart_id
+    x = _stack_points(grid, _check_points(L))
     ok_from = None
-    for i, d in enumerate(_distance_curve(u_rep, v.base_net, pts, src, grid)):
+    for i, d in enumerate(_pair_curves(u_rep, v.base_net, src, grid, x)):
         if d < r:
             if ok_from is None:
                 ok_from = i

@@ -571,9 +571,6 @@ class TestBank:
     r0_sq: np.ndarray
     r1_sq: np.ndarray
 
-    def __len__(self):
-        return len(self.labels)
-
     def eval(self, y):
         cut = self.plateau.eval_fn(y)
         lead = (len(self.centers),) + (1,) * (y.ndim - 1)

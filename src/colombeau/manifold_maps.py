@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -57,6 +58,7 @@ from .geometry import (
 from .nets import (
     Net,
     SmoothMapHandle,
+    _content_key,
     compose_nets,
     constant_net,
     fd_step,
@@ -200,7 +202,8 @@ class ManifoldNet:
     tgt_chart: str
     net: Net
     label: str = ""
-    # check_cbounded and check_moderate reports; see _memo
+    # check_cbounded and check_moderate reports (see _memo) and the pair
+    # curves of _pair_curves
     _reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -416,8 +419,9 @@ def check_cbounded(
 
     The report depends only on (u, K, grid): the sample points are seeded
     and a net is never changed after construction.  It is therefore
-    memoized on ``u`` per (K, grid), beside :func:`check_moderate`'s, and
-    every later call with an equal K and grid returns the same object.
+    memoized on ``u`` per (K, grid), beside :func:`check_moderate`'s and
+    the pair curves of :func:`_pair_curves`, and every later call with an
+    equal K and grid returns the same object.
     """
     grid = grid or EpsGrid.default()
     u.source.chart(K.chart_id)
@@ -427,11 +431,34 @@ def check_cbounded(
 def _memo(u, compute, K: CompactSet, grid: EpsGrid, *args):
     """``compute(u, K, grid, *args)``, stored on u (a net with a
     ``_reports`` dict) per (compute, K, grid, *args); a call that raises
-    stores nothing."""
+    stores nothing.  Two-net curves have their own memo, :func:`_pair_curves`."""
     key = (compute.__name__, K.chart_id, K.box.tobytes(), K.resolution, grid.values, *args)
     if key not in u._reports:
         u._reports[key] = compute(u, K, grid, *args)
     return u._reports[key]
+
+
+def _pair_curves(u: ManifoldNet, v: ManifoldNet, src: str, grid: EpsGrid, x,
+                 region: Optional[CompactSet] = None):
+    """The pair memo: route A's distance curve of (u, v) on the point stack
+    x, or, given the pair gate's witness ``region``, route B's bank rows on
+    ``default_test_bank(u.target, region)``, every curve a tuple.  Stored in
+    u's ``_reports`` per (v's identity, src, grid, content of x, region); a
+    call that raises stores nothing.  v is held weakly, as a strong reference
+    would make a self-pair a cycle, and a hit must be v itself: a net that
+    reuses a freed v's id never hits."""
+    key = ("pair", id(v), src, grid.values, _content_key(x),
+           None if region is None else (region.chart_id, region.box.tobytes()))
+    hit = u._reports.get(key)
+    if hit is None or hit[0]() is not v:
+        if region is None:
+            out = tuple(_distance_curve(u, v, x, src, grid))
+        else:
+            bank = default_test_bank(u.target, region)
+            out = tuple((label, k, tuple(curve)) for label, k, curve
+                        in _bank_difference_curves(u, v, bank, src, grid, x))
+        hit = u._reports[key] = (weakref.ref(v), out)
+    return hit[1]
 
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
@@ -622,18 +649,19 @@ def check_equivalent(
     if not u.target.has_metric:
         raise NoMetric("equivalence route A needs a metric on the target")
     grid = grid or EpsGrid.default()
-    pts = _check_points(K)
+    x = _stack_points(grid, _check_points(K))
     src = K.chart_id
-    bank = default_test_bank(u.target, _pair_witness(u, v, K, grid, "equivalence"))
+    region = _pair_witness(u, v, K, grid, "equivalence")
 
-    # route A: distance decay; route B: test-function differences; route
-    # C: chart differences at every sample point; one classifier stack
-    dist_curve = _distance_curve(u, v, pts, src, grid)
-    bank_rows = _bank_difference_curves(u, v, bank, src, grid, pts)
+    # route A: distance decay; route B: test-function differences, both
+    # read through the pair memo; route C: chart differences at every
+    # sample point; one classifier stack
+    bank_rows = _pair_curves(u, v, src, grid, x, region)
+    dist_curve = _pair_curves(u, v, src, grid, x)
     pair = (u.grid_handle(grid, src)[1], v.grid_handle(grid, src)[1])
     route_a, *ok = negligible_to_resolution(
         [dist_curve] + [curve for _, _, curve in bank_rows]
-        + [_sup_curve(grid, k, pts, pair) for k in range(derivative_order + 1)], grid,
+        + [_sup_curve(grid, k, x, pair) for k in range(derivative_order + 1)], grid,
     )
     bank_curves = {(label, k): b for (label, k, _), b in zip(bank_rows, ok)}
     route_b = all(bank_curves.values())
@@ -642,7 +670,7 @@ def check_equivalent(
     diagnostics = {
         "distance_curve": dist_curve,
         "bank_results": bank_curves,
-        "bank_size": len(bank),
+        "bank_size": len(bank_rows),
         "grid": grid,
         "derivative_order": derivative_order,
     }

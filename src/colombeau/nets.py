@@ -303,17 +303,23 @@ def _grid_of_slices(slices) -> SmoothMapHandle:
     return SmoothMapHandle(s0.dim_in, s0.dim_out, ev, ji, "grid", fd_from)
 
 
+def _content_key(x) -> tuple:
+    """The content key of a point stack: shape, dtype and 16-byte blake2b digest."""
+    xc = np.ascontiguousarray(x)
+    return xc.shape, xc.dtype.str, hashlib.blake2b(xc, digest_size=16).digest()
+
+
 def _memoized(h: SmoothMapHandle) -> SmoothMapHandle:
     """``h`` computing the values and each (alpha, step) jet of a plain
-    ``(n_eps, N, d)`` stack once: its last four stacks, known by shape, dtype and
-    blake2b digest, keep their arrays read-only.  Stencil stacks pass through."""
+    ``(n_eps, N, d)`` stack once: its last four stacks, known by
+    :func:`_content_key`, keep their arrays read-only.  Stencil stacks pass
+    through."""
     stacks = {}  # least recently used first
 
     def recall(x, key, compute):
         if np.ndim(x) != 3:
             return compute()
-        xc = np.ascontiguousarray(x)
-        xkey = (xc.shape, xc.dtype.str, hashlib.blake2b(xc, digest_size=16).digest())
+        xkey = _content_key(x)
         memo = stacks[xkey] = stacks.pop(xkey, {})
         if len(stacks) > 4:
             del stacks[next(iter(stacks))]

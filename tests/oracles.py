@@ -1038,11 +1038,13 @@ def vb_point_curves(vb, p, q, grid):
 
 def vb_points_equivalent(vb, p, q, grid=None):
     """``bundle_maps.vb_points_equivalent`` on the curves of
-    ``vb_point_curves``, classified by ``bundle_maps``' classifier."""
+    ``vb_point_curves``, classified by ``bundle_maps``' classifier one curve
+    at a time: the fiber curve is classified even when the base fails."""
     grid = grid or EpsGrid.default()
     base_curve, fiber_curve = vb_point_curves(vb, p, q, grid)
     tends = bundle_maps.negligible_to_resolution
-    return tends(base_curve, grid) and tends(fiber_curve, grid)
+    base_ok, fiber_ok = tends(base_curve, grid), tends(fiber_curve, grid)
+    return base_ok and fiber_ok
 
 
 def pointvalue_curves(u, v, points, grid):

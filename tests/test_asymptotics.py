@@ -170,7 +170,7 @@ def stack_catalog(grid):
     rows += list(np.where(rng.random((6, len(e))) < 0.5, 0.0, 1e-16))
     with np.errstate(over="ignore"):
         rows += [np.exp(1.0 / e), np.exp(0.02 / e)]
-    rows += [np.where(e < e[len(e) // 2], np.inf, 1.0), np.full(len(e), -np.inf)]
+    rows += [np.where(e < e[len(e) // 2], np.inf, 1.0)]
     rows += [np.full(len(e), 1e-310), np.where(e < e[2], 0.0, 5.0)]
     rows += list(np.abs(rng.standard_normal((20, len(e)))) * e ** rng.uniform(-6, 6, (20, 1)))
     return np.array(rows)
@@ -214,9 +214,9 @@ class TestStackedClassifier:
 
     def test_a_bad_row_raises_the_one_row_error(self):
         good = np.array(curve(lambda e: e))
-        nan, negative = good.copy(), good.copy()
-        nan[3], negative[5] = float("nan"), -1e-3
-        for bad in (nan, negative):
+        nan, negative, minus_inf = good.copy(), good.copy(), good.copy()
+        nan[3], negative[5], minus_inf[7] = float("nan"), -1e-3, -np.inf
+        for bad in (nan, negative, minus_inf):
             with pytest.raises(NonFiniteValue) as one:
                 estimate_growth_order(bad, GRID)
             for classify in (estimate_growth_order, negligible_to_resolution):

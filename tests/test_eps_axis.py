@@ -123,12 +123,11 @@ def _install_oracles(monkeypatch):
         monkeypatch.setattr(mod, "_sup_curve", sup_curve)
     monkeypatch.setattr(bundle_maps, "_test_hom_curve", test_hom_curve)
     monkeypatch.setattr(manifold_maps, "_cbounded_report", oracles.cbounded_report)
-    for mod in (manifold_maps, bundle_maps, association):
-        monkeypatch.setattr(mod, "_distance_curve", _stacked(oracles.distance_curve))
-    for mod in (manifold_maps, association):
-        monkeypatch.setattr(
-            mod, "_bank_difference_curves", _stacked(oracles.bank_difference_curves)
-        )
+    # every caller reads these two through the pair memo of manifold_maps
+    monkeypatch.setattr(manifold_maps, "_distance_curve", _stacked(oracles.distance_curve))
+    monkeypatch.setattr(
+        manifold_maps, "_bank_difference_curves", _stacked(oracles.bank_difference_curves)
+    )
     for mod, name, loop in (
         (manifold_maps, "point_value", oracles.point_value),
         (manifold_maps, "gpoint_distance_curve", oracles.gpoint_distance_curve),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colombeau import association, geometry
+from colombeau import geometry, manifold_maps
 from colombeau.association import sharp_mollifier
 from colombeau.asymptotics import EpsGrid, estimate_growth_order
 from colombeau.errors import (
@@ -534,7 +534,7 @@ class TestBankEval:
         tests = bank_tests(atlas, region)
         assert bank.labels == [label for label, _ in tests]
         want = np.stack([h.eval_fn(y)[..., 0] for _, h in tests])
-        assert got.shape == want.shape == (len(bank), len(y))
+        assert got.shape == want.shape == (len(bank.labels), len(y))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         return len(calls)
 
@@ -562,9 +562,9 @@ class TestBankEval:
         # the bank of the kink study's 0-association check on the datum whose
         # routes split: its bump-small-0 steps from 0 to 1 near y = 1.435
         built = []
-        build = association.default_test_bank
+        build = manifold_maps.default_test_bank
         monkeypatch.setattr(
-            association, "default_test_bank",
+            manifold_maps, "default_test_bank",
             lambda *a: built.append(a) or build(*a),
         )
         with pytest.raises(InconsistentRoutes):
@@ -588,7 +588,7 @@ class TestDefaultBank:
     def test_bank_size_and_support(self):
         region = CompactSet("main", [(-1, 1), (-1, 1)])
         bank = default_test_bank(PLANE, region)
-        assert len(bank) == 16
+        assert len(bank.labels) == 16
         rng = np.random.default_rng(3)
         for row, (_, h) in enumerate(bank_tests(PLANE, region)):
             lo, hi = h.support_box[:, 0], h.support_box[:, 1]

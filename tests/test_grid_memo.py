@@ -8,7 +8,9 @@ warmed by other verdicts gives the same curves and reports bit for bit.
 The fiber combinators of ``bundle_maps`` evaluate on the whole stack; their
 slice at eps is the one-row case of the same body, and no checker calls it.
 Each checker hands the classifier all the sup curves of one verdict on one
-grid as one stack, in one call.
+grid as one stack, in one call.  A pair's distance curve and bank rows are
+measured once per grid and point stack, in the pair memo
+``manifold_maps._pair_curves``, whatever verdict asks for them.
 """
 
 import gc
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from colombeau import asymptotics, bundle_maps, manifold_maps, nets
+from colombeau.association import association_grid, check_k_associated
 from colombeau.asymptotics import EpsGrid
 from colombeau.bundle_maps import (
     FiberNet,
@@ -305,7 +308,118 @@ class TestSingleBody:
                 check = check_hybrid_equivalent if name == "compose_hybrid" else check_vb_equivalent
                 assert check(f, f, K1, derivative_order=2), name
             refs = {name: weakref.ref(f.fiber) for name, f in built.items()}
+            # the base nets of the self-pairs, whose pair memo holds itself
+            refs.update({f"{name}.base": weakref.ref(f.base_net) for name, f in built.items()})
             del built, f
             assert [name for name, r in refs.items() if r() is not None] == []
         finally:
             gc.enable()
+
+
+def vanishing_pair():
+    """e*x against e^2*x^2: associated, not equivalent."""
+    return (single_chart_map(LINE, LINE, lambda e, x: e * x, label="ex"),
+            single_chart_map(LINE, LINE, lambda e, x: e**2 * x**2, label="e2x2"))
+
+
+def aligned_pair():
+    """A hom over a base that drifts by exp(-1/eps) from ``sin``, and ``sin``."""
+    u_rep = single_chart_map(LINE, LINE, lambda e, x: np.sin(x), label="sin")
+    drift = single_chart_map(LINE, LINE, lambda e, x: np.sin(x) + np.exp(-1.0 / e))
+    return hom(lambda e, x: 1.0 + e * np.cos(x / e), base=drift, label="v"), u_rep
+
+
+def aligned_bits(a):
+    x = _stack_points(GRID, _check_points(K1))
+    return repr(a.alignment), a.fiber.at_grid(GRID)(x).tobytes()
+
+
+class TestPairMemo:
+    """check_equivalent, check_k_associated and align_representative read a
+    pair's derivative-free curves through one memo on its first net."""
+
+    def test_cold_and_warm_verdicts_agree_bit_for_bit(self):
+        grid = association_grid()
+
+        def verdicts(u, v):
+            return repr(check_k_associated(u, v, 0, K1, grid=grid)), repr(
+                check_equivalent(u, v, K1, grid=grid))
+
+        cold = (repr(check_k_associated(*vanishing_pair(), 0, K1, grid=grid)),
+                repr(check_equivalent(*vanishing_pair(), K1, grid=grid)))
+        assert cold[0].startswith("KAssociationReport(associated=True")
+        assert cold[1].startswith("EquivalenceReport(equivalent=False")
+        assert verdicts(*vanishing_pair()) == cold
+        u, v = vanishing_pair()
+        check_equivalent(u, v, K1, grid=grid)
+        assert verdicts(u, v) == cold
+        # the alignment threshold reads the memo's distance curve
+        cold = aligned_bits(align_representative(*aligned_pair(), K1))
+        v, u_rep = aligned_pair()
+        check_equivalent(u_rep, v.base_net, K1)
+        assert aligned_bits(align_representative(v, u_rep, K1)) == cold
+
+    def test_one_bank_and_one_distance_per_pair_grid_and_stack(self, monkeypatch):
+        counts = Counter()
+        for name in ("default_test_bank", "chord_distance"):
+            fn = getattr(manifold_maps, name)
+            monkeypatch.setattr(manifold_maps, name, lambda *a, _fn=fn, _name=name: (
+                counts.update([_name]) or _fn(*a)))
+        u, v = vanishing_pair()
+        grid = association_grid()
+        for _ in range(2):
+            check_equivalent(u, v, K1, grid=grid, derivative_order=1)
+            check_k_associated(u, v, 0, K1, grid=grid)
+            check_k_associated(u, v, 1, K1, grid=grid)
+        assert counts == {"default_test_bank": 1, "chord_distance": 1}
+        check_equivalent(u, v, K1)  # another grid
+        assert counts == {"default_test_bank": 2, "chord_distance": 2}
+        counts.clear()
+        v, u_rep = aligned_pair()
+        check_equivalent(u_rep, v.base_net, K1)
+        align_representative(v, u_rep, K1)
+        align_representative(v, u_rep, K1)
+        assert counts == {"default_test_bank": 1, "chord_distance": 1}
+        counts.clear()
+        f, g = hom_pair()
+        for _ in range(2):
+            check_vb_equivalent(f, g, K1)
+            check_vb_equivalent(f, f, K1)  # its bases are a self-pair
+        assert counts == {"default_test_bank": 2, "chord_distance": 2}
+
+    def test_another_second_net_never_hits(self, monkeypatch):
+        u = map_pair()[0]
+
+        def net(fn):
+            return single_chart_map(LINE, LINE, fn, label="v")
+
+        def same():
+            return net(lambda e, x: np.sin(x) + e * np.cos(x / e) + np.exp(-1.0 / e))
+
+        far = net(lambda e, x: np.sin(x) + e)
+        assert check_equivalent(u, same(), K1)  # that net is freed here
+        assert not check_equivalent(u, far, K1)
+        # every net's id equal: a net that reuses a freed net's id, and one
+        # that shares a live net's, must both miss
+        monkeypatch.setattr(manifold_maps, "id", lambda obj: 0, raising=False)
+        kept = same()
+        assert check_equivalent(u, kept, K1)
+        del kept
+        gc.collect()
+        assert not check_equivalent(u, far, K1)
+        assert check_equivalent(u, same(), K1)
+
+    def test_returned_curves_cannot_be_changed(self):
+        u, v = map_pair()
+        x = _stack_points(GRID, _check_points(K1))
+        region = manifold_maps._pair_witness(u, v, K1, GRID, "test")
+        first = repr(check_equivalent(u, v, K1))
+        dist = manifold_maps._pair_curves(u, v, "main", GRID, x)
+        rows = manifold_maps._pair_curves(u, v, "main", GRID, x, region)
+        for seq in (dist, rows, rows[0], rows[0][2]):
+            with pytest.raises(TypeError):
+                seq[0] = 0.0
+        copied = list(dist)
+        copied[:] = [0.0] * len(copied)
+        assert repr(check_equivalent(u, v, K1)) == first == repr(
+            check_equivalent(*map_pair(), K1))

@@ -443,7 +443,7 @@ class TestBankImage:
 
         u = single_chart_map(LINE, LINE, counted("u", lambda e, x: e * x))
         v = single_chart_map(LINE, LINE, counted("v", lambda e, x: e**2 * x**2))
-        bank_route = association._bank_difference_curves
+        bank_route = manifold_maps._bank_difference_curves
 
         def spy(*args):
             in_bank_route[0] = True
@@ -452,7 +452,7 @@ class TestBankImage:
             finally:
                 in_bank_route[0] = False
 
-        monkeypatch.setattr(association, "_bank_difference_curves", spy)
+        monkeypatch.setattr(manifold_maps, "_bank_difference_curves", spy)
         grid = association.association_grid()
         assert check_k_associated(u, v, 0, K1, grid=grid)
         for c in calls.values():
@@ -720,9 +720,9 @@ class TestKAssociationCoordinateRows:
             association, "_tends_to_zero",
             lambda curve, *a: curves.append(curve) or tends(curve, *a),
         )
-        bank_route = association._bank_difference_curves
+        bank_route = manifold_maps._bank_difference_curves
         monkeypatch.setattr(
-            association, "_bank_difference_curves",
+            manifold_maps, "_bank_difference_curves",
             lambda *a: sample.append(a[-1]) or bank_route(*a),
         )
         rep = check_k_associated(u, v, 2, K)
