@@ -419,7 +419,5 @@ class TestPairMemo:
         for seq in (dist, rows, rows[0], rows[0][2]):
             with pytest.raises(TypeError):
                 seq[0] = 0.0
-        copied = list(dist)
-        copied[:] = [0.0] * len(copied)
         assert repr(check_equivalent(u, v, K1)) == first == repr(
             check_equivalent(*map_pair(), K1))
