@@ -34,6 +34,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .bundle_maps import (
     single_chart_hom,
 )
 from .errors import ColombeauError, ConfigError, GridTooShort, UnknownNet
-from .expressions import compile_expression
+from .expressions import Expression, compile_expression
 from .geometry import CompactSet, default_densities, euclidean_atlas, trivial_bundle
 from .manifold_maps import (
     ManifoldNet,
@@ -65,7 +66,7 @@ from .manifold_maps import (
     identity_map,
     random_gpoints,
 )
-from .nets import Net, net_from_function
+from .nets import Net, make_handle, net_from_function
 from .ppwave import default_profile, kink_limit_study, trajectory_csv
 
 DEFAULT_CONFIG = """\
@@ -177,6 +178,7 @@ class NetSpec:
     kind: str = ""
     mollifier: str = "rho1"
     expect: str = ""
+    compiled: Optional[Expression] = None  # set from expr when the config loads
 
 
 @dataclass
@@ -219,7 +221,7 @@ class RunConfig:
         if spec.kind:
             rho = _MOLLIFIERS[spec.mollifier]()
             return embed_distribution(spec.kind, rho, self.atlas, label=name)
-        ex = compile_expression(spec.expr)
+        ex = spec.compiled
         bad = ex.variables - {"x", "eps"}
         if bad:
             raise ConfigError(
@@ -231,9 +233,16 @@ class RunConfig:
                 ex(x=x[..., 0], eps=e), dtype=float
             )[..., None] * np.ones_like(x)
 
-        return net_from_function(
+        net = net_from_function(
             fn, 1, 1, box=[(-self.half_width, self.half_width)], label=name
         )
+        # the whole grid in one call, eps a column against x[..., 0]; with eps
+        # in an exponent np.power's rows are not bitwise its slices'
+        if "eps" not in ex.exponent_variables:
+            net.grid_fn = lambda grid: make_handle(
+                functools.partial(fn, np.asarray(tuple(grid))[:, None]), 1, 1
+            )
+        return net
 
     def map_net(self, name: str) -> ManifoldNet:
         return ManifoldNet(
@@ -343,7 +352,7 @@ def _build_config(cp, overrides) -> RunConfig:
         if spec.mollifier not in _MOLLIFIERS:
             raise ConfigError(f"net {name!r} has unknown mollifier {spec.mollifier!r}")
         if spec.expr:
-            compile_expression(spec.expr)
+            spec.compiled = compile_expression(spec.expr)
         nets[name] = spec
 
     sections = {

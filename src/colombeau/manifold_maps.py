@@ -446,7 +446,7 @@ def _pair_curves(u: ManifoldNet, v: ManifoldNet, src: str, grid: EpsGrid, x,
     u's ``_reports`` per (v's identity, src, grid, content of x, region); a
     call that raises stores nothing.  v is held weakly, as a strong reference
     would make a self-pair a cycle, and a hit must be v itself: a net that
-    reuses a freed v's id never hits."""
+    reuses a freed v's id never hits.  Freeing v drops its entry."""
     key = ("pair", id(v), src, grid.values, _content_key(x),
            None if region is None else (region.chart_id, region.box.tobytes()))
     hit = u._reports.get(key)
@@ -457,8 +457,17 @@ def _pair_curves(u: ManifoldNet, v: ManifoldNet, src: str, grid: EpsGrid, x,
             bank = default_test_bank(u.target, region)
             out = tuple((label, k, tuple(curve)) for label, k, curve
                         in _bank_difference_curves(u, v, bank, src, grid, x))
-        hit = u._reports[key] = (weakref.ref(v), out)
+        forget = functools.partial(_forget, weakref.ref(u), key)
+        hit = u._reports[key] = (weakref.ref(v, forget), out)
     return hit[1]
+
+
+def _forget(u_ref, key, v_ref):
+    """Drop u's pair entry ``key``, whose v is freed (an entry that was
+    replaced took its weak reference, and so this call, with it)."""
+    u = u_ref()
+    if u is not None:
+        u._reports.pop(key, None)
 
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:

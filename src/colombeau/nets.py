@@ -21,7 +21,9 @@ composition, a constant net's one handle, a ``grid_fn`` body.  A leaf, such
 as a :func:`net_from_function` net, is called slice by slice: row i of the
 stack goes to the eps_i slice as the contiguous ``(..., N, d)`` array a
 single slice would get, so ``fn(eps, x)`` never has to broadcast over eps.
-A row's values are bitwise those of its slice alone.  A grid handle keeps
+A leaf may bring a ``grid_fn`` body over the whole stack instead, as the
+CLI's expression nets do (one call, eps a column).  Either way row i's
+values must be bitwise those of the eps_i slice alone.  A grid handle keeps
 the values and jets of its last few point stacks, read-only.
 
 Points are numpy arrays whose last axis is the input dimension; evaluation
@@ -353,8 +355,10 @@ class Net:
     ``feature_scale``, when set, maps eps to a list of (lo, hi) windows per
     axis-0 coordinate where the slice has eps-scale features (quadrature
     uses it to place subdivisions).  ``grid_fn(grid)``, when set, builds
-    the grid handle of :meth:`at_grid` from the operands' grid handles;
-    without it the net is a leaf, whose grid handle calls it row by row.
+    the grid handle of :meth:`at_grid`: from the operands' grid handles, or
+    for a leaf as one body over the stack whose row i must equal the eps_i
+    slice bit for bit.  Without it the grid handle calls the slices row by
+    row.
     """
 
     dim_in: int

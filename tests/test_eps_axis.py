@@ -28,6 +28,8 @@ from colombeau.geometry import (
     sample_box,
     trivial_bundle,
 )
+from colombeau.cli import load_config
+from colombeau.expressions import Expression
 from colombeau.manifold_maps import _check_points, check_cbounded, single_chart_map
 from colombeau.nets import Net, fd_step
 
@@ -385,3 +387,59 @@ class TestRowReductions:
             su.base_net, sv.base_net, pts, "main", GRID, (su.fiber, sv.fiber)
         )
         assert all(_same_bits(p.at(eps)[1], w) for eps, w in zip(GRID, want))
+
+
+class TestExpressionGrid:
+    """A config expression net evaluates a whole grid in one call, eps a
+    column against the points; its values and finite-difference jets equal
+    its slices' bit for bit.  With eps in an exponent, ``np.power``'s rows
+    are not bitwise its slices', and the net keeps the per-eps path."""
+
+    GRIDS = (EpsGrid.default(), load_config().grid, EpsGrid.geometric(0.5, 1e-4, 23))
+
+    def assert_rows(self, net):
+        for grid in self.GRIDS:
+            x = np.tile(np.linspace(-1.0, 1.0, 97)[:, None], (len(grid), 1, 1))
+            steps = np.array([fd_step(e) for e in grid]).reshape(-1, 1, 1)
+            h = net.at_grid(grid)
+            for k in (0, 1, 2):
+                want = [net.at(e).jet(x[i], (k,), fd_step(e)) for i, e in enumerate(grid)]
+                assert _same_bits(h.jet(x, (k,), steps), want), (net.label, len(grid), k)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_config_and_catalog_nets_equal_their_slices(self, seed, tmp_path):
+        if seed is None:
+            cfg = load_config()
+        else:
+            path = tmp_path / "maps.ini"
+            path.write_text(WORKLOADS["maps"].generate(seed)["ini"])
+            cfg = load_config(path)
+        names = [name for name, spec in cfg.nets.items() if spec.expr]
+        assert len(names) >= 5
+        for name in names:
+            net = cfg.scalar_net(name)
+            assert net.grid_fn is not None, name
+            with np.errstate(all="ignore"):
+                self.assert_rows(net)
+
+    @pytest.mark.parametrize(
+        "expr", ["(2+x)^eps", "pow(1 + x^2, eps)", "cos(x)^eps", "x^(2*eps)"]
+    )
+    def test_eps_in_an_exponent_keeps_the_per_eps_path(self, expr, tmp_path):
+        path = tmp_path / "power.ini"
+        path.write_text(f"[net:p]\nexpr = {expr}\n")
+        net = load_config(path).scalar_net("p")
+        with np.errstate(all="ignore"):
+            self.assert_rows(net)
+        assert net.grid_fn is None
+
+    def test_one_call_per_net_and_point_stack(self, monkeypatch, tmp_path):
+        calls = []
+        call = Expression.__call__
+        monkeypatch.setattr(
+            Expression, "__call__",
+            lambda self, *a, **kw: calls.append(self) or call(self, *a, **kw),
+        )
+        _catalog_pass("maps", 0, tmp_path)()
+        # 11 times as many, one per eps of the config's grid, on the per-eps path
+        assert len(calls) == 48

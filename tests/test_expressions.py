@@ -102,6 +102,20 @@ def _names(node):
     return set().union(*(_names(c) for c in children))
 
 
+def _exponent_names(node):
+    """Variables right of ``^`` or ``**``, or in pow's second argument."""
+    head = node[0]
+    if head in ("num", "var"):
+        return set()
+    children = node[2] if head == "call" else [c for c in node[1:] if isinstance(c, tuple)]
+    out = set().union(*(_exponent_names(c) for c in children))
+    if head == "bin" and node[1] in ("^", "**"):
+        out |= _names(node[3])
+    if head == "call" and node[1] == "pow":
+        out |= _names(node[2][1])
+    return out
+
+
 def _outcome(fn):
     with np.errstate(all="ignore"):
         try:
@@ -117,6 +131,7 @@ def test_generated_corpus_matches_direct_numpy_evaluation():
         text = _render(tree)[0]
         ex = compile_expression(text)
         assert ex.variables == _names(tree), text
+        assert ex.exponent_variables == _exponent_names(tree), text
         got, got_exc = _outcome(lambda: ex(ENV))
         want, want_exc = _outcome(lambda: _direct(tree))
         assert got_exc == want_exc, text
@@ -142,3 +157,18 @@ def test_missing_variable_is_a_config_error():
 def test_outside_the_grammar_is_a_config_error(text):
     with pytest.raises(ConfigError):
         compile_expression(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("foo(x)", "not allowed in an expression: 'foo(x)'"),
+    ("sin(x, 1)", "sin takes 1 argument(s)"),
+    ("x\n+ 0x1f", "not allowed in an expression: '0x1f'"),
+    ("  cos(x)  ^ 1_000", "not allowed in an expression: '1_000'"),
+    # the offsets of the ast count UTF-8 bytes
+    ("\u00e9 * '\u00fc' + x", "not allowed in an expression: \"'\u00fc'\""),
+    ("exp(x) ** {'\u00e9': 2}", "not allowed in an expression: \"{'\u00e9': 2}\""),
+])
+def test_a_config_error_quotes_the_offending_source(text, message):
+    with pytest.raises(ConfigError) as info:
+        compile_expression(text)
+    assert str(info.value) == message

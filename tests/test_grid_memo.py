@@ -409,6 +409,19 @@ class TestPairMemo:
         assert not check_equivalent(u, far, K1)
         assert check_equivalent(u, same(), K1)
 
+    def test_a_freed_second_net_leaves_no_entry(self):
+        gc.disable()
+        try:
+            u = map_pair()[0]
+            for i in range(20):
+                v = single_chart_map(LINE, LINE, lambda e, x, i=i: np.sin(x) + i * e)
+                check_equivalent(u, v, K1)
+                assert any(key[0] == "pair" for key in u._reports)
+            del v
+            assert [key for key in u._reports if key[0] == "pair"] == []
+        finally:
+            gc.enable()
+
     def test_returned_curves_cannot_be_changed(self):
         u, v = map_pair()
         x = _stack_points(GRID, _check_points(K1))
