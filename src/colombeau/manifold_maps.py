@@ -463,8 +463,7 @@ def _pair_curves(u: ManifoldNet, v: ManifoldNet, src: str, grid: EpsGrid, x,
 
 
 def _forget(u_ref, key, v_ref):
-    """Drop u's pair entry ``key``, whose v is freed (an entry that was
-    replaced took its weak reference, and so this call, with it)."""
+    """Drop u's entry ``key``, whose v is freed (a replaced entry's callback died with it)."""
     u = u_ref()
     if u is not None:
         u._reports.pop(key, None)

@@ -391,6 +391,9 @@ class Net:
         ``(n_eps, 1, 1)``.  Built once per grid, :func:`_memoized`, cached."""
         h = self._cache.get(grid)
         if h is None:
+            for eps in grid:
+                if not 0.0 < eps <= 1.0:
+                    raise OutsideDomain(f"eps {eps} outside (0, 1]")
             if self.grid_fn is not None:
                 h = self.grid_fn(grid)
             else:

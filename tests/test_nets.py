@@ -72,6 +72,15 @@ class TestEvalJet:
         with pytest.raises(OutsideDomain):
             slice_jet(u, 1.5, [0.0], (0,))
 
+    def test_bad_eps_in_a_grid_raises(self):
+        # a leaf, a leaf with a grid body, a constant net and a composition
+        u = square_net()
+        stacked = net_from_function(lambda eps, x: x**2, 1, 1)
+        stacked.grid_fn = lambda grid: make_handle(lambda x: x**2, 1, 1)
+        for net in (u, stacked, constant_net(identity_handle(1)), compose_nets(u, u)):
+            with pytest.raises(OutsideDomain):
+                net.at_grid((0.5, 1.5))
+
     def test_wrong_index_length(self):
         u = square_net()
         with pytest.raises(DimensionMismatch):
