@@ -61,6 +61,7 @@ from .manifold_maps import (
     _one_target,
     _pair_curves,
     _pair_witness,
+    _partner_memo,
     _stack_points,
     _sup_curve,
     _sup_diff,
@@ -140,7 +141,8 @@ class FiberNet:
     chart: str
     fiber: Net
     label: str = ""
-    # _fiber_moderate reports; see manifold_maps._memo
+    # _fiber_moderate reports (see manifold_maps._memo) and the last
+    # alignment of align_representative
     _reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -701,8 +703,17 @@ def align_representative(
     through unchanged and the report says so.  The stacked body transports
     the rows at or below the threshold, a suffix of the decreasing grid; with
     a one-piece cover in one vb-chart the old fiber passes through as it is.
+    v keeps its last alignment (:func:`_partner_memo`, u_rep the partner):
+    a repeated call returns the same net.
     """
     grid = grid or EpsGrid.default()
+    key = (L.chart_id, L.box.tobytes(), L.resolution, grid.values, radius,
+           tuple((c.chart_id, c.box.tobytes(), c.resolution) for c in cores or ()))
+    return _partner_memo(v, u_rep, key, lambda: _aligned(v, u_rep, L, grid, radius, cores),
+                         slot="aligned")
+
+
+def _aligned(v: FiberNet, u_rep: ManifoldNet, L, grid, radius, cores) -> FiberNet:
     target = v.target
     atlas = target.base
 
@@ -727,7 +738,8 @@ def align_representative(
     eps_threshold = grid.values[ok_from]
 
     members = partition_of_unity(atlas, list(cores) if cores else [region])
-    t_in, old_net = v.chart, v.fiber
+    # the body must not hold v, which keeps the result in its memo
+    t_in, old_net, old_base = v.chart, v.fiber, v.base_net
     shape = old_net.fiber_shape
     trivial = (len(members) == 1 and members[0].chart_id == t_in
                and len(target.vb_chart_ids) == 1)
@@ -741,7 +753,7 @@ def align_representative(
             return kept
         low, x, old = tuple(rows)[cut:], x[..., cut:, :, :], kept[..., cut:, :, :, :]
         y_new = u_rep.images_in(low, x, t_in, src)
-        y_old = v.base_net.images_in(low, x, t_in, src)
+        y_old = old_base.images_in(low, x, t_in, src)
         acc = np.zeros_like(old)
         for member in members:
             y_new_j = (

@@ -121,7 +121,12 @@ def affine_transition(matrix, offset=None):
     b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
 
     def ev(x):
-        return x @ A.T + b
+        # x A^T summed term by term in a fixed order, as chord_distance does,
+        # so a stack gives its rows bitwise (matmul's order depends on shape)
+        return np.stack([
+            sum((x[..., j] * A[i, j] for j in range(1, n)), x[..., 0] * A[i, 0]) + b[i]
+            for i in range(n)
+        ], axis=-1)
 
     def jf(x, alpha):
         out = np.zeros(x.shape[:-1] + (n,))

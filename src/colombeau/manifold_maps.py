@@ -202,8 +202,8 @@ class ManifoldNet:
     tgt_chart: str
     net: Net
     label: str = ""
-    # check_cbounded and check_moderate reports (see _memo) and the pair
-    # curves of _pair_curves
+    # check_cbounded and check_moderate reports (see _memo), the pair
+    # curves of _pair_curves and the composites of compose
     _reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -431,7 +431,7 @@ def check_cbounded(
 def _memo(u, compute, K: CompactSet, grid: EpsGrid, *args):
     """``compute(u, K, grid, *args)``, stored on u (a net with a
     ``_reports`` dict) per (compute, K, grid, *args); a call that raises
-    stores nothing.  Two-net curves have their own memo, :func:`_pair_curves`."""
+    stores nothing.  Two-net results have their own memo, :func:`_partner_memo`."""
     key = (compute.__name__, K.chart_id, K.box.tobytes(), K.resolution, grid.values, *args)
     if key not in u._reports:
         u._reports[key] = compute(u, K, grid, *args)
@@ -443,30 +443,42 @@ def _pair_curves(u: ManifoldNet, v: ManifoldNet, src: str, grid: EpsGrid, x,
     """The pair memo: route A's distance curve of (u, v) on the point stack
     x, or, given the pair gate's witness ``region``, route B's bank rows on
     ``default_test_bank(u.target, region)``, every curve a tuple.  Stored in
-    u's ``_reports`` per (v's identity, src, grid, content of x, region); a
-    call that raises stores nothing.  v is held weakly, as a strong reference
-    would make a self-pair a cycle, and a hit must be v itself: a net that
-    reuses a freed v's id never hits.  Freeing v drops its entry."""
+    u's :func:`_partner_memo` per (v's identity, src, grid, content of x,
+    region)."""
     key = ("pair", id(v), src, grid.values, _content_key(x),
            None if region is None else (region.chart_id, region.box.tobytes()))
-    hit = u._reports.get(key)
-    if hit is None or hit[0]() is not v:
+
+    def compute():
         if region is None:
-            out = tuple(_distance_curve(u, v, x, src, grid))
-        else:
-            bank = default_test_bank(u.target, region)
-            out = tuple((label, k, tuple(curve)) for label, k, curve
-                        in _bank_difference_curves(u, v, bank, src, grid, x))
-        forget = functools.partial(_forget, weakref.ref(u), key)
-        hit = u._reports[key] = (weakref.ref(v, forget), out)
-    return hit[1]
+            return tuple(_distance_curve(u, v, x, src, grid))
+        bank = default_test_bank(u.target, region)
+        return tuple((label, k, tuple(curve)) for label, k, curve
+                     in _bank_difference_curves(u, v, bank, src, grid, x))
+
+    return _partner_memo(u, v, key, compute)
 
 
-def _forget(u_ref, key, v_ref):
-    """Drop u's entry ``key``, whose v is freed (a replaced entry's callback died with it)."""
+def _partner_memo(u, v, key, compute, slot=None):
+    """The partner memo: ``compute()``, stored in u's ``_reports`` under
+    ``slot`` (default ``key``) for the partner v and ``key``; a call that
+    raises stores nothing.  v is held weakly, as a strong reference would
+    make a self-pair a cycle, and a hit must be v itself with an equal key:
+    a net that reuses a freed v's id never hits.  Freeing v drops the
+    entry.  The stored object must not reference u or v."""
+    slot = key if slot is None else slot
+    hit = u._reports.get(slot)
+    if hit is None or hit[0]() is not v or hit[1] != key:
+        out = compute()
+        forget = functools.partial(_forget, weakref.ref(u), slot)
+        hit = u._reports[slot] = (weakref.ref(v, forget), key, out)
+    return hit[2]
+
+
+def _forget(u_ref, slot, v_ref):
+    """Drop u's entry ``slot``, whose v is freed (a replaced entry's callback died with it)."""
     u = u_ref()
     if u is not None:
-        u._reports.pop(key, None)
+        u._reports.pop(slot, None)
 
 
 def _cbounded_report(u: ManifoldNet, K: CompactSet, grid: EpsGrid) -> CBoundedReport:
@@ -852,14 +864,16 @@ def _pointvalue_curves(u: ManifoldNet, v: ManifoldNet, points, grid):
 
 
 def compose(u: ManifoldNet, v: ManifoldNet, label="") -> ManifoldNet:
-    """The net x -> v_eps(u_eps(x)) (u first, then v)."""
+    """The net x -> v_eps(u_eps(x)) (u first, then v).  Built once per
+    (u, v, label): u's :func:`_partner_memo` returns the same net to every
+    later call, so its reports and grid handles are computed once."""
     if v.source is not u.target:
         raise AtlasMismatch("cannot compose: the middle atlases are different objects")
     if v.src_chart != u.tgt_chart:
         raise AtlasMismatch(
             f"cannot compose: middle charts {u.tgt_chart!r} and {v.src_chart!r}"
         )
-    return ManifoldNet(
+    return _partner_memo(u, v, ("compose", id(v), label), lambda: ManifoldNet(
         u.source, v.target, u.src_chart, v.tgt_chart, compose_nets(v.net, u.net),
         label or f"{v.label or 'v'}o{u.label or 'u'}",
-    )
+    ))

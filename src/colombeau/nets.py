@@ -34,7 +34,6 @@ are integer tuples of length ``dim_in``.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -306,9 +305,10 @@ def _grid_of_slices(slices) -> SmoothMapHandle:
 
 
 def _content_key(x) -> tuple:
-    """The content key of a point stack: shape, dtype and 16-byte blake2b digest."""
+    """The content key of a point stack: shape, dtype and bytes, so two
+    stacks share a key only when they are equal."""
     xc = np.ascontiguousarray(x)
-    return xc.shape, xc.dtype.str, hashlib.blake2b(xc, digest_size=16).digest()
+    return xc.shape, xc.dtype.str, xc.tobytes()
 
 
 def _memoized(h: SmoothMapHandle) -> SmoothMapHandle:

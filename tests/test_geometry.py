@@ -313,6 +313,25 @@ class TestChordDistance:
         assert abs(chord - oracle) <= 1e-3 * oracle + 1e-11
 
 
+class TestAffineTransition:
+    @pytest.mark.parametrize("matrix", [
+        [[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]],
+        [[1.5, -0.2, 0.7], [0.3, 2.0, -1.1], [-0.4, 0.9, 1.3]],
+    ], ids=["rotation", "3x3"])
+    def test_a_stack_is_its_rows_bitwise(self, matrix):
+        n = len(matrix)
+        offset = np.linspace(-0.5, 0.5, n)
+        h = affine_transition(matrix, offset)
+        x = np.random.default_rng(5).uniform(-2, 2, size=(85, n))
+        stacked = h(x)
+        assert stacked.shape == (85, n)
+        assert _same_bits(stacked, [h(row[None])[0] for row in x])
+        assert _same_bits(h(x[:5].reshape(5, 1, n)), stacked[:5, None])
+        # the fixed summation order moves x A^T + b by an ulp or two against matmul
+        ref = x @ np.asarray(matrix).T + offset
+        np.testing.assert_allclose(stacked, ref, rtol=0, atol=8 * np.finfo(float).eps)
+
+
 class TestProfileValue:
     def test_dead_hairline_band_reads_the_limiting_step(self):
         # band width 2e-3 in q: W underflows in the middle of the band, and

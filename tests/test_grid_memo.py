@@ -10,17 +10,22 @@ slice at eps is the one-row case of the same body, and no checker calls it.
 Each checker hands the classifier all the sup curves of one verdict on one
 grid as one stack, in one call.  A pair's distance curve and bank rows are
 measured once per grid and point stack, in the pair memo
-``manifold_maps._pair_curves``, whatever verdict asks for them.
+``manifold_maps._pair_curves``, whatever verdict asks for them.  A repeated
+``compose`` or ``align_representative`` returns one net, through the same
+partner memo on its first operand.
 """
 
 import gc
+import sys
 import weakref
 from collections import Counter
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from colombeau import asymptotics, bundle_maps, manifold_maps, nets
+from colombeau import asymptotics, bundle_maps, geometry, manifold_maps, nets
 from colombeau.association import association_grid, check_k_associated
 from colombeau.asymptotics import EpsGrid
 from colombeau.bundle_maps import (
@@ -38,19 +43,26 @@ from colombeau.bundle_maps import (
     single_chart_hom,
     tangent_map,
 )
+from colombeau.errors import ColombeauError
 from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
 from colombeau.manifold_maps import (
     ManifoldNet,
     _check_points,
     _stack_points,
+    check_cbounded,
     check_equivalent,
     check_moderate,
     check_pointvalue_equality,
+    compose,
     random_gpoints,
     single_chart_map,
 )
 from colombeau.nets import fd_step, net_from_function
 from test_bundle_maps import two_chart_bundle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 LINE = euclidean_atlas(1, 10.0)
 TX = trivial_bundle(LINE, 1)
@@ -203,9 +215,9 @@ class TestOneClassifierCallPerVerdict:
         assert calls == [((10, len(GRID)), len(GRID))]
 
 
-def transported():
-    """An alignment through two vb-charts whose threshold splits the grid:
-    the coarse rows pass through, the fine ones are transported."""
+def transport_inputs():
+    """A hom into a two-chart bundle over a base drifting by eps, the
+    representative it is aligned to, and a cover through both vb-charts."""
     base, vb = two_chart_bundle()
     box = LINE.chart("main").box
 
@@ -215,7 +227,14 @@ def transported():
     fib = matrix_net(lambda e, x: 2.0 + x[..., :1, None], 1, (1, 1), box=box, label="M")
     v = FiberNet(trivial_bundle(LINE, 1), vb, into_a(lambda e, x: x + e, "drift"), "A", fib)
     cores = [CompactSet("A", [(-1.4, 1.4)]), CompactSet("B", [(-1.9, 0.9)])]
-    return align_representative(v, into_a(lambda e, x: x, "id"), K1, radius=0.01, cores=cores)
+    return v, into_a(lambda e, x: x, "id"), cores
+
+
+def transported():
+    """An alignment through two vb-charts whose threshold splits the grid:
+    the coarse rows pass through, the fine ones are transported."""
+    v, u_rep, cores = transport_inputs()
+    return align_representative(v, u_rep, K1, radius=0.01, cores=cores)
 
 
 def combinators():
@@ -434,3 +453,137 @@ class TestPairMemo:
                 seq[0] = 0.0
         assert repr(check_equivalent(u, v, K1)) == first == repr(
             check_equivalent(*map_pair(), K1))
+
+
+def sine(shift, label="v"):
+    """sin(x) + shift * eps, a net into LINE."""
+    return single_chart_map(LINE, LINE, lambda e, x: np.sin(x) + shift * e, label=label)
+
+
+def at_half(w):
+    return w.eval(0.5, np.array([[0.3]]))[1].tobytes()
+
+
+class TestCombinatorMemo:
+    """``compose`` and ``align_representative`` build each result once per
+    input: the partner memo on their first operand returns it again."""
+
+    def test_compose_returns_one_net_per_partner_and_label(self):
+        u, v = map_pair()
+        uv = compose(u, v)
+        assert compose(u, v) is uv
+        assert compose(u, v, label="other") is not uv
+        assert compose(u, v, label="other") is compose(u, v, label="other")
+        assert compose(u, v) is uv
+        w = sine(1.0)
+        assert compose(u, w) is not uv
+        assert at_half(compose(u, w)) != at_half(uv)
+
+    def test_a_live_and_a_freed_partner_never_share_a_hit(self, monkeypatch):
+        u = map_pair()[0]
+        # every net's id equal: a partner that shares a live partner's id,
+        # and one that reuses a freed partner's, must both miss
+        monkeypatch.setattr(manifold_maps, "id", lambda obj: 0, raising=False)
+        kept, live = sine(1.0), sine(2.0)
+        first = at_half(compose(u, kept))
+        assert at_half(compose(u, live)) != first
+        assert at_half(compose(u, kept)) == first
+        del kept
+        gc.collect()
+        fresh = sine(3.0)
+        assert at_half(compose(u, fresh)) != first
+        assert at_half(compose(u, fresh)) == at_half(compose(u, sine(3.0)))
+
+    def test_a_freed_partner_drops_its_entry(self):
+        gc.disable()
+        try:
+            u = map_pair()[0]
+            for i in range(5):
+                v = sine(float(i))
+                compose(u, v)
+                assert any(key[0] == "compose" for key in u._reports)
+            del v
+            assert [key for key in u._reports if key[0] == "compose"] == []
+        finally:
+            gc.enable()
+
+    def test_a_warm_alignment_is_the_cold_one(self, monkeypatch):
+        cold = aligned_bits(align_representative(*aligned_pair(), K1))
+        v, u_rep = aligned_pair()
+        a = align_representative(v, u_rep, K1)
+        builds = []
+        pou = bundle_maps.partition_of_unity
+        monkeypatch.setattr(bundle_maps, "partition_of_unity",
+                            lambda *args: builds.append(1) or pou(*args))
+        assert align_representative(v, u_rep, K1, grid=GRID) is a
+        assert builds == []
+        assert aligned_bits(a) == cold
+
+    def test_another_input_misses(self):
+        v, u_rep = aligned_pair()
+        a = align_representative(v, u_rep, K1)
+        other_rep = sine(0.0, "sin")
+        others = {
+            "u_rep": lambda: align_representative(v, other_rep, K1),
+            "L": lambda: align_representative(v, u_rep, CompactSet("main", [(-0.9, 0.9)])),
+            "L resolution": lambda: align_representative(
+                v, u_rep, CompactSet("main", [(-1.0, 1.0)], resolution=5)),
+            "grid": lambda: align_representative(v, u_rep, K1, grid=EpsGrid.dyadic(2, 9)),
+            "radius": lambda: align_representative(v, u_rep, K1, radius=0.5),
+            "cores": lambda: align_representative(
+                v, u_rep, K1, cores=[CompactSet("main", [(-1.2, 1.2)])]),
+        }
+        for name, run in others.items():
+            here = align_representative(v, u_rep, K1)
+            other = run()
+            assert other is not here, name
+            assert run() is other, name
+        # v keeps its last alignment only
+        again = align_representative(v, u_rep, K1)
+        assert again is not a
+        assert aligned_bits(again) == aligned_bits(a)
+        assert len([key for key in v._reports if key == "aligned"]) == 1
+
+    def test_memoized_combinators_are_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            u, v = map_pair()
+            uv = compose(u, v)
+            assert check_cbounded(uv, K1) and compose(u, v) is uv
+            v_h, u_rep = aligned_pair()
+            a = align_representative(v_h, u_rep, K1)
+            assert check_vb_equivalent(a, v_h, K1)
+            w, w_rep, cores = transport_inputs()
+            t = align_representative(w, w_rep, K1, radius=0.01, cores=cores)
+            assert t.fiber.grid_fn is not None
+            t.fiber.at_grid(GRID)(_stack_points(GRID, _check_points(K1)))
+            objs = {"u": u, "v": v, "uv": uv, "v_h": v_h, "u_rep": u_rep, "a": a,
+                    "w": w, "w_rep": w_rep, "t": t, "t.fiber": t.fiber}
+            refs = {name: weakref.ref(obj) for name, obj in objs.items()}
+            del u, v, uv, v_h, u_rep, a, w, w_rep, t, objs
+            assert [name for name, r in refs.items() if r() is not None] == []
+        finally:
+            gc.enable()
+
+
+class TestBundlesTraffic:
+    """The traffic of one seed-0 pass of the benchmark's bundles catalog,
+    its defect probes left out: each c-boundedness report is computed once
+    per distinct net, and a repeated alignment builds no partition of unity."""
+
+    def test_reports_and_partitions_built(self, monkeypatch, tmp_path):
+        counts = Counter()
+        for mod, name in ((manifold_maps, "_cbounded_report"),
+                          (bundle_maps, "partition_of_unity")):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name: (
+                counts.update([_name]) or _fn(*a)))
+        w = WORKLOADS["bundles"]
+        spec = w.generate(0)
+        objs = w.build(spec, tmp_path)
+        timed = [v for v in w.verdicts(spec)
+                 if not any(fnmatch(v.vid, pat) for pat, _ in w.known_defects)]
+        for verdict in timed:
+            verdict.run(objs)
+        assert len(timed) == 37
+        assert counts == {"_cbounded_report": 17, "partition_of_unity": 26}

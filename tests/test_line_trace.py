@@ -25,7 +25,7 @@ ALLOWED = {
     "geometry.VBAtlas._overlap_samples": _MULTI_CHART,
     "geometry.VBAtlas.fiber_transition": _MULTI_CHART,
     "geometry.affine_transition.<locals>.jf": _MULTI_CHART,
-    "bundle_maps.align_representative.<locals>.new_fiber": _MULTI_CHART,
+    "bundle_maps._aligned.<locals>.new_fiber": _MULTI_CHART,
     "geometry.box_contains":
         "error path only: `_checked_stack` reads it for a refused point, then raises",
     "asymptotics.EpsGrid.geometric":
