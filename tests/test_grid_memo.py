@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colombeau import asymptotics, bundle_maps, geometry, manifold_maps, nets
+from colombeau import asymptotics, bundle_maps, manifold_maps, nets
 from colombeau.association import association_grid, check_k_associated
 from colombeau.asymptotics import EpsGrid
 from colombeau.bundle_maps import (
@@ -43,7 +43,6 @@ from colombeau.bundle_maps import (
     single_chart_hom,
     tangent_map,
 )
-from colombeau.errors import ColombeauError
 from colombeau.geometry import CompactSet, euclidean_atlas, trivial_bundle
 from colombeau.manifold_maps import (
     ManifoldNet,
