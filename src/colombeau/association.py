@@ -65,14 +65,18 @@ def association_grid() -> EpsGrid:
 
 def _add_runs(acc, values, owner):
     """``acc[k] += np.sum(values[owner == k])``, bit for bit, for every
-    owner k present; ``owner`` is sorted.  ``np.add.reduceat`` keeps a
-    run's first term and adds the rest by np.sum's pairwise rule, so every
-    run is led by -0.0, which adds nothing."""
+    owner k; ``owner`` is sorted.  ``np.add.reduceat`` keeps a run's first
+    term and adds the rest by np.sum's pairwise rule, so every run is led
+    by -0.0, which adds nothing: value i sits at ``i + owner[i] + 1``, after
+    one -0.0 per owner up to its own, and an owner with no values adds its
+    -0.0 alone."""
     if owner.size == 0:
         return
-    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    acc[owner[starts]] += np.add.reduceat(
-        np.insert(values, starts, -0.0), starts + np.arange(starts.size)
+    count = np.bincount(owner)
+    led = np.full(owner.size + count.size, -0.0)
+    led[np.arange(owner.size) + owner + 1] = values
+    acc[:count.size] += np.add.reduceat(
+        led, np.cumsum(count) - count + np.arange(count.size)
     )
 
 
@@ -85,46 +89,52 @@ def _simpson_level(lo, hi, owner, known, feval, width, tol, min_width, total, le
     ``total`` and ``leftover`` and returns ``(lo, hi, known, alive, owner,
     bad)``: the halves of the other segments with their known values, the
     owners this level refined, the halves' owners, and the first owner
-    whose integrand was not finite (it and all after it are dropped), or
-    None.
+    whose integrand was not finite (it and all after it, a suffix of the
+    sorted owners, are cut off), or None.  Owner k's halves take the slots
+    after those of the owners before it, found from per-owner counts;
+    ``at`` holds each slot's segment column, plus n for a right half, so
+    one gather from (lo | mid | hi) and from (f0 | f2 | f4) and (f1 | f3)
+    gives a half its ends and its (f0, f1, f2) or (f2, f3, f4).
     """
     mid = 0.5 * (lo + hi)
     q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
     if known is None:
-        vals = new = feval(np.stack([lo, q1, mid, q3, hi]), owner)
+        new = feval(np.stack([lo, q1, mid, q3, hi]), owner)
     else:
         new = feval(np.stack([q1, q3]), owner)
-        vals = np.empty((5, lo.size))
-        vals[0::2], vals[1::2] = known, new
     # known values passed this check on the level that computed them
     finite = np.isfinite(new).all(axis=0)
+    if known is None:
+        known, new = new[0::2], new[1::2]
     bad = None
     if not finite.all():
         bad = int(owner[np.argmin(finite)])
-        live = owner < bad
-        lo, hi, mid, owner, vals = lo[live], hi[live], mid[live], owner[live], vals[:, live]
-    f0, f1, f2, f3, f4 = vals
+        n = np.searchsorted(owner, bad)
+        lo, hi, mid, owner = lo[:n], hi[:n], mid[:n], owner[:n]
+        known, new = known[:, :n], new[:, :n]
+    (f0, f2, f4), (f1, f3) = known, new
     h = hi - lo
     coarse = h / 6.0 * (f0 + 4.0 * f2 + f4)
     fine = h / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
-    err = np.abs(fine - coarse) / 15.0
+    gap = fine - coarse
+    err = np.abs(gap) / 15.0
     budget = tol[owner] * (h / width[owner])
     done = err <= budget
     floor = h < 2.0 * min_width[owner]
     accept = done | floor
-    _add_runs(total, (fine + (fine - coarse) / 15.0)[accept], owner[accept])
+    _add_runs(total, (fine + gap / 15.0)[accept], owner[accept])
     unresolved = floor & ~done
     _add_runs(leftover, err[unresolved], owner[unresolved])
-    keep = ~accept
-    halves = np.concatenate([owner[keep], owner[keep]])
-    order = np.argsort(halves, kind="stable")
+    cols = np.flatnonzero(~accept)
+    kept = owner[cols]
+    count = np.bincount(kept)
+    left = np.arange(cols.size) + (np.cumsum(count) - count)[kept]
+    at = np.empty(2 * cols.size, dtype=np.intp)
+    at[left], at[left + count[kept]] = cols, cols + lo.size
+    ends, values, after = np.concatenate([lo, mid, hi]), known.reshape(-1), at + lo.size
     return (
-        np.concatenate([lo[keep], mid[keep]])[order],
-        np.concatenate([mid[keep], hi[keep]])[order],
-        np.concatenate([vals[:3, keep], vals[2:, keep]], axis=1)[:, order],
-        owner,
-        halves[order],
-        bad,
+        ends[at], ends[after], np.stack([values[at], new.reshape(-1)[at], values[after]]),
+        owner, np.repeat(np.arange(count.size), 2 * count), bad,
     )
 
 
@@ -145,9 +155,10 @@ def _simpson_runs(lo, hi, owner, width, tol, min_width, feval):
     abscissa is evaluated once, except that first-level segments sharing
     an edge (an integral that starts as several segments) each evaluate
     it.  Each integral is refined as if it were alone: its segments keep
-    their order (``[lo[keep], mid[keep]]`` per level), its level sums are
-    ``np.sum`` over its own accepted segments, and it stops on its own
-    ``tol``, ``min_width``, depth cap and unresolved error at the floor.
+    their order (its kept segments' left halves, then their right halves),
+    its level sums are ``np.sum`` over its own accepted segments, and it
+    stops on its own ``tol``, ``min_width``, depth cap and unresolved error
+    at the floor.  A level is a fixed number of linear passes: no sort.
 
     Returns ``(totals, failure)``.  ``failure`` is ``(k, exc)`` for the
     first integral k that would raise on its own, or None; the integrals
@@ -230,7 +241,8 @@ def adaptive_simpson(
 def _call_on_columns(handle, x):
     """A scalar handle at the (r, k) abscissae ``x``, as (r, k) values."""
     flat = x.reshape(-1, 1)
-    return np.broadcast_to(handle(flat), flat.shape).reshape(x.shape)
+    v = handle(flat)
+    return (v if np.size(v) == flat.size else np.broadcast_to(v, flat.shape)).reshape(x.shape)
 
 
 def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
@@ -272,16 +284,20 @@ def _pairings(u: Net, densities: Sequence[DensityTest], eps_values):
 
     def feval(x, own):
         out = np.empty_like(x)
-        eps_of = own % n_e
-        ends = np.cumsum(np.bincount(eps_of, minlength=n_e))
-        for i, cols in enumerate(np.split(np.argsort(eps_of, kind="stable"), ends[:-1])):
-            if cols.size:
-                out[:, cols] = _call_on_columns(slices[i], x[:, cols])
-        # owners run density by density, so each density's columns are a block
-        bounds = np.searchsorted(own, np.arange(n_d + 1) * n_e)
-        for j in np.flatnonzero(np.diff(bounds)):
-            cols = slice(bounds[j], bounds[j + 1])
-            out[:, cols] *= _call_on_columns(handles[j], x[:, cols])
+        # owner k = j * n_e + i is density j at eps i: eps i's columns are
+        # its owners' runs in density order, density j's one block
+        bounds = np.searchsorted(own, np.arange(n_d * n_e + 1)).tolist()
+        for i, slice_ in enumerate(slices):
+            runs = [(a, b) for a, b in zip(bounds[i:-1:n_e], bounds[i + 1::n_e]) if b > a]
+            if runs:
+                cols = np.concatenate([x[:, a:b] for a, b in runs], axis=1)
+                vals, at = _call_on_columns(slice_, cols), 0
+                for a, b in runs:
+                    out[:, a:b], at = vals[:, at:at + b - a], at + b - a
+        for j, handle in enumerate(handles):
+            a, b = bounds[j * n_e], bounds[(j + 1) * n_e]
+            if b > a:
+                out[:, a:b] *= _call_on_columns(handle, x[:, a:b])
         return out
 
     total, failure = _simpson_runs(

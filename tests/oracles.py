@@ -18,7 +18,10 @@ stacked right-hand side built by ``np.stack`` (for the dense-output
 kernel of ``ppwave.GeodesicSlice.states`` and the rhs of
 ``ppwave.regularized_geodesic_system``), and adaptive Simpson refined one integral at a time, with the weak
 pairing built on it (for the pairings of
-``association.check_associated_zero`` and ``association.shadow``), and
+``association.check_associated_zero`` and ``association.shadow``), one
+level of the batched quadrature kernel by a stable argsort of the halves
+and the integrand of the batched pairings by a per-eps column gather and
+scatter (for ``association._simpson_level`` and ``_pairings``), and
 the checkers' per-eps loops: the sup curve, the c-boundedness report, the
 distance and bank-difference curves and the fiber test-hom route (for the
 stacked evaluation over the eps grid in ``manifold_maps`` and
@@ -782,6 +785,93 @@ def weak_integral_reference(u, nu, eps):
         min_width=min(eps / 8.0, b - a) * 2.0**-30,
         pre_split=splits,
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature kernel, one level by a stable argsort
+
+
+def _add_runs_reference(acc, values, owner):
+    """``acc[k] += np.sum(values[owner == k])`` for every owner k present,
+    by ``np.add.reduceat`` over runs each led by an inserted -0.0."""
+    if owner.size == 0:
+        return
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    acc[owner[starts]] += np.add.reduceat(
+        np.insert(values, starts, -0.0), starts + np.arange(starts.size)
+    )
+
+
+def simpson_level_reference(lo, hi, owner, known, feval, width, tol, min_width,
+                            total, leftover):
+    """One level of ``association._simpson_runs``, as a (5, n) array of the
+    integrand values and the next level's halves ordered by a stable argsort
+    of their owners; returns what the library's level returns."""
+    mid = 0.5 * (lo + hi)
+    q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    if known is None:
+        vals = new = feval(np.stack([lo, q1, mid, q3, hi]), owner)
+    else:
+        new = feval(np.stack([q1, q3]), owner)
+        vals = np.empty((5, lo.size))
+        vals[0::2], vals[1::2] = known, new
+    finite = np.isfinite(new).all(axis=0)
+    bad = None
+    if not finite.all():
+        bad = int(owner[np.argmin(finite)])
+        live = owner < bad
+        lo, hi, mid, owner, vals = lo[live], hi[live], mid[live], owner[live], vals[:, live]
+    f0, f1, f2, f3, f4 = vals
+    h = hi - lo
+    coarse = h / 6.0 * (f0 + 4.0 * f2 + f4)
+    fine = h / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
+    err = np.abs(fine - coarse) / 15.0
+    budget = tol[owner] * (h / width[owner])
+    done = err <= budget
+    floor = h < 2.0 * min_width[owner]
+    accept = done | floor
+    _add_runs_reference(total, (fine + (fine - coarse) / 15.0)[accept], owner[accept])
+    unresolved = floor & ~done
+    _add_runs_reference(leftover, err[unresolved], owner[unresolved])
+    keep = ~accept
+    halves = np.concatenate([owner[keep], owner[keep]])
+    order = np.argsort(halves, kind="stable")
+    return (
+        np.concatenate([lo[keep], mid[keep]])[order],
+        np.concatenate([mid[keep], hi[keep]])[order],
+        np.concatenate([vals[:3, keep], vals[2:, keep]], axis=1)[:, order],
+        owner,
+        halves[order],
+        bad,
+    )
+
+
+def _call_on_columns_reference(handle, x):
+    flat = x.reshape(-1, 1)
+    return np.broadcast_to(handle(flat), flat.shape).reshape(x.shape)
+
+
+def pairings_feval_reference(slices, handles, n_e, call=_call_on_columns_reference):
+    """The integrand of ``association._pairings``: owner ``j * n_e + i`` is
+    density j at eps i; slice i is called on its columns gathered by a stable
+    argsort of ``own % n_e`` and scattered back, then each density on its
+    block of columns.  ``call(handle, x)`` evaluates a handle on columns."""
+    n_d = len(handles)
+
+    def feval(x, own):
+        out = np.empty_like(x)
+        eps_of = own % n_e
+        ends = np.cumsum(np.bincount(eps_of, minlength=n_e))
+        for i, cols in enumerate(np.split(np.argsort(eps_of, kind="stable"), ends[:-1])):
+            if cols.size:
+                out[:, cols] = call(slices[i], x[:, cols])
+        bounds = np.searchsorted(own, np.arange(n_d + 1) * n_e)
+        for j in np.flatnonzero(np.diff(bounds)):
+            cols = slice(bounds[j], bounds[j + 1])
+            out[:, cols] *= call(handles[j], x[:, cols])
+        return out
+
+    return feval
 
 
 # ---------------------------------------------------------------------------

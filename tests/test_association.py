@@ -2,12 +2,16 @@
 
 import csv
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from colombeau import association
 from colombeau.asymptotics import EpsGrid
 from colombeau.association import (
     ASSOC_TOL,
@@ -44,6 +48,10 @@ from colombeau.geometry import (
 from colombeau.manifold_maps import check_equivalent, single_chart_map
 from colombeau.nets import net_from_function
 from oracles import adaptive_simpson_reference, weak_integral_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 LINE = euclidean_atlas(1)
 K1 = CompactSet("main", [(-1.0, 1.0)])
@@ -771,3 +779,179 @@ class TestEachAbscissaOnce:
         const = net_from_function(lambda e, x: e, 1, 1, box=[(-3, 3)], label="eps")
         assert const.at(0.5)(np.zeros((3, 1))).shape == ()
         assert_rows_match_the_oracle(const, DENSITIES)
+
+
+# ---------------------------------------------------------------------------
+# one quadrature level and the pairing integrand against the argsort reference
+
+
+def _array_bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _level_bits(result, total, leftover):
+    *arrays, bad = result
+    return [_array_bits(a) for a in (*arrays, total, leftover)] + [bad]
+
+
+def _failure_bits(failure):
+    return None if failure is None else (failure[0], type(failure[1]), str(failure[1]))
+
+
+def _segment_set(seed):
+    """Random integrals of 1-5 first-level segments each, with the roles a
+    level must handle: an owner whose integrand turns nan on a later level,
+    owners that reach their floor with error left over, and one with no
+    floor at a spike, which runs into the depth cap."""
+    rng = np.random.default_rng(seed)
+    m = 10
+    a = rng.uniform(-2.0, 1.0, m)
+    width = rng.uniform(0.2, 2.0, m)
+    tol = 10.0 ** rng.uniform(-12.0, -6.0, m)
+    min_width = width * 2.0**-30
+    spike_at = a + width * rng.uniform(0.1, 0.9, m)
+    spike, step, wave = np.zeros(m), np.zeros(m), np.ones(m)
+    # in this order, each role shows before a later one cuts it off
+    capped, nan_owner, floored, failing = np.sort(rng.choice(m, 4, replace=False))
+    spike[[capped, nan_owner, failing]] = 1.0
+    min_width[[floored, failing]] = width[[floored, failing]] * 2.0**-8
+    # a step's error estimate is h / 180 or h / 60: over this tol's share
+    # on every level, and under this tol at the floor
+    step[floored], wave[floored], tol[floored] = 1.0, 0.0, 1e-3
+    # a bare spike at 0, where the abscissae keep their relative precision,
+    # so only the segment at it splits on every level
+    a[capped] = -width[capped] * rng.uniform(0.1, 0.9)
+    spike_at[capped], wave[capped], min_width[capped], tol[capped] = 0.0, 0.0, 0.0, 1e-3
+    freq = rng.uniform(1.0, 40.0, m)
+    lo, hi, owner = [], [], []
+    for k in range(m):
+        n_seg = int(rng.integers(1, 6))
+        edges = np.r_[a[k], np.sort(rng.uniform(a[k], a[k] + width[k], n_seg - 1)),
+                      a[k] + width[k]]
+        lo += edges[:-1].tolist()
+        hi += edges[1:].tolist()
+        owner += [k] * n_seg
+
+    def feval(x, own):
+        loud = (np.abs(x - spike_at[own]) + 1e-300) ** -0.5
+        f = (wave[own] * np.sin(freq[own] * x) * np.exp(x) + spike[own] * loud
+             + step[own] * (x > spike_at[own]))
+        # a window too narrow for the first points, where the spike draws
+        # the refinement in
+        return np.where((own == nan_owner) & (loud > 1e4), np.nan, f)
+
+    args = (np.array(lo), np.array(hi), np.array(owner, dtype=np.intp),
+            width, tol, min_width)
+    return args, feval, floored
+
+
+class TestLevelAgainstTheReference:
+    """The per-owner-offset level gives the argsort level's every output
+    bit for bit, and evaluates the same abscissae."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_segment_sets(self, seed, monkeypatch):
+        (lo, hi, owner, width, tol, min_width), feval, floored = _segment_set(seed)
+        library = association._simpson_level
+        bads, left = [], []
+
+        def both(lo, hi, owner, known, fe, width, tol, min_width, total, leftover):
+            ref_total, ref_leftover = total.copy(), leftover.copy()
+            seen = {"lib": [], "ref": []}
+
+            def recorded(key):
+                def f(x, own):
+                    seen[key].append((_array_bits(x), _array_bits(own)))
+                    return fe(x, own)
+                return f
+
+            got = library(lo, hi, owner, known, recorded("lib"), width, tol,
+                          min_width, total, leftover)
+            want = oracles.simpson_level_reference(
+                lo, hi, owner, known, recorded("ref"), width, tol, min_width,
+                ref_total, ref_leftover,
+            )
+            assert seen["lib"] == seen["ref"]
+            assert _level_bits(got, total, leftover) == _level_bits(
+                want, ref_total, ref_leftover
+            )
+            bads.append(got[5])
+            left.append(leftover[floored])
+            return got
+
+        with np.errstate(all="ignore"):
+            monkeypatch.setattr(association, "_simpson_level", both)
+            got, got_failure = association._simpson_runs(
+                lo, hi, owner, width, tol, min_width, feval
+            )
+            monkeypatch.setattr(association, "_simpson_level",
+                                oracles.simpson_level_reference)
+            want, want_failure = association._simpson_runs(
+                lo, hi, owner, width, tol, min_width, feval
+            )
+        assert _array_bits(got) == _array_bits(want)
+        assert _failure_bits(got_failure) == _failure_bits(want_failure)
+        # the nan turns up on a later level, an integral within its tol has
+        # error left at its floor, and the spike without a floor runs all
+        # 64 levels
+        assert bads[0] is None and any(b is not None for b in bads)
+        assert 0.0 < left[-1] <= tol[floored]
+        assert len(bads) == 64
+        assert "depth limit" in str(got_failure[1])
+
+
+WEAK_LIMITS = WORKLOADS["weak-limits"]
+
+
+class TestPairingIntegrandAgainstTheReference:
+    """``_pairings`` on the weak-limits catalog calls every handle on the
+    same columns, and gets the same integrands and pairings, as the
+    reference integrand with the reference level."""
+
+    @staticmethod
+    def _run(net, densities, grid, reference, monkeypatch):
+        runs = association._simpson_runs
+        calls, outs = [], []
+
+        def call(handle, x, _call):
+            calls.append((id(handle), _array_bits(x)))
+            return _call(handle, x)
+
+        def simpson_runs(lo, hi, owner, width, tol, min_width, feval):
+            if reference:
+                feval = oracles.pairings_feval_reference(
+                    [net.at(e) for e in grid], [nu.handle for nu in densities],
+                    len(grid),
+                    call=lambda h, x: call(h, x, oracles._call_on_columns_reference),
+                )
+
+            def recorded(x, own):
+                out = feval(x, own)
+                outs.append(_array_bits(out))
+                return out
+
+            return runs(lo, hi, owner, width, tol, min_width, recorded)
+
+        library_call = association._call_on_columns
+        with monkeypatch.context() as mp:
+            mp.setattr(association, "_simpson_runs", simpson_runs)
+            mp.setattr(association, "_call_on_columns",
+                       lambda h, x: call(h, x, library_call))
+            if reference:
+                mp.setattr(association, "_simpson_level",
+                           oracles.simpson_level_reference)
+            values, failure = association._pairings(net, densities, grid)
+        return _array_bits(values), _failure_bits(failure), calls, outs
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_catalog_nets(self, seed, monkeypatch):
+        spec = WEAK_LIMITS.generate(seed)
+        objs = WEAK_LIMITS.build(spec, None)
+        grid = list(association_grid())
+        for i in range(len(spec["quads"])):
+            net, densities = objs[f"q{i}"]
+            got = self._run(net, densities, grid, False, monkeypatch)
+            want = self._run(net, densities, grid, True, monkeypatch)
+            assert got == want, spec["quads"][i]["slot"]
+            assert got[1] is None and got[2]
