@@ -3,9 +3,10 @@
 Association compares nets through integrals against compactly supported
 densities, a strictly coarser lens than equivalence: negligible nets are
 always associated to zero, but associated nets can differ by order one in
-the sup norm.  All "tends to zero" verdicts use a quantitative proxy:
-magnitudes non-increasing over the asymptotic half of the grid and a final
-value under ``ASSOC_TOL``.  Borderline curves are flagged, never passed.
+the sup norm.  All "tends to zero" verdicts use one proxy, the tail rule:
+magnitudes non-increasing over the asymptotic half of the grid, and a final
+value under ``ASSOC_TOL`` or a Negligible(m >= 1) fit, which no scaling of
+the test function moves.  Borderline curves are flagged, never passed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .asymptotics import EpsGrid
+from .asymptotics import NEGLIGIBLE, EpsGrid, estimate_growth_order
 from .errors import (
     BallEscapesChart,
     ConfigError,
@@ -330,12 +331,20 @@ def _non_increasing(values) -> bool:
     return all(b <= a * (1.0 + 1e-9) + 1e-14 for a, b in zip(values, values[1:]))
 
 
-def _tends_to_zero(values, grid: EpsGrid, tol: float):
-    """(ok, decreasing, final): magnitudes non-increasing over the small-eps
-    half (:func:`_non_increasing`) and final magnitude under tol."""
-    mags = [abs(float(v)) for v in values]
-    dec = _non_increasing(mags[grid.small_half().start:])
-    return dec and mags[-1] < tol, dec, mags[-1]
+def _tends_to_zero(curves, grid: EpsGrid, tol: float):
+    """The tail rule, (ok, decreasing, final) per row of an (n_curves, n_eps)
+    stack: non-increasing magnitudes over the small-eps half, and a final one
+    under tol or a finite row that classifies Negligible(m >= 1), as one
+    stack, so a tail decaying at least like eps passes at any scale."""
+    mags = np.abs(np.asarray(curves, dtype=float).reshape(-1, len(grid)))
+    dec = [_non_increasing(row[grid.small_half().start:].tolist()) for row in mags]
+    finals = mags[:, -1].tolist()
+    ok = [d and f < tol for d, f in zip(dec, finals)]
+    rate = [i for i, row in enumerate(mags)
+            if dec[i] and not ok[i] and np.isfinite(row).all()]
+    for i, v in zip(rate, estimate_growth_order(mags[rate], grid) if rate else ()):
+        ok[i] = v.classification == NEGLIGIBLE and v.order >= 1
+    return list(zip(ok, dec, finals))
 
 
 @dataclass
@@ -370,8 +379,9 @@ def check_associated_zero(
     if failure is not None:
         raise failure[1]
     rows = []
-    for nu, values in zip(densities, pairings.tolist()):
-        ok, dec, final = _tends_to_zero(values, grid, assoc_tol)
+    for nu, values, (ok, dec, final) in zip(
+        densities, pairings.tolist(), _tends_to_zero(pairings, grid, assoc_tol)
+    ):
         flag = ""
         if not ok and final < assoc_tol and not dec:
             flag = "borderline: small final value but not decreasing"
@@ -543,7 +553,6 @@ def check_k_associated(
 
     base_pts = _check_points(K)
     src = K.chart_id
-    rows = []
 
     # features that concentrate as eps shrinks slip between fixed sample
     # points; each net's declared feature windows are sampled per eps, and
@@ -565,23 +574,21 @@ def check_k_associated(
     region = _pair_witness(u, v, K, grid, "association")
 
     pts = _stack_points(grid, pts_at)
-    for label, order, curve in [
+    labelled = [
         *_pair_curves(u, v, src, grid, pts, region),
         *_coordinate_curves((u, v), range(1, k + 1), src, grid, pts),
-    ]:
-        ok, _, final = _tends_to_zero(curve, grid, assoc_tol)
-        rows.append((label, order, ok, final))
+    ]
+    distance = [_pair_curves(u, v, src, grid, pts)] if k == 0 else []
+    tails = _tends_to_zero([c for _, _, c in labelled] + distance, grid, assoc_tol)
+    rows = [(label, order, ok, final)
+            for (label, order, _), (ok, _, final) in zip(labelled, tails)]
     route_bank = all(ok for _, _, ok, _ in rows)
-
-    route_distance = None
-    if k == 0:
-        curve = _pair_curves(u, v, src, grid, pts)
-        route_distance = _tends_to_zero(curve, grid, assoc_tol)[0]
-        if route_distance != route_bank:
-            raise InconsistentRoutes(
-                f"0-association routes disagree: distance={route_distance}, "
-                f"bank={route_bank} for ({u.label!r}, {v.label!r})"
-            )
+    route_distance = tails[-1][0] if distance else None
+    if distance and route_distance != route_bank:
+        raise InconsistentRoutes(
+            f"0-association routes disagree: distance={route_distance}, "
+            f"bank={route_bank} for ({u.label!r}, {v.label!r})"
+        )
     return KAssociationReport(route_bank, k, route_distance, route_bank, rows)
 
 

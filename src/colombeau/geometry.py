@@ -374,34 +374,15 @@ def _psi(s):
         return np.where(live, np.exp(-1.0 / np.where(live, s, 1.0)), 0.0)
 
 
-def _profile_denominator(a0, b0):
-    """W = a0 + b0 and where it underflowed; dead points divide by 1."""
-    W = a0 + b0
-    dead = W <= 1e-280
-    return dead, np.where(dead, 1.0, W)
-
-
-def _dead_step(q, r0_sq, r1_sq):
-    """Limiting step value where the band is below float resolution."""
-    return np.where(q < 0.5 * (r0_sq + r1_sq), 1.0, 0.0)
-
-
 def _profile_value(q, r0_sq, r1_sq):
-    """Smooth step in q = r^2: 1 for q <= r0_sq, 0 for q >= r1_sq.
-
-    The denominator W = a + b is bounded below by psi of half the band
-    width, which for hairline bands can underflow to zero; those points get
-    the limiting step values (the transition is below float resolution
-    there).
-    """
-    q = np.asarray(q, dtype=float)
-    a0 = _psi(r1_sq - q)
-    dead, Ws = _profile_denominator(a0, _psi(q - r0_sq))
-    with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
-        beta0 = a0 / Ws
-    if np.any(dead):
-        beta0 = np.where(dead, _dead_step(q, r0_sq, r1_sq), beta0)
-    return beta0
+    """Smooth step in q = r^2, 1 for q <= r0_sq and 0 for q >= r1_sq: with
+    s = (q - r0_sq)/(r1_sq - r0_sq) and a = psi(1 - s), a/(a + psi(s)).  It
+    spans the whole band at every radius, a + psi(s) >= 2 psi(1/2) on the
+    band, and a nan q reads nan."""
+    s = (np.asarray(q, dtype=float) - r0_sq) / (r1_sq - r0_sq)
+    a = _psi(1.0 - s)
+    with np.errstate(invalid="ignore"):
+        return a / (a + _psi(s))
 
 
 def _radial_value(y, center, r0_sq, r1_sq):

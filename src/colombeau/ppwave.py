@@ -36,7 +36,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .asymptotics import EpsGrid, estimate_growth_order
-from .association import ASSOC_TOL, Mollifier, _non_increasing, check_k_associated
+from .association import (
+    ASSOC_TOL,
+    Mollifier,
+    _non_increasing,
+    _tends_to_zero,
+    check_k_associated,
+)
 from .errors import ConfigError, NonFiniteValue, OutsideDomain
 from .geometry import CompactSet, euclidean_atlas, make_handle, sample_box
 from .manifold_maps import ManifoldNet, check_cbounded, single_chart_map
@@ -440,7 +446,12 @@ def kink_limit_study(
         float(np.max(np.abs(xs[a] - xs[b])))
         for a, b in zip(eps_values[:-1], eps_values[1:])
     ]
-    cauchy_ok = _non_increasing(cauchy) and cauchy[-1] < assoc_tol
+    # non-increasing throughout, and the tail rule on the curve's own grid
+    # (the smaller eps of each pair; five distances are too few for a grid)
+    cauchy_ok = _non_increasing(cauchy) and (
+        _tends_to_zero([cauchy], EpsGrid(eps_values[1:]), assoc_tol)[0][0]
+        if len(cauchy) >= 6 else cauchy[-1] < assoc_tol
+    )
 
     flags = []
     if not cauchy_ok:

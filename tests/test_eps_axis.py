@@ -331,7 +331,7 @@ class TestRowReductions:
         tends = association._tends_to_zero
         monkeypatch.setattr(
             association, "_tends_to_zero",
-            lambda curve, *a: curves.append(curve) or tends(curve, *a),
+            lambda stack, *a: curves.extend(stack) or tends(stack, *a),
         )
         rep = association.check_k_associated(u, v, 1, K1, grid=grid)
         bank = default_test_bank(LINE, manifold_maps._witness_union(

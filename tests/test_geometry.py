@@ -12,14 +12,11 @@ from colombeau.errors import (
     AtlasMismatch,
     BallEscapesChart,
     CoverGap,
-    InconsistentRoutes,
     NoMetric,
     OutsideDomain,
 )
 from colombeau.geometry import (
-    _profile_denominator,
     _profile_value,
-    _psi,
     Atlas,
     Chart,
     CompactSet,
@@ -333,19 +330,19 @@ class TestAffineTransition:
 
 
 class TestProfileValue:
-    def test_dead_hairline_band_reads_the_limiting_step(self):
-        # band width 2e-3 in q: W underflows in the middle of the band, and
-        # there the value is the limiting step, 1 before the band's middle
-        # and 0 after it
+    def test_hairline_band_is_smooth_and_monotone(self):
+        # band width 2e-3 in q: the transition spans the whole band, with
+        # no step anywhere in it
         r0, r1 = 1.0, math.sqrt(1.002)
         q = np.linspace(0.999, 1.003, 801)
-        dead, _ = _profile_denominator(_psi(r1**2 - q), _psi(q - r0**2))
-        assert np.any(dead) and not np.all(dead)
-        got = _profile_value(q, r0**2, r1**2)
-        before = q < 0.5 * (r0**2 + r1**2)
-        assert np.any(dead & before) and np.any(dead & ~before)
-        assert np.all(got[dead & before] == 1.0) and np.all(got[dead & ~before] == 0.0)
-        assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+        with np.errstate(all="raise"):
+            got = _profile_value(q, r0**2, r1**2)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.all(np.diff(got) <= 0.0)
+        assert np.all(got[q <= r0**2] == 1.0) and np.all(got[q >= r1**2] == 0.0)
+        middle = got[np.abs((q - r0**2) / (r1**2 - r0**2) - 0.5) < 0.25]
+        assert np.all((middle > 0.01) & (middle < 0.99))
+        assert np.max(np.abs(np.diff(got))) < 0.05
 
 
 class TestBumps:
@@ -541,32 +538,24 @@ class TestBankEval:
     what each test's own handle gives."""
 
     @staticmethod
-    def _eval_counting_dead_steps(atlas, region, y, monkeypatch):
+    def _eval_bit_for_bit(atlas, region, y):
         bank = default_test_bank(atlas, region)
-        calls = []
-        step = geometry._dead_step
-        monkeypatch.setattr(
-            geometry, "_dead_step", lambda *a: calls.append(a) or step(*a)
-        )
         got = bank.eval(y)
-        monkeypatch.setattr(geometry, "_dead_step", step)
         tests = bank_tests(atlas, region)
         assert bank.labels == [label for label, _ in tests]
         want = np.stack([h.eval_fn(y)[..., 0] for _, h in tests])
         assert got.shape == want.shape == (len(bank.labels), len(y))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        return len(calls)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_rows_are_the_tests_bit_for_bit(self, dim, monkeypatch):
+    def test_rows_are_the_tests_bit_for_bit(self, dim):
         rng = np.random.default_rng(dim)
         atlas = euclidean_atlas(dim, 10.0)
-        dead = {}
         for width in np.geomspace(1e-3, 4.0, 10):
             lo = rng.uniform(-5.0, 5.0 - width, dim)
             region = CompactSet("main", np.stack([lo, lo + width], axis=-1))
             bank = default_test_bank(atlas, region)
-            # every bump's band middle, where a hairline band's W underflows
+            # a point in every bump's band
             band = bank.centers.copy()
             band[:, 0] += 0.75 * np.sqrt(bank.r1_sq[:, 0])
             y = np.concatenate([
@@ -574,33 +563,34 @@ class TestBankEval:
                 band,
                 np.full((1, dim), 9.5),  # outside every support
             ])
-            dead[width] = self._eval_counting_dead_steps(atlas, region, y, monkeypatch)
-        assert dead[1e-3] > 0 and dead[4.0] == 0
+            self._eval_bit_for_bit(atlas, region, y)
 
-    def test_the_kink_datums_near_step_bump(self, monkeypatch):
-        # the bank of the kink study's 0-association check on the datum whose
-        # routes split: its bump-small-0 steps from 0 to 1 near y = 1.435
+    def test_the_kink_datums_small_bump_spans_its_band(self, monkeypatch):
+        # the bank of the kink study's 0-association check on a datum whose
+        # routes once split, when bump-small-0 stepped from 0 to 1 within
+        # 5e-4 near y = 1.435; its transition spans [1.417, 1.460]
         built = []
         build = manifold_maps.default_test_bank
         monkeypatch.setattr(
             manifold_maps, "default_test_bank",
             lambda *a: built.append(a) or build(*a),
         )
-        with pytest.raises(InconsistentRoutes):
-            kink_limit_study(
-                default_profile(), sharp_mollifier(),
-                (0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022), EpsGrid.dyadic(6, 12),
-            )
+        rep = kink_limit_study(
+            default_profile(), sharp_mollifier(),
+            (0.0, 1.4125, -0.0568, 0.0, 0.045, 0.0022), EpsGrid.dyadic(6, 12),
+        )
+        assert rep and rep.assoc_routes == (True, True)
         (args,) = built
         y = np.concatenate([
             np.linspace(1.2, 2.3, 1101), np.linspace(1.434, 1.436, 201)
         ])
-        self._eval_counting_dead_steps(*args, y[:, None], monkeypatch)
+        self._eval_bit_for_bit(*args, y[:, None])
         bank = build(*args)
-        row = bank.eval(np.array([[1.4345], [1.4355]]))[
-            bank.labels.index("bump-small-0")
-        ]
-        assert row[0] < 1e-3 and row[1] > 1.0 - 1e-3
+        at = np.array([1.416, 1.425, 1.4345, 1.4355, 1.45, 1.461])
+        row = bank.eval(at[:, None])[bank.labels.index("bump-small-0")]
+        assert row[0] < 1e-3 and row[-1] > 1.0 - 1e-3
+        assert np.all((row[1:-1] > 0.01) & (row[1:-1] < 0.999))
+        assert np.all(np.diff(row) >= 0.0) and row[3] - row[2] < 0.1
 
 
 class TestDefaultBank:
