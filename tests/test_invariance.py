@@ -43,7 +43,8 @@ def _config_pair(names, ini=None):
         if ini is not None:
             path = tmp_path / "pair.ini"
             path.write_text(ini)
-        cfg = load_config(path and str(path))
+            path = str(path)
+        cfg = load_config(path)
         u, v = (cfg.map_net(n) for n in names)
         return u, v, cfg.region, {"grid": cfg.grid, "assoc_tol": cfg.assoc_tol}
 
